@@ -59,9 +59,9 @@ type jsonDiagnostic struct {
 }
 
 type jsonBaseline struct {
-	Path       string              `json:"path"`
-	Entries    int                 `json:"entries"`
-	Suppressed int                 `json:"suppressed"`
+	Path       string               `json:"path"`
+	Entries    int                  `json:"entries"`
+	Suppressed int                  `json:"suppressed"`
 	Expired    []lint.BaselineEntry `json:"expired"`
 	Stale      []lint.BaselineEntry `json:"stale"`
 }

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"odyssey/internal/app/env"
+	"odyssey/internal/netsim"
 	"odyssey/internal/sim"
 )
 
@@ -128,7 +129,8 @@ func PlayStream(rig *env.Rig, p *sim.Proc, s Stream, encOf func() Encoding) {
 				d = rem
 			}
 			enc := encOf()
-			rig.Net.BulkTransfer(fp, PrincipalPlayer, enc.BytesPerSec*d.Seconds())
+			// No deadline: the chunk waits out outages, so the call cannot fail.
+			_ = rig.Net.BulkTransfer(fp, PrincipalPlayer, enc.BytesPerSec*d.Seconds(), netsim.CallOptions{})
 			q.Put(piece{dur: d, enc: enc})
 		}
 	})

@@ -88,8 +88,7 @@ func NewRigProfile(seed int64, displayZones int, profile hw.Profile) *Rig {
 // offload-0 … offload-(n-1), seeded cross-device contention at the given
 // level, and the decision service over them. The service and the pool draw
 // from streams derived from seed, never the kernel RNG, so arming the
-// plane does not perturb workload draws. Arming also engages the network's
-// resilient transport (hedging needs deadlines).
+// plane does not perturb workload draws.
 func (r *Rig) EnableOffload(servers int, contention float64, seed int64, cfg offload.Config) {
 	if servers <= 0 {
 		return

@@ -16,6 +16,7 @@ import (
 
 	"odyssey/internal/app/env"
 	"odyssey/internal/hw"
+	"odyssey/internal/netsim"
 	"odyssey/internal/odfs"
 	"odyssey/internal/sim"
 	"odyssey/internal/supervise"
@@ -135,7 +136,8 @@ func View(rig *env.Rig, p *sim.Proc, m Map, cfg Config, think time.Duration) {
 	bytes := m.Bytes(cfg)
 	mb := bytes / 1e6
 	serverTime := serverBaseTime + time.Duration(mb*serverPerMB.Seconds()*float64(time.Second))
-	rig.Net.RPC(p, PrincipalAnvil, requestBytes, rig.MapServer, serverTime, bytes)
+	// No deadline: the fetch waits out outages and crashes, so it cannot fail.
+	_ = rig.Net.RPC(p, PrincipalAnvil, requestBytes, rig.MapServer, serverTime, bytes, netsim.CallOptions{})
 
 	rig.M.CPU.Run(p, PrincipalAnvil, renderCPUPerMB*mb)
 	rig.M.CPU.Run(p, PrincipalX, xCPUPerMB*mb)

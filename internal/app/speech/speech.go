@@ -195,7 +195,7 @@ func Recognize(rig *env.Rig, p *sim.Proc, u Utterance, cfg Config) Outcome {
 	case Remote:
 		bytes := waveformBytesPerSec * u.Length.Seconds()
 		serverTime := time.Duration(effort * float64(time.Second))
-		err := rig.Net.TryRPC(p, PrincipalJanus, bytes,
+		err := rig.Net.RPC(p, PrincipalJanus, bytes,
 			rig.JanusServer, serverTime, rpcOverheadBytes, speechOpts(serverTime))
 		if err != nil {
 			rig.M.CPU.Run(p, PrincipalJanus, effort)
@@ -205,7 +205,7 @@ func Recognize(rig *env.Rig, p *sim.Proc, u Utterance, cfg Config) Outcome {
 		rig.M.CPU.Run(p, PrincipalJanus, hybridPhase1CPUPerSec*u.Length.Seconds())
 		bytes := hybridBytesPerSec * u.Length.Seconds()
 		serverTime := time.Duration(effort * hybridServerFactor * float64(time.Second))
-		err := rig.Net.TryRPC(p, PrincipalJanus, bytes,
+		err := rig.Net.RPC(p, PrincipalJanus, bytes,
 			rig.JanusServer, serverTime, rpcOverheadBytes, speechOpts(serverTime))
 		if err != nil {
 			// The phase-1 intermediate is useless without the server;

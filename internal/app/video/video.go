@@ -50,8 +50,8 @@ const (
 	chunk = time.Second
 	// prefetchDepth bounds how far the fetcher runs ahead.
 	prefetchDepth = 3
-	// chunkDeadline bounds how long the fetcher waits for one chunk when
-	// the failure plane is armed before declaring it lost and rebuffering.
+	// chunkDeadline bounds how long the fetcher waits for one chunk before
+	// declaring it lost and rebuffering.
 	chunkDeadline = 6 * chunk
 	// FramesPerSecond is the clip frame rate (Cinepak clips of the era).
 	FramesPerSecond = 20
@@ -355,7 +355,7 @@ func PlayTrack(rig *env.Rig, p *sim.Proc, clip Clip, trackOf func() Track) Playb
 				q.Put(piece{dur: d, trk: trk, lost: lost, base: base})
 				continue
 			}
-			err := rig.Net.TryBulkTransfer(fp, PrincipalXanim, bytes,
+			err := rig.Net.BulkTransfer(fp, PrincipalXanim, bytes,
 				netsim.CallOptions{Timeout: chunkDeadline, Attempts: 2})
 			q.Put(piece{dur: d, trk: trk, lost: err != nil})
 		}

@@ -64,6 +64,10 @@ const (
 	originTime = 100 * time.Millisecond
 )
 
+// fetchOpts bounds every image transfer: one retry, each attempt cut off
+// after 3 s, so a dead proxy or link degrades to the bypass or the cache.
+var fetchOpts = netsim.CallOptions{Timeout: 3 * time.Second, Attempts: 2}
+
 // netscapeWindow: Netscape was almost full-screen at all fidelities in the
 // paper's experiments, so zoned backlighting has little to offer it.
 var netscapeWindow = hw.Rect{X: 0.01, Y: 0.01, W: 0.97, H: 0.95}
@@ -178,15 +182,13 @@ func Fetch(rig *env.Rig, p *sim.Proc, img Image, q Quality, think time.Duration)
 		serverTime = distillBase + time.Duration(mbOrig*distillPerMB.Seconds()*float64(time.Second))
 	}
 	out := FetchOutcome{Bytes: DeliveredBytes(img, q)}
-	err := rig.Net.TryRPC(p, PrincipalProxy, requestBytes, rig.WebServer, serverTime, out.Bytes,
-		netsim.CallOptions{Attempts: 2})
+	err := rig.Net.RPC(p, PrincipalProxy, requestBytes, rig.WebServer, serverTime, out.Bytes, fetchOpts)
 	if err != nil {
 		// Distillation is an optimization, not a dependency: bypass the
 		// proxy and fetch the original from the origin server.
 		out.Bytes = img.GIFBytes
 		out.Bypassed = true
-		err = rig.Net.TryRPC(p, PrincipalProxy, requestBytes, nil, originTime, out.Bytes,
-			netsim.CallOptions{Attempts: 2})
+		err = rig.Net.RPC(p, PrincipalProxy, requestBytes, nil, originTime, out.Bytes, fetchOpts)
 	}
 	if err != nil {
 		// The link itself is unusable; show the cached copy.
@@ -217,7 +219,7 @@ func fetchOffload(rig *env.Rig, p *sim.Proc, img Image, q Quality, think time.Du
 		SendBytes:  requestBytes,
 		ReplyBytes: img.GIFBytes,
 		ServerSec:  originTime.Seconds(),
-		Opts:       netsim.CallOptions{Attempts: 2},
+		Opts:       fetchOpts,
 	}
 	remote := &offload.Arm{
 		SendBytes:  requestBytes,

@@ -22,9 +22,9 @@ import (
 
 // journalEntry is one completed scenario's outcome.
 type journalEntry struct {
-	I  int    `json:"i"`            // scenario index within the soak
-	ID string `json:"id"`           // content address of the scenario at index I
-	OK bool   `json:"ok"`           // every sentinel passed
+	I  int             `json:"i"`  // scenario index within the soak
+	ID string          `json:"id"` // content address of the scenario at index I
+	OK bool            `json:"ok"` // every sentinel passed
 	F  *journalFailure `json:"failure,omitempty"`
 }
 

@@ -69,9 +69,9 @@ func offloadRungByName(name string) (offloadRung, bool) {
 			pl := faults.NewPlan(rig.K, "offload-crash", offloadPlanSeed(seed))
 			pool := rig.Pool.Servers()
 			pl.Add(
-				&faults.ServerCrash{Pool: pool, Net: rig.Net, MeanUp: 90 * time.Second, MeanDown: 25 * time.Second, MaxDown: 60 * time.Second},
-				&faults.ServerCrash{Pool: pool, Net: rig.Net, MeanUp: 2 * time.Minute, MeanDown: 20 * time.Second, MaxDown: 45 * time.Second},
-				&faults.ServerLatency{Pool: pool, Net: rig.Net, MeanCalm: 90 * time.Second, MeanSpike: 30 * time.Second, Factor: 6},
+				&faults.ServerCrash{Pool: pool, MeanUp: 90 * time.Second, MeanDown: 25 * time.Second, MaxDown: 60 * time.Second},
+				&faults.ServerCrash{Pool: pool, MeanUp: 2 * time.Minute, MeanDown: 20 * time.Second, MaxDown: 45 * time.Second},
+				&faults.ServerLatency{Pool: pool, MeanCalm: 90 * time.Second, MeanSpike: 30 * time.Second, Factor: 6},
 				&faults.LinkOutage{Net: rig.Net, MeanUp: 90 * time.Second, MeanDown: 10 * time.Second, MaxDown: 30 * time.Second},
 			)
 			return pl

@@ -58,8 +58,8 @@ func midPlan(rig *env.Rig, bat *smartbattery.Battery, seed int64) *faults.Plan {
 	pl.Add(
 		&faults.LinkOutage{Net: rig.Net, MeanUp: 2 * time.Minute, MeanDown: 10 * time.Second, MaxDown: 45 * time.Second},
 		&faults.ByteLoss{Net: rig.Net, Fraction: 0.05, Spread: 0.5},
-		&faults.ServerCrash{Server: rig.JanusServer, Net: rig.Net, MeanUp: 4 * time.Minute, MeanDown: 20 * time.Second, MaxDown: 60 * time.Second},
-		&faults.ServerLatency{Server: rig.WebServer, Net: rig.Net, MeanCalm: 3 * time.Minute, MeanSpike: 30 * time.Second, Factor: 3},
+		&faults.ServerCrash{Server: rig.JanusServer, MeanUp: 4 * time.Minute, MeanDown: 20 * time.Second, MaxDown: 60 * time.Second},
+		&faults.ServerLatency{Server: rig.WebServer, MeanCalm: 3 * time.Minute, MeanSpike: 30 * time.Second, Factor: 3},
 	)
 	if bat != nil {
 		pl.Add(&faults.BatteryDropout{Bat: bat, MeanUp: 3 * time.Minute, MeanDown: 10 * time.Second})
@@ -74,9 +74,9 @@ func severePlan(rig *env.Rig, bat *smartbattery.Battery, seed int64) *faults.Pla
 	pl.Add(
 		&faults.LinkOutage{Net: rig.Net, MeanUp: time.Minute, MeanDown: 15 * time.Second, MaxDown: 60 * time.Second},
 		&faults.ByteLoss{Net: rig.Net, Fraction: 0.10, Spread: 0.5},
-		&faults.ServerCrash{Server: rig.JanusServer, Net: rig.Net, MeanUp: 2 * time.Minute, MeanDown: 30 * time.Second, MaxDown: 60 * time.Second},
-		&faults.ServerCrash{Server: rig.WebServer, Net: rig.Net, MeanUp: 3 * time.Minute, MeanDown: 30 * time.Second, MaxDown: 60 * time.Second},
-		&faults.ServerLatency{Server: rig.WebServer, Net: rig.Net, MeanCalm: 2 * time.Minute, MeanSpike: 45 * time.Second, Factor: 5},
+		&faults.ServerCrash{Server: rig.JanusServer, MeanUp: 2 * time.Minute, MeanDown: 30 * time.Second, MaxDown: 60 * time.Second},
+		&faults.ServerCrash{Server: rig.WebServer, MeanUp: 3 * time.Minute, MeanDown: 30 * time.Second, MaxDown: 60 * time.Second},
+		&faults.ServerLatency{Server: rig.WebServer, MeanCalm: 2 * time.Minute, MeanSpike: 45 * time.Second, Factor: 5},
 	)
 	if bat != nil {
 		pl.Add(&faults.BatteryDropout{Bat: bat, MeanUp: 2 * time.Minute, MeanDown: 20 * time.Second})

@@ -47,6 +47,20 @@ func TestOffloadDisarmedLeavesNoTrace(t *testing.T) {
 	}
 }
 
+// TestOffloadCrashRungDegradesToLocal is the offload plane's acceptance bar
+// (the trial `odyssey-sim -figure offload -offload-rung auto:crash` prints):
+// under the cost model on the crash rung the goal is still met, and the
+// offloads that crashes and flaps strand degrade to local.
+func TestOffloadCrashRungDegradesToLocal(t *testing.T) {
+	r := RunOffloadTrial("auto", "crash", 2800)
+	if !r.Met {
+		t.Fatalf("crash-rung goal missed under the cost model: residual %.0f J", r.Residual)
+	}
+	if r.OffloadFallbacks < 1 {
+		t.Fatalf("crash rung degraded no offloads to local: %+v", r)
+	}
+}
+
 // TestOffloadArmedChargesPrincipalAndConserves: arming the plane makes the
 // offload principal a visible, nonzero ledger line, the harvested counter
 // equals that line exactly, and placements actually happened.

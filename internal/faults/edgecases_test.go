@@ -49,12 +49,12 @@ func TestZeroDurationOutages(t *testing.T) {
 // after both stop, and the trace must stay balanced per injector — an end
 // for every begin — even while the windows interleave.
 func TestOverlappingInjectorsOneComponent(t *testing.T) {
-	m, n := newRig(12)
+	m, _ := newRig(12)
 	srv := netsim.NewServer(m.K, "shared")
 	pl := faults.NewPlan(m.K, "overlap", 9)
 	pl.Log = trace.NewLog(m.K.Now, 0)
-	a := &faults.ServerCrash{Server: srv, Net: n, MeanUp: 5 * time.Second, MeanDown: 4 * time.Second}
-	b := &faults.ServerCrash{Server: srv, Net: n, MeanUp: 5 * time.Second, MeanDown: 4 * time.Second}
+	a := &faults.ServerCrash{Server: srv, MeanUp: 5 * time.Second, MeanDown: 4 * time.Second}
+	b := &faults.ServerCrash{Server: srv, MeanUp: 5 * time.Second, MeanDown: 4 * time.Second}
 	pl.Add(a, b)
 	pl.Start()
 	m.K.At(5*time.Minute, func() { m.K.Stop() })

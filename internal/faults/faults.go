@@ -6,10 +6,11 @@
 // reproducible as a clean one: same seed, same outages, same byte losses,
 // same trace.
 //
-// Injectors compose into a Plan. Attaching network injectors arms the
-// resilient transfer layer in internal/netsim (deadlines, retries, fallback
-// errors); with no plan attached that layer stays disarmed and fault-free
-// runs are byte-for-byte unchanged.
+// Injectors compose into a Plan. Network injectors act on the one transfer
+// path in internal/netsim: calls that carry a deadline time out, retry, and
+// return fallback errors, while calls without one block through the fault.
+// With no plan attached no deadline fires, so fault-free runs are
+// byte-for-byte unchanged.
 package faults
 
 import (

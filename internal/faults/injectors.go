@@ -10,7 +10,7 @@ import (
 // LinkOutage drops the wireless carrier entirely — the connectivity-loss
 // events the fade model (netsim.LinkQuality) cannot express. Up and down
 // dwell times are exponential with the given means; MaxDown, if positive,
-// caps a single outage. Attaching it arms the resilient transfer layer.
+// caps a single outage.
 type LinkOutage struct {
 	Net      *netsim.Network
 	MeanUp   time.Duration
@@ -33,7 +33,6 @@ func (o *LinkOutage) Spec() InjectorSpec {
 
 // Start implements Injector.
 func (o *LinkOutage) Start(pl *Plan) {
-	o.Net.SetResilient(true)
 	o.t = toggler{
 		meanOK:  o.MeanUp,
 		meanBad: o.MeanDown,
@@ -88,7 +87,6 @@ func (b *ByteLoss) Start(pl *Plan) {
 		return
 	}
 	b.armed = true
-	b.Net.SetResilient(true)
 	b.Net.SetLossSampler(func() float64 {
 		f := b.Fraction
 		if b.Spread > 0 {
@@ -112,11 +110,9 @@ func (b *ByteLoss) Stop() {
 }
 
 // ServerCrash takes a remote server through crash/recover windows. While
-// down, deadline-aware calls time out with ErrServerDown. Net, if set, is
-// armed resilient so clients actually honor deadlines against this server.
+// down, calls with a deadline time out with ErrServerDown.
 type ServerCrash struct {
 	Server   *netsim.Server
-	Net      *netsim.Network
 	MeanUp   time.Duration
 	MeanDown time.Duration
 	MaxDown  time.Duration
@@ -154,9 +150,6 @@ func (c *ServerCrash) Start(pl *Plan) {
 		c.Server = c.Pool[pl.Rand().Intn(len(c.Pool))]
 		pl.event(c.Name(), "pool victim", float64(0))
 	}
-	if c.Net != nil {
-		c.Net.SetResilient(true)
-	}
 	c.t = toggler{
 		meanOK:  c.MeanUp,
 		meanBad: c.MeanDown,
@@ -185,7 +178,6 @@ func (c *ServerCrash) Crashes() int { return c.crashes }
 // congested backhaul.
 type ServerLatency struct {
 	Server    *netsim.Server
-	Net       *netsim.Network
 	MeanCalm  time.Duration
 	MeanSpike time.Duration
 	Factor    float64
@@ -219,9 +211,6 @@ func (l *ServerLatency) Start(pl *Plan) {
 	if l.Server == nil && len(l.Pool) > 0 {
 		l.Server = l.Pool[pl.Rand().Intn(len(l.Pool))]
 		pl.event(l.Name(), "pool victim", float64(0))
-	}
-	if l.Net != nil {
-		l.Net.SetResilient(true)
 	}
 	l.t = toggler{
 		meanOK:  l.MeanCalm,

@@ -140,26 +140,26 @@ func (s InjectorSpec) Build(tg Targets) (Injector, error) {
 			if err != nil {
 				return nil, err
 			}
-			return &ServerCrash{Pool: pool, Net: tg.Network(), MeanUp: s.MeanUp.D(), MeanDown: s.MeanDown.D(), MaxDown: s.MaxDown.D()}, nil
+			return &ServerCrash{Pool: pool, MeanUp: s.MeanUp.D(), MeanDown: s.MeanDown.D(), MaxDown: s.MaxDown.D()}, nil
 		}
 		srv, ok := tg.Server(s.Target)
 		if !ok {
 			return nil, fmt.Errorf("faults: %s: unknown server %q", s.Kind, s.Target)
 		}
-		return &ServerCrash{Server: srv, Net: tg.Network(), MeanUp: s.MeanUp.D(), MeanDown: s.MeanDown.D(), MaxDown: s.MaxDown.D()}, nil
+		return &ServerCrash{Server: srv, MeanUp: s.MeanUp.D(), MeanDown: s.MeanDown.D(), MaxDown: s.MaxDown.D()}, nil
 	case KindServerLatency:
 		if s.Target == TargetAnyPool {
 			pool, err := poolServers(s.Kind, tg)
 			if err != nil {
 				return nil, err
 			}
-			return &ServerLatency{Pool: pool, Net: tg.Network(), MeanCalm: s.MeanUp.D(), MeanSpike: s.MeanDown.D(), Factor: s.Factor}, nil
+			return &ServerLatency{Pool: pool, MeanCalm: s.MeanUp.D(), MeanSpike: s.MeanDown.D(), Factor: s.Factor}, nil
 		}
 		srv, ok := tg.Server(s.Target)
 		if !ok {
 			return nil, fmt.Errorf("faults: %s: unknown server %q", s.Kind, s.Target)
 		}
-		return &ServerLatency{Server: srv, Net: tg.Network(), MeanCalm: s.MeanUp.D(), MeanSpike: s.MeanDown.D(), Factor: s.Factor}, nil
+		return &ServerLatency{Server: srv, MeanCalm: s.MeanUp.D(), MeanSpike: s.MeanDown.D(), Factor: s.Factor}, nil
 	case KindBatteryDropout:
 		bat := tg.Battery()
 		if bat == nil {

@@ -50,9 +50,9 @@ const (
 
 // Node is one function body in the module.
 type Node struct {
-	Func *types.Func   // nil for function literals
-	Lit  *ast.FuncLit  // nil for declared functions
-	Pkg  *Package      // package the body lives in
+	Func *types.Func  // nil for function literals
+	Lit  *ast.FuncLit // nil for declared functions
+	Pkg  *Package     // package the body lives in
 	Body *ast.BlockStmt
 	Pos  token.Pos
 

@@ -22,7 +22,7 @@ type Module struct {
 	Fset *token.FileSet
 	Pkgs []*Package // sorted by import path
 
-	graph *CallGraph // lazily built by Graph()
+	graph *CallGraph  // lazily built by Graph()
 	taint *taintFacts // lazily computed by taintOf()
 	hot   *hotFacts   // lazily computed by hotOf()
 }

@@ -66,10 +66,8 @@ type Network struct {
 
 	bytesMoved float64
 
-	// Failure-plane state (see internal/faults). With no fault plan
-	// attached, resilient is false and every Try* path is byte-for-byte
-	// the legacy path, so fault-free runs are unperturbed.
-	resilient   bool
+	// Failure-plane state (see internal/faults). On a clean link a call's
+	// deadline never fires, so fault-free runs pay only its watchdog timer.
 	up          bool
 	nominalCap  float64
 	lossSampler func() float64 // per-transfer loss fraction; nil = lossless
@@ -96,15 +94,6 @@ func (n *Network) Link() *sim.PSResource { return n.link }
 
 // BytesMoved reports total bytes transferred in either direction.
 func (n *Network) BytesMoved() float64 { return n.bytesMoved }
-
-// SetResilient arms the failure-aware transfer layer: Try* calls honor
-// deadlines and retry budgets instead of delegating to the legacy blocking
-// paths. Fault plans arm it when they attach; fault-free experiments leave
-// it off so their schedules and RNG streams are untouched.
-func (n *Network) SetResilient(on bool) { n.resilient = on }
-
-// Resilient reports whether the failure-aware layer is armed.
-func (n *Network) Resilient() bool { return n.resilient }
 
 // SetLinkUp raises or drops the wireless carrier. While down, the link
 // serves at a vanishing rate: in-flight flows stall (their bytes are not
@@ -142,7 +131,7 @@ func (n *Network) NominalCapacity() float64 { return n.nominalCap }
 // (retransmissions inflate traffic by 1/(1-loss)). nil restores losslessness.
 func (n *Network) SetLossSampler(fn func() float64) { n.lossSampler = fn }
 
-// RetryAttempts reports how many retry attempts the resilient layer made.
+// RetryAttempts reports how many retry attempts calls made.
 func (n *Network) RetryAttempts() int { return n.retryAttempts }
 
 // RetryBytes reports bytes that existed only as retries or retransmissions.
@@ -181,16 +170,10 @@ func (n *Network) release() {
 	n.updateNIC()
 }
 
-// moveBytes performs the actual byte flow: link time (shared), interrupt and
-// protocol CPU, transfer-state power.
-func (n *Network) moveBytes(p *sim.Proc, principal string, bytes float64) {
-	_ = n.flow(p, principal, bytes, 0)
-}
-
-// flow is moveBytes with the failure plane threaded through: an optional
-// absolute deadline on the virtual clock, and loss-induced retransmission
-// bytes charged to the retry principal. With deadline zero and no loss
-// sampler it is cost- and schedule-identical to the original moveBytes.
+// flow performs the actual byte flow: link time (shared), interrupt and
+// protocol CPU, transfer-state power. A nonzero deadline on the virtual clock
+// cancels the flow if it has not finished by then (zero: no deadline), and
+// loss-induced retransmission bytes are charged to the retry principal.
 func (n *Network) flow(p *sim.Proc, principal string, bytes float64, deadline time.Duration) error {
 	if bytes <= 0 {
 		return nil
@@ -237,10 +220,6 @@ func (n *Network) flow(p *sim.Proc, principal string, bytes float64, deadline ti
 	}()
 	p.Sleep(n.m.Prof.LinkLatency)
 	total := bytes + overhead
-	if deadline <= 0 {
-		n.link.Use(p, principal, total)
-		return nil
-	}
 	cancelled, remaining := n.link.UseDeadline(p, principal, total, deadline)
 	if cancelled {
 		// Credit back the goodput share of what never made it across.
@@ -249,29 +228,6 @@ func (n *Network) flow(p *sim.Proc, principal string, bytes float64, deadline ti
 		return ErrDeadline
 	}
 	return nil
-}
-
-// BulkTransfer moves bytes over the link on behalf of principal, waking the
-// interface first if needed and returning it to its policy state after.
-func (n *Network) BulkTransfer(p *sim.Proc, principal string, bytes float64) {
-	n.acquire(p)
-	n.moveBytes(p, principal, bytes)
-	n.release()
-}
-
-// RPC performs a remote procedure call: send callBytes, wait for the server
-// to spend serverTime, receive replyBytes. The interface stays awake for the
-// whole span, as in the paper's modified communication package.
-func (n *Network) RPC(p *sim.Proc, principal string, callBytes float64, server *Server, serverTime time.Duration, replyBytes float64) {
-	n.acquire(p)
-	n.moveBytes(p, principal, callBytes)
-	if server != nil {
-		server.Do(p, serverTime)
-	} else {
-		p.Sleep(serverTime)
-	}
-	n.moveBytes(p, principal, replyBytes)
-	n.release()
 }
 
 // Server is a remote compute server (map server, distillation server, remote
@@ -286,9 +242,9 @@ type Server struct {
 	SpeedJitter float64
 	k           *sim.Kernel
 
-	// Failure-plane state: while down, deadline-aware callers fail fast
-	// (legacy Do callers are unaffected — a crashed server answered by the
-	// time their un-deadlined RPC completes). latency multiplies service
+	// Failure-plane state: while down, calls with a deadline time out
+	// unanswered (calls without one are unaffected — a crashed server has
+	// answered by the time their RPC completes). latency multiplies service
 	// times during injected latency spikes; 0 means calm (factor 1).
 	down    bool
 	latency float64
@@ -304,8 +260,8 @@ func NewServer(k *sim.Kernel, name string) *Server {
 	return &Server{Name: name, k: k, res: sim.NewPSResource(k, "server:"+name, 1.0)}
 }
 
-// SetDown crashes or recovers the server. Down servers make deadline-aware
-// requests fail immediately (ErrServerDown from TryRPC).
+// SetDown crashes or recovers the server. While it is down, RPCs with a
+// deadline wait it out and fail with ErrServerDown.
 func (s *Server) SetDown(down bool) { s.down = down }
 
 // Down reports whether the server is in a crash window.
@@ -344,15 +300,10 @@ func (s *Server) SetBackgroundLoad(l float64) {
 func (s *Server) BackgroundLoad() float64 { return s.bg }
 
 // Do blocks p while the server spends d of compute time on its request,
-// shared with any concurrent requests and jittered by SpeedJitter.
-func (s *Server) Do(p *sim.Proc, d time.Duration) {
-	s.DoDeadline(p, d, 0)
-}
-
-// DoDeadline is Do with an absolute virtual-time deadline; it reports whether
-// the request completed (false: the deadline cut it off). A zero deadline
-// waits indefinitely, preserving Do's legacy schedule exactly.
-func (s *Server) DoDeadline(p *sim.Proc, d time.Duration, deadline time.Duration) bool {
+// shared with any concurrent requests and jittered by SpeedJitter. It
+// reports whether the request completed (false: the absolute virtual-time
+// deadline cut it off); a zero deadline waits indefinitely.
+func (s *Server) Do(p *sim.Proc, d time.Duration, deadline time.Duration) bool {
 	if d <= 0 {
 		return true
 	}
@@ -365,10 +316,6 @@ func (s *Server) DoDeadline(p *sim.Proc, d time.Duration, deadline time.Duration
 	}
 	if s.bg > 0 {
 		sec *= 1 + s.bg
-	}
-	if deadline <= 0 {
-		s.res.Use(p, s.Name, sec)
-		return true
 	}
 	cancelled, _ := s.res.UseDeadline(p, s.Name, sec, deadline)
 	return !cancelled

@@ -21,7 +21,7 @@ func TestBulkTransferTime(t *testing.T) {
 	var done time.Duration
 	bytes := m.Prof.LinkBandwidth // exactly one second of link time
 	m.K.Spawn("xfer", func(p *sim.Proc) {
-		n.BulkTransfer(p, "app", bytes)
+		_ = n.BulkTransfer(p, "app", bytes, CallOptions{})
 		done = p.Now()
 	})
 	m.K.Run(0)
@@ -35,7 +35,7 @@ func TestTransferNICStates(t *testing.T) {
 	m, n := newNet(1)
 	m.K.Spawn("xfer", func(p *sim.Proc) {
 		p.Sleep(time.Second)
-		n.BulkTransfer(p, "app", m.Prof.LinkBandwidth/2)
+		_ = n.BulkTransfer(p, "app", m.Prof.LinkBandwidth/2, CallOptions{})
 	})
 	m.K.At(1500*time.Millisecond, func() {
 		if m.NIC.State() != hw.NICTransfer {
@@ -55,7 +55,7 @@ func TestStandbyPolicyDozesAfterTransfer(t *testing.T) {
 	var start, end time.Duration
 	m.K.Spawn("xfer", func(p *sim.Proc) {
 		start = p.Now()
-		n.BulkTransfer(p, "app", m.Prof.LinkBandwidth/4)
+		_ = n.BulkTransfer(p, "app", m.Prof.LinkBandwidth/4, CallOptions{})
 		end = p.Now()
 	})
 	m.K.Run(0)
@@ -75,7 +75,7 @@ func TestSharedLinkHalvesThroughput(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		i := i
 		m.K.Spawn("xfer", func(p *sim.Proc) {
-			n.BulkTransfer(p, "app", bytes)
+			_ = n.BulkTransfer(p, "app", bytes, CallOptions{})
 			fin[i] = p.Now()
 		})
 	}
@@ -94,7 +94,7 @@ func TestRPCHoldsNICAwake(t *testing.T) {
 	m.NIC.SetState(hw.NICStandby)
 	srv := NewServer(m.K, "janus")
 	m.K.Spawn("rpc", func(p *sim.Proc) {
-		n.RPC(p, "speech", 20_000, srv, 2*time.Second, 1_000)
+		_ = n.RPC(p, "speech", 20_000, srv, 2*time.Second, 1_000, CallOptions{})
 	})
 	// During the server wait the NIC should be idle (awake), not standby.
 	m.K.At(1200*time.Millisecond, func() {
@@ -111,7 +111,7 @@ func TestRPCHoldsNICAwake(t *testing.T) {
 func TestInterruptCPUAttribution(t *testing.T) {
 	m, n := newNet(1)
 	m.K.Spawn("xfer", func(p *sim.Proc) {
-		n.BulkTransfer(p, "app", 400_000)
+		_ = n.BulkTransfer(p, "app", 400_000, CallOptions{})
 	})
 	m.K.Run(0)
 	byP := m.Acct.EnergyByPrincipal()
@@ -130,7 +130,7 @@ func TestServerSerializesRequests(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		i := i
 		m.K.Spawn("req", func(p *sim.Proc) {
-			srv.Do(p, time.Second)
+			srv.Do(p, time.Second, 0)
 			fin[i] = p.Now()
 		})
 	}
@@ -151,7 +151,7 @@ func TestServerJitterVariesAcrossSeeds(t *testing.T) {
 		srv.SpeedJitter = 0.2
 		var fin time.Duration
 		m.K.Spawn("req", func(p *sim.Proc) {
-			srv.Do(p, time.Second)
+			srv.Do(p, time.Second, 0)
 			fin = p.Now()
 		})
 		m.K.Run(0)
@@ -170,8 +170,8 @@ func TestZeroByteOperations(t *testing.T) {
 	srv := NewServer(m.K, "s")
 	var done time.Duration
 	m.K.Spawn("x", func(p *sim.Proc) {
-		n.BulkTransfer(p, "app", 0)
-		n.RPC(p, "app", 0, srv, 0, 0)
+		_ = n.BulkTransfer(p, "app", 0, CallOptions{})
+		_ = n.RPC(p, "app", 0, srv, 0, 0, CallOptions{})
 		done = p.Now()
 	})
 	m.K.Run(0)
@@ -189,7 +189,7 @@ func TestTransferEnergyAccounting(t *testing.T) {
 	m.EnablePowerManagement()
 	bytes := m.Prof.LinkBandwidth // ~1 s of transfer
 	m.K.Spawn("xfer", func(p *sim.Proc) {
-		n.BulkTransfer(p, "app", bytes)
+		_ = n.BulkTransfer(p, "app", bytes, CallOptions{})
 	})
 	m.K.Run(0)
 	byC := m.Acct.EnergyByComponent()
@@ -226,8 +226,8 @@ func TestLinkQualitySlowsTransfers(t *testing.T) {
 	q.Start()
 	var done time.Duration
 	m.K.Spawn("x", func(p *sim.Proc) {
-		p.Sleep(time.Second)                           // let the channel fall into the bad state
-		n.BulkTransfer(p, "app", m.Prof.LinkBandwidth) // 1 s at full speed
+		p.Sleep(time.Second)                                              // let the channel fall into the bad state
+		_ = n.BulkTransfer(p, "app", m.Prof.LinkBandwidth, CallOptions{}) // 1 s at full speed
 		done = p.Now()
 	})
 	m.K.Run(2 * time.Minute)

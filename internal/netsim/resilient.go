@@ -7,8 +7,8 @@ import (
 	"odyssey/internal/sim"
 )
 
-// Failure-aware call outcomes. Callers treat any non-nil error as "the remote
-// operation did not happen" and fall back locally.
+// Call outcomes. Callers treat any non-nil error as "the remote operation
+// did not happen" and fall back locally.
 var (
 	// ErrDeadline: the virtual-clock deadline expired before the transfer
 	// or server work completed.
@@ -24,11 +24,14 @@ var (
 // the fail-fast cost of attempting a call during an outage.
 const linkProbe = 100 * time.Millisecond
 
-// CallOptions bounds a resilient call: a per-attempt timeout on the virtual
-// clock, a retry budget, and exponential backoff with seeded jitter drawn
-// from the kernel RNG. The zero value selects the defaults below.
+// CallOptions bounds a call: a per-attempt timeout on the virtual clock, a
+// retry budget, and exponential backoff with seeded jitter drawn from the
+// kernel RNG. The zero value is an unbounded call that blocks through
+// outages and crashes and cannot fail; the other zero fields select the
+// defaults below.
 type CallOptions struct {
 	// Timeout is the per-attempt deadline, relative to the attempt start.
+	// Zero means no per-attempt deadline.
 	Timeout time.Duration
 	// Attempts is the total attempt budget (first try included).
 	Attempts int
@@ -46,16 +49,15 @@ type CallOptions struct {
 	NoJitter bool
 	// Deadline, when nonzero, is an absolute virtual-clock instant bounding
 	// the whole call: attempts are truncated to it, no attempt starts after
-	// it, and backoff sleeps never overshoot it. Zero keeps the legacy
-	// retry schedule (per-attempt timeouts only). The offload plane's
-	// hedged calls depend on this to share one budget across servers.
+	// it, and backoff sleeps never overshoot it. Zero leaves only the
+	// per-attempt Timeout. The offload plane's hedged calls depend on this
+	// to share one budget across servers.
 	Deadline time.Duration
 }
 
-// Default call options: bounded enough that a dead link costs seconds, not a
-// hung process.
+// Default retry options: a failing call costs a few attempts, not a hung
+// process.
 const (
-	defaultTimeout  = 3 * time.Second
 	defaultAttempts = 3
 	defaultBackoff  = 250 * time.Millisecond
 	defaultFactor   = 2.0
@@ -63,9 +65,6 @@ const (
 )
 
 func (o CallOptions) withDefaults() CallOptions {
-	if o.Timeout <= 0 {
-		o.Timeout = defaultTimeout
-	}
 	if o.Attempts <= 0 {
 		o.Attempts = defaultAttempts
 	}
@@ -78,25 +77,35 @@ func (o CallOptions) withDefaults() CallOptions {
 	if o.NoJitter {
 		o.JitterFrac = 0
 	} else if o.JitterFrac <= 0 || o.JitterFrac >= 1 {
-		// The old guard read `< 0`, which silently left the zero value
-		// at 0 — every caller relying on "the zero value selects the
-		// defaults" got fully correlated retries instead of jitter.
 		o.JitterFrac = defaultJitter
 	}
 	return o
 }
 
-// TryRPC is RPC with the failure plane engaged: per-attempt deadlines,
-// fail-fast on a dead link, timeout on crashed servers, and retries with
-// exponential backoff. Retry attempts run under the net-retry principal so
-// their energy is visible in PowerScope profiles. With the resilient layer
-// disarmed (no fault plan attached) it is exactly the legacy RPC: same
-// costs, same schedule, same RNG draws, nil error.
-func (n *Network) TryRPC(p *sim.Proc, principal string, callBytes float64, server *Server, serverTime time.Duration, replyBytes float64, opts CallOptions) error {
-	if !n.resilient {
-		n.RPC(p, principal, callBytes, server, serverTime, replyBytes)
-		return nil
+// attemptDeadline bounds one attempt starting at now: the per-attempt
+// timeout, truncated to the overall Deadline when one is set. Zero means the
+// attempt is unbounded.
+func (o CallOptions) attemptDeadline(now time.Duration) time.Duration {
+	if o.Timeout <= 0 {
+		return o.Deadline
 	}
+	d := now + o.Timeout
+	if o.Deadline > 0 && d > o.Deadline {
+		d = o.Deadline
+	}
+	return d
+}
+
+// RPC performs a remote procedure call: send callBytes, wait for the server
+// to spend serverTime (a nil server is a fixed dwell), receive replyBytes.
+// The interface stays awake for the whole span, as in the paper's modified
+// communication package.
+//
+// A call with neither opts.Timeout nor opts.Deadline rides out outages and
+// crashes and returns nil. Otherwise a dead carrier fails fast, a crashed
+// server or a stall times out, and failed attempts retry with backoff under
+// the net-retry principal so their energy is visible in PowerScope profiles.
+func (n *Network) RPC(p *sim.Proc, principal string, callBytes float64, server *Server, serverTime time.Duration, replyBytes float64, opts CallOptions) error {
 	opts = opts.withDefaults()
 	backoff := opts.Backoff
 	var err error
@@ -126,57 +135,18 @@ func (n *Network) TryRPC(p *sim.Proc, principal string, callBytes float64, serve
 	return err
 }
 
-// attemptDeadline bounds one attempt starting at now: the per-attempt
-// timeout, truncated to the overall Deadline when one is set.
-func (o CallOptions) attemptDeadline(now time.Duration) time.Duration {
-	d := now + o.Timeout
-	if o.Deadline > 0 && d > o.Deadline {
-		d = o.Deadline
-	}
-	return d
+// BulkTransfer moves bytes over the link on behalf of principal: an RPC with
+// no server leg and no reply.
+func (n *Network) BulkTransfer(p *sim.Proc, principal string, bytes float64, opts CallOptions) error {
+	return n.RPC(p, principal, bytes, nil, 0, 0, opts)
 }
 
-// TryBulkTransfer is BulkTransfer with deadlines and retries, under the same
-// disarmed-equals-legacy contract as TryRPC.
-func (n *Network) TryBulkTransfer(p *sim.Proc, principal string, bytes float64, opts CallOptions) error {
-	if !n.resilient {
-		n.BulkTransfer(p, principal, bytes)
-		return nil
-	}
-	opts = opts.withDefaults()
-	backoff := opts.Backoff
-	var err error
-	for attempt := 0; attempt < opts.Attempts; attempt++ {
-		pr := principal
-		if attempt > 0 {
-			pr = PrincipalRetry
-			n.retryAttempts++
-		}
-		err = n.tryOnce(p, pr, bytes, nil, 0, 0, opts.attemptDeadline(n.k.Now()))
-		if err == nil {
-			return nil
-		}
-		if attempt < opts.Attempts-1 {
-			sleep := jittered(backoff, opts.JitterFrac, n.k)
-			if opts.Deadline > 0 {
-				// Sleeping to or past the overall deadline cannot buy
-				// another attempt; give up with the budget unspent.
-				if rem := opts.Deadline - n.k.Now(); sleep >= rem {
-					return err
-				}
-			}
-			p.Sleep(sleep)
-			backoff = time.Duration(float64(backoff) * opts.BackoffFactor)
-		}
-	}
-	return err
-}
-
-// tryOnce performs one bounded attempt: probe the carrier, send, wait for
-// the server, receive. Every blocking step is guarded by the deadline, so an
-// attempt can never outlive it.
+// tryOnce performs one attempt: probe the carrier, send, wait for the
+// server, receive. With a deadline every blocking step is guarded by it, so
+// an attempt can never outlive it; with deadline zero nothing can fail.
 func (n *Network) tryOnce(p *sim.Proc, principal string, callBytes float64, server *Server, serverTime time.Duration, replyBytes float64, deadline time.Duration) error {
-	if !n.up {
+	bounded := deadline > 0
+	if bounded && !n.up {
 		// Carrier sense fails fast; burn the probe time, not the timeout.
 		d := linkProbe
 		if rem := deadline - n.k.Now(); rem < d {
@@ -193,7 +163,7 @@ func (n *Network) tryOnce(p *sim.Proc, principal string, callBytes float64, serv
 		return err
 	}
 	switch {
-	case server != nil && server.Down():
+	case bounded && server != nil && server.Down():
 		// The request vanished into a crash window: the client waits out
 		// its timeout with the interface awake, then gives up.
 		if rem := deadline - n.k.Now(); rem > 0 {
@@ -201,11 +171,11 @@ func (n *Network) tryOnce(p *sim.Proc, principal string, callBytes float64, serv
 		}
 		return ErrServerDown
 	case server != nil:
-		if !server.DoDeadline(p, serverTime, deadline) {
+		if !server.Do(p, serverTime, deadline) {
 			return ErrDeadline
 		}
 	case serverTime > 0:
-		if rem := deadline - n.k.Now(); rem < serverTime {
+		if rem := deadline - n.k.Now(); bounded && rem < serverTime {
 			if rem > 0 {
 				p.Sleep(rem)
 			}

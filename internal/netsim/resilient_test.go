@@ -2,46 +2,127 @@ package netsim
 
 import (
 	"errors"
+	"math"
+	"math/rand"
+	"reflect"
 	"testing"
 	"time"
 
 	"odyssey/internal/sim"
 )
 
-// TestDisarmedTryMatchesLegacy: with no fault plan armed, the Try* calls must
-// be byte-for-byte the legacy paths — same virtual-clock cost, same bytes,
-// nil error — so fault-free figures are untouched by the resilience layer.
-func TestDisarmedTryMatchesLegacy(t *testing.T) {
-	run := func(try bool) (time.Duration, float64) {
-		m, n := newNet(11)
+// TestUnboundedMatchesGenerousTimeout is the invariant that lets one call
+// serve both clean and faulted runs: on a clean link a deadline that never
+// fires only schedules and cancels a watchdog timer. Over many seeds, a mixed
+// workload of concurrent RPCs against a jittery server and bulk transfers on
+// the shared link must finish every call at the same instant, move the same
+// bytes, and charge the same energy per principal — bit for bit — whether
+// its calls carry no deadline or a generous one.
+func TestUnboundedMatchesGenerousTimeout(t *testing.T) {
+	type op struct {
+		start      time.Duration
+		callBytes  float64
+		serverTime time.Duration // 0: a bulk transfer
+		replyBytes float64
+	}
+	type result struct {
+		done   [][]time.Duration
+		bytes  float64
+		energy map[string]float64
+	}
+	run := func(seed int64, ops [][]op, opts CallOptions) result {
+		m, n := newNet(seed)
+		n.StandbyPolicy = seed%2 == 0
 		srv := NewServer(m.K, "s")
 		srv.SpeedJitter = 0.2
-		var done time.Duration
-		m.K.Spawn("x", func(p *sim.Proc) {
-			if try {
-				if err := n.TryRPC(p, "app", 30_000, srv, time.Second, 5_000, CallOptions{}); err != nil {
-					t.Errorf("disarmed TryRPC returned %v", err)
+		done := make([][]time.Duration, len(ops))
+		for i, seq := range ops {
+			done[i] = make([]time.Duration, len(seq))
+			m.K.Spawn("client", func(p *sim.Proc) {
+				for j, o := range seq {
+					p.Sleep(o.start)
+					var err error
+					if o.serverTime > 0 {
+						err = n.RPC(p, "rpc", o.callBytes, srv, o.serverTime, o.replyBytes, opts)
+					} else {
+						err = n.BulkTransfer(p, "bulk", o.callBytes, opts)
+					}
+					if err != nil {
+						t.Errorf("seed %d: clean-link call failed: %v", seed, err)
+					}
+					done[i][j] = p.Now()
 				}
-				if err := n.TryBulkTransfer(p, "app", 100_000, CallOptions{}); err != nil {
-					t.Errorf("disarmed TryBulkTransfer returned %v", err)
-				}
-			} else {
-				n.RPC(p, "app", 30_000, srv, time.Second, 5_000)
-				n.BulkTransfer(p, "app", 100_000)
-			}
-			done = p.Now()
-		})
+			})
+		}
 		m.K.Run(0)
-		return done, n.BytesMoved()
+		return result{done, n.BytesMoved(), m.Acct.EnergyByPrincipal()}
 	}
-	legacyT, legacyB := run(false)
-	tryT, tryB := run(true)
-	if legacyT != tryT || legacyB != tryB {
-		t.Fatalf("disarmed Try diverged from legacy: %v/%v bytes vs %v/%v",
-			tryT, tryB, legacyT, legacyB)
+	for seed := int64(1); seed <= 24; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		ops := make([][]op, 2+rng.Intn(3))
+		for i := range ops {
+			for j := 0; j < 3+rng.Intn(3); j++ {
+				o := op{
+					start:     time.Duration(rng.Intn(2000)) * time.Millisecond,
+					callBytes: 1_000 + 150_000*rng.Float64(),
+				}
+				if rng.Intn(2) == 0 {
+					o.serverTime = time.Duration(100+rng.Intn(2900)) * time.Millisecond
+					o.replyBytes = 80_000 * rng.Float64()
+				}
+				ops[i] = append(ops[i], o)
+			}
+		}
+		bare := run(seed, ops, CallOptions{})
+		bounded := run(seed, ops, CallOptions{Timeout: time.Hour})
+		if !reflect.DeepEqual(bare.done, bounded.done) {
+			t.Fatalf("seed %d: completion instants differ:\n none    %v\n timeout %v", seed, bare.done, bounded.done)
+		}
+		if math.Float64bits(bare.bytes) != math.Float64bits(bounded.bytes) {
+			t.Fatalf("seed %d: bytes moved %v vs %v", seed, bare.bytes, bounded.bytes)
+		}
+		if !reflect.DeepEqual(bare.energy, bounded.energy) {
+			t.Fatalf("seed %d: per-principal energy differs:\n none    %v\n timeout %v", seed, bare.energy, bounded.energy)
+		}
+		if bare.bytes == 0 || bare.energy[PrincipalInterrupts] == 0 {
+			t.Fatalf("seed %d: workload did no work", seed)
+		}
 	}
-	if legacyT == 0 {
-		t.Fatal("legacy run did no work")
+}
+
+// TestUnboundedCallRidesOutFaults pins the contract callers without a
+// deadline rely on: such a call skips the carrier probe and the server-down
+// check, blocks through a carrier outage and a server crash window, and
+// returns nil without a retry or an abort.
+func TestUnboundedCallRidesOutFaults(t *testing.T) {
+	m, n := newNet(29)
+	srv := NewServer(m.K, "s")
+	n.SetLinkUp(false)
+	srv.SetDown(true)
+	m.K.At(5*time.Second, func() { n.SetLinkUp(true) })
+	m.K.At(30*time.Second, func() { srv.SetDown(false) })
+	var rpcErr, bulkErr error
+	var rpcDone, bulkDone time.Duration
+	m.K.Spawn("rpc", func(p *sim.Proc) {
+		rpcErr = n.RPC(p, "app", 20_000, srv, time.Second, 5_000, CallOptions{})
+		rpcDone = p.Now()
+	})
+	m.K.Spawn("bulk", func(p *sim.Proc) {
+		bulkErr = n.BulkTransfer(p, "app", 50_000, CallOptions{})
+		bulkDone = p.Now()
+	})
+	m.K.Run(0)
+	if rpcErr != nil || bulkErr != nil {
+		t.Fatalf("unbounded calls failed: %v / %v", rpcErr, bulkErr)
+	}
+	if rpcDone < 5*time.Second || bulkDone < 5*time.Second {
+		t.Fatalf("calls finished at %v / %v, before the outage ended at 5s", rpcDone, bulkDone)
+	}
+	if got := n.BytesMoved(); got != 75_000 {
+		t.Fatalf("bytes moved %v, want 75000", got)
+	}
+	if n.RetryAttempts() != 0 || n.DeadlineAborts() != 0 {
+		t.Fatalf("unbounded calls retried %d times, aborted %d", n.RetryAttempts(), n.DeadlineAborts())
 	}
 }
 
@@ -50,15 +131,14 @@ func TestDisarmedTryMatchesLegacy(t *testing.T) {
 // well under one per-attempt timeout — no call can block past its deadline.
 func TestDeadLinkFailsFast(t *testing.T) {
 	m, n := newNet(3)
-	n.SetResilient(true)
 	n.SetLinkUp(false)
 	srv := NewServer(m.K, "s")
 	var rpcErr, bulkErr error
 	var done time.Duration
 	m.K.Spawn("x", func(p *sim.Proc) {
-		rpcErr = n.TryRPC(p, "app", 20_000, srv, time.Second, 1_000,
+		rpcErr = n.RPC(p, "app", 20_000, srv, time.Second, 1_000,
 			CallOptions{Timeout: 2 * time.Second, Attempts: 3, Backoff: 100 * time.Millisecond})
-		bulkErr = n.TryBulkTransfer(p, "app", 50_000,
+		bulkErr = n.BulkTransfer(p, "app", 50_000,
 			CallOptions{Timeout: 2 * time.Second, Attempts: 3, Backoff: 100 * time.Millisecond})
 		done = p.Now()
 	})
@@ -78,13 +158,12 @@ func TestDeadLinkFailsFast(t *testing.T) {
 // charged to the net-retry principal so PowerScope shows the waste.
 func TestCrashedServerTimesOutAndChargesRetries(t *testing.T) {
 	m, n := newNet(4)
-	n.SetResilient(true)
 	srv := NewServer(m.K, "s")
 	srv.SetDown(true)
 	var err error
 	var done time.Duration
 	m.K.Spawn("x", func(p *sim.Proc) {
-		err = n.TryRPC(p, "app", 20_000, srv, time.Second, 1_000,
+		err = n.RPC(p, "app", 20_000, srv, time.Second, 1_000,
 			CallOptions{Timeout: time.Second, Attempts: 2, Backoff: 100 * time.Millisecond})
 		done = p.Now()
 	})
@@ -109,12 +188,11 @@ func TestCrashedServerTimesOutAndChargesRetries(t *testing.T) {
 // flow at the deadline instead of letting it stall indefinitely.
 func TestStalledTransferAbortsAtDeadline(t *testing.T) {
 	m, n := newNet(5)
-	n.SetResilient(true)
 	n.SetNominalCapacity(10) // bytes/s: a 1 MB transfer would take ~28 h
 	var err error
 	var done time.Duration
 	m.K.Spawn("x", func(p *sim.Proc) {
-		err = n.TryBulkTransfer(p, "app", 1e6, CallOptions{Timeout: time.Second, Attempts: 1})
+		err = n.BulkTransfer(p, "app", 1e6, CallOptions{Timeout: time.Second, Attempts: 1})
 		done = p.Now()
 	})
 	m.K.Run(0)
@@ -133,11 +211,10 @@ func TestStalledTransferAbortsAtDeadline(t *testing.T) {
 // traffic (f/(1-f) = 1), and the overhead lands in the retry ledger.
 func TestByteLossInflatesRetryBytes(t *testing.T) {
 	m, n := newNet(6)
-	n.SetResilient(true)
 	n.SetLossSampler(func() float64 { return 0.5 })
 	const bytes = 80_000
 	m.K.Spawn("x", func(p *sim.Proc) {
-		if err := n.TryBulkTransfer(p, "app", bytes, CallOptions{Timeout: 10 * time.Second}); err != nil {
+		if err := n.BulkTransfer(p, "app", bytes, CallOptions{Timeout: 10 * time.Second}); err != nil {
 			t.Errorf("lossy transfer failed: %v", err)
 		}
 	})
@@ -152,12 +229,11 @@ func TestByteLossInflatesRetryBytes(t *testing.T) {
 func TestRetryScheduleDeterministic(t *testing.T) {
 	run := func() time.Duration {
 		m, n := newNet(9)
-		n.SetResilient(true)
 		n.SetLinkUp(false)
 		m.K.After(700*time.Millisecond, func() { n.SetLinkUp(true) })
 		var done time.Duration
 		m.K.Spawn("x", func(p *sim.Proc) {
-			if err := n.TryBulkTransfer(p, "app", 40_000,
+			if err := n.BulkTransfer(p, "app", 40_000,
 				CallOptions{Timeout: 2 * time.Second, Attempts: 4, Backoff: 200 * time.Millisecond}); err != nil {
 				t.Errorf("transfer never recovered: %v", err)
 			}
@@ -183,11 +259,11 @@ func TestServerLatencyFactorSlowsRequests(t *testing.T) {
 	var spiked, calm time.Duration
 	m.K.Spawn("x", func(p *sim.Proc) {
 		t0 := p.Now()
-		srv.Do(p, time.Second)
+		srv.Do(p, time.Second, 0)
 		spiked = p.Now() - t0
 		srv.SetLatencyFactor(1)
 		t0 = p.Now()
-		srv.Do(p, time.Second)
+		srv.Do(p, time.Second, 0)
 		calm = p.Now() - t0
 	})
 	m.K.Run(0)
@@ -226,13 +302,12 @@ func TestWithDefaultsJitterContract(t *testing.T) {
 // backoffs — with no RNG draw to perturb it.
 func TestNoJitterExactSchedule(t *testing.T) {
 	m, n := newNet(12)
-	n.SetResilient(true)
 	n.SetLinkUp(false)
 	srv := NewServer(m.K, "s")
 	var err error
 	var done time.Duration
 	m.K.Spawn("x", func(p *sim.Proc) {
-		err = n.TryRPC(p, "app", 10_000, srv, time.Second, 1_000,
+		err = n.RPC(p, "app", 10_000, srv, time.Second, 1_000,
 			CallOptions{Timeout: 2 * time.Second, Attempts: 3, Backoff: 100 * time.Millisecond, NoJitter: true})
 		done = p.Now()
 	})

@@ -168,10 +168,8 @@ type Service struct {
 }
 
 // New builds the service over a pool. The seed isolates the service's RNG
-// stream; arming the service also arms the network's resilient layer, since
-// hedging and failover need deadline-aware transport.
+// stream.
 func New(k *sim.Kernel, m *hw.Machine, net *netsim.Network, pool *netsim.Pool, seed int64, cfg Config) *Service {
-	net.SetResilient(true)
 	return &Service{
 		k:        k,
 		m:        m,
@@ -365,7 +363,7 @@ func (s *Service) dispatch(p *sim.Proc, arm Arm, verdict Decision, cands []int) 
 				timeout = budget
 			}
 		}
-		err := s.net.TryRPC(p, Principal, arm.SendBytes, srv,
+		err := s.net.RPC(p, Principal, arm.SendBytes, srv,
 			time.Duration(arm.ServerSec*float64(time.Second)), arm.ReplyBytes,
 			netsim.CallOptions{Timeout: timeout, Attempts: 1, Deadline: deadline})
 		s.record(i, err == nil)
@@ -401,9 +399,9 @@ func (s *Service) runLocal(p *sim.Proc, app string, local Arm, fellBack bool) Ou
 	out := Outcome{Mode: Local, FellBack: fellBack}
 	switch {
 	case local.Bulk && local.bytes() > 0:
-		out.LocalErr = s.net.TryBulkTransfer(p, app, local.bytes(), local.Opts)
+		out.LocalErr = s.net.BulkTransfer(p, app, local.bytes(), local.Opts)
 	case local.bytes() > 0 || local.ServerSec > 0:
-		out.LocalErr = s.net.TryRPC(p, app, local.SendBytes, nil,
+		out.LocalErr = s.net.RPC(p, app, local.SendBytes, nil,
 			time.Duration(local.ServerSec*float64(time.Second)), local.ReplyBytes, local.Opts)
 	}
 	return out
