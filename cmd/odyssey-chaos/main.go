@@ -23,33 +23,31 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"os/signal"
 	"runtime"
 	"strconv"
-	"strings"
-	"sync/atomic"
 	"time"
 
 	"odyssey/internal/chaos"
 	"odyssey/internal/experiment"
+	"odyssey/internal/journal"
 )
 
 func main() {
 	var (
-		soak       = flag.String("soak", "", "soak budget: a scenario count (e.g. 200) or a wall-clock duration (e.g. 30s)")
-		soakCorpus = flag.String("soak-corpus", "", "soak every scenario in a corpus directory (instead of generating)")
-		seed       = flag.Int64("seed", 1, "base seed; scenario i uses seed+i")
-		shrink     = flag.Bool("shrink", true, "minimize failing scenarios before reporting")
-		budget     = flag.Int("shrink-budget", 200, "max candidate runs per shrink")
-		parallel   = flag.Int("parallel", runtime.NumCPU(), "worker goroutines for the soak")
-		outDir     = flag.String("out", "chaos-failures", "directory for failing-scenario files")
-		journal    = flag.String("journal", "", "append-only outcome journal (JSON lines, fsync'd per scenario)")
-		resume     = flag.Bool("resume", false, "replay the journal first, skipping completed scenarios")
-		deadline   = flag.Duration("deadline", 0, "wall-clock deadline per scenario (0 = none); backstops true hangs")
-		report     = flag.String("report", "", "also write the deterministic soak report to this file")
-		scenario   = flag.String("scenario", "", "replay one scenario file through the sentinel suite")
-		corpus     = flag.String("corpus", "", "replay every scenario in a corpus directory")
-		verbose    = flag.Bool("v", false, "per-scenario progress output")
+		soak        = flag.String("soak", "", "soak budget: a scenario count (e.g. 200) or a wall-clock duration (e.g. 30s)")
+		soakCorpus  = flag.String("soak-corpus", "", "soak every scenario in a corpus directory (instead of generating)")
+		seed        = flag.Int64("seed", 1, "base seed; scenario i uses seed+i")
+		shrink      = flag.Bool("shrink", true, "minimize failing scenarios before reporting")
+		budget      = flag.Int("shrink-budget", 200, "max candidate runs per shrink")
+		parallel    = flag.Int("parallel", runtime.NumCPU(), "worker goroutines for the soak")
+		outDir      = flag.String("out", "chaos-failures", "directory for failing-scenario files")
+		journalPath = flag.String("journal", "", "outcome journal (JSON lines, fsync'd per scenario; started over unless -resume)")
+		resume      = flag.Bool("resume", false, "replay the journal first, skipping completed scenarios")
+		deadline    = flag.Duration("deadline", 0, "wall-clock deadline per scenario (0 = none); backstops true hangs")
+		report      = flag.String("report", "", "also write the deterministic soak report to this file")
+		scenario    = flag.String("scenario", "", "replay one scenario file through the sentinel suite")
+		corpus      = flag.String("corpus", "", "replay every scenario in a corpus directory")
+		verbose     = flag.Bool("v", false, "per-scenario progress output")
 	)
 	flag.Parse()
 
@@ -59,7 +57,7 @@ func main() {
 		Shrink:       *shrink,
 		ShrinkBudget: *budget,
 		Dir:          *outDir,
-		Journal:      *journal,
+		Journal:      *journalPath,
 		Resume:       *resume,
 		Deadline:     *deadline,
 	}
@@ -76,35 +74,6 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-}
-
-// trapInterrupt installs the SIGINT handler and returns the soak's Stop
-// poll. The first interrupt requests a graceful stop (unstarted scenarios
-// are skipped; in-flight ones finish and journal); the handler then
-// detaches, so a second interrupt kills the process outright.
-func trapInterrupt() func() bool {
-	var stopped atomic.Bool
-	ch := make(chan os.Signal, 1)
-	signal.Notify(ch, os.Interrupt)
-	go func() {
-		<-ch
-		stopped.Store(true)
-		fmt.Fprintln(os.Stderr, "interrupt: finishing in-flight scenarios and flushing the journal (^C again to kill)")
-		signal.Stop(ch)
-	}()
-	return stopped.Load
-}
-
-// resumeCommand reconstructs the invocation that continues an interrupted
-// soak: the same command line plus -resume.
-func resumeCommand() string {
-	args := os.Args
-	for _, a := range args {
-		if a == "-resume" || a == "--resume" {
-			return strings.Join(args, " ")
-		}
-	}
-	return strings.Join(args, " ") + " -resume"
 }
 
 // finishSoak renders the report, handles the interrupted case, and maps the
@@ -126,7 +95,7 @@ func finishSoak(sum *chaos.SoakSummary, reportPath string, wall time.Duration) i
 	fmt.Fprintf(os.Stderr, "soak: %d ran, %d replayed, %d failure(s) in %v\n",
 		sum.Ran, sum.Replayed, len(sum.Failures), wall.Round(time.Millisecond))
 	if sum.Interrupted {
-		fmt.Fprintf(os.Stderr, "interrupted: %d scenario(s) not run; resume with:\n  %s\n", sum.NotRun, resumeCommand())
+		fmt.Fprintf(os.Stderr, "interrupted: %d scenario(s) not run; resume with:\n  %s\n", sum.NotRun, journal.ResumeCommand())
 		return 130
 	}
 	if !sum.OK() {
@@ -211,7 +180,7 @@ func runCorpusSoak(dir string, opts chaos.SoakOptions, reportPath string) int {
 	}
 	opts.Scenarios = scs
 	opts.Progress = os.Stderr
-	opts.Stop = trapInterrupt()
+	opts.Stop = journal.TrapInterrupt("scenarios")
 	start := time.Now()
 	sum, err := chaos.Soak(opts)
 	if err != nil {
@@ -234,7 +203,7 @@ func runSoak(budgetArg string, seed int64, opts chaos.SoakOptions, reportPath st
 		opts.Seed = seed
 		opts.Count = count
 		opts.Progress = os.Stderr
-		opts.Stop = trapInterrupt()
+		opts.Stop = journal.TrapInterrupt("scenarios")
 		sum, err := chaos.Soak(opts)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
@@ -250,7 +219,7 @@ func runSoak(budgetArg string, seed int64, opts chaos.SoakOptions, reportPath st
 		fmt.Fprintln(os.Stderr, "odyssey-chaos: -journal/-resume need a scenario-count or corpus soak, not a wall-clock budget")
 		return 2
 	}
-	stop := trapInterrupt()
+	stop := journal.TrapInterrupt("scenarios")
 	ran, failures := 0, 0
 	const batch = 50
 	for !stop() && time.Since(start) < wall {

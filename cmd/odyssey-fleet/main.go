@@ -27,28 +27,26 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"os/signal"
 	"runtime"
-	"strings"
-	"sync/atomic"
 	"time"
 
 	"odyssey/internal/experiment"
 	"odyssey/internal/fleet"
+	"odyssey/internal/journal"
 )
 
 func main() {
 	var (
-		devices   = flag.Int("devices", 0, "device-sessions to run (session-count mode)")
-		seed      = flag.Int64("seed", 1, "fleet seed; session i derives from (seed, i)")
-		parallel  = flag.Int("parallel", runtime.NumCPU(), "worker goroutines (never affects output bytes)")
-		shards    = flag.Int("shards", fleet.DefaultShards, "reduction shards (part of the replay geometry)")
-		horizon   = flag.Duration("horizon", 0, "churn window for session start stagger (0 = population default)")
-		progress  = flag.Bool("progress", false, "per-shard progress on stderr")
-		journal   = flag.String("journal", "", "crash-safe shard journal (geometry header + one fsync'd JSON line per shard)")
-		resume    = flag.Bool("resume", false, "merge journaled shards instead of re-running them")
-		dashboard = flag.Bool("dashboard", true, "include percentile dashboards in the scorecard")
-		popOnly   = flag.Bool("population", false, "print the population model and exit")
+		devices     = flag.Int("devices", 0, "device-sessions to run (session-count mode)")
+		seed        = flag.Int64("seed", 1, "fleet seed; session i derives from (seed, i)")
+		parallel    = flag.Int("parallel", runtime.NumCPU(), "worker goroutines (never affects output bytes)")
+		shards      = flag.Int("shards", fleet.DefaultShards, "reduction shards (part of the replay geometry)")
+		horizon     = flag.Duration("horizon", 0, "churn window for session start stagger (0 = population default)")
+		progress    = flag.Bool("progress", false, "per-shard progress on stderr")
+		journalPath = flag.String("journal", "", "crash-safe shard journal (geometry header + one fsync'd JSON line per shard)")
+		resume      = flag.Bool("resume", false, "merge journaled shards instead of re-running them")
+		dashboard   = flag.Bool("dashboard", true, "include percentile dashboards in the scorecard")
+		popOnly     = flag.Bool("population", false, "print the population model and exit")
 	)
 	flag.Parse()
 
@@ -71,9 +69,9 @@ func main() {
 		Seed:       *seed,
 		Devices:    *devices,
 		Shards:     *shards,
-		Journal:    *journal,
+		Journal:    *journalPath,
 		Resume:     *resume,
-		Stop:       trapInterrupt(),
+		Stop:       journal.TrapInterrupt("shards"),
 	}
 	if *progress {
 		opts.Progress = os.Stderr
@@ -98,38 +96,9 @@ func main() {
 	res.Scorecard(os.Stdout, *dashboard)
 	if res.Interrupted {
 		fmt.Fprintf(os.Stderr, "interrupted: %d shard(s) not run; resume with:\n  %s\n",
-			res.SkippedShards, resumeCommand())
+			res.SkippedShards, journal.ResumeCommand())
 		os.Exit(130)
 	}
-}
-
-// trapInterrupt installs the SIGINT handler and returns the run's Stop
-// poll. The first interrupt requests a graceful stop (unstarted shards are
-// skipped; in-flight ones finish and journal); the handler then detaches,
-// so a second interrupt kills the process outright.
-func trapInterrupt() func() bool {
-	var stopped atomic.Bool
-	ch := make(chan os.Signal, 1)
-	signal.Notify(ch, os.Interrupt)
-	go func() {
-		<-ch
-		stopped.Store(true)
-		fmt.Fprintln(os.Stderr, "interrupt: finishing in-flight shards and flushing the journal (^C again to kill)")
-		signal.Stop(ch)
-	}()
-	return stopped.Load
-}
-
-// resumeCommand reconstructs the invocation that continues an interrupted
-// run: the same command line plus -resume.
-func resumeCommand() string {
-	args := os.Args
-	for _, a := range args {
-		if a == "-resume" || a == "--resume" {
-			return strings.Join(args, " ")
-		}
-	}
-	return strings.Join(args, " ") + " -resume"
 }
 
 // printPopulation dumps the population model: the class and behavior mixes

@@ -204,6 +204,18 @@ func TestSoakJournalResumeByteIdentical(t *testing.T) {
 			part.Ran, part.NotRun, part.Interrupted)
 	}
 
+	// A torn final line — the write a crash interrupted — is tolerated.
+	f, err := os.OpenFile(journal, os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteString(`{"i":2,"id":"torn`); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+
 	res, err := Soak(SoakOptions{Scenarios: scs, Shrink: true, Dir: dir, Journal: journal, Resume: true})
 	if err != nil {
 		t.Fatal(err)
@@ -218,18 +230,8 @@ func TestSoakJournalResumeByteIdentical(t *testing.T) {
 			got.String(), want.String())
 	}
 
-	// A torn final line — the write a crash interrupted — is tolerated,
-	// and the completed journal replays everything.
-	f, err := os.OpenFile(journal, os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.WriteString(`{"i":3,"id":"torn`); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
+	// The resume cut the torn line before appending, so the entries it
+	// wrote are whole and a second resume replays everything.
 	res2, err := Soak(SoakOptions{Scenarios: scs, Shrink: true, Dir: dir, Journal: journal, Resume: true})
 	if err != nil {
 		t.Fatal(err)
@@ -241,6 +243,58 @@ func TestSoakJournalResumeByteIdentical(t *testing.T) {
 	res2.WriteReport(&got2)
 	if got2.String() != want.String() {
 		t.Fatal("fully-replayed report is not byte-identical")
+	}
+}
+
+// TestContainmentCorpusSoakAndResume soaks the containment corpus (a
+// planted process panic and a planted livelock among healthy scenarios):
+// the soak must report exactly those two failures with shrunk repro
+// commands, and a journal cut mid-run — header, two entries, and a torn
+// line — must resume to a byte-identical report.
+func TestContainmentCorpusSoakAndResume(t *testing.T) {
+	scs, _, warnings, err := LoadCorpus(filepath.Join("testdata", "containment"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(warnings) != 0 || len(scs) < 3 {
+		t.Fatalf("containment corpus: %d scenarios, warnings %v", len(scs), warnings)
+	}
+	dir := t.TempDir()
+	path := filepath.Join(dir, "contain.jsonl")
+	opts := SoakOptions{Scenarios: scs, Shrink: true, Dir: dir, Journal: path}
+	full, err := Soak(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := full.ReportString()
+	if !strings.Contains(want, "\nviolations: panic=1 stall=1\n") {
+		t.Fatalf("containment soak did not report exactly panic=1 stall=1:\n%s", want)
+	}
+	if n := strings.Count(want, "\n  repro: go run ./cmd/odyssey-chaos -scenario "); n != 2 {
+		t.Fatalf("containment soak reported %d repro commands, want 2:\n%s", n, want)
+	}
+
+	// Simulate a mid-run kill: keep the header and the first two entries,
+	// then a torn line.
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.SplitAfter(string(b), "\n")
+	cut := strings.Join(lines[:3], "") + `{"i":2,"id":"torn`
+	if err := os.WriteFile(path, []byte(cut), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	opts.Resume = true
+	res, err := Soak(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Replayed != 2 || res.Ran != len(scs)-2 {
+		t.Fatalf("resumed soak: replayed=%d ran=%d, want 2/%d", res.Replayed, res.Ran, len(scs)-2)
+	}
+	if got := res.ReportString(); got != want {
+		t.Fatalf("resumed report is not byte-identical:\n--- resumed\n%s--- uninterrupted\n%s", got, want)
 	}
 }
 

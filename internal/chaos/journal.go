@@ -1,24 +1,28 @@
 package chaos
 
 import (
-	"bufio"
 	"encoding/json"
 	"errors"
-	"fmt"
-	"os"
 )
 
-// The soak journal: a crash-safe record of per-scenario outcomes, one JSON
-// line per scenario, appended and fsync'd as each scenario finishes its
-// full treatment (run, audit, shrink, save). A soak killed mid-run leaves a
-// journal whose entries are complete; -resume replays them to skip finished
-// work and, because every field the final report needs is in the entry, a
-// resumed soak's report is byte-identical to an uninterrupted one.
+// The soak journal: a crash-safe record of per-scenario outcomes (see
+// internal/journal), one JSON line per scenario, appended and fsync'd as
+// each scenario finishes its full treatment (run, audit, shrink, save). A
+// soak killed mid-run leaves a journal whose entries are complete; -resume
+// replays them to skip finished work and, because every field the final
+// report needs is in the entry, a resumed soak's report is byte-identical
+// to an uninterrupted one.
 //
-// Entries are content-addressed: each carries the scenario id its index
-// mapped to, and resume ignores entries whose id no longer matches (a
-// journal reused across a seed or corpus change poisons nothing). A torn
-// final line — the write the crash interrupted — is skipped with a warning.
+// The header carries only the journal kind: entries are content-addressed
+// instead. Each carries the scenario id its index mapped to, and resume
+// ignores entries whose id no longer matches, so a journal reused across a
+// seed or corpus change poisons nothing, and a shorter soak's journal seeds
+// a longer one.
+
+// journalHeader is the soak journal's first line.
+var journalHeader = struct {
+	Journal string `json:"journal"`
+}{"chaos-soak/v1"}
 
 // journalEntry is one completed scenario's outcome.
 type journalEntry struct {
@@ -39,6 +43,19 @@ type journalFailure struct {
 	Repro      string        `json:"repro,omitempty"`
 }
 
+// decodeEntry parses one journal line, rejecting a failed entry that lost
+// its failure record.
+func decodeEntry(line []byte) (journalEntry, error) {
+	var e journalEntry
+	if err := json.Unmarshal(line, &e); err != nil {
+		return e, err
+	}
+	if !e.OK && e.F == nil {
+		return e, errors.New("failed entry with no failure record")
+	}
+	return e, nil
+}
+
 // failure reconstructs the in-memory Failure the entry was written from.
 func (e *journalEntry) failure() Failure {
 	f := Failure{
@@ -53,73 +70,4 @@ func (e *journalEntry) failure() Failure {
 		f.Err = errors.New(e.F.Err)
 	}
 	return f
-}
-
-// journalWriter appends entries to the journal file, one fsync'd line each,
-// so an entry is either durably complete or (at worst) a torn final line
-// the reader skips.
-type journalWriter struct {
-	f *os.File
-}
-
-func openJournal(path string) (*journalWriter, error) {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, err
-	}
-	return &journalWriter{f: f}, nil
-}
-
-func (w *journalWriter) append(e journalEntry) error {
-	b, err := json.Marshal(e)
-	if err != nil {
-		return err
-	}
-	if _, err := w.f.Write(append(b, '\n')); err != nil {
-		return err
-	}
-	return w.f.Sync()
-}
-
-func (w *journalWriter) close() error { return w.f.Close() }
-
-// readJournal loads completed entries by index. The last entry for an index
-// wins (a resumed soak appends; it never rewrites). Unparsable lines —
-// normally only a torn final line from a crash mid-append — are skipped
-// with a warning. A missing journal is an empty one.
-func readJournal(path string) (map[int]journalEntry, []string, error) {
-	f, err := os.Open(path)
-	if os.IsNotExist(err) {
-		return nil, nil, nil
-	}
-	if err != nil {
-		return nil, nil, err
-	}
-	defer func() { _ = f.Close() }() // read-only; nothing to flush
-	done := make(map[int]journalEntry)
-	var warnings []string
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 1<<20), 1<<24)
-	line := 0
-	for sc.Scan() {
-		line++
-		raw := sc.Bytes()
-		if len(raw) == 0 {
-			continue
-		}
-		var e journalEntry
-		if err := json.Unmarshal(raw, &e); err != nil {
-			warnings = append(warnings, fmt.Sprintf("journal %s line %d: skipping unparsable entry: %v", path, line, err))
-			continue
-		}
-		if !e.OK && e.F == nil {
-			warnings = append(warnings, fmt.Sprintf("journal %s line %d: skipping failed entry with no failure record", path, line))
-			continue
-		}
-		done[e.I] = e
-	}
-	if err := sc.Err(); err != nil {
-		return nil, warnings, err
-	}
-	return done, warnings, nil
 }

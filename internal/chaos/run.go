@@ -59,8 +59,8 @@ type rigTargets struct {
 
 // BindRig returns a faults.Targets binder over one live rig, its battery
 // (nil on a bench supply), and its application set (nil when only
-// network/server/battery injectors will be materialized). The fleet plane
-// uses it to materialize the PlanSpec mixes it borrows from this package.
+// network/server/battery injectors will be materialized). BindPlans uses
+// it; callers that build their own plan binders use it directly.
 func BindRig(rig *env.Rig, bat *smartbattery.Battery, apps *workload.Apps) faults.Targets {
 	return &rigTargets{rig: rig, bat: bat, apps: apps}
 }
@@ -104,11 +104,36 @@ func (t *rigTargets) App(name string) (core.Adaptive, *supervise.AppHealth, bool
 	return app, health, true
 }
 
-// contained describes a fault the containment fence recovered during one
+// BindPlans installs the GoalOptions binders that materialize the fault
+// and misbehavior specs (either may be nil) on the run's live rig. A spec
+// that fails to materialize — an unknown target, a missing battery — is
+// stored in *buildErr and its plan dropped; the caller reports it once the
+// run returns.
+func BindPlans(opt *experiment.GoalOptions, fault, misbehave *faults.PlanSpec, buildErr *error) {
+	plan := func(spec *faults.PlanSpec, k *sim.Kernel, tg faults.Targets) *faults.Plan {
+		pl, err := spec.Plan(k, tg)
+		if err != nil {
+			*buildErr = err
+		}
+		return pl
+	}
+	if fault != nil {
+		opt.Faults = func(rig *env.Rig, bat *smartbattery.Battery, seed int64) *faults.Plan {
+			return plan(fault, rig.K, BindRig(rig, bat, nil))
+		}
+	}
+	if misbehave != nil {
+		opt.Misbehave = func(apps *workload.Apps, seed int64) *faults.Plan {
+			return plan(misbehave, apps.Rig.K, BindRig(apps.Rig, nil, apps))
+		}
+	}
+}
+
+// Contained describes a fault the containment fence recovered during one
 // run: which sentinel it maps to (panic or stall) and the triage detail.
-type contained struct {
-	sentinel string
-	detail   string
+type Contained struct {
+	Sentinel string
+	Detail   string
 }
 
 // mutateOptions, when non-nil, rewrites the GoalOptions runOnce builds
@@ -121,14 +146,14 @@ var mutateOptions func(*experiment.GoalOptions)
 // audit itself. Never set outside tests.
 var sentinelHook func(sc Scenario)
 
-// runGoalContained is the panic fence around one simulated session. Any
-// panic unwinding RunGoal — a process fault transported by the kernel
-// (sim.ProcPanic), a kernel-context panic from an injector or callback, or
-// the stall detector's sim.ErrStall — is recovered here and handed back as
-// a contained fault for the sentinel report, instead of killing the whole
-// soak. The rig's goroutines are already torn down when the fence fires:
-// RunGoal defers Kernel.Shutdown.
-func runGoalContained(opt experiment.GoalOptions) (res experiment.GoalResult, cv *contained) {
+// RunGoalContained is the panic fence around one simulated session, shared
+// by the soak and the fleet. Any panic unwinding RunGoal — a process fault
+// transported by the kernel (sim.ProcPanic), a kernel-context panic from an
+// injector or callback, or the stall detector's sim.ErrStall — is
+// recovered here and handed back as a contained fault, instead of killing
+// the whole batch. The rig's goroutines are already torn down when the
+// fence fires: RunGoal defers Kernel.Shutdown.
+func RunGoalContained(opt experiment.GoalOptions) (res experiment.GoalResult, cv *Contained) {
 	defer func() {
 		r := recover()
 		if r == nil {
@@ -136,13 +161,13 @@ func runGoalContained(opt experiment.GoalOptions) (res experiment.GoalResult, cv
 		}
 		switch f := r.(type) {
 		case *sim.ErrStall:
-			cv = &contained{sentinel: SentinelStall, detail: f.Error()}
+			cv = &Contained{Sentinel: SentinelStall, Detail: f.Error()}
 		case *sim.ProcPanic:
-			cv = &contained{sentinel: SentinelPanic, detail: fmt.Sprintf("%v\n%s", f.Error(), f.Stack)}
+			cv = &Contained{Sentinel: SentinelPanic, Detail: fmt.Sprintf("%v\n%s", f.Error(), f.Stack)}
 		default:
 			// Kernel-context panic: the stack below this recover still
 			// holds the crash site's frames, so capture it here.
-			cv = &contained{sentinel: SentinelPanic, detail: fmt.Sprintf("kernel-context panic: %v\n%s", r, sim.CallerStack(1))}
+			cv = &Contained{Sentinel: SentinelPanic, Detail: fmt.Sprintf("kernel-context panic: %v\n%s", r, sim.CallerStack(1))}
 		}
 	}()
 	return experiment.RunGoal(opt), nil
@@ -153,7 +178,7 @@ func runGoalContained(opt experiment.GoalOptions) (res experiment.GoalResult, cv
 // fingerprint. A plan that fails to materialize (unknown target, missing
 // battery) is a scenario error, not a sentinel violation; a panic or stall
 // is returned as a contained fault.
-func runOnce(sc Scenario) (experiment.GoalResult, Ledger, string, *contained, error) {
+func runOnce(sc Scenario) (experiment.GoalResult, Ledger, string, *Contained, error) {
 	var led Ledger
 	var buildErr error
 	opt := experiment.GoalOptions{
@@ -186,32 +211,11 @@ func runOnce(sc Scenario) (experiment.GoalResult, Ledger, string, *contained, er
 			Policy:     sc.Offload.Policy,
 		}
 	}
-	if sc.Faults != nil {
-		spec := *sc.Faults
-		opt.Faults = func(rig *env.Rig, bat *smartbattery.Battery, seed int64) *faults.Plan {
-			pl, err := spec.Plan(rig.K, &rigTargets{rig: rig, bat: bat})
-			if err != nil {
-				buildErr = err
-				return nil
-			}
-			return pl
-		}
-	}
-	if sc.Misbehave != nil {
-		spec := *sc.Misbehave
-		opt.Misbehave = func(apps *workload.Apps, seed int64) *faults.Plan {
-			pl, err := spec.Plan(apps.Rig.K, &rigTargets{rig: apps.Rig, apps: apps})
-			if err != nil {
-				buildErr = err
-				return nil
-			}
-			return pl
-		}
-	}
+	BindPlans(&opt, sc.Faults, sc.Misbehave, &buildErr)
 	if mutateOptions != nil {
 		mutateOptions(&opt)
 	}
-	res, cv := runGoalContained(opt)
+	res, cv := RunGoalContained(opt)
 	if buildErr != nil {
 		return res, led, "", nil, fmt.Errorf("chaos: scenario %s: %w", sc.ID(), buildErr)
 	}
@@ -308,7 +312,7 @@ func Run(sc Scenario) (*Outcome, error) {
 		// neither the post-run audit nor the determinism double-run apply.
 		// The contained fault is the report.
 		out.Report = Report{ScenarioID: sc.ID()}
-		out.Report.add(cv.sentinel, cv.detail)
+		out.Report.add(cv.Sentinel, cv.Detail)
 		return out, nil
 	}
 	out.Report = auditContained(sc, res, led)
@@ -324,7 +328,7 @@ func Run(sc Scenario) (*Outcome, error) {
 	if cv2 != nil {
 		// First run clean, second crashed: that is itself a determinism
 		// violation, with the crash as the diverging observation.
-		out.Report.add(SentinelDeterminism, "second run did not complete: "+cv2.detail)
+		out.Report.add(SentinelDeterminism, "second run did not complete: "+cv2.Detail)
 		return out, nil
 	}
 	if fp1 != fp2 {

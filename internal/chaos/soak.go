@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"odyssey/internal/experiment"
+	"odyssey/internal/journal"
 )
 
 // The soak driver: generate scenario i from (base seed + i) — or take it
@@ -38,8 +39,9 @@ type SoakOptions struct {
 	// Progress, when non-nil, receives one line per failure and per
 	// accepted shrink step as they happen.
 	Progress io.Writer
-	// Journal, when non-empty, is the append-only outcome journal (one
-	// fsync'd JSON line per completed scenario; see journal.go).
+	// Journal, when non-empty, is the outcome journal (one fsync'd JSON
+	// line per completed scenario; see journal.go). Without Resume it is
+	// truncated first.
 	Journal string
 	// Resume replays Journal before running: journaled indices whose
 	// scenario id still matches are skipped and their recorded outcomes
@@ -206,42 +208,34 @@ func Soak(opts SoakOptions) (*SoakSummary, error) {
 		scenario = func(i int) Scenario { return opts.Scenarios[i] }
 	}
 
-	var done map[int]journalEntry
-	if opts.Journal != "" && opts.Resume {
-		replayed, warnings, err := readJournal(opts.Journal)
-		if err != nil {
-			return nil, err
-		}
+	done := make(map[int]journalEntry)
+	var jw *journal.Writer
+	if opts.Journal != "" {
+		// The last entry for an index wins; entries whose scenario id no
+		// longer matches the index are rejected and re-run.
+		var warnings []string
+		var err error
+		jw, warnings, err = journal.Open(opts.Journal, journalHeader, opts.Resume, func(line []byte) error {
+			e, err := decodeEntry(line)
+			switch {
+			case err != nil:
+				return err
+			case e.I < 0 || e.I >= count:
+				return fmt.Errorf("entry %d outside the soak", e.I)
+			case scenario(e.I).ID() != e.ID:
+				return fmt.Errorf("entry %d recorded scenario %s, soak has %s; re-running", e.I, e.ID, scenario(e.I).ID())
+			}
+			done[e.I] = e
+			return nil
+		})
 		for _, warning := range warnings {
 			logf("%s", warning)
 		}
-		indices := make([]int, 0, len(replayed))
-		for i := range replayed {
-			indices = append(indices, i)
-		}
-		sort.Ints(indices)
-		done = make(map[int]journalEntry, len(replayed))
-		for _, i := range indices {
-			e := replayed[i]
-			if i < 0 || i >= count {
-				logf("journal %s: entry %d outside the soak; ignoring", opts.Journal, i)
-				continue
-			}
-			if id := scenario(i).ID(); id != e.ID {
-				logf("journal %s: entry %d recorded scenario %s, soak has %s; re-running", opts.Journal, i, e.ID, id)
-				continue
-			}
-			done[i] = e
-		}
-	}
-	var jw *journalWriter
-	if opts.Journal != "" {
-		var err error
-		if jw, err = openJournal(opts.Journal); err != nil {
+		if err != nil {
 			return nil, err
 		}
 		// Each entry is fsync'd as it lands; nothing is left to flush here.
-		defer func() { _ = jw.close() }()
+		defer func() { _ = jw.Close() }()
 	}
 
 	type slot struct {
@@ -316,7 +310,7 @@ func Soak(opts SoakOptions) (*SoakSummary, error) {
 			}
 		}
 		if jw != nil {
-			if err := jw.append(entry); err != nil {
+			if err := jw.Append(entry); err != nil {
 				return nil, err
 			}
 		}

@@ -180,6 +180,18 @@ func TestFleetJournalResumeByteIdentical(t *testing.T) {
 		t.Fatal("partial scorecard missing the PARTIAL marker")
 	}
 
+	// A torn final line — the write a crash interrupted — is skipped.
+	f, err := os.OpenFile(journal, os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteString(`{"shard":2,"agg":{"Sess`); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+
 	resumed := base
 	resumed.Journal = journal
 	resumed.Resume = true
@@ -199,18 +211,8 @@ func TestFleetJournalResumeByteIdentical(t *testing.T) {
 		t.Fatal("resumed scorecard is not byte-identical to the uninterrupted run")
 	}
 
-	// A torn final line — the write a crash interrupted — is skipped, and
-	// the journal now holds every shard, so a second resume re-runs nothing.
-	f, err := os.OpenFile(journal, os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.WriteString(`{"shard":3,"agg":{"Sess`); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
+	// The resume cut the torn line before appending, so the journal now
+	// holds every shard whole and a second resume re-runs nothing.
 	res2, err := Run(resumed)
 	if err != nil {
 		t.Fatal(err)
@@ -222,22 +224,31 @@ func TestFleetJournalResumeByteIdentical(t *testing.T) {
 		t.Fatal("fully-replayed aggregate diverges from the uninterrupted run")
 	}
 
-	// A journal from a different geometry is refused wholesale: resume
-	// warns, starts the journal over, and re-runs every shard.
-	other := base
-	other.Seed = 8
-	other.Journal = journal
-	other.Resume = true
-	var progress strings.Builder
-	other.Progress = &progress
-	res3, err := Run(other)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res3.ReplayedShards != 0 || res3.RanShards != 4 {
-		t.Fatalf("mismatched-geometry resume: replayed=%d ran=%d, want 0/4", res3.ReplayedShards, res3.RanShards)
-	}
-	if !strings.Contains(progress.String(), "does not match run geometry") {
-		t.Fatal("mismatched-geometry resume did not warn")
+	// A journal from a different geometry — another seed, or the same
+	// population name with a different model — is refused wholesale:
+	// resume warns, starts the journal over, and re-runs every shard.
+	longer := base
+	longer.Population.Horizon = 4 * base.Population.Horizon
+	otherSeed := base
+	otherSeed.Seed = 8
+	for _, tc := range []struct {
+		name string
+		opts RunOptions
+	}{{"population", longer}, {"seed", otherSeed}} {
+		other := tc.opts
+		other.Journal = journal
+		other.Resume = true
+		var progress strings.Builder
+		other.Progress = &progress
+		res3, err := Run(other)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res3.ReplayedShards != 0 || res3.RanShards != 4 {
+			t.Fatalf("mismatched-%s resume: replayed=%d ran=%d, want 0/4", tc.name, res3.ReplayedShards, res3.RanShards)
+		}
+		if !strings.Contains(progress.String(), "does not match run geometry") {
+			t.Fatalf("mismatched-%s resume did not warn", tc.name)
+		}
 	}
 }

@@ -1,23 +1,21 @@
 package fleet
 
 import (
-	"bufio"
 	"encoding/json"
+	"errors"
 	"fmt"
-	"os"
-	"sync"
 )
 
 // The fleet shard journal: a crash-safe record of completed shard
-// reductions. The first line is a header pinning the run geometry —
-// population name, seed, device count, shard count — and every line after
-// it is one shard's full Aggregate, appended and fsync'd the moment the
-// shard finishes. Shards complete in worker order, but merge order is
-// always shard-index order, so a run killed mid-flight and resumed with
-// -resume merges journaled shards with freshly-run ones into the exact
-// aggregate an uninterrupted run produces: sketches serialize as integer
-// bucket counts and floats in Go's shortest round-trip form, so nothing is
-// lost crossing the file.
+// reductions (see internal/journal). The header pins the run geometry —
+// a digest of the whole population model, seed, device count, shard count
+// — and every line after it is one shard's full Aggregate, appended and
+// fsync'd the moment the shard finishes. Shards complete in worker order,
+// but merge order is always shard-index order, so a run killed mid-flight
+// and resumed with -resume merges journaled shards with freshly-run ones
+// into the exact aggregate an uninterrupted run produces: sketches
+// serialize as integer bucket counts and floats in Go's shortest
+// round-trip form, so nothing is lost crossing the file.
 //
 // A journal whose header does not match the requested geometry belongs to
 // a different run; resume refuses its entries (with a warning) and starts
@@ -25,7 +23,9 @@ import (
 
 // journalHeader pins the geometry a journal's shard entries belong to.
 type journalHeader struct {
+	Journal    string `json:"journal"`
 	Population string `json:"population"`
+	Digest     string `json:"digest"` // sha256 of the Population's JSON
 	Seed       int64  `json:"seed"`
 	Devices    int    `json:"devices"`
 	Shards     int    `json:"shards"`
@@ -60,114 +60,18 @@ func (a *Aggregate) wellFormed() bool {
 	return true
 }
 
-// fleetJournal appends shard entries, one fsync'd line each, serialized
-// across the worker pool.
-type fleetJournal struct {
-	mu sync.Mutex
-	f  *os.File
-}
-
-// openFleetJournal opens the journal for hdr's geometry. With resume on
-// and an existing journal whose header matches, the completed shard
-// aggregates are returned and the file opened for append; otherwise the
-// file is truncated and a fresh header written.
-func openFleetJournal(path string, hdr journalHeader, resume bool) (*fleetJournal, map[int]*Aggregate, []string, error) {
-	var replayed map[int]*Aggregate
-	var warnings []string
-	if resume {
-		var err error
-		replayed, warnings, err = readFleetJournal(path, hdr)
-		if err != nil {
-			return nil, nil, warnings, err
-		}
+// decodeShard parses one journal line, rejecting a malformed aggregate or
+// a shard outside the geometry.
+func decodeShard(line []byte, shards int) (shardEntry, error) {
+	var e shardEntry
+	if err := json.Unmarshal(line, &e); err != nil {
+		return e, err
 	}
-	flags := os.O_CREATE | os.O_WRONLY
-	if replayed != nil {
-		flags |= os.O_APPEND
-	} else {
-		flags |= os.O_TRUNC
+	if e.Agg == nil || !e.Agg.wellFormed() {
+		return e, errors.New("malformed shard entry")
 	}
-	f, err := os.OpenFile(path, flags, 0o644)
-	if err != nil {
-		return nil, nil, warnings, err
+	if e.Shard < 0 || e.Shard >= shards {
+		return e, fmt.Errorf("shard %d outside geometry", e.Shard)
 	}
-	j := &fleetJournal{f: f}
-	if flags&os.O_TRUNC != 0 {
-		if err := j.writeLine(hdr); err != nil {
-			_ = f.Close()
-			return nil, nil, warnings, err
-		}
-	}
-	return j, replayed, warnings, nil
-}
-
-func (j *fleetJournal) writeLine(v any) error {
-	b, err := json.Marshal(v)
-	if err != nil {
-		return err
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if _, err := j.f.Write(append(b, '\n')); err != nil {
-		return err
-	}
-	return j.f.Sync()
-}
-
-// append journals one completed shard; the entry is durable (fsync'd)
-// before the shard is published to the reduction.
-func (j *fleetJournal) append(shard int, agg *Aggregate) error {
-	return j.writeLine(shardEntry{Shard: shard, Agg: agg})
-}
-
-func (j *fleetJournal) close() error { return j.f.Close() }
-
-// readFleetJournal loads completed shard aggregates for hdr's geometry.
-// A missing or empty journal, or one whose header mismatches, returns a
-// nil map (caller starts the journal over). The last entry for a shard
-// wins; unparsable or malformed lines — normally only a torn final line
-// from a crash mid-append — are skipped with a warning.
-func readFleetJournal(path string, hdr journalHeader) (map[int]*Aggregate, []string, error) {
-	f, err := os.Open(path)
-	if os.IsNotExist(err) {
-		return nil, nil, nil
-	}
-	if err != nil {
-		return nil, nil, err
-	}
-	defer func() { _ = f.Close() }() // read-only; nothing to flush
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 1<<20), 1<<26)
-	if !sc.Scan() {
-		return nil, nil, sc.Err()
-	}
-	var got journalHeader
-	if err := json.Unmarshal(sc.Bytes(), &got); err != nil || got != hdr {
-		return nil, []string{fmt.Sprintf(
-			"journal %s: header %+v does not match run geometry %+v; starting the journal over", path, got, hdr)}, nil
-	}
-	replayed := make(map[int]*Aggregate)
-	var warnings []string
-	line := 1
-	for sc.Scan() {
-		line++
-		raw := sc.Bytes()
-		if len(raw) == 0 {
-			continue
-		}
-		var e shardEntry
-		if err := json.Unmarshal(raw, &e); err != nil || e.Agg == nil || !e.Agg.wellFormed() {
-			warnings = append(warnings, fmt.Sprintf("journal %s line %d: skipping malformed shard entry", path, line))
-			continue
-		}
-		if e.Shard < 0 || e.Shard >= hdr.Shards {
-			warnings = append(warnings, fmt.Sprintf("journal %s line %d: shard %d outside geometry; skipping", path, line, e.Shard))
-			continue
-		}
-		replayed[e.Shard] = e.Agg
-	}
-	if err := sc.Err(); err != nil {
-		return nil, warnings, err
-	}
-	return replayed, warnings, nil
+	return e, nil
 }

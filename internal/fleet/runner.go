@@ -1,6 +1,8 @@
 package fleet
 
 import (
+	"crypto/sha256"
+	"encoding/json"
 	"fmt"
 	"io"
 	"sort"
@@ -9,9 +11,7 @@ import (
 	"odyssey/internal/chaos"
 	"odyssey/internal/core"
 	"odyssey/internal/experiment"
-	"odyssey/internal/faults"
-	"odyssey/internal/sim"
-	"odyssey/internal/smartbattery"
+	"odyssey/internal/journal"
 	"odyssey/internal/workload"
 )
 
@@ -98,23 +98,34 @@ func Run(opts RunOptions) (*Result, error) {
 		return &Result{Opts: opts, Agg: NewAggregate()}, nil
 	}
 
-	var replayed map[int]*Aggregate
-	var jw *fleetJournal
+	replayed := make(map[int]*Aggregate)
+	var jw *journal.Writer
 	if opts.Journal != "" {
-		hdr := journalHeader{Population: opts.Population.Name, Seed: opts.Seed, Devices: n, Shards: shards}
-		var warnings []string
-		var err error
-		jw, replayed, warnings, err = openFleetJournal(opts.Journal, hdr, opts.Resume)
+		pop, err := json.Marshal(opts.Population)
 		if err != nil {
 			return nil, err
 		}
-		// Each shard entry is fsync'd as it lands; nothing is left to flush.
-		defer func() { _ = jw.close() }()
+		hdr := journalHeader{Journal: "fleet-shards/v1", Population: opts.Population.Name,
+			Digest: fmt.Sprintf("%x", sha256.Sum256(pop)), Seed: opts.Seed, Devices: n, Shards: shards}
+		// The last entry for a shard wins.
+		var warnings []string
+		jw, warnings, err = journal.Open(opts.Journal, hdr, opts.Resume, func(line []byte) error {
+			e, err := decodeShard(line, shards)
+			if err == nil {
+				replayed[e.Shard] = e.Agg
+			}
+			return err
+		})
 		if opts.Progress != nil {
 			for _, w := range warnings {
 				_, _ = fmt.Fprintln(opts.Progress, w)
 			}
 		}
+		if err != nil {
+			return nil, err
+		}
+		// Each shard entry is fsync'd as it lands; nothing is left to flush.
+		defer func() { _ = jw.Close() }()
 	}
 
 	aggs := make([]*Aggregate, shards)
@@ -143,7 +154,7 @@ func Run(opts RunOptions) (*Result, error) {
 		// Journal before publishing: a shard is either durably journaled
 		// and counted, or neither.
 		if jw != nil {
-			if err := jw.append(s, agg); err != nil {
+			if err := jw.Append(shardEntry{Shard: s, Agg: agg}); err != nil {
 				errs[s] = err
 				return
 			}
@@ -182,40 +193,9 @@ func Run(opts RunOptions) (*Result, error) {
 // Never set outside tests.
 var mutateGoalOptions func(i int, opt *experiment.GoalOptions)
 
-// containedFault is a panic or stall the session fence recovered: the
-// sentinel name it maps to and the triage detail.
-type containedFault struct {
-	sentinel string
-	detail   string
-}
-
-// runGoalFenced is the fleet's panic fence around one device session. Any
-// panic unwinding RunGoal — a process fault transported by the kernel
-// (sim.ProcPanic), a kernel-context panic, or the stall detector's
-// sim.ErrStall — is recovered here and handed back as a contained fault
-// for the aggregate, instead of killing the whole fleet run. The rig's
-// goroutines are already torn down when the fence fires: RunGoal defers
-// Kernel.Shutdown.
-func runGoalFenced(opt experiment.GoalOptions) (res experiment.GoalResult, cv *containedFault) {
-	defer func() {
-		r := recover()
-		if r == nil {
-			return
-		}
-		switch f := r.(type) {
-		case *sim.ErrStall:
-			cv = &containedFault{sentinel: chaos.SentinelStall, detail: f.Error()}
-		case *sim.ProcPanic:
-			cv = &containedFault{sentinel: chaos.SentinelPanic, detail: fmt.Sprintf("%v\n%s", f.Error(), f.Stack)}
-		default:
-			cv = &containedFault{sentinel: chaos.SentinelPanic, detail: fmt.Sprintf("kernel-context panic: %v\n%s", r, sim.CallerStack(1))}
-		}
-	}()
-	return experiment.RunGoal(opt), nil
-}
-
 // runSession executes one derived session through the goal-directed
-// experiment on a private rig and extracts the mergeable outcome.
+// experiment on a private rig, behind chaos's panic fence, and extracts
+// the mergeable outcome.
 func runSession(index int, sess Session) (sessionOutcome, error) {
 	var out sessionOutcome
 	var buildErr error
@@ -253,39 +233,18 @@ func runSession(index int, sess Session) (sessionOutcome, error) {
 			NoHedge:    sess.OffloadNoHedge,
 		}
 	}
-	if sess.Faults != nil {
-		spec := *sess.Faults
-		opt.Faults = func(rig *env.Rig, bat *smartbattery.Battery, seed int64) *faults.Plan {
-			pl, err := spec.Plan(rig.K, chaos.BindRig(rig, bat, nil))
-			if err != nil {
-				buildErr = err
-				return nil
-			}
-			return pl
-		}
-	}
-	if sess.Misbehave != nil {
-		spec := *sess.Misbehave
-		opt.Misbehave = func(apps *workload.Apps, seed int64) *faults.Plan {
-			pl, err := spec.Plan(apps.Rig.K, chaos.BindRig(apps.Rig, nil, apps))
-			if err != nil {
-				buildErr = err
-				return nil
-			}
-			return pl
-		}
-	}
+	chaos.BindPlans(&opt, sess.Faults, sess.Misbehave, &buildErr)
 	if mutateGoalOptions != nil {
 		mutateGoalOptions(index, &opt)
 	}
-	res, cv := runGoalFenced(opt)
+	res, cv := chaos.RunGoalContained(opt)
 	if buildErr != nil {
 		return out, buildErr
 	}
 	if cv != nil {
 		// The session died mid-flight: its metrics are partial, so the
 		// aggregate folds only the containment counters for it.
-		out.Contained, out.Detail = cv.sentinel, cv.detail
+		out.Contained, out.Detail = cv.Sentinel, cv.Detail
 		return out, nil
 	}
 	out.Met = res.Met

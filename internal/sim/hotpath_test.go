@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 	"time"
 )
@@ -127,6 +128,54 @@ func TestStaleEventHandleIsInert(t *testing.T) {
 	k.Run(0)
 	if !fired {
 		t.Fatalf("recycled timer never fired after stale post-fire Cancel")
+	}
+}
+
+// allocsPerOp runs the kernel built by setup to completion and returns the
+// heap allocations per operation, rounded down as testing.B reports them.
+func allocsPerOp(n int, setup func(k *Kernel, n int)) uint64 {
+	k := NewKernel(1)
+	setup(k, n)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	k.Run(0)
+	runtime.ReadMemStats(&after)
+	return (after.Mallocs - before.Mallocs) / uint64(n)
+}
+
+// TestHotPathZeroAllocs pins the kernel's steady-state allocation budget:
+// a process sleep/wake handoff and a processor-sharing job completion must
+// each cost zero heap allocations per operation.
+func TestHotPathZeroAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector instruments allocations")
+	}
+	const n = 20_000
+	if got := allocsPerOp(n, func(k *Kernel, n int) {
+		k.Spawn("p", func(p *Proc) {
+			for i := 0; i < n; i++ {
+				p.Sleep(time.Microsecond)
+			}
+		})
+	}); got != 0 {
+		t.Errorf("ProcessSwitch: %d allocs/op, want 0", got)
+	}
+	if got := allocsPerOp(n, func(k *Kernel, n int) {
+		r := NewPSResource(k, "cpu", 1000.0)
+		remaining := n
+		var enqueue func()
+		enqueue = func() {
+			if remaining <= 0 {
+				return
+			}
+			remaining--
+			r.UseAsync("x", 0.5+float64(remaining%7), enqueue)
+		}
+		for i := 0; i < 64 && remaining > 0; i++ {
+			enqueue()
+		}
+	}); got != 0 {
+		t.Errorf("PSResource: %d allocs/op, want 0", got)
 	}
 }
 
