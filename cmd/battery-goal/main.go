@@ -8,6 +8,7 @@
 // Usage:
 //
 //	battery-goal -joules 22650 -goal 24m [-faults mid] [-misbehave mid] [-trace trace.csv]
+//	battery-goal -goal 24m -cpuprofile cpu.out -memprofile mem.out
 //
 // -misbehave arms the application supervisor and (for severities other
 // than "none") injects the named application-misbehavior ladder; with the
@@ -24,6 +25,7 @@ import (
 	"strings"
 
 	"odyssey/internal/experiment"
+	"odyssey/internal/profiling"
 	"odyssey/internal/textplot"
 	"odyssey/internal/trace"
 )
@@ -41,14 +43,19 @@ func main() {
 	offloadPolicy := flag.String("offload-policy", "", "with -offload: force placement policy local or remote (empty = cost model)")
 	offloadNoHedge := flag.Bool("offload-nohedge", false, "with -offload: disable hedged requests")
 	parallel := flag.Int("parallel", runtime.NumCPU(), "worker goroutines for independent simulation runs (1 = serial; output is identical either way)")
+	prof := profiling.Register(flag.CommandLine)
 	flag.Parse()
+	if err := prof.Start(); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
 	experiment.SetParallelism(*parallel)
 
 	planBuilder, ok := experiment.ResiliencePlanByName(*faultsArg)
 	if !ok {
 		fmt.Fprintf(os.Stderr, "unknown fault severity %q; known: %s\n",
 			*faultsArg, strings.Join(experiment.ResilienceSeverities, " "))
-		os.Exit(2)
+		prof.Exit(2)
 	}
 	var misBuilder experiment.MisbehaveBuilder
 	if *misbehaveArg != "" {
@@ -56,7 +63,7 @@ func main() {
 		if !ok {
 			fmt.Fprintf(os.Stderr, "unknown misbehavior severity %q; known: %s\n",
 				*misbehaveArg, strings.Join(experiment.MisbehaveSeverities, " "))
-			os.Exit(2)
+			prof.Exit(2)
 		}
 	}
 
@@ -69,7 +76,7 @@ func main() {
 		fmt.Printf("  lowest fidelity:  %v\n", lo.Round(1e9))
 		fmt.Printf("Goals within this band can be met by adaptation (a %.0f%% extension).\n",
 			(lo.Seconds()/hi.Seconds()-1)*100)
-		return
+		prof.Exit(0)
 	}
 
 	var offloadCfg *experiment.OffloadConfig
@@ -80,7 +87,7 @@ func main() {
 		}
 		if pol != "" && pol != "local" && pol != "remote" {
 			fmt.Fprintf(os.Stderr, "unknown offload policy %q; known: local remote auto\n", *offloadPolicy)
-			os.Exit(2)
+			prof.Exit(2)
 		}
 		offloadCfg = &experiment.OffloadConfig{
 			Servers:    *offloadN,
@@ -210,8 +217,9 @@ func main() {
 		}
 		if err := os.WriteFile(*traceFile, []byte(csv.String()), 0o644); err != nil {
 			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			prof.Exit(1)
 		}
 		fmt.Printf("Trace written to %s (%d points)\n", *traceFile, len(r.Trace))
 	}
+	prof.Exit(0)
 }

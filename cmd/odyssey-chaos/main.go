@@ -13,6 +13,7 @@
 //	odyssey-chaos -soak-corpus testdata/containment  # soak a fixed corpus
 //	odyssey-chaos -scenario failing.json             # replay one scenario
 //	odyssey-chaos -corpus internal/chaos/testdata/corpus  # replay the corpus
+//	odyssey-chaos -soak 200 -cpuprofile cpu.out      # also write a CPU profile
 //
 // SIGINT is trapped: in-flight scenarios finish, their outcomes are
 // journaled, a partial report prints, and the process exits 130 with the
@@ -30,6 +31,7 @@ import (
 	"odyssey/internal/chaos"
 	"odyssey/internal/experiment"
 	"odyssey/internal/journal"
+	"odyssey/internal/profiling"
 )
 
 func main() {
@@ -49,7 +51,12 @@ func main() {
 		corpus      = flag.String("corpus", "", "replay every scenario in a corpus directory")
 		verbose     = flag.Bool("v", false, "per-scenario progress output")
 	)
+	prof := profiling.Register(flag.CommandLine)
 	flag.Parse()
+	if err := prof.Start(); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
 
 	experiment.SetParallelism(*parallel)
 
@@ -63,16 +70,16 @@ func main() {
 	}
 	switch {
 	case *scenario != "":
-		os.Exit(replayFile(*scenario))
+		prof.Exit(replayFile(*scenario))
 	case *corpus != "":
-		os.Exit(replayCorpus(*corpus, *verbose))
+		prof.Exit(replayCorpus(*corpus, *verbose))
 	case *soakCorpus != "":
-		os.Exit(runCorpusSoak(*soakCorpus, soakOpts, *report))
+		prof.Exit(runCorpusSoak(*soakCorpus, soakOpts, *report))
 	case *soak != "":
-		os.Exit(runSoak(*soak, *seed, soakOpts, *report))
+		prof.Exit(runSoak(*soak, *seed, soakOpts, *report))
 	default:
 		flag.Usage()
-		os.Exit(2)
+		prof.Exit(2)
 	}
 }
 

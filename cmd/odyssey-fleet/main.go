@@ -15,6 +15,7 @@
 //	odyssey-fleet -devices 500 -parallel 1 > a.txt       # determinism probe:
 //	odyssey-fleet -devices 500 -parallel 4 > b.txt       #   a.txt == b.txt
 //	odyssey-fleet -population                            # print the population model
+//	odyssey-fleet -devices 1000 -cpuprofile cpu.out      # also write a CPU profile
 //
 // SIGINT is trapped: in-flight shards finish and journal, a partial
 // scorecard prints, and the process exits 130 with the resume command on
@@ -33,6 +34,7 @@ import (
 	"odyssey/internal/experiment"
 	"odyssey/internal/fleet"
 	"odyssey/internal/journal"
+	"odyssey/internal/profiling"
 )
 
 func main() {
@@ -48,6 +50,7 @@ func main() {
 		dashboard   = flag.Bool("dashboard", true, "include percentile dashboards in the scorecard")
 		popOnly     = flag.Bool("population", false, "print the population model and exit")
 	)
+	prof := profiling.Register(flag.CommandLine)
 	flag.Parse()
 
 	pop := fleet.DefaultPopulation()
@@ -63,6 +66,10 @@ func main() {
 		os.Exit(2)
 	}
 
+	if err := prof.Start(); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
 	experiment.SetParallelism(*parallel)
 	opts := fleet.RunOptions{
 		Population: pop,
@@ -81,7 +88,7 @@ func main() {
 	res, err := fleet.Run(opts)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		prof.Exit(2)
 	}
 	wall := time.Since(start)
 	// Wall-clock throughput goes to stderr: the scorecard on stdout must
@@ -97,8 +104,9 @@ func main() {
 	if res.Interrupted {
 		fmt.Fprintf(os.Stderr, "interrupted: %d shard(s) not run; resume with:\n  %s\n",
 			res.SkippedShards, journal.ResumeCommand())
-		os.Exit(130)
+		prof.Exit(130)
 	}
+	prof.Exit(0)
 }
 
 // printPopulation dumps the population model: the class and behavior mixes

@@ -6,6 +6,7 @@
 //
 //	odyssey-sim -figure fig6 [-trials 5] [-parallel N] [-cache-dir DIR] [-progress]
 //	odyssey-sim -figure all
+//	odyssey-sim -figure all -cpuprofile cpu.out -memprofile mem.out
 //
 // -parallel fans trials across a worker pool (default: all CPUs) without
 // changing a byte of output; -cache-dir persists per-cell results so a
@@ -29,6 +30,7 @@ import (
 
 	"odyssey/internal/chaos"
 	"odyssey/internal/experiment"
+	"odyssey/internal/profiling"
 	"odyssey/internal/textplot"
 )
 
@@ -72,7 +74,12 @@ func main() {
 	misbehaveArg := flag.String("misbehave", "", "with -figure supervision: run a single misbehavior rung (none, mild, mid, severe) instead of the full ladder")
 	offloadArg := flag.String("offload-rung", "", "with -figure offload: run a single policy:environment rung (e.g. auto:crash) instead of the full ladder")
 	scenario := flag.String("scenario", "", "replay a chaos scenario file through the sentinel suite and exit (see cmd/odyssey-chaos)")
+	prof = profiling.Register(flag.CommandLine)
 	flag.Parse()
+	if err := prof.Start(); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
 	emitCSV = *csvOut
 	misbehave = *misbehaveArg
 	offloadRung = *offloadArg
@@ -82,7 +89,7 @@ func main() {
 		experiment.SetProgress(os.Stderr)
 	}
 	if *scenario != "" {
-		os.Exit(replayScenario(*scenario))
+		prof.Exit(replayScenario(*scenario))
 	}
 
 	ids := make([]string, 0, len(figures))
@@ -93,7 +100,7 @@ func main() {
 		for _, f := range figures {
 			fmt.Printf("  %-12s %s\n", f.id, f.desc)
 		}
-		return
+		prof.Exit(0)
 	}
 	want := strings.Split(*figure, ",")
 	if *figure == "all" {
@@ -106,13 +113,14 @@ func main() {
 	for _, id := range want {
 		if !known[id] {
 			fmt.Fprintf(os.Stderr, "unknown figure %q; known: %s (try -list)\n", id, strings.Join(ids, " "))
-			os.Exit(2)
+			prof.Exit(2)
 		}
 	}
 	for _, id := range want {
 		run(id, *trials, *breakdown)
 		fmt.Println()
 	}
+	prof.Exit(0)
 }
 
 // replayScenario runs one saved chaos scenario through the sentinel suite,
@@ -148,6 +156,10 @@ var misbehave string
 
 // offloadRung selects a single policy:environment rung for -figure offload.
 var offloadRung string
+
+// prof holds the -cpuprofile/-memprofile destinations; every exit after
+// flag parsing goes through prof.Exit so the profiles are written.
+var prof *profiling.Flags
 
 // render prints a table in the selected format.
 func render(t *experiment.Table) {
@@ -213,7 +225,7 @@ func run(id string, trials int, breakdown bool) {
 			if _, ok := experiment.MisbehavePlanByName(misbehave); !ok {
 				fmt.Fprintf(os.Stderr, "unknown misbehavior severity %q; known: %s\n",
 					misbehave, strings.Join(experiment.MisbehaveSeverities, " "))
-				os.Exit(2)
+				prof.Exit(2)
 			}
 			r := experiment.RunSupervisionTrial(misbehave, 2662)
 			fmt.Printf("Supervision trial (%s): met=%v residual %.0f J (%.1f%% of supply), supervise energy %.1f J\n",
@@ -228,12 +240,12 @@ func run(id string, trials int, breakdown bool) {
 			policy, env, ok := strings.Cut(offloadRung, ":")
 			if !ok {
 				fmt.Fprintf(os.Stderr, "offload rung %q is not policy:environment (e.g. auto:crash)\n", offloadRung)
-				os.Exit(2)
+				prof.Exit(2)
 			}
 			if !contains(experiment.OffloadPolicies, policy) || !contains(experiment.OffloadSeverities, env) {
 				fmt.Fprintf(os.Stderr, "unknown offload rung %q; policies: %s; environments: %s\n",
 					offloadRung, strings.Join(experiment.OffloadPolicies, " "), strings.Join(experiment.OffloadSeverities, " "))
-				os.Exit(2)
+				prof.Exit(2)
 			}
 			r := experiment.RunOffloadTrial(policy, env, 2800)
 			fmt.Printf("Offload trial (%s policy, %s environment): met=%v residual %.0f J (%.1f%% of supply), offload energy %.1f J\n",
@@ -255,7 +267,7 @@ func run(id string, trials int, breakdown bool) {
 		}
 		fmt.Printf("%d/%d checks passed\n", len(rs)-failed, len(rs))
 		if failed > 0 {
-			os.Exit(1)
+			prof.Exit(1)
 		}
 	}
 }

@@ -322,6 +322,9 @@ func TestInfeasibleNotification(t *testing.T) {
 	}
 }
 
+// TestTraceRecordsEvaluations: the monitor hands the trace hook one point
+// per evaluation with supply and demand filled and Levels left nil (the
+// consumer that keeps points fills them; see experiment.RunGoal).
 func TestTraceRecordsEvaluations(t *testing.T) {
 	app := newFakeApp("app", 3)
 	k, _, em := rig(1, 10_000, 6.0, app)
@@ -338,8 +341,8 @@ func TestTraceRecordsEvaluations(t *testing.T) {
 		if tp.Supply <= 0 {
 			t.Fatal("non-positive supply in trace")
 		}
-		if _, ok := tp.Levels["app"]; !ok {
-			t.Fatal("trace missing app level")
+		if tp.Levels != nil {
+			t.Fatalf("monitor filled trace levels %v; the evaluate tick must not allocate them", tp.Levels)
 		}
 	}
 	// Supply must be non-increasing.
@@ -361,9 +364,12 @@ func TestMonitorStartStopIdempotent(t *testing.T) {
 }
 
 func TestClampLevel(t *testing.T) {
-	app := newFakeApp("a", 3)
-	if clampLevel(app, -1) != 0 || clampLevel(app, 5) != 2 || clampLevel(app, 1) != 1 {
-		t.Fatal("clampLevel wrong")
+	r := NewViceroy(sim.NewKernel(1)).RegisterApp(newFakeApp("a", 3), 1)
+	if r.NumLevels() != 3 {
+		t.Fatalf("NumLevels %d, want 3", r.NumLevels())
+	}
+	if r.clamp(-1) != 0 || r.clamp(5) != 2 || r.clamp(1) != 1 {
+		t.Fatal("clamp wrong")
 	}
 }
 
@@ -539,6 +545,41 @@ func TestByPriorityTieBreakRegistrationOrder(t *testing.T) {
 		if order[i] != r {
 			t.Fatalf("order[%d] = %s, want %s", i, order[i].App.Name(), r.App.Name())
 		}
+	}
+}
+
+// TestByPriorityFollowsChanges: the cached degradation order is rebuilt
+// after a priority change (through SetPriority or the field) and after a
+// new registration, and is reused untouched otherwise.
+func TestByPriorityFollowsChanges(t *testing.T) {
+	v := NewViceroy(sim.NewKernel(1))
+	a := v.RegisterApp(newFakeApp("a", 2), 1)
+	b := v.RegisterApp(newFakeApp("b", 2), 2)
+	check := func(step string, want ...*Registration) {
+		t.Helper()
+		order := v.byPriority()
+		if len(order) != len(want) {
+			t.Fatalf("%s: order has %d registrations, want %d", step, len(order), len(want))
+		}
+		for i, r := range want {
+			if order[i] != r {
+				t.Fatalf("%s: order[%d] = %s, want %s", step, i, order[i].App.Name(), r.App.Name())
+			}
+		}
+	}
+	check("initial", a, b)
+	first := v.byPriority()
+	if &first[0] != &v.byPriority()[0] {
+		t.Fatal("unchanged priorities rebuilt the order")
+	}
+	a.SetPriority(3)
+	check("after SetPriority", b, a)
+	b.Priority = 4
+	check("after field write", a, b)
+	c := v.RegisterApp(newFakeApp("c", 2), 0)
+	check("after RegisterApp", c, a, b)
+	if first[0] != a || first[1] != b {
+		t.Fatal("rebuilding the order modified a slice a caller already held")
 	}
 }
 

@@ -108,6 +108,9 @@ type TracePoint struct {
 	Time   time.Duration
 	Supply float64 // residual energy (J)
 	Demand float64 // predicted future demand (J)
+	// Levels maps application name to fidelity level. The monitor leaves
+	// it nil, so an evaluation allocates nothing; a consumer that keeps
+	// the point fills it (experiment.RunGoal does under RecordTrace).
 	Levels map[string]int
 }
 
@@ -132,6 +135,11 @@ type EnergyMonitor struct {
 	sampleEv sim.Event
 	evalEv   sim.Event
 	running  bool
+	// onSample and onEval are the timer callbacks, built once per monitor
+	// so rescheduling enqueues an existing func value instead of a new
+	// closure every tick.
+	onSample func()
+	onEval   func()
 
 	// OnInfeasible, if set, is called once when the monitor concludes the
 	// goal cannot be met even at lowest fidelity.
@@ -167,13 +175,28 @@ func NewEnergyMonitorSource(v *Viceroy, src EnergySource, cfg EnergyConfig) *Ene
 		//odylint:allow panicfree constructor precondition; invariant guard
 		panic("core: energy monitor periods must be positive")
 	}
-	return &EnergyMonitor{
+	em := &EnergyMonitor{
 		v:               v,
 		src:             src,
 		cfg:             cfg,
 		lastUpgrade:     -1 << 60,
 		infeasibleSince: -1,
 	}
+	em.onSample = func() {
+		if !em.running {
+			return
+		}
+		em.takeSample()
+		em.scheduleSample()
+	}
+	em.onEval = func() {
+		if !em.running {
+			return
+		}
+		em.evaluate()
+		em.scheduleEval()
+	}
+	return em
 }
 
 // SetGoal sets or revises the battery-duration goal as an absolute virtual
@@ -227,23 +250,11 @@ func (em *EnergyMonitor) PredictedDemand() float64 {
 }
 
 func (em *EnergyMonitor) scheduleSample() {
-	em.sampleEv = em.v.k.After(em.cfg.SamplePeriod, func() {
-		if !em.running {
-			return
-		}
-		em.takeSample()
-		em.scheduleSample()
-	})
+	em.sampleEv = em.v.k.After(em.cfg.SamplePeriod, em.onSample)
 }
 
 func (em *EnergyMonitor) scheduleEval() {
-	em.evalEv = em.v.k.After(em.cfg.EvalPeriod, func() {
-		if !em.running {
-			return
-		}
-		em.evaluate()
-		em.scheduleEval()
-	})
+	em.evalEv = em.v.k.After(em.cfg.EvalPeriod, em.onEval)
 }
 
 // alpha computes the smoothing weight of the old estimate for the current
@@ -299,11 +310,7 @@ func (em *EnergyMonitor) evaluate() {
 	demand := em.PredictedDemand()
 
 	if em.Trace != nil {
-		levels := make(map[string]int, len(em.v.apps))
-		for _, r := range em.v.apps {
-			levels[r.App.Name()] = r.App.Level()
-		}
-		em.Trace(TracePoint{Time: now, Supply: residual, Demand: demand, Levels: levels})
+		em.Trace(TracePoint{Time: now, Supply: residual, Demand: demand})
 	}
 
 	if demand > residual {
@@ -360,7 +367,7 @@ func (em *EnergyMonitor) degradeOne() bool {
 		}
 		lvl := r.App.Level()
 		if lvl > 0 {
-			em.v.deliverSetLevel(r, clampLevel(r.App, lvl-1))
+			em.v.deliverSetLevel(r, r.clamp(lvl-1))
 			r.Adaptations++
 			em.degrades++
 			if em.Events != nil {
@@ -382,8 +389,8 @@ func (em *EnergyMonitor) upgradeOne() bool {
 			continue
 		}
 		lvl := r.App.Level()
-		if lvl < len(r.App.Levels())-1 {
-			em.v.deliverSetLevel(r, clampLevel(r.App, lvl+1))
+		if lvl < r.levels-1 {
+			em.v.deliverSetLevel(r, r.clamp(lvl+1))
 			r.Adaptations++
 			em.upgrades++
 			if em.Events != nil {

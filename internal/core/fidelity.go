@@ -10,9 +10,10 @@ import "fmt"
 
 // Adaptive is implemented by applications that register fidelity levels
 // with Odyssey. Levels are ordered from 0 (lowest fidelity, least energy)
-// to len(Levels())-1 (full fidelity). SetLevel is the upcall through which
-// the viceroy directs adaptation; applications apply the new fidelity at
-// their next operation boundary, as the paper's applications do.
+// to len(Levels())-1 (full fidelity); the set is fixed once the application
+// registers. SetLevel is the upcall through which the viceroy directs
+// adaptation; applications apply the new fidelity at their next operation
+// boundary, as the paper's applications do.
 type Adaptive interface {
 	// Name identifies the application in traces and statistics.
 	Name() string
@@ -41,6 +42,13 @@ type Registration struct {
 	// at a dead process "succeeds" without effect, so the monitor would
 	// otherwise loop on it forever and never degrade the live ones.
 	excluded bool
+
+	// levels is len(App.Levels()), read once at registration: several
+	// applications build that slice afresh on every call.
+	levels int
+	// sortedPriority is Priority as of the viceroy's last priority sort;
+	// a mismatch tells byPriority to sort again.
+	sortedPriority int
 }
 
 // SetExcluded marks the registration in or out of adaptation decisions.
@@ -49,14 +57,16 @@ func (r *Registration) SetExcluded(v bool) { r.excluded = v }
 // Excluded reports whether the monitor is skipping this registration.
 func (r *Registration) Excluded() bool { return r.excluded }
 
-// clampLevel bounds lvl to the app's valid range.
-func clampLevel(app Adaptive, lvl int) int {
-	n := len(app.Levels())
+// NumLevels reports how many fidelity levels the application registered.
+func (r *Registration) NumLevels() int { return r.levels }
+
+// clamp bounds lvl to the application's valid range.
+func (r *Registration) clamp(lvl int) int {
 	if lvl < 0 {
 		return 0
 	}
-	if lvl >= n {
-		return n - 1
+	if lvl >= r.levels {
+		return r.levels - 1
 	}
 	return lvl
 }

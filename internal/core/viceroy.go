@@ -16,6 +16,7 @@ type Viceroy struct {
 	k *sim.Kernel
 
 	apps    []*Registration
+	order   []*Registration // apps by priority; see byPriority
 	wardens map[string]Warden
 
 	resources map[string]*resource
@@ -133,7 +134,7 @@ func (v *Viceroy) Wardens() []string {
 // given static priority (higher values degrade later) and returns its
 // registration.
 func (v *Viceroy) RegisterApp(app Adaptive, priority int) *Registration {
-	r := &Registration{App: app, Priority: priority}
+	r := &Registration{App: app, Priority: priority, levels: len(app.Levels())}
 	v.apps = append(v.apps, r)
 	return r
 }
@@ -142,11 +143,33 @@ func (v *Viceroy) RegisterApp(app Adaptive, priority int) *Registration {
 func (v *Viceroy) Apps() []*Registration { return v.apps }
 
 // byPriority returns registrations sorted ascending by priority (ties in
-// registration order) — the degradation order.
+// registration order) — the degradation order. The order is cached and
+// sorted again only after a registration or a priority change; callers
+// must not modify the returned slice.
 func (v *Viceroy) byPriority() []*Registration {
+	if len(v.order) == len(v.apps) && !v.priorityChanged() {
+		return v.order
+	}
+	// A fresh slice, so a caller still ranging over the old order is
+	// unaffected.
 	out := append([]*Registration(nil), v.apps...)
 	sort.SliceStable(out, func(i, j int) bool { return out[i].Priority < out[j].Priority })
+	for _, r := range out {
+		r.sortedPriority = r.Priority
+	}
+	v.order = out
 	return out
+}
+
+// priorityChanged reports whether any registration's priority moved since
+// the cached order was sorted.
+func (v *Viceroy) priorityChanged() bool {
+	for _, r := range v.order {
+		if r.Priority != r.sortedPriority {
+			return true
+		}
+	}
+	return false
 }
 
 // DeclareResource creates a named resource with the given initial

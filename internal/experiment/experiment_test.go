@@ -2,9 +2,14 @@ package experiment
 
 import (
 	"fmt"
+	"maps"
 	"strings"
 	"testing"
 	"time"
+
+	"odyssey/internal/app/env"
+	"odyssey/internal/core"
+	"odyssey/internal/trace"
 )
 
 // assertRange checks that the measured savings range [lo, hi] of bar vs ref
@@ -318,6 +323,52 @@ func TestGoalTraceShape(t *testing.T) {
 	// The trace records all four applications.
 	if len(half.Levels) != 4 {
 		t.Fatalf("trace has %d app levels", len(half.Levels))
+	}
+}
+
+// TestGoalTraceLevelsMatchApps: under RecordTrace, each trace point's Levels
+// hold every registered application's fidelity at that evaluation - the
+// levels the run's own adaptation log implies, starting from highest - and
+// the replayed log ends at the levels the applications finish with.
+func TestGoalTraceLevelsMatchApps(t *testing.T) {
+	levels := map[string]int{}
+	final := map[string]int{}
+	r := RunGoal(GoalOptions{
+		Seed: 9, InitialEnergy: Figure20InitialEnergy,
+		Goal: 22 * time.Minute, RecordTrace: true, RecordEvents: true,
+		Observe: func(rig *env.Rig, _ *core.EnergyMonitor) {
+			for _, reg := range rig.V.Apps() {
+				levels[reg.App.Name()] = reg.NumLevels() - 1
+				final[reg.App.Name()] = reg.App.Level()
+			}
+		},
+	})
+	if len(levels) != 4 || len(r.Trace) < 1000 {
+		t.Fatalf("%d applications, %d trace points", len(levels), len(r.Trace))
+	}
+	if r.Events.Dropped() > 0 {
+		t.Fatalf("event log dropped %d events; the replay needs all of them", r.Events.Dropped())
+	}
+	adapts := r.Events.Filter(trace.CatAdapt, "")
+	if len(adapts) == 0 {
+		t.Fatal("no adaptations; the levels never move")
+	}
+	// An evaluation records its trace point before directing its upcall,
+	// so a point sees only the adaptations of earlier evaluations.
+	j := 0
+	for i, tp := range r.Trace {
+		for ; j < len(adapts) && adapts[j].Time < tp.Time; j++ {
+			levels[adapts[j].Subject] = int(adapts[j].Value)
+		}
+		if !maps.Equal(tp.Levels, levels) {
+			t.Fatalf("trace point %d at %v: levels %v, adaptation log implies %v", i, tp.Time, tp.Levels, levels)
+		}
+	}
+	for ; j < len(adapts); j++ {
+		levels[adapts[j].Subject] = int(adapts[j].Value)
+	}
+	if !maps.Equal(levels, final) {
+		t.Fatalf("replayed adaptation log ends at %v, applications finish at %v", levels, final)
 	}
 }
 

@@ -178,16 +178,17 @@ type GoalResult struct {
 	BudgetShares    map[string]float64
 }
 
-// fidelityAverager accumulates time-weighted fidelity levels.
+// fidelityAverager accumulates time-weighted fidelity levels. Weights are
+// indexed like apps, so an observation only reads levels and adds.
 type fidelityAverager struct {
 	apps    []*core.Registration
 	last    time.Duration
-	weights map[string]float64
+	weights []float64
 	total   time.Duration
 }
 
 func newFidelityAverager(apps []*core.Registration) *fidelityAverager {
-	return &fidelityAverager{apps: apps, weights: make(map[string]float64)}
+	return &fidelityAverager{apps: apps, weights: make([]float64, len(apps))}
 }
 
 // observe charges the interval since the last observation at each app's
@@ -199,24 +200,24 @@ func (fa *fidelityAverager) observe(now time.Duration) {
 		return
 	}
 	fa.total += dt
-	for _, r := range fa.apps {
-		max := len(r.App.Levels()) - 1
+	for i, r := range fa.apps {
+		max := r.NumLevels() - 1
 		norm := 1.0
 		if max > 0 {
 			norm = float64(r.App.Level()) / float64(max)
 		}
-		fa.weights[r.App.Name()] += norm * dt.Seconds()
+		fa.weights[i] += norm * dt.Seconds()
 	}
 }
 
 // means returns the time-averaged normalized fidelity per application.
 func (fa *fidelityAverager) means() map[string]float64 {
-	out := make(map[string]float64, len(fa.weights))
 	if fa.total <= 0 {
-		return out
+		return map[string]float64{}
 	}
-	for name, w := range fa.weights {
-		out[name] = w / fa.total.Seconds()
+	out := make(map[string]float64, len(fa.apps))
+	for i, r := range fa.apps {
+		out[r.App.Name()] = fa.weights[i] / fa.total.Seconds()
 	}
 	return out
 }
@@ -341,6 +342,10 @@ func RunGoal(opt GoalOptions) GoalResult {
 	em.Trace = func(tp core.TracePoint) {
 		avg.observe(tp.Time)
 		if opt.RecordTrace {
+			tp.Levels = make(map[string]int, len(regs))
+			for _, r := range regs {
+				tp.Levels[r.App.Name()] = r.App.Level()
+			}
 			res.Trace = append(res.Trace, tp)
 		}
 	}

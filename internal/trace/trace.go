@@ -5,7 +5,8 @@
 //
 // The log is bounded: once the capacity is reached the oldest events are
 // dropped (and counted), so long goal-directed runs cannot grow without
-// limit.
+// limit. Storage grows on demand up to that bound, so a short run that
+// records a few dozen events pays for a few dozen, not for the bound.
 package trace
 
 import (
@@ -53,27 +54,35 @@ type Log struct {
 	dropped int
 }
 
+// defaultCap is the bound NewLog applies when given cap <= 0.
+const defaultCap = 1 << 16
+
+// firstChunk is the event count of the first backing array; each later
+// growth doubles it, up to the log's bound.
+const firstChunk = 32
+
 // NewLog creates a log reading timestamps from now, holding at most cap
-// events (cap <= 0 selects a generous default).
+// events (cap <= 0 selects defaultCap). It reserves no event storage.
 func NewLog(now func() time.Duration, cap int) *Log {
 	if cap <= 0 {
-		cap = 1 << 16
+		cap = defaultCap
 	}
-	// The full backing array is reserved up front (pages are only touched
-	// as events land), so Add never allocates on the kernel hot path.
-	return &Log{now: now, cap: cap, events: make([]Event, 0, cap)}
+	return &Log{now: now, cap: cap}
 }
 
 // Add records an event at the current virtual time.
 func (l *Log) Add(cat Category, subject, message string, value float64) {
 	if len(l.events) >= l.cap {
-		// Drop the oldest half to amortize copying.
-		n := l.cap / 2
+		// Drop the oldest half (at least one event) to amortize copying.
+		n := max(l.cap/2, 1)
 		copy(l.events, l.events[n:])
 		l.events = l.events[:len(l.events)-n]
 		l.dropped += n
 	}
-	// Re-extend into the preallocated array and write fields in place.
+	if len(l.events) == cap(l.events) {
+		l.grow()
+	}
+	// Re-extend into the backing array and write fields in place.
 	i := len(l.events)
 	l.events = l.events[:i+1]
 	e := &l.events[i]
@@ -82,6 +91,16 @@ func (l *Log) Add(cat Category, subject, message string, value float64) {
 	e.Subject = subject
 	e.Message = message
 	e.Value = value
+}
+
+// grow doubles the backing array (starting from firstChunk), never beyond
+// the bound. Once the array reaches the bound, dropping keeps Add in place.
+func (l *Log) grow() {
+	n := min(max(2*cap(l.events), firstChunk), l.cap)
+	//odylint:allow hotalloc amortized growth: at most ~log2(cap) arrays per log, none once the bound is reached
+	grown := make([]Event, len(l.events), n)
+	copy(grown, l.events)
+	l.events = grown
 }
 
 // Len reports the number of retained events.

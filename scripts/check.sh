@@ -67,6 +67,10 @@
 #                                          replay of the same seed, and a
 #                                          shard journal truncated mid-run
 #                                          must -resume to the same bytes
+#  18. profile smoke                      odyssey-chaos -cpuprofile writes a
+#                                          profile go tool pprof reads, and
+#                                          the soak's stdout is byte-identical
+#                                          to the same run without the flag
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -190,6 +194,16 @@ if [ "${1:-}" != "fast" ]; then
         -journal "$smokedir/fleet_cut.jsonl" -resume > "$smokedir/fleet_resumed.txt"
     cmp "$smokedir/fleet_race.txt" "$smokedir/fleet_resumed.txt" || {
         echo "FAIL: resumed fleet scorecard differs from the uninterrupted one" >&2; exit 1; }
+
+    echo "==> profile smoke (odyssey-chaos -cpuprofile: readable profile, unchanged stdout)"
+    go run ./cmd/odyssey-chaos -soak 20 -seed 1 -out "$smokedir/prof-plain" \
+        > "$smokedir/prof_plain.txt" 2> "$smokedir/prof_plain.log"
+    go run ./cmd/odyssey-chaos -soak 20 -seed 1 -out "$smokedir/prof-cpu" \
+        -cpuprofile "$smokedir/cpu.out" > "$smokedir/prof_cpu.txt" 2> "$smokedir/prof_cpu.log"
+    cmp "$smokedir/prof_plain.txt" "$smokedir/prof_cpu.txt" || {
+        echo "FAIL: -cpuprofile changed the soak's stdout" >&2; exit 1; }
+    go tool pprof -top "$smokedir/cpu.out" > /dev/null || {
+        echo "FAIL: go tool pprof cannot read the -cpuprofile output" >&2; exit 1; }
 
 fi
 
