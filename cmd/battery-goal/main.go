@@ -81,11 +81,9 @@ func main() {
 
 	var offloadCfg *experiment.OffloadConfig
 	if *offloadN > 0 {
-		pol := *offloadPolicy
-		if pol == "auto" {
-			pol = ""
-		}
-		if pol != "" && pol != "local" && pol != "remote" {
+		switch *offloadPolicy {
+		case "", "auto", "local", "remote":
+		default:
 			fmt.Fprintf(os.Stderr, "unknown offload policy %q; known: local remote auto\n", *offloadPolicy)
 			prof.Exit(2)
 		}
@@ -93,7 +91,7 @@ func main() {
 			Servers:    *offloadN,
 			Contention: *offloadLoad,
 			NoHedge:    *offloadNoHedge,
-			Policy:     pol,
+			Policy:     *offloadPolicy,
 		}
 	}
 

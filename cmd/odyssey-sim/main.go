@@ -8,10 +8,12 @@
 //	odyssey-sim -figure all
 //	odyssey-sim -figure all -cpuprofile cpu.out -memprofile mem.out
 //
-// -parallel fans trials across a worker pool (default: all CPUs) without
-// changing a byte of output; -cache-dir persists per-cell results so a
-// repeated run skips unchanged cells; -progress reports per-cell timing
-// and cache hits on stderr.
+// -parallel fans the runs of grid cells and goal sweeps across one worker
+// pool (default: all CPUs) without changing a byte of output; Figure 15,
+// dvs and quality run their few trials serially. -cache-dir persists
+// per-cell results so a repeated run skips unchanged cells; -progress
+// reports per-cell timing and cache hits on stderr. -trials must be at
+// least 1.
 //
 // Figure ids: fig2 fig4 fig6 fig8 fig10 fig11 fig13 fig14 fig15 fig16
 // fig18 fig19 fig20 fig21 fig22 — plus "ablations" (design-choice
@@ -26,7 +28,6 @@ import (
 	"runtime"
 	"sort"
 	"strings"
-	"time"
 
 	"odyssey/internal/chaos"
 	"odyssey/internal/experiment"
@@ -116,6 +117,10 @@ func main() {
 			prof.Exit(2)
 		}
 	}
+	if *trials < 1 {
+		fmt.Fprintf(os.Stderr, "-trials must be at least 1, got %d\n", *trials)
+		prof.Exit(2)
+	}
 	for _, id := range want {
 		run(id, *trials, *breakdown)
 		fmt.Println()
@@ -203,23 +208,23 @@ func run(id string, trials int, breakdown bool) {
 	case "fig19":
 		printTraces(experiment.Figure19())
 	case "fig20":
-		render(experiment.GoalTable("Figure 20: summary of goal-directed adaptation (5 trials per goal)", experiment.Figure20(trials)))
+		render(experiment.Figure20(trials).Table())
 	case "fig21":
-		render(experiment.HalfLifeTable(experiment.Figure21(trials)))
+		render(experiment.Figure21(trials).Table())
 	case "fig22":
 		render(experiment.BurstyTable(experiment.Figure22(trials)))
 	case "ablations":
-		render(experiment.AblationTable(experiment.Ablations(trials)))
+		render(experiment.Ablations(trials).Table())
 	case "measurement":
-		render(experiment.MeasurementTable(experiment.MeasurementPaths(trials)))
+		render(experiment.MeasurementPaths(trials).Table())
 	case "dvs":
 		render(experiment.DVSTable(experiment.DVSPaths(trials)))
 	case "quality":
 		render(experiment.QualityTable(experiment.QualityEnergy(min(trials, 3))))
 	case "policy":
-		render(experiment.PolicyTable(experiment.DecentralizedComparison(min(trials, 3))))
+		render(experiment.DecentralizedComparison(min(trials, 3)).Table())
 	case "resilience":
-		render(experiment.ResilienceTable(experiment.FigureResilience(min(trials, 3))))
+		render(experiment.FigureResilience(min(trials, 3)).Table())
 	case "supervision":
 		if misbehave != "" {
 			if _, ok := experiment.MisbehavePlanByName(misbehave); !ok {
@@ -234,7 +239,7 @@ func run(id string, trials int, breakdown bool) {
 				r.MissedAcks, r.Restarts, r.Quarantined, r.Strikes)
 			return
 		}
-		render(experiment.SupervisionTable(experiment.FigureSupervision(min(trials, 3))))
+		render(experiment.FigureSupervision(min(trials, 3)).Table())
 	case "offload":
 		if offloadRung != "" {
 			policy, env, ok := strings.Cut(offloadRung, ":")
@@ -255,7 +260,7 @@ func run(id string, trials int, breakdown bool) {
 				r.OffloadHedges, r.OffloadFailovers, r.OffloadFallbacks, r.BreakerTrips)
 			return
 		}
-		render(experiment.OffloadTable(experiment.FigureOffload(min(trials, 3))))
+		render(experiment.FigureOffload(min(trials, 3)).Table())
 	case "check":
 		rs := experiment.Validate(min(trials, 3))
 		render(experiment.ValidationTable(rs))
@@ -339,5 +344,4 @@ func printTraces(results []experiment.GoalResult) {
 		}
 		fmt.Println()
 	}
-	_ = time.Second
 }

@@ -176,7 +176,7 @@ func TestGenerateCoversOffload(t *testing.T) {
 // could not materialize (pool:any with no pool is a build error).
 func TestShrinkerDropsOffloadWithPoolInjectors(t *testing.T) {
 	sc := Generate(2)
-	sc.Offload = &OffloadSpec{Servers: 3}
+	sc.Offload = &experiment.OffloadConfig{Servers: 3}
 	sc.Faults = &faults.PlanSpec{Name: "f", Seed: 9, Injectors: []faults.InjectorSpec{
 		{Kind: faults.KindLink, MeanUp: faults.Dur(time.Minute), MeanDown: faults.Dur(5 * time.Second)},
 		{Kind: faults.KindServerCrash, Target: faults.TargetAnyPool, MeanUp: faults.Dur(time.Minute)},

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"time"
 
+	"odyssey/internal/experiment"
 	"odyssey/internal/faults"
 	"odyssey/internal/workload"
 )
@@ -87,7 +88,7 @@ func Generate(seed int64) Scenario {
 	// every pre-existing axis — the generator's draw order is append-only,
 	// so the non-offload portion of any seed's scenario is unchanged.
 	if rng.Float64() < 0.4 {
-		sc.Offload = &OffloadSpec{
+		sc.Offload = &experiment.OffloadConfig{
 			Servers:    2 + rng.Intn(3),
 			Contention: 0.8 * rng.Float64(),
 			NoHedge:    rng.Float64() < 0.25,

@@ -191,6 +191,7 @@ func runOnce(sc Scenario) (experiment.GoalResult, Ledger, string, *Contained, er
 		Supervise:     sc.Supervise,
 		Apps:          sc.AppsOrAll(),
 		StallBound:    sc.StallBound,
+		Offload:       sc.Offload,
 		RecordEvents:  true,
 		Observe: func(rig *env.Rig, em *core.EnergyMonitor) {
 			led.Total = rig.M.Acct.TotalEnergy()
@@ -202,14 +203,6 @@ func runOnce(sc Scenario) (experiment.GoalResult, Ledger, string, *Contained, er
 				mutateLedger(&led)
 			}
 		},
-	}
-	if sc.Offload != nil {
-		opt.Offload = &experiment.OffloadConfig{
-			Servers:    sc.Offload.Servers,
-			Contention: sc.Offload.Contention,
-			NoHedge:    sc.Offload.NoHedge,
-			Policy:     sc.Offload.Policy,
-		}
 	}
 	BindPlans(&opt, sc.Faults, sc.Misbehave, &buildErr)
 	if mutateOptions != nil {

@@ -21,6 +21,7 @@ import (
 	"sort"
 	"time"
 
+	"odyssey/internal/experiment"
 	"odyssey/internal/faults"
 )
 
@@ -53,24 +54,16 @@ type Scenario struct {
 	Faults    *faults.PlanSpec `json:"faults,omitempty"`
 	Misbehave *faults.PlanSpec `json:"misbehave,omitempty"`
 	// Offload arms the offload plane (multi-server pool plus the
-	// decision-and-execution service). Omitted when nil, so pre-existing
-	// corpus ids are unchanged.
-	Offload *OffloadSpec `json:"offload,omitempty"`
+	// decision-and-execution service): pool size, the cross-device
+	// contention level other clients put on the pool, and the two envelope
+	// knobs the soak exercises (hedging disarmed, forced policy). Omitted
+	// when nil, so pre-existing corpus ids are unchanged.
+	Offload *experiment.OffloadConfig `json:"offload,omitempty"`
 	// StallBound overrides the kernel's virtual-time stall bound for this
 	// scenario (0 = kernel default). Planted-livelock repros carry a small
 	// bound so replaying and shrinking them is fast; the generator never
 	// sets it. Omitted when zero, so pre-existing corpus ids are unchanged.
 	StallBound int `json:"stall_bound,omitempty"`
-}
-
-// OffloadSpec is the scenario's offload-plane arming: pool size, the
-// cross-device contention level other clients put on the pool, and the two
-// envelope knobs the soak exercises (hedging disarmed, forced policy).
-type OffloadSpec struct {
-	Servers    int     `json:"servers"`
-	Contention float64 `json:"contention,omitempty"`
-	NoHedge    bool    `json:"no_hedge,omitempty"`
-	Policy     string  `json:"policy,omitempty"`
 }
 
 // ID returns the scenario's content address: the first 16 hex digits of the

@@ -1,30 +1,19 @@
 package experiment
 
 import (
-	"fmt"
 	"time"
 
 	"odyssey/internal/core"
-	"odyssey/internal/stats"
 )
 
-// AblationRow reports one design-choice ablation of the goal-directed
-// engine (DESIGN.md lists the choices): the paper's configuration versus a
-// variant with one mechanism removed, at the hardest (26-minute) goal.
-type AblationRow struct {
-	Name        string
-	MetPct      float64
-	Residual    stats.Summary
-	Adaptations stats.Summary // total upcalls across applications
-}
-
 // Ablations runs the goal-directed engine with each design choice removed
-// in turn. The adaptation counts and residuals show what each mechanism
-// buys: hysteresis and the upgrade cap suppress fidelity flapping, the
+// in turn (DESIGN.md lists the choices), at the hardest (26-minute) goal.
+// The adaptation counts and residuals show what each mechanism buys:
+// hysteresis and the upgrade cap suppress fidelity flapping, the
 // time-scaled half-life trades early stability for late agility, and
 // priorities protect the applications the user cares about (that last
 // effect is visible in per-app counts, summarized here as totals).
-func Ablations(trials int) []AblationRow {
+func Ablations(trials int) *Arms {
 	goal := 26 * time.Minute
 
 	variants := []struct {
@@ -54,52 +43,16 @@ func Ablations(trials int) []AblationRow {
 		{name: "equal priorities", cfg: core.DefaultEnergyConfig, eq: true},
 	}
 
-	rows := make([]AblationRow, 0, len(variants))
-	for vi, v := range variants {
-		met := 0
-		residuals := make([]float64, 0, trials)
-		totals := make([]float64, 0, trials)
-		for t := 0; t < trials; t++ {
-			r := RunGoal(GoalOptions{
-				Seed:          int64(2600 + vi*31 + t),
-				InitialEnergy: Figure20InitialEnergy,
-				Goal:          goal,
-				Config:        v.cfg(),
-				EqualPriority: v.eq,
-			})
-			if r.Met {
-				met++
-			}
-			residuals = append(residuals, r.Residual)
-			total := 0
-			for _, n := range r.Adaptations {
-				total += n
-			}
-			totals = append(totals, float64(total))
-		}
-		rows = append(rows, AblationRow{
-			Name:        v.name,
-			MetPct:      float64(met) / float64(trials) * 100,
-			Residual:    stats.Summarize(residuals),
-			Adaptations: stats.Summarize(totals),
+	rs := sweep(len(variants), trials, func(a, t int) GoalResult {
+		return RunGoal(GoalOptions{
+			Seed:          int64(2600 + a*31 + t),
+			InitialEnergy: Figure20InitialEnergy,
+			Goal:          goal,
+			Config:        variants[a].cfg(),
+			EqualPriority: variants[a].eq,
 		})
-	}
-	return rows
-}
-
-// AblationTable renders the ablation results.
-func AblationTable(rows []AblationRow) *Table {
-	t := &Table{
-		Title:   "Ablations of the goal-directed engine (26-minute goal)",
-		Columns: []string{"Variant", "Met", "Residual (J)", "Total adaptations"},
-	}
-	for _, r := range rows {
-		t.Rows = append(t.Rows, []string{
-			r.Name,
-			fmt.Sprintf("%.0f%%", r.MetPct),
-			r.Residual.String(),
-			r.Adaptations.String(),
-		})
-	}
-	return t
+	})
+	return summarize("Ablations of the goal-directed engine (26-minute goal)",
+		[]string{"Variant"}, []column{residualCol, totalAdaptsCol("Total adaptations")}, rs,
+		func(a int) []string { return []string{variants[a].name} })
 }

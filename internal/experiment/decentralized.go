@@ -21,70 +21,56 @@ import (
 // or beat the goal, so the decentralized policy both misses tight goals and
 // wastes fidelity on loose ones.
 
-// PolicyRow compares centralized goal-directed control with the
-// decentralized threshold policy at one goal.
-type PolicyRow struct {
-	Policy       string
-	Goal         time.Duration
-	MetPct       float64
-	Residual     stats.Summary
-	MeanFidelity float64 // across apps and time
-}
-
 // EnergyResource is the viceroy resource name the decentralized policy
 // publishes residual energy under.
 const EnergyResource = "energy"
 
-// DecentralizedComparison runs both policies at a tight goal (26 min) and a
-// loose one (20 min), five seeds each.
-func DecentralizedComparison(trials int) []PolicyRow {
-	var rows []PolicyRow
-	for _, goal := range []time.Duration{20 * time.Minute, 26 * time.Minute} {
-		rows = append(rows, runPolicy("centralized (paper)", goal, trials, false))
-		rows = append(rows, runPolicy("decentralized thresholds", goal, trials, true))
+// DecentralizedComparison runs both policies at a loose goal (20 min) and a
+// tight one (26 min), trials seeds each.
+func DecentralizedComparison(trials int) *Arms {
+	type arm struct {
+		policy        string
+		goal          time.Duration
+		decentralized bool
 	}
-	return rows
+	var arms []arm
+	for _, goal := range []time.Duration{20 * time.Minute, 26 * time.Minute} {
+		arms = append(arms, arm{"centralized (paper)", goal, false}, arm{"decentralized thresholds", goal, true})
+	}
+	rs := sweep(len(arms), trials, func(a, t int) GoalResult {
+		seed := int64(3000 + t)
+		if arms[a].decentralized {
+			return runDecentralizedTrial(seed, arms[a].goal)
+		}
+		return RunGoal(GoalOptions{Seed: seed, InitialEnergy: Figure20InitialEnergy, Goal: arms[a].goal})
+	})
+	return summarize("Extension: centralized goal-directed control vs decentralized energy thresholds",
+		[]string{"Policy", "Goal"}, []column{residualCol, meanFidelityCol}, rs, func(a int) []string {
+			return []string{arms[a].policy, fmt.Sprintf("%dm", int(arms[a].goal.Minutes()))}
+		})
 }
 
-func runPolicy(name string, goal time.Duration, trials int, decentralized bool) PolicyRow {
-	met := 0
-	residuals := make([]float64, 0, trials)
-	fidSum := 0.0
-	for t := 0; t < trials; t++ {
-		seed := int64(3000 + t)
-		var r GoalResult
-		if decentralized {
-			r = runDecentralizedTrial(seed, goal)
-		} else {
-			r = RunGoal(GoalOptions{Seed: seed, InitialEnergy: Figure20InitialEnergy, Goal: goal})
+// meanFidelityCol averages the time-mean normalized fidelity across the
+// four applications and an arm's trials.
+var meanFidelityCol = column{
+	name: "Mean fidelity",
+	reduce: func(rs []GoalResult) stats.Summary {
+		sum := 0.0
+		for _, r := range rs {
+			// Sum in sorted-app order: float addition does not commute
+			// under rounding, and map order must not leak into the figure.
+			apps := make([]string, 0, len(r.MeanFidelity))
+			for app := range r.MeanFidelity {
+				apps = append(apps, app)
+			}
+			sort.Strings(apps)
+			for _, app := range apps {
+				sum += r.MeanFidelity[app]
+			}
 		}
-		if r.Met {
-			met++
-		}
-		residuals = append(residuals, r.Residual)
-		// Sum in sorted-app order: float addition does not commute under
-		// rounding, and map order must not leak into the reported figure.
-		apps := make([]string, 0, len(r.MeanFidelity))
-		for app := range r.MeanFidelity {
-			apps = append(apps, app)
-		}
-		sort.Strings(apps)
-		for _, app := range apps {
-			fidSum += r.MeanFidelity[app]
-		}
-	}
-	// Average fidelity across apps and trials.
-	meanFid := 0.0
-	if trials > 0 {
-		meanFid = fidSum / float64(trials*4)
-	}
-	return PolicyRow{
-		Policy:       name,
-		Goal:         goal,
-		MetPct:       float64(met) / float64(trials) * 100,
-		Residual:     stats.Summarize(residuals),
-		MeanFidelity: meanFid,
-	}
+		return stats.Summary{N: len(rs), Mean: sum / float64(len(rs)*4)}
+	},
+	format: func(s stats.Summary) string { return fmt.Sprintf("%.2f", s.Mean) },
 }
 
 // runDecentralizedTrial drives the workload with residual energy published
@@ -168,22 +154,4 @@ func runDecentralizedTrial(seed int64, goal time.Duration) GoalResult {
 		res.Adaptations[r.App.Name()] = r.Adaptations
 	}
 	return res
-}
-
-// PolicyTable renders the comparison.
-func PolicyTable(rows []PolicyRow) *Table {
-	t := &Table{
-		Title:   "Extension: centralized goal-directed control vs decentralized energy thresholds",
-		Columns: []string{"Policy", "Goal", "Met", "Residual (J)", "Mean fidelity"},
-	}
-	for _, r := range rows {
-		t.Rows = append(t.Rows, []string{
-			r.Policy,
-			fmt.Sprintf("%dm", int(r.Goal.Minutes())),
-			fmt.Sprintf("%.0f%%", r.MetPct),
-			r.Residual.String(),
-			fmt.Sprintf("%.2f", r.MeanFidelity),
-		})
-	}
-	return t
 }

@@ -1,7 +1,6 @@
 package experiment
 
 import (
-	"fmt"
 	"maps"
 	"strings"
 	"testing"
@@ -406,39 +405,38 @@ func TestTablesRender(t *testing.T) {
 	if !strings.Contains(g.BreakdownTable(0).String(), "Idle") {
 		t.Fatal("breakdown table missing Idle principal")
 	}
-	rows := Figure20(1)
-	if !strings.Contains(GoalTable("t", rows).String(), "20:00") {
+	if !strings.Contains(Figure20(1).Table().String(), "20:00") {
 		t.Fatal("goal table missing goal row")
 	}
 }
 
 func TestAblationsShape(t *testing.T) {
-	rows := Ablations(1)
+	rows := Ablations(1).Rows
 	if len(rows) != 5 {
 		t.Fatalf("%d ablation rows", len(rows))
 	}
-	byName := map[string]AblationRow{}
+	byName := map[string]ArmRow{}
 	for _, r := range rows {
-		byName[r.Name] = r
+		byName[r.Labels[0]] = r
 	}
-	paper := byName["paper configuration"]
-	if paper.MetPct != 100 {
+	adapts := func(name string) float64 { return byName[name].Values["Total adaptations"].Mean }
+	if byName["paper configuration"].MetPct != 100 {
 		t.Errorf("paper configuration missed the goal")
 	}
 	// Removing hysteresis or the upgrade cap must increase adaptation
 	// churn relative to the paper configuration.
-	if byName["no hysteresis"].Adaptations.Mean <= paper.Adaptations.Mean {
+	if adapts("no hysteresis") <= adapts("paper configuration") {
 		t.Errorf("no-hysteresis adaptations %.0f not above paper %.0f",
-			byName["no hysteresis"].Adaptations.Mean, paper.Adaptations.Mean)
+			adapts("no hysteresis"), adapts("paper configuration"))
 	}
-	if byName["uncapped upgrades"].Adaptations.Mean <= paper.Adaptations.Mean {
+	if adapts("uncapped upgrades") <= adapts("paper configuration") {
 		t.Errorf("uncapped-upgrade adaptations %.0f not above paper %.0f",
-			byName["uncapped upgrades"].Adaptations.Mean, paper.Adaptations.Mean)
+			adapts("uncapped upgrades"), adapts("paper configuration"))
 	}
 }
 
 func TestMeasurementPaths(t *testing.T) {
-	rows := MeasurementPaths(1)
+	rows := MeasurementPaths(1).Rows
 	if len(rows) != 3 {
 		t.Fatalf("%d rows", len(rows))
 	}
@@ -570,13 +568,13 @@ func TestMeanFidelityReflectsGoalDifficulty(t *testing.T) {
 }
 
 func TestDecentralizedComparison(t *testing.T) {
-	rows := DecentralizedComparison(1)
+	rows := DecentralizedComparison(1).Rows
 	if len(rows) != 4 {
 		t.Fatalf("%d rows", len(rows))
 	}
-	byKey := map[string]PolicyRow{}
+	byKey := map[string]ArmRow{}
 	for _, r := range rows {
-		byKey[fmt.Sprintf("%s/%dm", r.Policy, int(r.Goal.Minutes()))] = r
+		byKey[r.Labels[0]+"/"+r.Labels[1]] = r
 	}
 	cLoose := byKey["centralized (paper)/20m"]
 	dLoose := byKey["decentralized thresholds/20m"]
@@ -594,13 +592,13 @@ func TestDecentralizedComparison(t *testing.T) {
 	// 3. and on the loose goal they waste energy (large residual) while
 	//    delivering lower average fidelity.
 	if dLoose.MetPct == 100 {
-		if dLoose.Residual.Mean < 3*cLoose.Residual.Mean {
-			t.Errorf("decentralized residual %.0f J not well above centralized %.0f J",
-				dLoose.Residual.Mean, cLoose.Residual.Mean)
+		dRes, cRes := dLoose.Values["Residual (J)"].Mean, cLoose.Values["Residual (J)"].Mean
+		if dRes < 3*cRes {
+			t.Errorf("decentralized residual %.0f J not well above centralized %.0f J", dRes, cRes)
 		}
-		if dLoose.MeanFidelity >= cLoose.MeanFidelity {
-			t.Errorf("decentralized mean fidelity %.2f not below centralized %.2f on the loose goal",
-				dLoose.MeanFidelity, cLoose.MeanFidelity)
+		dFid, cFid := dLoose.Values["Mean fidelity"].Mean, cLoose.Values["Mean fidelity"].Mean
+		if dFid >= cFid {
+			t.Errorf("decentralized mean fidelity %.2f not below centralized %.2f on the loose goal", dFid, cFid)
 		}
 	}
 }

@@ -1,84 +1,35 @@
 package experiment
 
-import (
-	"fmt"
-	"time"
+import "time"
 
-	"odyssey/internal/stats"
-)
-
-// MeasurementRow compares the goal-directed engine across measurement
-// paths: the prototype's external multimeter (exact average power, exact
-// residual) versus the SmartBattery path the paper proposes for deployment
-// (quantized, rate-limited readings plus the monitoring circuit's
-// overhead), and the same with a non-ideal (rate-dependent) battery — the
-// confound the paper avoided by powering its client from a bench supply.
-type MeasurementRow struct {
-	Name        string
-	MetPct      float64
-	Residual    stats.Summary
-	Adaptations stats.Summary
-}
-
-// MeasurementPaths runs the 24-minute goal under each measurement path.
-func MeasurementPaths(trials int) []MeasurementRow {
+// MeasurementPaths compares the goal-directed engine across measurement
+// paths at the 24-minute goal: the prototype's external multimeter (exact
+// average power, exact residual) versus the SmartBattery path the paper
+// proposes for deployment (quantized, rate-limited readings plus the
+// monitoring circuit's overhead), and the same with a non-ideal
+// (rate-dependent) battery — the confound the paper avoided by powering its
+// client from a bench supply.
+func MeasurementPaths(trials int) *Arms {
 	goal := 24 * time.Minute
 	variants := []struct {
 		name    string
 		smart   bool
 		peukert float64
-		extraJ  float64
 	}{
 		{name: "external multimeter (prototype)"},
 		{name: "SmartBattery readings", smart: true},
 		{name: "SmartBattery + non-ideal pack (Peukert 1.08)", smart: true, peukert: 1.08},
 	}
-	rows := make([]MeasurementRow, 0, len(variants))
-	for vi, v := range variants {
-		met := 0
-		residuals := make([]float64, 0, trials)
-		totals := make([]float64, 0, trials)
-		for t := 0; t < trials; t++ {
-			r := RunGoal(GoalOptions{
-				Seed:          int64(2700 + vi*13 + t),
-				InitialEnergy: Figure20InitialEnergy + v.extraJ,
-				Goal:          goal,
-				SmartBattery:  v.smart,
-				Peukert:       v.peukert,
-			})
-			if r.Met {
-				met++
-			}
-			residuals = append(residuals, r.Residual)
-			total := 0
-			for _, n := range r.Adaptations {
-				total += n
-			}
-			totals = append(totals, float64(total))
-		}
-		rows = append(rows, MeasurementRow{
-			Name:        v.name,
-			MetPct:      float64(met) / float64(trials) * 100,
-			Residual:    stats.Summarize(residuals),
-			Adaptations: stats.Summarize(totals),
+	rs := sweep(len(variants), trials, func(a, t int) GoalResult {
+		return RunGoal(GoalOptions{
+			Seed:          int64(2700 + a*13 + t),
+			InitialEnergy: Figure20InitialEnergy,
+			Goal:          goal,
+			SmartBattery:  variants[a].smart,
+			Peukert:       variants[a].peukert,
 		})
-	}
-	return rows
-}
-
-// MeasurementTable renders the comparison.
-func MeasurementTable(rows []MeasurementRow) *Table {
-	t := &Table{
-		Title:   "Extension: measurement paths for goal-directed adaptation (24-minute goal)",
-		Columns: []string{"Measurement path", "Met", "Residual (J)", "Total adaptations"},
-	}
-	for _, r := range rows {
-		t.Rows = append(t.Rows, []string{
-			r.Name,
-			fmt.Sprintf("%.0f%%", r.MetPct),
-			r.Residual.String(),
-			r.Adaptations.String(),
-		})
-	}
-	return t
+	})
+	return summarize("Extension: measurement paths for goal-directed adaptation (24-minute goal)",
+		[]string{"Measurement path"}, []column{residualCol, totalAdaptsCol("Total adaptations")}, rs,
+		func(a int) []string { return []string{variants[a].name} })
 }

@@ -80,8 +80,6 @@ type GoalOptions struct {
 	// viceroy's direct delivery path is byte-identical to an unsupervised
 	// build.
 	Supervise bool
-	// SuperviseConfig overrides supervisor parameters (zero = defaults).
-	SuperviseConfig supervise.Config
 	// Misbehave, if set (and typically with Supervise), builds an
 	// application-misbehavior fault plan against the trial's apps. It
 	// starts with the workload and is stopped when the run finishes.
@@ -113,18 +111,19 @@ type GoalOptions struct {
 	Offload *OffloadConfig
 }
 
-// OffloadConfig parameterizes the offload plane for one run.
+// OffloadConfig parameterizes the offload plane for one run. Chaos
+// scenarios store it as JSON under these tags.
 type OffloadConfig struct {
 	// Servers is the pool size (<=0 leaves the plane disarmed).
-	Servers int
+	Servers int `json:"servers"`
 	// Contention is the cross-device load level other clients put on the
 	// pool (0 = idle fleet; see netsim.Pool.StartContention).
-	Contention float64
+	Contention float64 `json:"contention,omitempty"`
 	// NoHedge disarms the hedged second request.
-	NoHedge bool
-	// Policy forces the placement verdict ("local"/"remote"; ""/"auto"
-	// runs the cost model).
-	Policy string
+	NoHedge bool `json:"no_hedge,omitempty"`
+	// Policy forces the placement verdict ("local"/"remote"; any other
+	// value, "" or "auto", runs the cost model).
+	Policy string `json:"policy,omitempty"`
 }
 
 // offloadSeed derives the offload plane's RNG stream from the run seed,
@@ -318,7 +317,7 @@ func RunGoal(opt GoalOptions) GoalResult {
 	}
 	var sup *supervise.Supervisor
 	if opt.Supervise {
-		sup = supervise.New(rig.K, rig.V, em, rig.M.Acct, rig.M.CPU, opt.SuperviseConfig, opt.Seed)
+		sup = supervise.New(rig.K, rig.V, em, rig.M.Acct, rig.M.CPU, supervise.Config{}, opt.Seed)
 		sup.Log = res.Events
 		apps.Supervise(sup, regs)
 		rig.V.SetDeliverer(sup)
@@ -482,164 +481,176 @@ func RuntimeAtFixedFidelity(seed int64, initialEnergy float64, lowest bool) time
 	return r.EndTime
 }
 
-// GoalSummaryRow aggregates trials for one goal duration (Figure 20 rows).
-type GoalSummaryRow struct {
-	Goal        time.Duration
-	MetPct      float64
-	Residual    stats.Summary
-	Adaptations map[string]stats.Summary
+// Arms is a goal-directed figure reduced for display, the goal sweeps'
+// counterpart of Grid: one row per arm (configuration of the sweep).
+type Arms struct {
+	Title  string
+	Labels []string // headings of the label columns
+	Rows   []ArmRow
+	cols   []column
 }
 
-// goalApps is the fixed reporting order for adaptation counts.
-var goalApps = []string{"speech", "video", "map", "web"}
+// ArmRow is one arm of a goal sweep: its label cells, the percentage of its
+// trials that met the goal, and one summary per named column.
+type ArmRow struct {
+	Labels []string
+	MetPct float64
+	Values map[string]stats.Summary // by column heading
+}
 
-// summarizeGoalTrials aggregates a set of results for one configuration.
-func summarizeGoalTrials(results []GoalResult) GoalSummaryRow {
-	row := GoalSummaryRow{Adaptations: make(map[string]stats.Summary)}
-	if len(results) == 0 {
-		return row
-	}
-	row.Goal = results[0].Goal
-	met := 0
-	residuals := make([]float64, 0, len(results))
-	counts := make(map[string][]float64)
-	for _, r := range results {
-		if r.Met {
-			met++
+// column is one summary column of a goal sweep: its heading, the reduction
+// of an arm's trials in trial order, and its rendering (nil = mean ± 90% CI).
+type column struct {
+	name   string
+	reduce func(rs []GoalResult) stats.Summary
+	format func(stats.Summary) string
+}
+
+// per is the column summarizing one per-run quantity across an arm's trials.
+func per(name string, of func(GoalResult) float64) column {
+	return column{name: name, reduce: func(rs []GoalResult) stats.Summary {
+		xs := make([]float64, len(rs))
+		for i, r := range rs {
+			xs[i] = of(r)
 		}
-		residuals = append(residuals, r.Residual)
-		for _, app := range goalApps {
-			counts[app] = append(counts[app], float64(r.Adaptations[app]))
+		return stats.Summarize(xs)
+	}}
+}
+
+// Columns shared across the goal-directed figures.
+var (
+	residualCol    = per("Residual (J)", func(r GoalResult) float64 { return r.Residual })
+	faultEventsCol = per("Fault events", func(r GoalResult) float64 { return float64(r.FaultEvents) })
+	goalCols       = []column{residualCol, adaptCol("speech"), adaptCol("video"), adaptCol("map"), adaptCol("web")}
+)
+
+// adaptCol counts one application's adaptation upcalls.
+func adaptCol(app string) column {
+	return per("Adapt "+app, func(r GoalResult) float64 { return float64(r.Adaptations[app]) })
+}
+
+// totalAdaptsCol counts upcalls across every application.
+func totalAdaptsCol(name string) column {
+	return per(name, func(r GoalResult) float64 {
+		total := 0
+		for _, n := range r.Adaptations {
+			total += n
 		}
+		return float64(total)
+	})
+}
+
+// summarize reduces a sweep, serially and in trial order, to one row per
+// arm; label(a) gives arm a's label cells.
+func summarize(title string, labels []string, cols []column, rs [][]GoalResult, label func(a int) []string) *Arms {
+	s := &Arms{Title: title, Labels: labels, cols: cols}
+	for a, trials := range rs {
+		met := 0
+		for _, r := range trials {
+			if r.Met {
+				met++
+			}
+		}
+		row := ArmRow{Labels: label(a), MetPct: float64(met) / float64(len(trials)) * 100,
+			Values: make(map[string]stats.Summary, len(cols))}
+		for _, c := range cols {
+			row.Values[c.name] = c.reduce(trials)
+		}
+		s.Rows = append(s.Rows, row)
 	}
-	row.MetPct = float64(met) / float64(len(results)) * 100
-	row.Residual = stats.Summarize(residuals)
-	for _, app := range goalApps {
-		row.Adaptations[app] = stats.Summarize(counts[app])
+	return s
+}
+
+// Table renders the arms: the label columns, "Met", then one column per
+// summary.
+func (s *Arms) Table() *Table {
+	t := &Table{Title: s.Title, Columns: append(append([]string(nil), s.Labels...), "Met")}
+	for _, c := range s.cols {
+		t.Columns = append(t.Columns, c.name)
 	}
-	return row
+	for _, r := range s.Rows {
+		cells := append(append([]string(nil), r.Labels...), fmt.Sprintf("%.0f%%", r.MetPct))
+		for _, c := range s.cols {
+			if c.format != nil {
+				cells = append(cells, c.format(r.Values[c.name]))
+			} else {
+				cells = append(cells, r.Values[c.name].String())
+			}
+		}
+		t.Rows = append(t.Rows, cells)
+	}
+	return t
 }
 
 // Figure20 runs the goal-directed summary: battery-duration goals of 20,
-// 22, 24 and 26 minutes, five trials each, reporting goal success, residual
+// 22, 24 and 26 minutes, trials runs each, reporting goal success, residual
 // energy, and adaptation counts.
-func Figure20(trials int) []GoalSummaryRow {
+func Figure20(trials int) *Arms {
 	goals := []time.Duration{20 * time.Minute, 22 * time.Minute, 24 * time.Minute, 26 * time.Minute}
-	rows := make([]GoalSummaryRow, 0, len(goals))
-	for gi, goal := range goals {
-		results := make([]GoalResult, 0, trials)
-		for t := 0; t < trials; t++ {
-			results = append(results, RunGoal(GoalOptions{
-				Seed:          int64(2000 + gi*17 + t),
-				InitialEnergy: Figure20InitialEnergy,
-				Goal:          goal,
-			}))
-		}
-		rows = append(rows, summarizeGoalTrials(results))
-	}
-	return rows
+	rs := sweep(len(goals), trials, func(a, t int) GoalResult {
+		return RunGoal(GoalOptions{
+			Seed:          int64(2000 + a*17 + t),
+			InitialEnergy: Figure20InitialEnergy,
+			Goal:          goals[a],
+		})
+	})
+	return summarize("Figure 20: summary of goal-directed adaptation (5 trials per goal)",
+		[]string{"Goal"}, goalCols, rs, func(a int) []string {
+			return []string{fmt.Sprintf("%d:%02d", int(goals[a].Minutes()), int(goals[a].Seconds())%60)}
+		})
 }
 
 // Figure19 records the adaptation traces for the 20- and 26-minute goals.
 func Figure19() []GoalResult {
-	var out []GoalResult
-	for i, goal := range []time.Duration{20 * time.Minute, 26 * time.Minute} {
-		out = append(out, RunGoal(GoalOptions{
-			Seed:          int64(1900 + i),
+	goals := []time.Duration{20 * time.Minute, 26 * time.Minute}
+	rs := sweep(len(goals), 1, func(a, _ int) GoalResult {
+		return RunGoal(GoalOptions{
+			Seed:          int64(1900 + a),
 			InitialEnergy: Figure20InitialEnergy,
-			Goal:          goal,
+			Goal:          goals[a],
 			RecordTrace:   true,
-		}))
-	}
-	return out
-}
-
-// HalfLifeRow is one row of Figure 21.
-type HalfLifeRow struct {
-	HalfLife float64
-	GoalSummaryRow
+		})
+	})
+	return []GoalResult{rs[0][0], rs[1][0]}
 }
 
 // Figure21 sweeps the smoothing half-life (as a fraction of remaining time)
 // at the hardest goal, reproducing the paper's sensitivity analysis.
-func Figure21(trials int) []HalfLifeRow {
-	rows := []HalfLifeRow{}
-	for hi, hl := range []float64{0.01, 0.05, 0.10, 0.15} {
+func Figure21(trials int) *Arms {
+	halfLives := []float64{0.01, 0.05, 0.10, 0.15}
+	rs := sweep(len(halfLives), trials, func(a, t int) GoalResult {
 		cfg := core.DefaultEnergyConfig()
-		cfg.HalfLifeFraction = hl
-		results := make([]GoalResult, 0, trials)
-		for t := 0; t < trials; t++ {
-			results = append(results, RunGoal(GoalOptions{
-				Seed:          int64(2100 + hi*23 + t),
-				InitialEnergy: Figure20InitialEnergy,
-				Goal:          26 * time.Minute,
-				Config:        cfg,
-			}))
-		}
-		rows = append(rows, HalfLifeRow{HalfLife: hl, GoalSummaryRow: summarizeGoalTrials(results)})
-	}
-	return rows
+		cfg.HalfLifeFraction = halfLives[a]
+		return RunGoal(GoalOptions{
+			Seed:          int64(2100 + a*23 + t),
+			InitialEnergy: Figure20InitialEnergy,
+			Goal:          26 * time.Minute,
+			Config:        cfg,
+		})
+	})
+	return summarize("Figure 21: sensitivity to smoothing half-life (26-minute goal)",
+		[]string{"Half-life"}, goalCols, rs, func(a int) []string {
+			return []string{fmt.Sprintf("%.2f", halfLives[a])}
+		})
 }
 
 // Figure22 runs the longer-duration bursty experiments: a 2:45 goal
 // extended by 30 minutes at the end of the first hour, on the scaled
 // full-battery supply, with the stochastic workload.
 func Figure22(trials int) []GoalResult {
-	out := make([]GoalResult, 0, trials)
-	for t := 0; t < trials; t++ {
-		out = append(out, RunGoal(GoalOptions{
+	return sweep(1, trials, func(_, t int) GoalResult {
+		return RunGoal(GoalOptions{
 			Seed:          int64(2200 + t),
 			InitialEnergy: Figure22InitialEnergy,
 			Goal:          2*time.Hour + 45*time.Minute,
 			Bursty:        true,
 			ExtendAt:      time.Hour,
 			ExtendBy:      30 * time.Minute,
-		}))
-	}
-	return out
-}
-
-// GoalTable renders Figure 20 (or 21 rows without the half-life column).
-func GoalTable(title string, rows []GoalSummaryRow) *Table {
-	t := &Table{
-		Title:   title,
-		Columns: []string{"Goal", "Met", "Residual (J)", "Adapt speech", "Adapt video", "Adapt map", "Adapt web"},
-	}
-	for _, r := range rows {
-		t.Rows = append(t.Rows, []string{
-			fmt.Sprintf("%d:%02d", int(r.Goal.Minutes()), int(r.Goal.Seconds())%60),
-			fmt.Sprintf("%.0f%%", r.MetPct),
-			r.Residual.String(),
-			r.Adaptations["speech"].String(),
-			r.Adaptations["video"].String(),
-			r.Adaptations["map"].String(),
-			r.Adaptations["web"].String(),
 		})
-	}
-	return t
+	})[0]
 }
 
-// HalfLifeTable renders Figure 21.
-func HalfLifeTable(rows []HalfLifeRow) *Table {
-	t := &Table{
-		Title:   "Figure 21: sensitivity to smoothing half-life (26-minute goal)",
-		Columns: []string{"Half-life", "Met", "Residual (J)", "Adapt speech", "Adapt video", "Adapt map", "Adapt web"},
-	}
-	for _, r := range rows {
-		t.Rows = append(t.Rows, []string{
-			fmt.Sprintf("%.2f", r.HalfLife),
-			fmt.Sprintf("%.0f%%", r.MetPct),
-			r.Residual.String(),
-			r.Adaptations["speech"].String(),
-			r.Adaptations["video"].String(),
-			r.Adaptations["map"].String(),
-			r.Adaptations["web"].String(),
-		})
-	}
-	return t
-}
-
-// BurstyTable renders Figure 22.
+// BurstyTable renders Figure 22, one row per trial.
 func BurstyTable(results []GoalResult) *Table {
 	t := &Table{
 		Title:   "Figure 22: longer-duration goal-directed adaptation (bursty workloads, goal 2:45 extended to 3:15 at t=1h)",

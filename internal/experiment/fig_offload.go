@@ -7,7 +7,6 @@ import (
 	"odyssey/internal/app/env"
 	"odyssey/internal/faults"
 	"odyssey/internal/smartbattery"
-	"odyssey/internal/stats"
 )
 
 // The offload ladder: the goal-directed scenario with the offload plane
@@ -88,10 +87,6 @@ func RunOffloadTrial(policy, severity string, seed int64) GoalResult {
 		//odylint:allow panicfree experiment misconfiguration; caller passes a known severity
 		panic(fmt.Sprintf("experiment: unknown offload severity %q", severity))
 	}
-	pol := policy
-	if pol == "auto" {
-		pol = ""
-	}
 	return RunGoal(GoalOptions{
 		Seed:          seed,
 		InitialEnergy: Figure20InitialEnergy,
@@ -100,92 +95,30 @@ func RunOffloadTrial(policy, severity string, seed int64) GoalResult {
 		Offload: &OffloadConfig{
 			Servers:    offloadPoolSize,
 			Contention: rung.contention,
-			Policy:     pol,
+			Policy:     policy,
 		},
 	})
 }
 
-// OffloadRow aggregates trials for one (severity, policy) cell.
-type OffloadRow struct {
-	Severity string
-	Policy   string
-	MetPct   float64
-	Residual stats.Summary
-	OffloadJ stats.Summary // joules charged to the offload principal
-	Local    stats.Summary // verdicts run locally from the start
-	Remote   stats.Summary // completed remote placements
-	Hybrid   stats.Summary
-	Hedges   stats.Summary
-	Failover stats.Summary
-	Fallback stats.Summary // remote verdicts degraded to local
-	Trips    stats.Summary // breaker open transitions
-}
-
 // FigureOffload sweeps the offload ladder: policies x severities, trials
 // runs per cell.
-func FigureOffload(trials int) []OffloadRow {
-	rows := make([]OffloadRow, 0, len(OffloadSeverities)*len(OffloadPolicies))
-	for si, sev := range OffloadSeverities {
-		for pi, pol := range OffloadPolicies {
-			row := OffloadRow{Severity: sev, Policy: pol}
-			var (
-				met                                   int
-				residual, offJ, local, remote, hybrid []float64
-				hedges, failovers, fallbacks, trips   []float64
-			)
-			for t := 0; t < trials; t++ {
-				r := RunOffloadTrial(pol, sev, int64(2800+si*53+pi*11+t))
-				if r.Met {
-					met++
-				}
-				residual = append(residual, r.Residual)
-				offJ = append(offJ, r.OffloadEnergy)
-				local = append(local, float64(r.OffloadLocal))
-				remote = append(remote, float64(r.OffloadRemote))
-				hybrid = append(hybrid, float64(r.OffloadHybrid))
-				hedges = append(hedges, float64(r.OffloadHedges))
-				failovers = append(failovers, float64(r.OffloadFailovers))
-				fallbacks = append(fallbacks, float64(r.OffloadFallbacks))
-				trips = append(trips, float64(r.BreakerTrips))
-			}
-			row.MetPct = float64(met) / float64(trials) * 100
-			row.Residual = stats.Summarize(residual)
-			row.OffloadJ = stats.Summarize(offJ)
-			row.Local = stats.Summarize(local)
-			row.Remote = stats.Summarize(remote)
-			row.Hybrid = stats.Summarize(hybrid)
-			row.Hedges = stats.Summarize(hedges)
-			row.Failover = stats.Summarize(failovers)
-			row.Fallback = stats.Summarize(fallbacks)
-			row.Trips = stats.Summarize(trips)
-			rows = append(rows, row)
-		}
-	}
-	return rows
-}
-
-// OffloadTable renders the ladder results.
-func OffloadTable(rows []OffloadRow) *Table {
-	t := &Table{
-		Title: fmt.Sprintf("Offload: %d-minute goal, %d-server pool, policy x environment ladder (supply %.0f J)",
-			int(offloadGoal.Minutes()), offloadPoolSize, Figure20InitialEnergy),
-		Columns: []string{"Env", "Policy", "Met", "Residual (J)", "Offload (J)", "Local", "Remote", "Hybrid", "Hedges", "Failovers", "Fallbacks", "Trips"},
-	}
-	for _, r := range rows {
-		t.Rows = append(t.Rows, []string{
-			r.Severity,
-			r.Policy,
-			fmt.Sprintf("%.0f%%", r.MetPct),
-			r.Residual.String(),
-			r.OffloadJ.String(),
-			r.Local.String(),
-			r.Remote.String(),
-			r.Hybrid.String(),
-			r.Hedges.String(),
-			r.Failover.String(),
-			r.Fallback.String(),
-			r.Trips.String(),
-		})
-	}
-	return t
+func FigureOffload(trials int) *Arms {
+	np := len(OffloadPolicies)
+	rs := sweep(len(OffloadSeverities)*np, trials, func(a, t int) GoalResult {
+		si, pi := a/np, a%np
+		return RunOffloadTrial(OffloadPolicies[pi], OffloadSeverities[si], int64(2800+si*53+pi*11+t))
+	})
+	return summarize(fmt.Sprintf("Offload: %d-minute goal, %d-server pool, policy x environment ladder (supply %.0f J)",
+		int(offloadGoal.Minutes()), offloadPoolSize, Figure20InitialEnergy),
+		[]string{"Env", "Policy"}, []column{
+			residualCol,
+			per("Offload (J)", func(r GoalResult) float64 { return r.OffloadEnergy }),
+			per("Local", func(r GoalResult) float64 { return float64(r.OffloadLocal) }),
+			per("Remote", func(r GoalResult) float64 { return float64(r.OffloadRemote) }),
+			per("Hybrid", func(r GoalResult) float64 { return float64(r.OffloadHybrid) }),
+			per("Hedges", func(r GoalResult) float64 { return float64(r.OffloadHedges) }),
+			per("Failovers", func(r GoalResult) float64 { return float64(r.OffloadFailovers) }),
+			per("Fallbacks", func(r GoalResult) float64 { return float64(r.OffloadFallbacks) }),
+			per("Trips", func(r GoalResult) float64 { return float64(r.BreakerTrips) }),
+		}, rs, func(a int) []string { return []string{OffloadSeverities[a/np], OffloadPolicies[a%np]} })
 }

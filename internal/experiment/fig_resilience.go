@@ -7,7 +7,6 @@ import (
 	"odyssey/internal/app/env"
 	"odyssey/internal/faults"
 	"odyssey/internal/smartbattery"
-	"odyssey/internal/stats"
 )
 
 // PlanBuilder constructs one trial's fault plan against its freshly built
@@ -107,87 +106,23 @@ func RunResilienceTrial(severity string, seed int64) GoalResult {
 	})
 }
 
-// ResilienceRow aggregates trials for one severity.
-type ResilienceRow struct {
-	Severity       string
-	MetPct         float64
-	Residual       stats.Summary
-	Adaptations    stats.Summary // total upcalls across the four apps
-	RetryEnergy    stats.Summary // joules charged to net-retry
-	RetryAttempts  stats.Summary
-	DeadlineAborts stats.Summary
-	Fallbacks      stats.Summary // speech remote/hybrid -> local
-	WebDetours     stats.Summary // proxy bypasses + cache hits
-	ChunksLost     stats.Summary
-	FaultEvents    stats.Summary
-}
-
 // FigureResilience runs the fault-severity ladder on the Fig-19 scenario,
 // trials runs per severity.
-func FigureResilience(trials int) []ResilienceRow {
-	rows := make([]ResilienceRow, 0, len(ResilienceSeverities))
-	for si, sev := range ResilienceSeverities {
-		row := ResilienceRow{Severity: sev}
-		var (
-			met                                       int
-			residual, adapts, retryJ, retries, aborts []float64
-			fallbacks, detours, lost, events          []float64
-		)
-		for t := 0; t < trials; t++ {
-			r := RunResilienceTrial(sev, int64(2500+si*31+t))
-			if r.Met {
-				met++
-			}
-			total := 0
-			for _, n := range r.Adaptations {
-				total += n
-			}
-			residual = append(residual, r.Residual)
-			adapts = append(adapts, float64(total))
-			retryJ = append(retryJ, r.RetryEnergy)
-			retries = append(retries, float64(r.RetryAttempts))
-			aborts = append(aborts, float64(r.DeadlineAborts))
-			fallbacks = append(fallbacks, float64(r.Fallbacks))
-			detours = append(detours, float64(r.Bypasses+r.CacheHits))
-			lost = append(lost, float64(r.ChunksLost))
-			events = append(events, float64(r.FaultEvents))
-		}
-		row.MetPct = float64(met) / float64(trials) * 100
-		row.Residual = stats.Summarize(residual)
-		row.Adaptations = stats.Summarize(adapts)
-		row.RetryEnergy = stats.Summarize(retryJ)
-		row.RetryAttempts = stats.Summarize(retries)
-		row.DeadlineAborts = stats.Summarize(aborts)
-		row.Fallbacks = stats.Summarize(fallbacks)
-		row.WebDetours = stats.Summarize(detours)
-		row.ChunksLost = stats.Summarize(lost)
-		row.FaultEvents = stats.Summarize(events)
-		rows = append(rows, row)
-	}
-	return rows
-}
-
-// ResilienceTable renders the fault-ladder results.
-func ResilienceTable(rows []ResilienceRow) *Table {
-	t := &Table{
-		Title: fmt.Sprintf("Resilience: %d-minute goal under escalating fault plans (supply %.0f J)",
-			int(resilienceGoal.Minutes()), Figure20InitialEnergy),
-		Columns: []string{"Plan", "Met", "Residual (J)", "Adapts", "Retry (J)", "Retries", "Aborts", "Speech fallback", "Web detour", "Chunks lost", "Fault events"},
-	}
-	for _, r := range rows {
-		t.Rows = append(t.Rows, []string{
-			r.Severity,
-			fmt.Sprintf("%.0f%%", r.MetPct),
-			r.Residual.String(),
-			r.Adaptations.String(),
-			r.RetryEnergy.String(),
-			r.RetryAttempts.String(),
-			r.DeadlineAborts.String(),
-			r.Fallbacks.String(),
-			r.WebDetours.String(),
-			r.ChunksLost.String(),
-			r.FaultEvents.String(),
-		})
-	}
-	return t
+func FigureResilience(trials int) *Arms {
+	rs := sweep(len(ResilienceSeverities), trials, func(a, t int) GoalResult {
+		return RunResilienceTrial(ResilienceSeverities[a], int64(2500+a*31+t))
+	})
+	return summarize(fmt.Sprintf("Resilience: %d-minute goal under escalating fault plans (supply %.0f J)",
+		int(resilienceGoal.Minutes()), Figure20InitialEnergy),
+		[]string{"Plan"}, []column{
+			residualCol,
+			totalAdaptsCol("Adapts"),
+			per("Retry (J)", func(r GoalResult) float64 { return r.RetryEnergy }),
+			per("Retries", func(r GoalResult) float64 { return float64(r.RetryAttempts) }),
+			per("Aborts", func(r GoalResult) float64 { return float64(r.DeadlineAborts) }),
+			per("Speech fallback", func(r GoalResult) float64 { return float64(r.Fallbacks) }),
+			per("Web detour", func(r GoalResult) float64 { return float64(r.Bypasses + r.CacheHits) }),
+			per("Chunks lost", func(r GoalResult) float64 { return float64(r.ChunksLost) }),
+			faultEventsCol,
+		}, rs, func(a int) []string { return []string{ResilienceSeverities[a]} })
 }

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"odyssey/internal/faults"
-	"odyssey/internal/stats"
 	"odyssey/internal/workload"
 )
 
@@ -116,79 +115,27 @@ func RunSupervisionTrial(severity string, seed int64) GoalResult {
 	})
 }
 
-// SupervisionRow aggregates trials for one misbehavior severity.
-type SupervisionRow struct {
-	Severity        string
-	MetPct          float64
-	Residual        stats.Summary
-	SuperviseEnergy stats.Summary // joules charged to the supervise principal
-	MissedAcks      stats.Summary
-	Restarts        stats.Summary
-	Quarantined     stats.Summary // applications quarantined per run
-	Strikes         stats.Summary // total strikes across causes
-	FaultEvents     stats.Summary
-}
-
 // FigureSupervision runs the misbehavior ladder on the goal scenario with
 // the supervisor armed, trials runs per severity.
-func FigureSupervision(trials int) []SupervisionRow {
-	rows := make([]SupervisionRow, 0, len(MisbehaveSeverities))
-	for si, sev := range MisbehaveSeverities {
-		row := SupervisionRow{Severity: sev}
-		var (
-			met                            int
-			residual, supJ, acks, restarts []float64
-			quarantined, strikes, events   []float64
-		)
-		for t := 0; t < trials; t++ {
-			r := RunSupervisionTrial(sev, int64(2600+si*31+t))
-			if r.Met {
-				met++
-			}
-			total := 0
-			for _, n := range r.Strikes {
-				total += n
-			}
-			residual = append(residual, r.Residual)
-			supJ = append(supJ, r.SuperviseEnergy)
-			acks = append(acks, float64(r.MissedAcks))
-			restarts = append(restarts, float64(r.Restarts))
-			quarantined = append(quarantined, float64(len(r.Quarantined)))
-			strikes = append(strikes, float64(total))
-			events = append(events, float64(r.FaultEvents))
-		}
-		row.MetPct = float64(met) / float64(trials) * 100
-		row.Residual = stats.Summarize(residual)
-		row.SuperviseEnergy = stats.Summarize(supJ)
-		row.MissedAcks = stats.Summarize(acks)
-		row.Restarts = stats.Summarize(restarts)
-		row.Quarantined = stats.Summarize(quarantined)
-		row.Strikes = stats.Summarize(strikes)
-		row.FaultEvents = stats.Summarize(events)
-		rows = append(rows, row)
-	}
-	return rows
-}
-
-// SupervisionTable renders the misbehavior-ladder results.
-func SupervisionTable(rows []SupervisionRow) *Table {
-	t := &Table{
-		Title: fmt.Sprintf("Supervision: %d-minute goal under escalating application misbehavior (supply %.0f J, supervisor armed)",
-			int(supervisionGoal.Minutes()), Figure20InitialEnergy),
-		Columns: []string{"Plan", "Met", "Residual (J)", "Supervise (J)", "Missed acks", "Restarts", "Quarantined", "Strikes", "Fault events"},
-	}
-	for _, r := range rows {
-		t.Rows = append(t.Rows, []string{
-			r.Severity,
-			fmt.Sprintf("%.0f%%", r.MetPct),
-			r.Residual.String(),
-			r.SuperviseEnergy.String(),
-			r.MissedAcks.String(),
-			r.Restarts.String(),
-			r.Quarantined.String(),
-			r.Strikes.String(),
-			r.FaultEvents.String(),
-		})
-	}
-	return t
+func FigureSupervision(trials int) *Arms {
+	rs := sweep(len(MisbehaveSeverities), trials, func(a, t int) GoalResult {
+		return RunSupervisionTrial(MisbehaveSeverities[a], int64(2600+a*31+t))
+	})
+	return summarize(fmt.Sprintf("Supervision: %d-minute goal under escalating application misbehavior (supply %.0f J, supervisor armed)",
+		int(supervisionGoal.Minutes()), Figure20InitialEnergy),
+		[]string{"Plan"}, []column{
+			residualCol,
+			per("Supervise (J)", func(r GoalResult) float64 { return r.SuperviseEnergy }),
+			per("Missed acks", func(r GoalResult) float64 { return float64(r.MissedAcks) }),
+			per("Restarts", func(r GoalResult) float64 { return float64(r.Restarts) }),
+			per("Quarantined", func(r GoalResult) float64 { return float64(len(r.Quarantined)) }),
+			per("Strikes", func(r GoalResult) float64 {
+				total := 0
+				for _, n := range r.Strikes {
+					total += n
+				}
+				return float64(total)
+			}),
+			faultEventsCol,
+		}, rs, func(a int) []string { return []string{MisbehaveSeverities[a]} })
 }

@@ -1,0 +1,136 @@
+package experiment
+
+import (
+	"flag"
+	"fmt"
+	"os"
+	"path/filepath"
+	"sort"
+	"strings"
+	"testing"
+)
+
+// updateGoldens rewrites the golden figure files from the current code:
+//
+//	go test ./internal/experiment -run TestGoalFigureGoldens -update
+//
+// Do it only for a change meant to alter figure output, and say why in
+// CHANGES.md.
+var updateGoldens = flag.Bool("update", false, "rewrite testdata/*.csv from the current code")
+
+// goldenTrials is the trial count of the golden figures: two, so a sweep
+// that swapped its arm and trial indices would change some row.
+const goldenTrials = 2
+
+// goldenFigure is one checked-in rendering of a goal-directed figure.
+type goldenFigure struct {
+	name string // file stem under testdata/
+	body string
+}
+
+// goalGoldens renders every goal-directed figure at goldenTrials: each table
+// as odyssey-sim -csv prints it ("# title" then the CSV), and Figure 19's
+// traces as hex floats.
+func goalGoldens() []goldenFigure {
+	csv := func(t *Table) string { return "# " + t.Title + "\n" + t.CSV() }
+	return []goldenFigure{
+		{"fig19", traceHex(Figure19())},
+		{"fig20", csv(Figure20(goldenTrials).Table())},
+		{"fig21", csv(Figure21(goldenTrials).Table())},
+		{"fig22", csv(BurstyTable(Figure22(goldenTrials)))},
+		{"ablations", csv(Ablations(goldenTrials).Table())},
+		{"measurement", csv(MeasurementPaths(goldenTrials).Table())},
+		{"policy", csv(DecentralizedComparison(goldenTrials).Table())},
+		{"resilience", csv(FigureResilience(goldenTrials).Table())},
+		{"supervision", csv(FigureSupervision(goldenTrials).Table())},
+		{"offload", csv(FigureOffload(goldenTrials).Table())},
+	}
+}
+
+// traceStride is how many evaluations apart the golden trace lines are: 5 s
+// of virtual time. Any change to a run shifts its supply estimate from then
+// on, so the sampled trace pins the run as tightly as the full one at a
+// tenth of the size.
+const traceStride = 10
+
+// traceHex renders goal runs' adaptation traces exactly: one header line per
+// run, then every traceStride-th evaluation and the last — time in
+// nanoseconds, supply and demand as hex floats, and each application's
+// fidelity level in name order.
+func traceHex(results []GoalResult) string {
+	var b strings.Builder
+	for _, r := range results {
+		fmt.Fprintf(&b, "# goal %v met=%v residual=%x end=%v points=%d\n",
+			r.Goal, r.Met, r.Residual, r.EndTime, len(r.Trace))
+		for i, tp := range r.Trace {
+			if i%traceStride != 0 && i != len(r.Trace)-1 {
+				continue
+			}
+			apps := make([]string, 0, len(tp.Levels))
+			for app := range tp.Levels {
+				apps = append(apps, app)
+			}
+			sort.Strings(apps)
+			fmt.Fprintf(&b, "%d %x %x", int64(tp.Time), tp.Supply, tp.Demand)
+			for _, app := range apps {
+				fmt.Fprintf(&b, " %s=%d", app, tp.Levels[app])
+			}
+			b.WriteByte('\n')
+		}
+	}
+	return b.String()
+}
+
+// TestGoalFigureGoldens pins every goal-directed figure to its checked-in
+// rendering, with the worker pool at one worker and at eight: the sweep's
+// output must not depend on pool width or completion order. Under the race
+// detector only the width-8 pass runs, where the pool's goroutines overlap.
+func TestGoalFigureGoldens(t *testing.T) {
+	if testing.Short() {
+		t.Skip("renders every goal-directed figure twice")
+	}
+	widths := []int{1, 8}
+	if raceEnabled {
+		widths = []int{8}
+	}
+	for _, w := range widths {
+		useParallelism(t, w)
+		for _, g := range goalGoldens() {
+			path := filepath.Join("testdata", g.name+".csv")
+			if *updateGoldens {
+				if err := os.WriteFile(path, []byte(g.body), 0o644); err != nil {
+					t.Fatal(err)
+				}
+				continue
+			}
+			want, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if line, got, exp, ok := firstDiff(g.body, string(want)); !ok {
+				t.Errorf("width %d: %s differs from %s at line %d:\n got  %q\n want %q",
+					w, g.name, path, line, got, exp)
+			}
+		}
+	}
+}
+
+// firstDiff compares two renderings line by line and reports the first line
+// that differs (1-based), or ok when they are identical.
+func firstDiff(got, want string) (line int, g, w string, ok bool) {
+	if got == want {
+		return 0, "", "", true
+	}
+	gl, wl := strings.Split(got, "\n"), strings.Split(want, "\n")
+	for i := 0; ; i++ {
+		if i >= len(gl) || i >= len(wl) || gl[i] != wl[i] {
+			at := func(ls []string) string {
+				if i < len(ls) {
+					return ls[i]
+				}
+				return "<end of file>"
+			}
+			return i + 1, at(gl), at(wl), false
+		}
+	}
+}

@@ -12,14 +12,15 @@ import (
 	"odyssey/internal/stats"
 )
 
-// The trial scheduler: every (object, bar, trial) cell execution a figure
-// needs is fanned out across a worker pool and merged back in fixed index
-// order, so the rendered tables are byte-identical to a serial run. Trials
-// are embarrassingly parallel — each one builds a private rig (its own
-// kernel, machine model, network, and viceroy) from a seed derived only
-// from the cell seed and the trial index — so the pool never shares
-// simulation state between goroutines (enforced by odylint's kernelctx
-// kernel-sharing rule).
+// The trial scheduler: every run a figure needs — each (object, bar, trial)
+// of a RunGrid cell, and each (arm, trial) of a goal sweep — is fanned out
+// across one worker pool and merged back in fixed index order, so the
+// rendered tables are byte-identical to a serial run. Runs are
+// embarrassingly parallel — each one builds a private rig (its own kernel,
+// machine model, network, and viceroy) from a seed derived only from its
+// indices — so the pool never shares simulation state between goroutines
+// (enforced by odylint's kernelctx kernel-sharing rule). Figure 15, dvs and
+// quality run their few rig trials serially, outside the pool.
 
 // sched holds the package-wide scheduler configuration. The experiment
 // front-ends (cmd/odyssey-sim, cmd/battery-goal) set it from flags before
@@ -30,9 +31,10 @@ var sched struct {
 	progress io.Writer
 }
 
-// SetParallelism sets how many worker goroutines trial execution may use;
-// values below 2 select the serial path. The setting never changes results:
-// trials are merged in (object, bar, trial) index order either way.
+// SetParallelism sets how many worker goroutines grid cells and goal sweeps
+// may use; values below 2 select the serial path. The setting never changes
+// results: runs are merged in (object, bar, trial) or (arm, trial) index
+// order either way.
 func SetParallelism(n int) {
 	sched.mu.Lock()
 	defer sched.mu.Unlock()
@@ -152,6 +154,22 @@ func runTasks(n int, fn func(i int)) {
 		//odylint:allow panicfree fault transport: re-raising the lowest task's wrapped panic on the caller's goroutine
 		panic(fault)
 	}
+}
+
+// sweep runs an arms x trials grid of goal-directed runs on the worker pool
+// and returns the results indexed [arm][trial]. run(a, t) must derive
+// everything from its indices, since runs execute concurrently; callers
+// reduce the results serially in trial order, so output never depends on
+// the pool width.
+func sweep(arms, trials int, run func(a, t int) GoalResult) [][]GoalResult {
+	out := make([][]GoalResult, arms)
+	for a := range out {
+		out[a] = make([]GoalResult, trials)
+	}
+	runTasks(arms*trials, func(i int) {
+		out[i/trials][i%trials] = run(i/trials, i%trials)
+	})
+	return out
 }
 
 // trialResult is one trial's raw measurement, kept unaggregated so that the

@@ -177,6 +177,26 @@ func TestFeasibleBandMatchesSerialRuns(t *testing.T) {
 	}
 }
 
+// TestSweepIndexesArmTrial: the sweep files run(a, t) under [a][t] at any
+// pool width, with arm and trial counts that differ.
+func TestSweepIndexesArmTrial(t *testing.T) {
+	useParallelism(t, 8)
+	rs := sweep(3, 5, func(a, tr int) GoalResult { return GoalResult{Residual: float64(10*a + tr)} })
+	if len(rs) != 3 {
+		t.Fatalf("%d arms, want 3", len(rs))
+	}
+	for a, arm := range rs {
+		if len(arm) != 5 {
+			t.Fatalf("arm %d has %d trials, want 5", a, len(arm))
+		}
+		for tr, r := range arm {
+			if r.Residual != float64(10*a+tr) {
+				t.Fatalf("[%d][%d] holds run %v", a, tr, r.Residual)
+			}
+		}
+	}
+}
+
 // TestProgressLines: the progress stream reports computed cells with trial
 // counts and cached cells as hits.
 func TestProgressLines(t *testing.T) {

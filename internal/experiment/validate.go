@@ -1,9 +1,6 @@
 package experiment
 
-import (
-	"fmt"
-	"time"
-)
+import "fmt"
 
 // ValidationResult is one paper-claim check: the range the paper reports,
 // the range we measure, and whether they overlap within the slack the
@@ -95,18 +92,17 @@ func Validate(trials int) []ValidationResult {
 	add(check("fig16-combined", "mean normalized energy, combined", 0.50, 0.50,
 		s16.MeanCombined, s16.MeanCombined, 6, ""))
 
-	hi20 := RuntimeAtFixedFidelity(1, Figure20InitialEnergy, false)
-	lo20 := RuntimeAtFixedFidelity(1, Figure20InitialEnergy, true)
+	hi20, lo20 := FeasibleBand(1, Figure20InitialEnergy)
 	ratio := lo20.Seconds() / hi20.Seconds()
 	add(check("fig20-band", "battery-life extension band (lowest/highest runtime)", 1.39, 1.39,
 		ratio, ratio, 10, "paper 27:06/19:27"))
 
-	rows := Figure20(trials)
+	rows := Figure20(trials).Rows
 	met := 0.0
 	worstResidual := 0.0
 	for _, r := range rows {
 		met += r.MetPct / float64(len(rows)) / 100
-		if f := r.Residual.Mean / Figure20InitialEnergy; f > worstResidual {
+		if f := r.Values[residualCol.name].Mean / Figure20InitialEnergy; f > worstResidual {
 			worstResidual = f
 		}
 	}
@@ -129,8 +125,8 @@ func Validate(trials int) []ValidationResult {
 	// with low residue, and the waste must be visible as retry energy.
 	rn := min(trials, 3)
 	rmet, rworst, rretry := 0.0, 0.0, 0.0
-	for t := 0; t < rn; t++ {
-		r := RunResilienceTrial("mid", int64(2562+t))
+	rmid := sweep(1, rn, func(_, t int) GoalResult { return RunResilienceTrial("mid", int64(2562+t)) })[0]
+	for _, r := range rmid {
 		if r.Met {
 			rmet += 1 / float64(rn)
 		}
@@ -153,8 +149,8 @@ func Validate(trials int) []ValidationResult {
 	// and delivery work visible under the supervise principal.
 	sn := min(trials, 3)
 	smet, sworst, senergy := 0.0, 0.0, 0.0
-	for t := 0; t < sn; t++ {
-		r := RunSupervisionTrial("mid", int64(2662+t))
+	smid := sweep(1, sn, func(_, t int) GoalResult { return RunSupervisionTrial("mid", int64(2662+t)) })[0]
+	for _, r := range smid {
 		if r.Met && len(r.Quarantined) >= 1 {
 			smet += 1 / float64(sn)
 		}
@@ -186,20 +182,23 @@ func Validate(trials int) []ValidationResult {
 	var crashDegrades, crashEnergy float64
 	runsPerPol := float64(len(OffloadSeverities) * on)
 	benignRuns := float64(len(benign) * on)
-	for si, sev := range OffloadSeverities {
-		for _, pol := range OffloadPolicies {
-			for t := 0; t < on; t++ {
-				r := RunOffloadTrial(pol, sev, int64(2762+si*29+t))
-				if benign[sev] {
-					polOffJ[pol] += r.OffloadEnergy / benignRuns
-				}
-				if r.Met {
-					polMet[pol] += 1 / runsPerPol
-				}
-				if pol == "auto" && sev == "crash" {
-					crashDegrades += float64(r.OffloadFallbacks + r.OffloadFailovers + r.OffloadHedges)
-					crashEnergy += r.OffloadEnergy / float64(on)
-				}
+	np := len(OffloadPolicies)
+	ladder := sweep(len(OffloadSeverities)*np, on, func(a, t int) GoalResult {
+		si, pi := a/np, a%np
+		return RunOffloadTrial(OffloadPolicies[pi], OffloadSeverities[si], int64(2762+si*29+t))
+	})
+	for a, arm := range ladder {
+		sev, pol := OffloadSeverities[a/np], OffloadPolicies[a%np]
+		for _, r := range arm {
+			if benign[sev] {
+				polOffJ[pol] += r.OffloadEnergy / benignRuns
+			}
+			if r.Met {
+				polMet[pol] += 1 / runsPerPol
+			}
+			if pol == "auto" && sev == "crash" {
+				crashDegrades += float64(r.OffloadFallbacks + r.OffloadFailovers + r.OffloadHedges)
+				crashEnergy += r.OffloadEnergy / float64(on)
 			}
 		}
 	}
@@ -270,6 +269,3 @@ func ValidationTable(rs []ValidationResult) *Table {
 	}
 	return t
 }
-
-// ValidationDuration estimates wall-clock cost; used by the CLI help.
-func ValidationDuration() time.Duration { return 2 * time.Minute }

@@ -44,10 +44,12 @@
 #                                          report the offload principal (the
 #                                          crash-rung acceptance bar is the Go
 #                                          test TestOffloadCrashRungDegradesToLocal)
-#  14. parallel/cache smoke                -parallel 4 under -race must be
+#  14. parallel/cache smoke                fig6, fig20 and resilience (grid
+#                                          cells and pooled goal sweeps) at
+#                                          -parallel 4 under -race must be
 #                                          byte-identical to serial, and a
-#                                          warm-cache rerun must serve every
-#                                          cell from the cache
+#                                          warm-cache fig6 rerun must serve
+#                                          every cell from the cache
 #  15. chaos smoke + corpus replay         a bounded soak (fixed seed, 20
 #                                          scenarios) under -race must pass
 #                                          every invariant sentinel, and
@@ -148,14 +150,15 @@ if [ "${1:-}" != "fast" ]; then
         echo "FAIL: armed run reports no offload principal line" >&2; rm -rf "$offdir"; exit 1; }
     rm -rf "$offdir"
 
-    echo "==> parallel equivalence + warm-cache smoke (fig6, -race)"
+    echo "==> parallel equivalence + warm-cache smoke (fig6,fig20,resilience, -race)"
     smokedir=$(mktemp -d)
     trap 'rm -rf "$smokedir"' EXIT
-    go run ./cmd/odyssey-sim -figure fig6 -trials 2 -parallel 1 -csv > "$smokedir/serial.csv"
-    go run -race ./cmd/odyssey-sim -figure fig6 -trials 2 -parallel 4 \
+    go run ./cmd/odyssey-sim -figure fig6,fig20,resilience -trials 2 -parallel 1 -csv > "$smokedir/serial-all.csv"
+    go run -race ./cmd/odyssey-sim -figure fig6,fig20,resilience -trials 2 -parallel 4 \
         -cache-dir "$smokedir/cache" -csv > "$smokedir/parallel.csv"
-    cmp "$smokedir/serial.csv" "$smokedir/parallel.csv" || {
+    cmp "$smokedir/serial-all.csv" "$smokedir/parallel.csv" || {
         echo "FAIL: -parallel 4 output differs from serial" >&2; exit 1; }
+    go run ./cmd/odyssey-sim -figure fig6 -trials 2 -parallel 1 -csv > "$smokedir/serial.csv"
     go run -race ./cmd/odyssey-sim -figure fig6 -trials 2 -parallel 4 \
         -cache-dir "$smokedir/cache" -csv -progress > "$smokedir/warm.csv" 2> "$smokedir/progress.log"
     cmp "$smokedir/serial.csv" "$smokedir/warm.csv" || {
