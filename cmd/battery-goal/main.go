@@ -13,12 +13,14 @@
 // -misbehave arms the application supervisor and (for severities other
 // than "none") injects the named application-misbehavior ladder; with the
 // flag empty the supervisor is disarmed and runs are byte-identical to
-// earlier releases.
+// earlier releases. -joules must be finite and above zero and -goal must
+// not be negative; anything else is a usage error (exit status 2).
 package main
 
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"runtime"
 	"sort"
@@ -48,6 +50,14 @@ func main() {
 	if err := prof.Start(); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
+	}
+	if !(*joules > 0) || math.IsInf(*joules, 1) {
+		fmt.Fprintf(os.Stderr, "-joules must be a finite supply above 0 J, got %v\n", *joules)
+		prof.Exit(2)
+	}
+	if *goal < 0 {
+		fmt.Fprintf(os.Stderr, "-goal must not be negative, got %v\n", *goal)
+		prof.Exit(2)
 	}
 	experiment.SetParallelism(*parallel)
 

@@ -4,16 +4,14 @@
 //
 // Usage:
 //
-//	odyssey-sim -figure fig6 [-trials 5] [-parallel N] [-cache-dir DIR] [-progress]
+//	odyssey-sim -figure fig6 [-trials 5] [-parallel N] [-progress]
 //	odyssey-sim -figure all
 //	odyssey-sim -figure all -cpuprofile cpu.out -memprofile mem.out
 //
 // -parallel fans the runs of grid cells and goal sweeps across one worker
 // pool (default: all CPUs) without changing a byte of output; Figure 15,
-// dvs and quality run their few trials serially. -cache-dir persists
-// per-cell results so a repeated run skips unchanged cells; -progress
-// reports per-cell timing and cache hits on stderr. -trials must be at
-// least 1.
+// dvs and quality run their few trials serially. -progress reports
+// per-cell timing on stderr. -trials must be at least 1.
 //
 // Figure ids: fig2 fig4 fig6 fig8 fig10 fig11 fig13 fig14 fig15 fig16
 // fig18 fig19 fig20 fig21 fig22 — plus "ablations" (design-choice
@@ -70,7 +68,6 @@ func main() {
 	csvOut := flag.Bool("csv", false, "emit tables as CSV instead of aligned text")
 	list := flag.Bool("list", false, "list known figure ids with descriptions and exit")
 	parallel := flag.Int("parallel", runtime.NumCPU(), "worker goroutines for trial execution (1 = serial; output is identical either way)")
-	cacheDir := flag.String("cache-dir", "", "persistent cell-result cache directory (empty = disabled)")
 	progress := flag.Bool("progress", false, "print per-cell progress/timing lines to stderr")
 	misbehaveArg := flag.String("misbehave", "", "with -figure supervision: run a single misbehavior rung (none, mild, mid, severe) instead of the full ladder")
 	offloadArg := flag.String("offload-rung", "", "with -figure offload: run a single policy:environment rung (e.g. auto:crash) instead of the full ladder")
@@ -85,7 +82,6 @@ func main() {
 	misbehave = *misbehaveArg
 	offloadRung = *offloadArg
 	experiment.SetParallelism(*parallel)
-	experiment.SetCacheDir(*cacheDir)
 	if *progress {
 		experiment.SetProgress(os.Stderr)
 	}

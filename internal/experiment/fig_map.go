@@ -113,23 +113,31 @@ func Figure11(trials int) *ThinkTimeSeries {
 }
 
 // thinkTimeSweep runs the 0/5/10/20 s think-time sensitivity for a set of
-// cases and fits lines. fig is the stable id the sweep's cells are cached
-// under; every (case, think) cell has a distinct seed, so keys never clash.
+// cases and fits lines. fig labels the sweep's progress lines; every
+// (case, think) cell has a distinct seed.
 func thinkTimeSweep(fig, object string, seed int64, trials int,
 	caseInfo func(ci int) (string, Setup), nCases int,
 	trialFor func(ci int, think time.Duration) Trial) *ThinkTimeSeries {
 
 	thinks := []time.Duration{0, 5 * time.Second, 10 * time.Second, 20 * time.Second}
 	s := &ThinkTimeSeries{Object: object, ThinkTimes: thinks}
+	runs := make([]cellRun, 0, nCases*len(thinks))
 	for ci := 0; ci < nCases; ci++ {
 		name, setup := caseInfo(ci)
 		s.Cases = append(s.Cases, name)
-		row := make([]float64, len(thinks))
-		xs := make([]float64, len(thinks))
 		for ti, think := range thinks {
-			cell := runCell(fig, object, trials, seed+int64(ci*97+ti*13), Bar{Label: name, Setup: setup}, trialFor(ci, think))
-			row[ti] = cell.Energy.Mean
-			xs[ti] = think.Seconds()
+			runs = append(runs, cellRun{object, seed + int64(ci*97+ti*13), Bar{Label: name, Setup: setup}, trialFor(ci, think)})
+		}
+	}
+	cells := runCells(fig, trials, runs)
+	xs := make([]float64, len(thinks))
+	for ti, think := range thinks {
+		xs[ti] = think.Seconds()
+	}
+	for ci := range s.Cases {
+		row := make([]float64, len(thinks))
+		for ti := range thinks {
+			row[ti] = cells[ci*len(thinks)+ti].Energy.Mean
 		}
 		s.Energy = append(s.Energy, row)
 		fit := stats.FitLine(xs, row)

@@ -12,7 +12,7 @@ import (
 
 // updateGoldens rewrites the golden figure files from the current code:
 //
-//	go test ./internal/experiment -run TestGoalFigureGoldens -update
+//	go test ./internal/experiment -run TestFigureGoldens -update
 //
 // Do it only for a change meant to alter figure output, and say why in
 // CHANGES.md.
@@ -22,28 +22,44 @@ var updateGoldens = flag.Bool("update", false, "rewrite testdata/*.csv from the 
 // that swapped its arm and trial indices would change some row.
 const goldenTrials = 2
 
-// goldenFigure is one checked-in rendering of a goal-directed figure.
+// goldenFigure is one checked-in rendering of a figure.
 type goldenFigure struct {
 	name string // file stem under testdata/
 	body string
 }
 
-// goalGoldens renders every goal-directed figure at goldenTrials: each table
-// as odyssey-sim -csv prints it ("# title" then the CSV), and Figure 19's
-// traces as hex floats.
-func goalGoldens() []goldenFigure {
-	csv := func(t *Table) string { return "# " + t.Title + "\n" + t.CSV() }
+// titledCSV renders a table as odyssey-sim -csv prints it: "# title" then
+// the CSV.
+func titledCSV(t *Table) string { return "# " + t.Title + "\n" + t.CSV() }
+
+// figureGoldens renders every figure at goldenTrials: each table as
+// odyssey-sim -csv prints it, each grid with every per-object breakdown,
+// Figure 2's profile as text, and Figure 19's traces as hex floats.
+func figureGoldens() []goldenFigure {
 	return []goldenFigure{
+		{"fig2", "# Figure 2: PowerScope energy profile of 30 s of video playback\n" + Figure2(1).String()},
+		{"fig4", titledCSV(Figure4())},
+		{"fig6", gridCSV(Figure6(goldenTrials))},
+		{"fig8", gridCSV(Figure8(goldenTrials))},
+		{"fig10", gridCSV(Figure10(goldenTrials))},
+		{"fig11", titledCSV(Figure11(goldenTrials).Table())},
+		{"fig13", gridCSV(Figure13(goldenTrials))},
+		{"fig14", titledCSV(Figure14(goldenTrials).Table())},
+		{"fig15", titledCSV(ConcurrencyTable(Figure15(goldenTrials)))},
+		{"fig16", titledCSV(Figure16(goldenTrials).Table())},
+		{"fig18", titledCSV(ZonedTable(Figure18(goldenTrials)))},
 		{"fig19", traceHex(Figure19())},
-		{"fig20", csv(Figure20(goldenTrials).Table())},
-		{"fig21", csv(Figure21(goldenTrials).Table())},
-		{"fig22", csv(BurstyTable(Figure22(goldenTrials)))},
-		{"ablations", csv(Ablations(goldenTrials).Table())},
-		{"measurement", csv(MeasurementPaths(goldenTrials).Table())},
-		{"policy", csv(DecentralizedComparison(goldenTrials).Table())},
-		{"resilience", csv(FigureResilience(goldenTrials).Table())},
-		{"supervision", csv(FigureSupervision(goldenTrials).Table())},
-		{"offload", csv(FigureOffload(goldenTrials).Table())},
+		{"fig20", titledCSV(Figure20(goldenTrials).Table())},
+		{"fig21", titledCSV(Figure21(goldenTrials).Table())},
+		{"fig22", titledCSV(BurstyTable(Figure22(goldenTrials)))},
+		{"ablations", titledCSV(Ablations(goldenTrials).Table())},
+		{"measurement", titledCSV(MeasurementPaths(goldenTrials).Table())},
+		{"dvs", titledCSV(DVSTable(DVSPaths(goldenTrials)))},
+		{"quality", titledCSV(QualityTable(QualityEnergy(goldenTrials)))},
+		{"policy", titledCSV(DecentralizedComparison(goldenTrials).Table())},
+		{"resilience", titledCSV(FigureResilience(goldenTrials).Table())},
+		{"supervision", titledCSV(FigureSupervision(goldenTrials).Table())},
+		{"offload", titledCSV(FigureOffload(goldenTrials).Table())},
 	}
 }
 
@@ -81,13 +97,13 @@ func traceHex(results []GoalResult) string {
 	return b.String()
 }
 
-// TestGoalFigureGoldens pins every goal-directed figure to its checked-in
-// rendering, with the worker pool at one worker and at eight: the sweep's
-// output must not depend on pool width or completion order. Under the race
-// detector only the width-8 pass runs, where the pool's goroutines overlap.
-func TestGoalFigureGoldens(t *testing.T) {
+// TestFigureGoldens pins every figure to its checked-in rendering, with the
+// worker pool at one worker and at eight: grid cells and goal sweeps must
+// not depend on pool width or completion order. Under the race detector
+// only the width-8 pass runs, where the pool's goroutines overlap.
+func TestFigureGoldens(t *testing.T) {
 	if testing.Short() {
-		t.Skip("renders every goal-directed figure twice")
+		t.Skip("renders every figure twice")
 	}
 	widths := []int{1, 8}
 	if raceEnabled {
@@ -95,7 +111,7 @@ func TestGoalFigureGoldens(t *testing.T) {
 	}
 	for _, w := range widths {
 		useParallelism(t, w)
-		for _, g := range goalGoldens() {
+		for _, g := range figureGoldens() {
 			path := filepath.Join("testdata", g.name+".csv")
 			if *updateGoldens {
 				if err := os.WriteFile(path, []byte(g.body), 0o644); err != nil {

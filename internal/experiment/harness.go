@@ -46,86 +46,63 @@ type Grid struct {
 }
 
 // RunGrid measures every (object, bar) cell with the given number of
-// trials. fig is the stable figure id cells are cached under; trialFor
-// returns the workload for an object under a bar configuration. baseSeed
-// separates figures so their random streams differ.
-//
-// Cells already present in the cell cache (SetCacheDir) are reused; the
-// remaining (cell, trial) pairs are fanned out across the worker pool
-// (SetParallelism) and merged in fixed (object, bar, trial) index order, so
-// the grid — and every table rendered from it — is byte-identical however
-// many workers ran it.
+// trials. fig labels the cells' progress lines; trialFor returns the
+// workload for an object under a bar configuration. baseSeed separates
+// figures so their random streams differ.
 func RunGrid(fig, title string, objects []string, bars []Bar, trials int, baseSeed int64,
 	trialFor func(object int, bar int) Trial) *Grid {
 
-	g := &Grid{Title: title, Objects: objects}
+	g := &Grid{Title: title, Objects: objects, Cells: make([][]Cell, len(objects))}
 	for _, b := range bars {
 		g.Bars = append(g.Bars, b.Label)
 	}
-	g.Cells = make([][]Cell, len(objects))
-
-	// Resolve cached cells first; only misses are scheduled.
-	type pending struct {
-		oi, bi int
-		seed   int64
-	}
-	var misses []pending
-	for oi := range objects {
-		g.Cells[oi] = make([]Cell, len(bars))
-		for bi, bar := range bars {
-			seed := baseSeed + int64(oi*1009+bi*101)
-			if cell, ok := cacheLookup(fig, objects[oi], bar.Label, seed, trials); ok {
-				g.Cells[oi][bi] = cell
-				progressf("cell %s %s / %s: cache hit", fig, objects[oi], bar.Label)
-				continue
-			}
-			misses = append(misses, pending{oi, bi, seed})
-		}
-	}
-	if len(misses) == 0 {
-		return g
-	}
-
 	// trialFor may close over per-figure state, so resolve the workloads
 	// serially; the Trial closures themselves run concurrently, each on a
 	// rig private to its goroutine.
-	trialOf := make([]Trial, len(misses))
-	for mi, pd := range misses {
-		trialOf[mi] = trialFor(pd.oi, pd.bi)
+	runs := make([]cellRun, 0, len(objects)*len(bars))
+	for oi, obj := range objects {
+		for bi, bar := range bars {
+			runs = append(runs, cellRun{obj, baseSeed + int64(oi*1009+bi*101), bar, trialFor(oi, bi)})
+		}
 	}
-	results := make([][]trialResult, len(misses))
-	for mi := range results {
-		results[mi] = make([]trialResult, trials)
-	}
-	runTasks(len(misses)*trials, func(i int) {
-		mi, t := i/trials, i%trials
-		results[mi][t] = runTrial(misses[mi].seed, t, bars[misses[mi].bi], trialOf[mi])
-	})
-	for mi, pd := range misses {
-		cell := aggregateCell(trials, results[mi])
-		g.Cells[pd.oi][pd.bi] = cell
-		cacheStore(fig, objects[pd.oi], bars[pd.bi].Label, pd.seed, trials, cell)
-		progressf("cell %s %s / %s: %d trials in %v", fig, objects[pd.oi], bars[pd.bi].Label,
-			trials, cellWall(results[mi]))
+	cells := runCells(fig, trials, runs)
+	for oi := range objects {
+		lo, hi := oi*len(bars), (oi+1)*len(bars)
+		g.Cells[oi] = cells[lo:hi:hi]
 	}
 	return g
 }
 
-// runCell measures one configuration outside a grid (the think-time
-// sweeps): same cache, pool, and fixed-order merge as RunGrid cells.
-func runCell(fig, object string, trials int, seed int64, bar Bar, trial Trial) Cell {
-	if cell, ok := cacheLookup(fig, object, bar.Label, seed, trials); ok {
-		progressf("cell %s %s / %s: cache hit", fig, object, bar.Label)
-		return cell
+// cellRun is one configuration for runCells to measure; object only labels
+// its progress line.
+type cellRun struct {
+	object string
+	seed   int64
+	bar    Bar
+	trial  Trial
+}
+
+// runCells measures every configuration with the given number of trials —
+// the one path behind grid cells and think-time sweeps. All (cell, trial)
+// runs are fanned out across the worker pool (SetParallelism) and merged in
+// fixed (cell, trial) index order, so the cells, and every table rendered
+// from them, are byte-identical however many workers ran them. fig labels
+// the progress lines.
+func runCells(fig string, trials int, runs []cellRun) []Cell {
+	results := make([][]trialResult, len(runs))
+	for ci := range results {
+		results[ci] = make([]trialResult, trials)
 	}
-	results := make([]trialResult, trials)
-	runTasks(trials, func(t int) {
-		results[t] = runTrial(seed, t, bar, trial)
+	runTasks(len(runs)*trials, func(i int) {
+		r, t := runs[i/trials], i%trials
+		results[i/trials][t] = runTrial(r.seed, t, r.bar, r.trial)
 	})
-	cell := aggregateCell(trials, results)
-	cacheStore(fig, object, bar.Label, seed, trials, cell)
-	progressf("cell %s %s / %s: %d trials in %v", fig, object, bar.Label, trials, cellWall(results))
-	return cell
+	cells := make([]Cell, len(runs))
+	for ci, r := range runs {
+		cells[ci] = aggregateCell(trials, results[ci])
+		progressf("cell %s %s / %s: %d trials in %v", fig, r.object, r.bar.Label, trials, cellWall(results[ci]))
+	}
+	return cells
 }
 
 // Savings returns the fractional energy reduction of bar relative to ref

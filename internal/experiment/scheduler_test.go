@@ -2,8 +2,6 @@ package experiment
 
 import (
 	"math"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -20,21 +18,13 @@ func useParallelism(t *testing.T, n int) {
 	t.Cleanup(func() { SetParallelism(1) })
 }
 
-// useCacheDir points the cell cache at a per-test directory and disables it
-// afterwards.
-func useCacheDir(t *testing.T, dir string) {
-	t.Helper()
-	SetCacheDir(dir)
-	t.Cleanup(func() { SetCacheDir("") })
-}
-
 // gridCSV renders everything output depends on: the energy table plus every
-// per-object breakdown table.
+// per-object breakdown table, each titled.
 func gridCSV(g *Grid) string {
 	var b strings.Builder
-	b.WriteString(g.Table().CSV())
+	b.WriteString(titledCSV(g.Table()))
 	for oi := range g.Objects {
-		b.WriteString(g.BreakdownTable(oi).CSV())
+		b.WriteString(titledCSV(g.BreakdownTable(oi)))
 	}
 	return b.String()
 }
@@ -66,9 +56,10 @@ func TestRunGridParallelByteIdentical(t *testing.T) {
 func TestRunCellBreakdownAggregation(t *testing.T) {
 	trial := func(rig *env.Rig, p *sim.Proc) { p.Sleep(2 * time.Second) }
 	SetParallelism(1)
-	serial := runCell("test-cell", "obj", 3, 77, Bar{Label: "idle"}, trial)
+	run := []cellRun{{"obj", 77, Bar{Label: "idle"}, trial}}
+	serial := runCells("test-cell", 3, run)[0]
 	useParallelism(t, 4)
-	parallel := runCell("test-cell", "obj", 3, 77, Bar{Label: "idle"}, trial)
+	parallel := runCells("test-cell", 3, run)[0]
 
 	if len(serial.Breakdown) == 0 {
 		t.Fatal("breakdown is empty")
@@ -91,63 +82,6 @@ func TestRunCellBreakdownAggregation(t *testing.T) {
 	}
 	if rel := math.Abs(sum-serial.Energy.Mean) / serial.Energy.Mean; rel > 0.02 {
 		t.Fatalf("breakdown total %.3f J vs mean energy %.3f J (%.1f%% off)", sum, serial.Energy.Mean, rel*100)
-	}
-}
-
-// TestCellCacheWarmRerun: a second identical run must resolve every cell
-// from the cache and render byte-identical output; changing the trial count
-// must miss.
-func TestCellCacheWarmRerun(t *testing.T) {
-	useCacheDir(t, t.TempDir())
-	cold := figureVideoFidelityOnly(2)
-	hits, misses := CacheStats()
-	nCells := len(cold.Objects) * len(cold.Bars)
-	if hits != 0 || misses != nCells {
-		t.Fatalf("cold run: %d hits / %d misses, want 0 / %d", hits, misses, nCells)
-	}
-	warm := figureVideoFidelityOnly(2)
-	hits, misses = CacheStats()
-	if hits != nCells || misses != nCells {
-		t.Fatalf("warm run: %d hits / %d misses, want %d / %d", hits, misses, nCells, nCells)
-	}
-	if a, b := gridCSV(cold), gridCSV(warm); a != b {
-		t.Fatalf("cached rerun diverged:\n--- cold ---\n%s--- warm ---\n%s", a, b)
-	}
-	// A different trial count is a different key: no false hits.
-	ResetCacheStats()
-	figureVideoFidelityOnly(1)
-	if hits, _ := CacheStats(); hits != 0 {
-		t.Fatalf("trial-count change still hit the cache %d times", hits)
-	}
-}
-
-// TestCellCacheRejectsTamperedEntries: an entry whose stored key fields no
-// longer match (a stale harness version, a hand-edited file) degrades to a
-// miss rather than supplying a wrong cell.
-func TestCellCacheRejectsTamperedEntries(t *testing.T) {
-	dir := t.TempDir()
-	useCacheDir(t, dir)
-	trial := func(rig *env.Rig, p *sim.Proc) { p.Sleep(time.Second) }
-	runCell("tamper", "obj", 2, 5, Bar{Label: "b"}, trial)
-	files, err := filepath.Glob(filepath.Join(dir, "*.json"))
-	if err != nil || len(files) != 1 {
-		t.Fatalf("cache files %v (err %v), want exactly 1", files, err)
-	}
-	data, err := os.ReadFile(files[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	tampered := strings.Replace(string(data), harnessVersion, "stale-version", 1)
-	if tampered == string(data) {
-		t.Fatal("fixture did not contain the harness version")
-	}
-	if err := os.WriteFile(files[0], []byte(tampered), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	ResetCacheStats()
-	runCell("tamper", "obj", 2, 5, Bar{Label: "b"}, trial)
-	if hits, misses := CacheStats(); hits != 0 || misses == 0 {
-		t.Fatalf("tampered entry produced %d hits / %d misses, want 0 hits", hits, misses)
 	}
 }
 
@@ -197,21 +131,32 @@ func TestSweepIndexesArmTrial(t *testing.T) {
 	}
 }
 
-// TestProgressLines: the progress stream reports computed cells with trial
-// counts and cached cells as hits.
+// TestProgressLines: the progress stream reports every computed cell with
+// its trial count — one line per cell of a grid, whatever the pool width.
 func TestProgressLines(t *testing.T) {
-	useCacheDir(t, t.TempDir())
 	var b strings.Builder
 	SetProgress(&b)
 	t.Cleanup(func() { SetProgress(nil) })
+	useParallelism(t, 4)
 	trial := func(rig *env.Rig, p *sim.Proc) { p.Sleep(time.Second) }
-	runCell("prog", "obj", 2, 9, Bar{Label: "b"}, trial)
-	runCell("prog", "obj", 2, 9, Bar{Label: "b"}, trial)
-	out := b.String()
-	if !strings.Contains(out, "cell prog obj / b: 2 trials in") {
+	runCells("prog", 2, []cellRun{{"obj", 9, Bar{Label: "b"}, trial}})
+	if out := b.String(); !strings.Contains(out, "cell prog obj / b: 2 trials in") {
 		t.Fatalf("missing computed-cell progress line:\n%s", out)
 	}
-	if !strings.Contains(out, "cell prog obj / b: cache hit") {
-		t.Fatalf("missing cache-hit progress line:\n%s", out)
+
+	b.Reset()
+	objects, bars := []string{"o1", "o2"}, []Bar{{Label: "x"}, {Label: "y"}, {Label: "z"}}
+	RunGrid("grid", "progress grid", objects, bars, 3, 11,
+		func(oi, bi int) Trial { return trial })
+	out := b.String()
+	if n := strings.Count(out, "\n"); n != len(objects)*len(bars) {
+		t.Fatalf("%d progress lines for a %dx%d grid, want one per cell:\n%s", n, len(objects), len(bars), out)
+	}
+	for _, o := range objects {
+		for _, bar := range bars {
+			if line := "cell grid " + o + " / " + bar.Label + ": 3 trials in"; strings.Count(out, line) != 1 {
+				t.Fatalf("want exactly one %q line:\n%s", line, out)
+			}
+		}
 	}
 }

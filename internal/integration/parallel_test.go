@@ -31,29 +31,3 @@ func TestParallelEquivalenceGate(t *testing.T) {
 		t.Fatalf("parallel output diverged from serial:\n--- serial ---\n%s--- parallel ---\n%s", serial, parallel)
 	}
 }
-
-// TestWarmCacheGate is the acceptance gate for the cell cache: a repeated
-// figure run against a warm cache must execute zero trials — every cell a
-// hit — and still render byte-identical output.
-func TestWarmCacheGate(t *testing.T) {
-	experiment.SetCacheDir(t.TempDir())
-	t.Cleanup(func() { experiment.SetCacheDir("") })
-
-	cold := figure6CSV(2)
-	hits, misses := experiment.CacheStats()
-	const nCells = 4 * 6 // 4 clips x 6 bars
-	if hits != 0 || misses != nCells {
-		t.Fatalf("cold run: %d hits / %d misses, want 0 / %d", hits, misses, nCells)
-	}
-	warm := figure6CSV(2)
-	hits, misses = experiment.CacheStats()
-	if hits != nCells {
-		t.Fatalf("warm run hit %d cells, want all %d (misses %d)", hits, nCells, misses)
-	}
-	if misses != nCells {
-		t.Fatalf("warm run recomputed %d cells beyond the cold run's %d", misses-nCells, nCells)
-	}
-	if cold != warm {
-		t.Fatalf("warm-cache output diverged:\n--- cold ---\n%s--- warm ---\n%s", cold, warm)
-	}
-}

@@ -28,51 +28,46 @@
 #                                          exact integrator
 #   9. go test -fuzz                       short fuzz budgets (seed corpus + 5s
 #                                          each) over odfs path handling
-#                                          (FuzzPathHandling) and journal
-#                                          replay (FuzzJournalReplay)
+#                                          (FuzzPathHandling), journal replay
+#                                          (FuzzJournalReplay) and PowerScope
+#                                          sample correlation (FuzzCorrelate)
 #  10. odyssey-sim -figure resilience      smoke: the fault-injection plane
 #                                          end to end on one trial
 #  11. supervision smoke (-race)           the application-supervision plane
 #                                          end to end under the mid
 #                                          misbehavior ladder
-#  12. disarmed determinism gate           battery-goal with the supervisor
-#                                          and offload plane disarmed must be
-#                                          byte-identical run to run and
-#                                          carry no trace of either plane
-#  13. armed offload determinism           an armed battery-goal run must be
-#                                          byte-identical at the same seed and
-#                                          report the offload principal (the
-#                                          crash-rung acceptance bar is the Go
-#                                          test TestOffloadCrashRungDegradesToLocal)
-#  14. parallel/cache smoke                fig6, fig20 and resilience (grid
+#  12. parallel equivalence smoke          fig6, fig20 and resilience (grid
 #                                          cells and pooled goal sweeps) at
 #                                          -parallel 4 under -race must be
-#                                          byte-identical to serial, and a
-#                                          warm-cache fig6 rerun must serve
-#                                          every cell from the cache
-#  15. chaos smoke + corpus replay         a bounded soak (fixed seed, 20
+#                                          byte-identical to serial
+#  13. chaos smoke + corpus replay         a bounded soak (fixed seed, 20
 #                                          scenarios) under -race must pass
 #                                          every invariant sentinel, and
 #                                          every previously-failing scenario
 #                                          in the regression corpus must
 #                                          replay clean
-#  16. containment smoke                   a -race soak over the containment
+#  14. containment smoke                   a -race soak over the containment
 #                                          corpus (planted process-panic and
 #                                          livelock scenarios among healthy
 #                                          ones) must finish and exit 1; the
 #                                          report and kill-and-resume checks
 #                                          are the Go test
 #                                          TestContainmentCorpusSoakAndResume
-#  17. fleet smoke + determinism replay    a 600-session -race fleet soak
+#  15. fleet smoke + determinism replay    a 600-session -race fleet soak
 #                                          must produce a scorecard
 #                                          byte-identical to a serial
 #                                          replay of the same seed, and a
 #                                          shard journal truncated mid-run
 #                                          must -resume to the same bytes
-#  18. profile smoke                      odyssey-chaos -cpuprofile writes a
+#  16. profile smoke                       odyssey-chaos -cpuprofile writes a
 #                                          profile go tool pprof reads, and
 #                                          the soak's stdout is byte-identical
 #                                          to the same run without the flag
+#
+# battery-goal's determinism checks (same-seed runs byte-identical, a
+# disarmed run free of supervision and offload output, an armed run
+# reporting the offload principal) are Go tests in cmd/battery-goal, run by
+# gates 5 and 7.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -118,58 +113,22 @@ if [ "${1:-}" != "fast" ]; then
     echo "==> go test -fuzz FuzzJournalReplay -fuzztime 5s ./internal/journal"
     go test -run '^$' -fuzz FuzzJournalReplay -fuzztime 5s ./internal/journal
 
+    echo "==> go test -fuzz FuzzCorrelate -fuzztime 5s ./internal/powerscope"
+    go test -run '^$' -fuzz FuzzCorrelate -fuzztime 5s ./internal/powerscope
+
     echo "==> resilience smoke (odyssey-sim -figure resilience -trials 1)"
     go run ./cmd/odyssey-sim -figure resilience -trials 1
 
     echo "==> supervision smoke (-race, mid misbehavior ladder)"
     go run -race ./cmd/odyssey-sim -figure supervision -misbehave mid
 
-    echo "==> disarmed determinism gate (battery-goal, same seed, byte-identical)"
-    supdir=$(mktemp -d)
-    go run ./cmd/battery-goal -goal 26m -seed 7 > "$supdir/a.txt"
-    go run ./cmd/battery-goal -goal 26m -seed 7 > "$supdir/b.txt"
-    cmp "$supdir/a.txt" "$supdir/b.txt" || {
-        echo "FAIL: disarmed same-seed runs differ" >&2; rm -rf "$supdir"; exit 1; }
-    if grep -qi 'supervis' "$supdir/a.txt"; then
-        echo "FAIL: disarmed run mentions the supervision plane" >&2
-        rm -rf "$supdir"; exit 1
-    fi
-    if grep -qi 'offload' "$supdir/a.txt"; then
-        echo "FAIL: disarmed run mentions the offload plane" >&2
-        rm -rf "$supdir"; exit 1
-    fi
-    rm -rf "$supdir"
-
-    echo "==> armed offload determinism (battery-goal, same seed, byte-identical)"
-    offdir=$(mktemp -d)
-    go run ./cmd/battery-goal -goal 26m -seed 7 -offload 3 -offload-load 0.5 > "$offdir/a.txt"
-    go run ./cmd/battery-goal -goal 26m -seed 7 -offload 3 -offload-load 0.5 > "$offdir/b.txt"
-    cmp "$offdir/a.txt" "$offdir/b.txt" || {
-        echo "FAIL: armed same-seed offload runs differ" >&2; rm -rf "$offdir"; exit 1; }
-    grep -q 'offload principal' "$offdir/a.txt" || {
-        echo "FAIL: armed run reports no offload principal line" >&2; rm -rf "$offdir"; exit 1; }
-    rm -rf "$offdir"
-
-    echo "==> parallel equivalence + warm-cache smoke (fig6,fig20,resilience, -race)"
+    echo "==> parallel equivalence smoke (fig6,fig20,resilience, -race)"
     smokedir=$(mktemp -d)
     trap 'rm -rf "$smokedir"' EXIT
-    go run ./cmd/odyssey-sim -figure fig6,fig20,resilience -trials 2 -parallel 1 -csv > "$smokedir/serial-all.csv"
-    go run -race ./cmd/odyssey-sim -figure fig6,fig20,resilience -trials 2 -parallel 4 \
-        -cache-dir "$smokedir/cache" -csv > "$smokedir/parallel.csv"
-    cmp "$smokedir/serial-all.csv" "$smokedir/parallel.csv" || {
+    go run ./cmd/odyssey-sim -figure fig6,fig20,resilience -trials 2 -parallel 1 -csv > "$smokedir/serial.csv"
+    go run -race ./cmd/odyssey-sim -figure fig6,fig20,resilience -trials 2 -parallel 4 -csv > "$smokedir/parallel.csv"
+    cmp "$smokedir/serial.csv" "$smokedir/parallel.csv" || {
         echo "FAIL: -parallel 4 output differs from serial" >&2; exit 1; }
-    go run ./cmd/odyssey-sim -figure fig6 -trials 2 -parallel 1 -csv > "$smokedir/serial.csv"
-    go run -race ./cmd/odyssey-sim -figure fig6 -trials 2 -parallel 4 \
-        -cache-dir "$smokedir/cache" -csv -progress > "$smokedir/warm.csv" 2> "$smokedir/progress.log"
-    cmp "$smokedir/serial.csv" "$smokedir/warm.csv" || {
-        echo "FAIL: warm-cache output differs from serial" >&2; exit 1; }
-    if grep '^cell ' "$smokedir/progress.log" | grep -qv 'cache hit'; then
-        echo "FAIL: warm-cache rerun recomputed cells:" >&2
-        grep '^cell ' "$smokedir/progress.log" | grep -v 'cache hit' >&2
-        exit 1
-    fi
-    grep -q 'cache hit' "$smokedir/progress.log" || {
-        echo "FAIL: warm-cache rerun produced no cache hits" >&2; exit 1; }
 
     echo "==> chaos smoke (-race, 20 scenarios, fixed seed) + corpus replay"
     go run -race ./cmd/odyssey-chaos -soak 20 -seed 7 -out "$smokedir/chaos-failures"
