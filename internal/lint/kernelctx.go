@@ -2,23 +2,22 @@ package lint
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
 )
 
-// Kernelctx protects the kernel's one-runnable-at-a-time handshake. The
-// unbuffered Kernel.yield and Proc.resume channels are the only
-// synchronization in the simulation: control passes kernel -> process on
-// resume and process -> kernel on yield, and exactly four functions are
-// allowed to touch them - (*Kernel).transfer, (*Proc).park,
-// (*Kernel).Spawn (the bootstrap hand-off), and (*Kernel).Shutdown (the
-// final kill exchange). A raw send or receive anywhere else desynchronizes
-// the handshake: either two goroutines run simultaneously (a data race
-// over all kernel state) or both sides block forever.
+// Kernelctx protects the kernel's one-runnable-at-a-time handshake. Each
+// process is an iter.Pull coroutine, and the two ends iter.Pull hands out,
+// stored as Proc.next and Proc.yield, are the only synchronization in the
+// simulation: next passes control kernel -> process, yield passes it back.
+// Exactly four functions may touch them - (*Kernel).transfer, (*Proc).park,
+// (*Kernel).Spawn (which builds the coroutine), and (*Kernel).Shutdown (the
+// final kill switch). A call anywhere else runs a process out of its
+// (at, seq) turn - the schedule then no longer follows from the seed - or
+// makes iter.Pull panic on a switch issued from the wrong side.
 //
-// Within internal/sim the analyzer flags any send, receive, or close on a
-// yield/resume field outside the blessed four. Outside internal/sim it
-// flags any reference to those fields or to transfer/park (possible only
+// Within internal/sim the analyzer flags any use of a next/yield struct
+// field of function type outside the blessed four. Outside internal/sim it
+// flags any next/yield/park/transfer selector on a sim type (possible only
 // via code cloned out of the package, but the rule is cheap to state).
 //
 // The deterministic packages get one more rule: a `go` statement must not
@@ -30,12 +29,12 @@ import (
 // data race over all simulation state.
 var Kernelctx = &Analyzer{
 	Name: "kernelctx",
-	Doc:  "confine Kernel.yield/Proc.resume channel operations to transfer, park, Spawn, and Shutdown; forbid sharing a kernel across goroutines",
+	Doc:  "confine a process's next/yield coroutine ends to transfer, park, Spawn, and Shutdown; forbid sharing a kernel across goroutines",
 	Run:  runKernelctx,
 }
 
-// kernelctxBlessed are the only functions allowed to operate the handshake
-// channels directly.
+// kernelctxBlessed are the only functions allowed to switch a process
+// coroutine directly.
 var kernelctxBlessed = map[string]bool{
 	"transfer": true,
 	"park":     true,
@@ -54,8 +53,8 @@ func runKernelctx(pass *Pass) {
 	}
 }
 
-// runKernelctxInside enforces the in-package rule: raw channel operations
-// on yield/resume only inside the blessed functions.
+// runKernelctxInside enforces the in-package rule: the baton fields only
+// inside the blessed functions.
 func runKernelctxInside(pass *Pass) {
 	for _, file := range pass.Pkg.Files {
 		for _, decl := range file.Decls {
@@ -64,65 +63,36 @@ func runKernelctxInside(pass *Pass) {
 				continue
 			}
 			ast.Inspect(decl, func(n ast.Node) bool {
-				if sel, op := handshakeChanOp(pass.Pkg.Info, n); sel != nil {
-					fn := "package scope"
-					if ok {
-						fn = fd.Name.Name
-					}
-					pass.Reportf(n.Pos(),
-						"direct %s on handshake channel %s in %s: only transfer, park, Spawn, and Shutdown may operate it",
-						op, sel.Sel.Name, fn)
+				sel, isSel := n.(*ast.SelectorExpr)
+				if !isSel || !isBatonField(pass.Pkg.Info, sel) {
+					return true
 				}
+				fn := "package scope"
+				if ok {
+					fn = fd.Name.Name
+				}
+				pass.Reportf(sel.Pos(),
+					"use of coroutine baton field %s in %s: only transfer, park, Spawn, and Shutdown may switch a process",
+					sel.Sel.Name, fn)
 				return true
 			})
 		}
 	}
 }
 
-// handshakeChanOp reports whether n is a send, receive, or close whose
-// channel operand is a yield/resume struct field of channel type, and names
-// the operation.
-func handshakeChanOp(info *types.Info, n ast.Node) (*ast.SelectorExpr, string) {
-	var ch ast.Expr
-	var op string
-	switch n := n.(type) {
-	case *ast.SendStmt:
-		ch, op = n.Chan, "send"
-	case *ast.UnaryExpr:
-		if n.Op != token.ARROW {
-			return nil, ""
-		}
-		ch, op = n.X, "receive"
-	case *ast.CallExpr:
-		id, ok := n.Fun.(*ast.Ident)
-		if !ok || id.Name != "close" || len(n.Args) != 1 {
-			return nil, ""
-		}
-		if _, isBuiltin := info.Uses[id].(*types.Builtin); !isBuiltin {
-			return nil, ""
-		}
-		ch, op = n.Args[0], "close"
-	default:
-		return nil, ""
+// isBatonField reports whether sel selects a next/yield struct field of
+// function type - one end of a process's coroutine - so that unrelated
+// locals or non-function fields sharing the names don't trip the rule.
+func isBatonField(info *types.Info, sel *ast.SelectorExpr) bool {
+	if sel.Sel.Name != "next" && sel.Sel.Name != "yield" {
+		return false
 	}
-	sel, ok := ch.(*ast.SelectorExpr)
-	if !ok {
-		return nil, ""
+	s, ok := info.Selections[sel]
+	if !ok || s.Kind() != types.FieldVal {
+		return false
 	}
-	if sel.Sel.Name != "yield" && sel.Sel.Name != "resume" {
-		return nil, ""
-	}
-	// Require a struct-field selection of channel type so that unrelated
-	// locals named yield/resume don't trip the rule.
-	if s, ok := info.Selections[sel]; ok {
-		if s.Kind() != types.FieldVal {
-			return nil, ""
-		}
-		if _, isChan := s.Type().Underlying().(*types.Chan); !isChan {
-			return nil, ""
-		}
-	}
-	return sel, op
+	_, isFunc := s.Type().Underlying().(*types.Signature)
+	return isFunc
 }
 
 // runKernelctxOutside flags references to the handshake internals from any
@@ -134,7 +104,7 @@ func runKernelctxOutside(pass *Pass) {
 			return true
 		}
 		name := sel.Sel.Name
-		if name != "yield" && name != "resume" && name != "park" && name != "transfer" {
+		if name != "next" && name != "yield" && name != "park" && name != "transfer" {
 			return true
 		}
 		s, ok := pass.Pkg.Info.Selections[sel]

@@ -17,8 +17,9 @@
 //   - detrand:    forbids wall-clock, environment, and global-RNG reads in
 //     the simulation substrate; virtual time and injected RNG only.
 //   - floateq:    flags == / != between floating-point energy/power values.
-//   - kernelctx:  confines the kernel's yield/resume handshake channels to
-//     the three blessed functions (transfer, park, Spawn).
+//   - kernelctx:  confines a process's next/yield coroutine ends to the
+//     four blessed functions (transfer, park, Spawn, Shutdown) and forbids
+//     sharing a kernel across goroutines.
 //   - panicfree:  flags panic in library code (cmd/ and examples/ exempt).
 //   - droppederr: flags silently discarded error returns.
 //   - upcallsync: forbids re-entering Viceroy.UpdateResource synchronously

@@ -9,24 +9,24 @@ import (
 
 // Containment: structured fault transport out of the simulation.
 //
-// A panic inside a process body runs on that process's goroutine, where no
-// caller of Kernel.Run could ever recover it — the kernel goroutine is
-// blocked in the baton handshake and the raw panic would kill the program.
-// recoverKill therefore converts every non-sentinel panic into a *ProcPanic
-// stored on the kernel, lets the process goroutine exit through the normal
-// final hand-back, and the kernel re-raises the wrapped fault on its own
-// goroutine as soon as the baton returns (in transfer, or in Shutdown for
-// faults thrown during teardown). The net effect: any panic anywhere in
-// simulation code surfaces as a panic unwinding Kernel.Run, carrying the
-// guilty process's identity and a deterministic stack, where the chaos and
-// fleet fences can recover it.
+// A panic inside a process body unwinds that process's coroutine, whose
+// raw value says nothing about which simulated process died, and would end
+// the coroutine before the process could be marked dead. recoverKill
+// therefore converts every non-sentinel panic into a *ProcPanic stored on
+// the kernel and lets the coroutine end through its normal return, and the
+// kernel re-raises the wrapped fault on its own goroutine as soon as the
+// baton returns (in transfer, or in Shutdown for faults thrown during
+// teardown). The net effect: any panic anywhere in simulation code
+// surfaces as a panic unwinding Kernel.Run, carrying the guilty process's
+// identity and a deterministic stack, where the chaos and fleet fences can
+// recover it.
 //
 // The same layer hosts the virtual-time stall detector: the kernel counts
 // events dispatched since the clock last advanced and trips a bound,
 // unwinding Run with a structured *ErrStall snapshot of the timing
 // structure. See DESIGN.md "Containment plane".
 
-// ProcPanic wraps a panic recovered from a simulation process goroutine
+// ProcPanic wraps a panic recovered from a simulation process coroutine
 // with the identity of the process that died and a deterministic stack of
 // the panic site. It unwinds Kernel.Run (re-raised on the kernel goroutine)
 // so one recover around Run observes process faults and kernel-context
@@ -110,7 +110,8 @@ func (k *Kernel) tripStall() {
 // the same seed produce byte-identical stacks — the property the chaos
 // plane's byte-identical resume reports rely on. skip counts frames to omit
 // above the caller (0 starts at CallerStack's caller). Frames inside the
-// runtime (panic plumbing) are elided.
+// runtime and iter packages (panic and coroutine plumbing) are elided: they
+// name GOROOT paths and toolchain-specific lines.
 func CallerStack(skip int) string {
 	var pcs [64]uintptr
 	n := runtime.Callers(skip+2, pcs[:])
@@ -118,7 +119,7 @@ func CallerStack(skip int) string {
 	var b strings.Builder
 	for {
 		f, more := frames.Next()
-		if f.Function != "" && !strings.HasPrefix(f.Function, "runtime.") {
+		if f.Function != "" && !strings.HasPrefix(f.Function, "runtime.") && !strings.HasPrefix(f.Function, "iter.") {
 			//odylint:allow hotalloc containment cold path: stacks are captured only while transporting a fault out
 			fmt.Fprintf(&b, "%s\n\t%s:%d\n", f.Function, f.File, f.Line)
 		}

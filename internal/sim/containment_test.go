@@ -37,6 +37,23 @@ func TestProcPanicWrapsProcessIdentity(t *testing.T) {
 	if !strings.Contains(got.Stack, "containment_test.go") {
 		t.Errorf("stack does not point at the panic site:\n%s", got.Stack)
 	}
+	// The stack ends at the Spawn closure that runs the body: no frame of
+	// the runtime's or iter.Pull's coroutine plumbing (GOROOT paths,
+	// toolchain-specific lines) may follow it or appear anywhere else.
+	var funcs []string
+	for _, line := range strings.Split(strings.TrimSuffix(got.Stack, "\n"), "\n") {
+		if !strings.HasPrefix(line, "\t") {
+			funcs = append(funcs, line)
+		}
+	}
+	if n := len(funcs); n == 0 || !strings.HasPrefix(funcs[n-1], "odyssey/internal/sim.(*Kernel).Spawn.func") {
+		t.Errorf("last stack frame is not the Spawn closure:\n%s", got.Stack)
+	}
+	for _, fn := range funcs {
+		if !strings.HasPrefix(fn, "odyssey/") {
+			t.Errorf("stack frame %q lies outside the module:\n%s", fn, got.Stack)
+		}
+	}
 	if !strings.Contains(got.Error(), `"victim"`) || !strings.Contains(got.Error(), "planted fault") {
 		t.Errorf("Error() = %q, want process name and value", got.Error())
 	}

@@ -29,7 +29,7 @@ func TestSleepNegativeDuration(t *testing.T) {
 }
 
 // TestTransferToDeadProc: handing control to an already-terminated process
-// must be a no-op, not a deadlock on its resume channel.
+// must be a no-op, not a switch into its finished coroutine.
 func TestTransferToDeadProc(t *testing.T) {
 	k := NewKernel(1)
 	p := k.Spawn("shortlived", func(p *Proc) {})

@@ -1,11 +1,17 @@
+//go:build go1.23
+
+// This constraint stands in for a go.mod bump: it sets the file's language
+// version to go1.23, which go vet requires for iter.Pull, while go.mod stays
+// at go 1.22 so the bench module, which requires this one, keeps building.
+
 // Package sim provides a deterministic discrete-event simulation kernel.
 //
 // The kernel advances a virtual clock through a timing structure built from
 // three tiers — a runnable ring for zero-delay work, a timer wheel for
 // near-future timers, and a binary heap for everything else — all serviced
 // in one global (time, sequence) order. Model code runs either as plain
-// event callbacks (see Kernel.At) or as processes: goroutines that
-// interleave with the kernel under a strict one-runnable-at-a-time
+// event callbacks (see Kernel.At) or as processes: coroutines (iter.Pull)
+// that interleave with the kernel under a strict one-runnable-at-a-time
 // handshake, so that a simulation is fully deterministic for a given seed
 // regardless of the Go scheduler.
 //
@@ -16,8 +22,8 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
+	"iter"
 	"math/bits"
 	"math/rand"
 	"time"
@@ -28,13 +34,12 @@ import (
 // its generation counter is bumped, so a stale Event handle can never
 // cancel the timer's next occupant (see Event).
 type timer struct {
-	k      *Kernel
-	at     time.Duration
-	seq    uint64
-	gen    uint64
-	fn     func()
-	index  int // heap index; timerIdle when not queued; timerInWheel in a wheel slot
-	cancel bool
+	k     *Kernel
+	at    time.Duration
+	seq   uint64
+	gen   uint64
+	fn    func()
+	index int // heap index; timerIdle when not queued; timerInWheel in a wheel slot
 }
 
 const (
@@ -81,41 +86,86 @@ func (e Event) Cancel() {
 	k := tm.k
 	switch {
 	case tm.index >= 0:
-		heap.Remove(&k.events, tm.index)
-		k.recycleTimer(tm)
+		k.recycleTimer(k.events.remove(tm.index))
 	case tm.index == timerInWheel:
 		k.removeFromWheel(tm)
 	}
 }
 
+// eventHeap is a binary min-heap of timers ordered by (at, seq). Sequence
+// numbers are unique, so the order is total and the pop sequence is fixed
+// by the timers alone, whatever the heap's internal layout. Every queued
+// timer's index field holds its slot, so Cancel can remove it in O(log n).
 type eventHeap []*timer
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
+// before reports whether a fires before b.
+func (a *timer) before(b *timer) bool {
+	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
 }
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
-}
-func (h *eventHeap) Push(x any) {
-	e := x.(*timer)
-	e.index = len(*h)
+
+// push adds tm to the heap.
+func (h *eventHeap) push(tm *timer) {
 	//odylint:allow hotalloc heap growth is amortized: the backing array is retained across events
-	*h = append(*h, e)
+	*h = append(*h, tm)
+	h.up(len(*h) - 1)
 }
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	e.index = timerIdle
-	*h = old[:n-1]
-	return e
+
+// remove deletes and returns the timer in slot i; remove(0) pops the
+// earliest. The removed timer's index is reset to timerIdle.
+func (h *eventHeap) remove(i int) *timer {
+	s := *h
+	n := len(s) - 1
+	tm := s[i]
+	s[i] = s[n]
+	s[n] = nil
+	s = s[:n]
+	*h = s
+	if i < n && !s.down(i) {
+		s.up(i)
+	}
+	tm.index = timerIdle
+	return tm
+}
+
+// up sifts the timer in slot j toward the root.
+func (h eventHeap) up(j int) {
+	tm := h[j]
+	for j > 0 {
+		i := (j - 1) / 2
+		if !tm.before(h[i]) {
+			break
+		}
+		h[j] = h[i]
+		h[j].index = j
+		j = i
+	}
+	h[j] = tm
+	tm.index = j
+}
+
+// down sifts the timer in slot i0 toward the leaves and reports whether it
+// moved.
+func (h eventHeap) down(i0 int) bool {
+	tm := h[i0]
+	i := i0
+	for {
+		j := 2*i + 1
+		if j >= len(h) {
+			break
+		}
+		if r := j + 1; r < len(h) && h[r].before(h[j]) {
+			j = r
+		}
+		if !h[j].before(tm) {
+			break
+		}
+		h[i] = h[j]
+		h[i].index = i
+		i = j
+	}
+	h[i] = tm
+	tm.index = i
+	return i > i0
 }
 
 // Timer-wheel geometry: wheelSlots slots of 1<<wheelGranBits nanoseconds
@@ -177,10 +227,6 @@ type Kernel struct {
 	// hybrid against. Test-only.
 	pureHeap bool
 
-	// yield is signalled by a process goroutine whenever it hands control
-	// back to the kernel (by blocking or terminating).
-	yield chan struct{}
-
 	nextPID int
 	current *Proc // process currently holding control, nil in kernel context
 	procs   []*Proc
@@ -189,9 +235,9 @@ type Kernel struct {
 	stopped   bool
 	idleHooks []func() bool
 
-	// fault carries a panic recovered from a process goroutine back to the
-	// kernel goroutine, which re-raises it once it holds the baton again
-	// (see containment.go).
+	// fault carries a panic recovered in a process coroutine back to the
+	// kernel, which re-raises it once it holds the baton again (see
+	// containment.go).
 	fault *ProcPanic
 
 	// Stall detection: sinceAdvance counts events dispatched since the
@@ -206,7 +252,6 @@ type Kernel struct {
 func NewKernel(seed int64) *Kernel {
 	return &Kernel{
 		rng:        rand.New(rand.NewSource(seed)),
-		yield:      make(chan struct{}),
 		stallBound: DefaultStallBound,
 	}
 }
@@ -235,7 +280,6 @@ func (k *Kernel) newTimer() *timer {
 func (k *Kernel) recycleTimer(tm *timer) {
 	tm.gen++
 	tm.fn = nil
-	tm.cancel = false
 	tm.index = timerIdle
 	//odylint:allow hotalloc free-list growth is amortized: capacity is retained across events
 	k.free = append(k.free, tm)
@@ -288,7 +332,7 @@ func (k *Kernel) enqueue(tm *timer) {
 			return
 		}
 	}
-	heap.Push(&k.events, tm)
+	k.events.push(tm)
 }
 
 // removeFromWheel cancels a wheel-resident timer by swap-removing it from
@@ -338,7 +382,7 @@ func (k *Kernel) flushSlot(abs int64) {
 	ci := abs & wheelMask
 	slot := k.wheel[ci]
 	for i, tm := range slot {
-		heap.Push(&k.events, tm)
+		k.events.push(tm)
 		slot[i] = nil
 	}
 	k.wheelCount -= len(slot)
@@ -415,24 +459,25 @@ func (k *Kernel) growRing() {
 // remain queued; Run may be called again to resume.
 func (k *Kernel) Stop() { k.stopped = true }
 
-// Shutdown terminates every live process goroutine and must be the kernel's
+// Shutdown terminates every live process coroutine and must be the kernel's
 // final act: call it from normal Go context after Run has returned, never
 // from an event callback or a process, and do not Run the kernel again.
 //
-// Run exits at the horizon (or on Stop) with parked processes still blocked
-// in their handshake receive; each blocked goroutine pins its stack and,
-// through it, the whole rig. A simulation that builds many kernels — the
-// fleet and chaos planes build one per session — would otherwise grow
-// memory with session count, not worker count. Shutdown walks the process
-// table in spawn order and, for each live process, performs one last baton
-// exchange with the killed flag set: park (or the initial resume in Spawn)
-// observes the flag and unwinds via the procKilled sentinel, runProc
-// recovers it, and the goroutine exits through the normal final hand-back.
-// The walk order is deterministic, but no simulation code runs during it —
-// only deferred cleanup in process bodies, which must not park again.
+// Run exits at the horizon (or on Stop) with processes still suspended in
+// park; each suspended coroutine pins its goroutine's stack and, through
+// it, the whole rig. A simulation that builds many kernels — the fleet and
+// chaos planes build one per session — would otherwise grow memory with
+// session count, not worker count. Shutdown walks the process table in
+// spawn order and, for each live process, sets the killed flag and hands it
+// the baton one last time: park (or, for a process that never ran, the
+// start of its coroutine in Spawn) observes the flag and unwinds via the
+// procKilled sentinel, runProc recovers it, and the coroutine returns,
+// handing the baton back as it ends. The walk order is deterministic, but
+// no simulation code runs during it — only deferred cleanup in process
+// bodies, which must not park again.
 func (k *Kernel) Shutdown() {
 	if k.running {
-		//odylint:allow panicfree Shutdown from kernel context would deadlock the handshake; invariant guard
+		//odylint:allow panicfree Shutdown from kernel context would switch processes out of turn; invariant guard
 		panic("sim: Kernel.Shutdown called while running")
 	}
 	for _, p := range k.procs {
@@ -440,12 +485,11 @@ func (k *Kernel) Shutdown() {
 			continue
 		}
 		p.killed = true
-		p.resume <- struct{}{}
-		<-k.yield
+		p.next()
 	}
 	if k.fault != nil {
 		// A process's deferred cleanup panicked while unwinding. Every
-		// goroutine is down by now, so the wrapped fault can be re-raised
+		// coroutine has ended by now, so the wrapped fault can be re-raised
 		// safely here. Only the last such fault survives a multi-fault
 		// teardown — acceptable for what is already a double failure.
 		f := k.fault
@@ -518,18 +562,11 @@ func (k *Kernel) Run(horizon time.Duration) time.Duration {
 			}
 		}
 		tm := k.events[0]
-		if tm.cancel {
-			// Defensive: Cancel removes timers eagerly, so a cancelled
-			// head should not occur; tolerate one anyway.
-			heap.Pop(&k.events)
-			k.recycleTimer(tm)
-			continue
-		}
 		if horizon > 0 && tm.at > horizon {
 			k.now = horizon
 			break
 		}
-		heap.Pop(&k.events)
+		k.events.remove(0)
 		at, fn := tm.at, tm.fn
 		// Recycle before dispatch: a handle cancelled from within its own
 		// callback is already stale, matching fired-event semantics.
@@ -547,13 +584,17 @@ func (k *Kernel) Run(horizon time.Duration) time.Duration {
 	return k.now
 }
 
-// Proc is a simulation process: a goroutine interleaved with the kernel.
-// All Proc methods must be called from the process's own goroutine.
+// Proc is a simulation process: a coroutine interleaved with the kernel.
+// All Proc methods must be called from the process's own coroutine.
 type Proc struct {
-	k      *Kernel
-	pid    int
-	name   string
-	resume chan struct{}
+	k    *Kernel
+	pid  int
+	name string
+	// next and yield are the two ends of the process's iter.Pull coroutine:
+	// next runs it until it parks or ends, yield suspends it (see the
+	// happens-before contract below).
+	next   func() (struct{}, bool)
+	yield  func(struct{}) bool
 	parent *Proc
 	dead   bool
 	killed bool
@@ -570,20 +611,22 @@ func (p *Proc) Name() string { return p.name }
 func (p *Proc) Kernel() *Kernel { return p.k }
 
 // Spawn creates a process that starts running at the current virtual time.
-// fn runs on its own goroutine; when it returns the process terminates.
+// fn runs as a coroutine on its own goroutine; when it returns the process
+// terminates.
 func (k *Kernel) Spawn(name string, fn func(p *Proc)) *Proc {
 	k.nextPID++
-	p := &Proc{k: k, pid: k.nextPID, name: name, resume: make(chan struct{})}
+	p := &Proc{k: k, pid: k.nextPID, name: name}
 	p.wakeFn = func() { k.transfer(p) }
 	k.procs = append(k.procs, p)
-	go func() {
-		<-p.resume // wait for the kernel to hand over control
+	// The coroutine first runs when transfer (or Shutdown) calls next;
+	// returning from the body ends it and hands the baton back for good.
+	p.next, _ = iter.Pull(func(yield func(struct{}) bool) {
+		p.yield = yield
 		if !p.killed {
 			runProc(p, fn)
 		}
 		p.dead = true
-		k.yield <- struct{}{} // final hand-back; goroutine exits
-	}()
+	})
 	k.runNext(p, nil)
 	return p
 }
@@ -596,9 +639,9 @@ type procKilled struct{}
 var killSentinel any = procKilled{}
 
 // runProc executes the process body, converting a Shutdown-induced unwind
-// back into a normal return so the final hand-back in Spawn still runs.
+// back into a normal return so the coroutine in Spawn still ends normally.
 // Any other panic is wrapped with the process's identity and transported to
-// the kernel goroutine (see recoverKill).
+// the kernel (see recoverKill).
 func runProc(p *Proc, fn func(p *Proc)) {
 	defer p.recoverKill()
 	fn(p)
@@ -607,12 +650,11 @@ func runProc(p *Proc, fn func(p *Proc)) {
 // recoverKill absorbs the Shutdown kill sentinel. Any other panic is wrapped
 // in a *ProcPanic naming the process that died — the raw value alone would
 // leave a crash report unable to say which simulated process was at fault —
-// and parked on k.fault rather than re-raised: re-raising here would kill
-// the whole program on a goroutine nothing can recover from, while the
-// kernel goroutine sits blocked in the baton handshake. The process
-// goroutine then exits through the normal final hand-back and the kernel
-// re-raises the wrapped fault from transfer (or Shutdown). It must be the
-// deferred function itself so recover takes effect.
+// and parked on k.fault rather than re-raised, so the coroutine still ends
+// through its normal return (marking the process dead) and the kernel
+// re-raises the wrapped fault from transfer (or Shutdown) once it holds the
+// baton again. It must be the deferred function itself so recover takes
+// effect.
 func (p *Proc) recoverKill() {
 	if r := recover(); r != nil {
 		if _, ok := r.(procKilled); ok {
@@ -626,19 +668,23 @@ func (p *Proc) recoverKill() {
 // Concurrency and happens-before contract
 //
 // The kernel and its processes form a baton-passing system: at any instant
-// exactly one goroutine - either the kernel's Run loop or a single process
-// - executes simulation code. The baton is exchanged over two unbuffered
-// channels:
+// exactly one goroutine - either the one running the kernel's Run loop or
+// a single process - executes simulation code. Each process is a coroutine
+// built by iter.Pull in Spawn, and the baton passes by coroutine switch
+// through the two functions iter.Pull hands out:
 //
-//	kernel -> process:  p.resume <- struct{}{}  (in transfer, bootstrapped by Spawn)
-//	process -> kernel:  k.yield <- struct{}{}   (in park, or on termination)
+//	kernel -> process:  p.next()            (in transfer, and Shutdown's kill)
+//	process -> kernel:  p.yield(struct{}{}) (in park), or the body returning
 //
-// Because both channels are unbuffered, every hand-off is a
-// synchronization point, giving two happens-before edges:
+// A switch suspends the caller and resumes the other side on the same OS
+// thread, without a trip through the Go scheduler's run queue; the caller
+// stays suspended until the baton comes back. iter.Pull marks every switch
+// as a release/acquire pair, so each hand-off is a synchronization point
+// giving two happens-before edges:
 //
 //  1. Everything the kernel did before transfer(p) happens-before
-//     everything p does after its park (or initial resume) returns.
-//  2. Everything p did before parking (or terminating) happens-before
+//     everything p does after its park returns (or its body starts).
+//  2. Everything p did before parking (or returning) happens-before
 //     everything the kernel does after transfer returns.
 //
 // By induction over hand-offs, all simulation state - kernel fields, the
@@ -650,50 +696,49 @@ func (p *Proc) recoverKill() {
 // The runnable ring does not weaken the contract: a ring entry is only a
 // record of a pending hand-off, pushed while its creator holds the baton
 // and consumed by the kernel's Run loop, which performs the actual
-// transfer. Handing the baton over still happens exclusively through the
-// two channels above; the ring merely replaces the heap as the place the
-// pending hand-off waits its deterministic (at, seq) turn.
+// transfer. Handing the baton over still happens exclusively through next
+// and yield; the ring merely replaces the heap as the place the pending
+// hand-off waits its deterministic (at, seq) turn.
 //
 // The contract imposes two obligations:
 //
-//   - Only transfer, park, Spawn, and Shutdown may operate yield/resume
-//     (enforced by odylint's kernelctx analyzer). A raw send or receive
-//     anywhere else would let two goroutines hold the baton at once - a
-//     data race over every kernel structure - or deadlock both sides.
+//   - Only transfer, park, Spawn, and Shutdown may touch a process's next
+//     and yield (enforced by odylint's kernelctx analyzer). A call anywhere
+//     else would run a process out of turn - mid-callback, or nested inside
+//     another process's turn - breaking the (at, seq) order every
+//     determinism guarantee rests on, or make iter.Pull panic on a switch
+//     issued from the wrong side.
 //   - Processes must not communicate outside the baton (no extra channels,
 //     no sync primitives): such communication is invisible to the virtual
 //     clock and would re-introduce Go-scheduler dependence.
 
-// transfer hands control to p and blocks until p yields. Must be called from
-// kernel context (inside an event callback).
+// transfer hands control to p and returns once p parks or ends. Must be
+// called from kernel context (inside an event callback).
 func (k *Kernel) transfer(p *Proc) {
 	if p.dead {
 		return
 	}
 	prev := k.current
 	k.current = p
-	//odylint:allow hotalloc struct{}{} is zero-size; the channel send allocates nothing
-	p.resume <- struct{}{}
-	<-k.yield
+	p.next()
 	k.current = prev
 	if k.fault != nil {
 		f := k.fault
 		k.fault = nil
 		// Re-raise the transported process fault now that the kernel
-		// goroutine holds the baton again: from here it unwinds Kernel.Run
-		// into whatever fence the caller installed.
-		//odylint:allow panicfree fault transport: re-raising the wrapped process panic on a recoverable goroutine
+		// holds the baton again: from here it unwinds Kernel.Run into
+		// whatever fence the caller installed.
+		//odylint:allow panicfree fault transport: re-raising the wrapped process panic on the kernel's goroutine
 		panic(f)
 	}
 }
 
-// park blocks the calling process until another party resumes it via
-// kernel.transfer. It must only be called from the process's goroutine.
+// park suspends the calling process until another party resumes it via
+// kernel.transfer. It must only be called from the process's coroutine.
 func (p *Proc) park() {
-	p.k.yield <- struct{}{}
-	<-p.resume
+	p.yield(struct{}{})
 	if p.killed {
-		//odylint:allow panicfree kill sentinel; recovered by runProc, never escapes the process goroutine
+		//odylint:allow panicfree kill sentinel; recovered by runProc, never escapes the process coroutine
 		panic(killSentinel)
 	}
 }

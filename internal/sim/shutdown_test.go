@@ -7,8 +7,8 @@ import (
 )
 
 // waitGoroutines polls until the goroutine count drops to at most want.
-// The final hand-back in Spawn happens-before Shutdown's yield receive,
-// but the goroutine's actual exit races the observer, hence the poll.
+// A coroutine's final hand-back happens-before Shutdown's next returns,
+// but its goroutine's actual exit races the observer, hence the poll.
 func waitGoroutines(t *testing.T, want int) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
