@@ -298,6 +298,49 @@ func TestContainmentCorpusSoakAndResume(t *testing.T) {
 	}
 }
 
+// TestLoadScenarioRejectsUnrunnable: the one scenario loader behind
+// -scenario replay and corpus loading rejects a file that would otherwise
+// replay as a different run than its author meant — a misspelled key
+// decoding to a zero supply, a non-positive goal, an application the
+// workload does not know — and names the file in the error.
+func TestLoadScenarioRejectsUnrunnable(t *testing.T) {
+	for _, tc := range []struct {
+		name, body, want string // want == "" means the file must load
+	}{
+		{"valid", `{"seed": 3, "goal": "2m0s", "initial_energy": 900, "apps": ["video", "web"]}`, ""},
+		{"misspelled key", `{"seed": 3, "goal": "2m0s", "initail_energy": 900}`, `unknown field "initail_energy"`},
+		{"negative goal", `{"seed": 3, "goal": "-2m0s", "initial_energy": 900}`, "goal=-2m0s"},
+		{"missing goal", `{"seed": 3, "initial_energy": 900}`, "goal=0s"},
+		{"zero energy", `{"seed": 3, "goal": "2m0s", "initial_energy": 0}`, "energy=0"},
+		{"negative energy", `{"seed": 3, "goal": "2m0s", "initial_energy": -5}`, "energy=-5"},
+		{"unknown app", `{"seed": 3, "goal": "2m0s", "initial_energy": 900, "apps": ["vidoe"]}`, `unknown application "vidoe"`},
+		{"not json", `{seed: 3`, "not a scenario"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "sc.json")
+			if err := os.WriteFile(path, []byte(tc.body), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			sc, err := LoadScenario(path)
+			if tc.want == "" {
+				if err != nil {
+					t.Fatalf("valid scenario rejected: %v", err)
+				}
+				if time.Duration(sc.Goal) != 2*time.Minute || sc.InitialEnergy != 900 || len(sc.Apps) != 2 {
+					t.Fatalf("decoded %+v", sc)
+				}
+				return
+			}
+			if err == nil {
+				t.Fatalf("loaded %s, want an error containing %q", sc.Summary(), tc.want)
+			}
+			if msg := err.Error(); !strings.Contains(msg, tc.want) || !strings.Contains(msg, path) || strings.Contains(msg, "\n") {
+				t.Fatalf("error %q, want one line naming %s and containing %q", msg, path, tc.want)
+			}
+		})
+	}
+}
+
 // TestLoadCorpusSkipsMalformed: strays in the corpus dir — broken JSON,
 // some other tool's output, non-runnable scenarios — are warnings, not
 // load failures.

@@ -18,7 +18,9 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
+	"strings"
 	"time"
 
 	"odyssey/internal/experiment"
@@ -174,15 +176,28 @@ func (sc Scenario) Save(dir string) (string, error) {
 	return path, nil
 }
 
-// LoadScenario reads one scenario file.
+// LoadScenario reads one scenario file, rejecting JSON that is not a
+// runnable scenario: unknown fields (a misspelled key, or some other tool's
+// output saved as .json), a goal or supply that is not positive, and an
+// application missing from the workload roster. Every error names path.
 func LoadScenario(path string) (Scenario, error) {
 	var sc Scenario
 	b, err := os.ReadFile(path)
 	if err != nil {
 		return sc, err
 	}
-	if err := json.Unmarshal(b, &sc); err != nil {
-		return sc, fmt.Errorf("chaos: %s: %w", path, err)
+	dec := json.NewDecoder(bytes.NewReader(b))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&sc); err != nil {
+		return sc, fmt.Errorf("%s: not a scenario: %w", path, err)
+	}
+	if sc.Goal <= 0 || sc.InitialEnergy <= 0 {
+		return sc, fmt.Errorf("%s: not a runnable scenario: goal=%v energy=%v", path, time.Duration(sc.Goal), sc.InitialEnergy)
+	}
+	for _, app := range sc.Apps {
+		if !slices.Contains(allApps, app) {
+			return sc, fmt.Errorf("%s: not a runnable scenario: unknown application %q (known: %s)", path, app, strings.Join(allApps, " "))
+		}
 	}
 	return sc, nil
 }
@@ -192,11 +207,9 @@ func LoadScenario(path string) (Scenario, error) {
 //
 // The corpus dir grows organically — quarantined crashers land here
 // alongside hand-written repros, and stray files (editor backups, journals,
-// half-written notes) inevitably appear — so a file that is unreadable, is
-// not valid JSON, carries fields no Scenario has, or decodes to a scenario
-// that cannot possibly run (no goal or no supply) is skipped with a
-// reported warning instead of failing the whole load. The error return is
-// reserved for the directory itself being unreadable.
+// half-written notes) inevitably appear — so a file LoadScenario rejects is
+// skipped with a reported warning instead of failing the whole load. The
+// error return is reserved for the directory itself being unreadable.
 func LoadCorpus(dir string) (scs []Scenario, paths, warnings []string, err error) {
 	entries, err := os.ReadDir(dir)
 	if os.IsNotExist(err) {
@@ -214,35 +227,15 @@ func LoadCorpus(dir string) (scs []Scenario, paths, warnings []string, err error
 	sort.Strings(names)
 	for _, n := range names {
 		p := filepath.Join(dir, n)
-		sc, err := loadScenarioStrict(p)
+		sc, err := LoadScenario(p)
 		if err != nil {
-			warnings = append(warnings, fmt.Sprintf("skipping %s: %v", p, err))
+			warnings = append(warnings, "skipping "+err.Error())
 			continue
 		}
 		scs = append(scs, sc)
 		paths = append(paths, p)
 	}
 	return scs, paths, warnings, nil
-}
-
-// loadScenarioStrict decodes one corpus file, rejecting JSON that is not a
-// scenario: unknown fields (some other tool's output saved as .json) and
-// decoded values that cannot run at all (zero goal or supply).
-func loadScenarioStrict(path string) (Scenario, error) {
-	var sc Scenario
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return sc, err
-	}
-	dec := json.NewDecoder(bytes.NewReader(b))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&sc); err != nil {
-		return sc, fmt.Errorf("not a scenario: %w", err)
-	}
-	if sc.Goal <= 0 || sc.InitialEnergy <= 0 {
-		return sc, fmt.Errorf("not a runnable scenario: goal=%v energy=%v", time.Duration(sc.Goal), sc.InitialEnergy)
-	}
-	return sc, nil
 }
 
 // ReproCommand returns the one-line command that replays a saved scenario

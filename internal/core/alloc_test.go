@@ -51,8 +51,8 @@ func TestEvaluateTickAllocatesNothing(t *testing.T) {
 			var supply float64
 			em.Trace = func(tp TracePoint) { supply += tp.Supply }
 			em.Start()
-			// Warm up past every timing-wheel slot the two periods land in, so
-			// the kernel's own amortized slot growth is behind us.
+			// Warm up first, so the kernel's own amortized growth (event heap,
+			// timer pool, runnable ring) is behind us.
 			k.Run(2 * time.Minute)
 			directed := em.Degrades() + em.Upgrades()
 			allocs := testing.AllocsPerRun(100, func() { k.Run(k.Now() + cfg.EvalPeriod) })

@@ -22,7 +22,7 @@ import (
 //   - (*power.Accountant).integrate - the power integrator, invoked on
 //     every state change;
 //   - every function value registered with the kernel's scheduling API
-//     (Kernel.At/After/Every/OnIdle/Spawn, Group.Go, PSResource.UseAsync):
+//     (Kernel.At/After/Every/Spawn, Group.Go, PSResource.UseAsync):
 //     the loop invokes these dynamically through stored fields, which a
 //     static call graph cannot see, so registration is treated as a root.
 //
@@ -54,7 +54,7 @@ var hotallocCorePackages = []string{
 // hotallocRegistrars maps (receiver type, method) pairs whose func-typed
 // arguments are event-loop callbacks. All live in internal/sim.
 var hotallocRegistrars = map[string]map[string]bool{
-	"Kernel":     {"At": true, "After": true, "Every": true, "OnIdle": true, "Spawn": true},
+	"Kernel":     {"At": true, "After": true, "Every": true, "Spawn": true},
 	"Group":      {"Go": true},
 	"PSResource": {"Use": true, "UseAsync": true},
 	"WaitList":   {},

@@ -58,13 +58,12 @@ type ErrStall struct {
 	Dispatches int           // same-instant dispatches when the bound tripped
 	RingLen    int           // zero-delay runnables queued
 	HeapLen    int           // timers in the event heap
-	WheelCount int           // timers resident in the wheel
 	Runnable   []string      // names of the next few ring occupants
 }
 
 func (e *ErrStall) Error() string {
-	s := fmt.Sprintf("sim: virtual time stalled at %v after %d same-instant dispatches (ring=%d heap=%d wheel=%d)",
-		e.Now, e.Dispatches, e.RingLen, e.HeapLen, e.WheelCount)
+	s := fmt.Sprintf("sim: virtual time stalled at %v after %d same-instant dispatches (ring=%d heap=%d)",
+		e.Now, e.Dispatches, e.RingLen, e.HeapLen)
 	if len(e.Runnable) > 0 {
 		s += " runnable: " + strings.Join(e.Runnable, ", ")
 	}
@@ -88,7 +87,6 @@ func (k *Kernel) tripStall() {
 		Dispatches: k.sinceAdvance,
 		RingLen:    k.ringLen,
 		HeapLen:    len(k.events),
-		WheelCount: k.wheelCount,
 	}
 	for i := 0; i < k.ringLen && len(st.Runnable) < 8; i++ {
 		re := &k.ring[(k.ringHead+i)&(len(k.ring)-1)]

@@ -51,39 +51,26 @@ func TestTickerStopFromCallbackThenRestart(t *testing.T) {
 // accumulation: Cancel used to only mark the node dead, leaving it resident
 // in the heap until the clock reached it — a cancel-heavy workload with
 // long-horizon timers (netsim watchdogs, misbehaviour pulses) accumulated
-// unbounded dead nodes. Cancel must now remove the node from whichever
-// structure holds it at the instant of the call.
+// unbounded dead nodes. Cancel must now remove the node from the heap at
+// the instant of the call, for far and near deadlines alike.
 func TestCancelRemovesImmediately(t *testing.T) {
 	k := NewKernel(1)
 
-	// Far-future timers live in the heap.
 	var evs []Event
 	for i := 0; i < 100; i++ {
 		evs = append(evs, k.At(time.Duration(i+1)*time.Hour, func() {}))
 	}
-	if len(k.events) != 100 {
-		t.Fatalf("heap holds %d timers, want 100", len(k.events))
+	for i := 0; i < 50; i++ {
+		evs = append(evs, k.At(time.Duration(i+1)*time.Millisecond, func() {}))
+	}
+	if len(k.events) != 150 {
+		t.Fatalf("heap holds %d timers, want 150", len(k.events))
 	}
 	for _, e := range evs {
 		e.Cancel()
 	}
 	if len(k.events) != 0 {
 		t.Fatalf("heap holds %d timers after cancelling all, want 0", len(k.events))
-	}
-
-	// Near-future timers live in the wheel.
-	evs = evs[:0]
-	for i := 0; i < 50; i++ {
-		evs = append(evs, k.At(time.Duration(i+1)*time.Millisecond, func() {}))
-	}
-	if k.wheelCount == 0 {
-		t.Fatalf("expected near-future timers to land in the wheel")
-	}
-	for _, e := range evs {
-		e.Cancel()
-	}
-	if k.wheelCount != 0 || len(k.events) != 0 {
-		t.Fatalf("wheelCount=%d heap=%d after cancelling all, want 0/0", k.wheelCount, len(k.events))
 	}
 	if end := k.Run(0); end != 0 {
 		t.Fatalf("empty kernel ran to %v, want 0", end)
@@ -144,8 +131,9 @@ func allocsPerOp(n int, setup func(k *Kernel, n int)) uint64 {
 }
 
 // TestHotPathZeroAllocs pins the kernel's steady-state allocation budget:
-// a process sleep/wake handoff and a processor-sharing job completion must
-// each cost zero heap allocations per operation.
+// a process sleep/wake handoff, a processor-sharing job completion, a
+// WaitList wait/wake cycle and a Queue put/get cycle must each cost zero
+// heap allocations per operation.
 func TestHotPathZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector instruments allocations")
@@ -177,11 +165,43 @@ func TestHotPathZeroAllocs(t *testing.T) {
 	}); got != 0 {
 		t.Errorf("PSResource: %d allocs/op, want 0", got)
 	}
+	if got := allocsPerOp(n, func(k *Kernel, n int) {
+		wl := NewWaitList(k)
+		k.Spawn("waiter", func(p *Proc) {
+			for i := 0; i < n; i++ {
+				wl.Wait(p)
+			}
+		})
+		k.Spawn("waker", func(p *Proc) {
+			for i := 0; i < n; i++ {
+				p.Sleep(time.Microsecond)
+				wl.WakeOne()
+			}
+		})
+	}); got != 0 {
+		t.Errorf("WaitList: %d allocs/op, want 0", got)
+	}
+	if got := allocsPerOp(n, func(k *Kernel, n int) {
+		q := NewQueue[int](k)
+		k.Spawn("consumer", func(p *Proc) {
+			for i := 0; i < n; i++ {
+				q.Get(p)
+			}
+		})
+		k.Spawn("producer", func(p *Proc) {
+			for i := 0; i < n; i++ {
+				p.Sleep(time.Microsecond)
+				q.Put(i)
+			}
+		})
+	}); got != 0 {
+		t.Errorf("Queue: %d allocs/op, want 0", got)
+	}
 }
 
 // scheduleMixTrace runs a randomized mix of At/After/Cancel/Sleep/WakeOne
-// against a kernel in either hybrid (ring+wheel+heap) or pure-heap reference
-// mode and returns the execution trace. The op mix is a pure function of
+// against a kernel in either hybrid (ring+heap) or pure-heap reference mode
+// and returns the execution trace. The op mix is a pure function of
 // seed, so two runs diverge only if the timing structures order callbacks
 // differently.
 func scheduleMixTrace(seed int64, pure bool) []string {
@@ -199,8 +219,9 @@ func scheduleMixTrace(seed int64, pure bool) []string {
 	schedule = func(depth int) {
 		id := nextID
 		nextID++
-		// Delays straddle every tier: zero-delay (ring), sub-horizon
-		// (wheel), and multi-second (heap), plus exact ties.
+		// Delays straddle both tiers: zero-delay (the ring, or the heap in
+		// reference mode) and millisecond-to-second timers (the heap),
+		// plus exact ties against ring entries at the same instant.
 		var d time.Duration
 		switch rng.Intn(4) {
 		case 0:
@@ -253,9 +274,10 @@ func scheduleMixTrace(seed int64, pure bool) []string {
 }
 
 // TestHybridMatchesPureHeapReference is the property test for the timing
-// structure: for 50 seeds, the hybrid ring+wheel+heap kernel must produce a
-// byte-identical execution trace to the pure-heap reference build over a
-// randomized At/After/Cancel/Sleep/WakeOne mix.
+// structure: for 50 seeds, the hybrid kernel, which merges the runnable ring
+// against the heap, must produce a byte-identical execution trace to the
+// pure-heap reference build over a randomized At/After/Cancel/Sleep/WakeOne
+// mix.
 func TestHybridMatchesPureHeapReference(t *testing.T) {
 	for seed := int64(1); seed <= 50; seed++ {
 		hybrid := scheduleMixTrace(seed, false)

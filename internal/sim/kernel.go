@@ -6,14 +6,13 @@
 
 // Package sim provides a deterministic discrete-event simulation kernel.
 //
-// The kernel advances a virtual clock through a timing structure built from
-// three tiers — a runnable ring for zero-delay work, a timer wheel for
-// near-future timers, and a binary heap for everything else — all serviced
-// in one global (time, sequence) order. Model code runs either as plain
-// event callbacks (see Kernel.At) or as processes: coroutines (iter.Pull)
-// that interleave with the kernel under a strict one-runnable-at-a-time
-// handshake, so that a simulation is fully deterministic for a given seed
-// regardless of the Go scheduler.
+// The kernel advances a virtual clock through a timing structure of two
+// tiers — a runnable ring for zero-delay work and a binary heap for every
+// timed event — serviced in one global (time, sequence) order. Model code
+// runs either as plain event callbacks (see Kernel.At) or as processes:
+// coroutines (iter.Pull) that interleave with the kernel under a strict
+// one-runnable-at-a-time handshake, so that a simulation is fully
+// deterministic for a given seed regardless of the Go scheduler.
 //
 // The package also provides the shared building blocks used throughout the
 // Odyssey reproduction: processor-sharing resources (used for both the CPU
@@ -24,7 +23,6 @@ package sim
 import (
 	"fmt"
 	"iter"
-	"math/bits"
 	"math/rand"
 	"time"
 )
@@ -39,13 +37,10 @@ type timer struct {
 	seq   uint64
 	gen   uint64
 	fn    func()
-	index int // heap index; timerIdle when not queued; timerInWheel in a wheel slot
+	index int // heap index; timerIdle when not queued
 }
 
-const (
-	timerIdle    = -1
-	timerInWheel = -2
-)
+const timerIdle = -1
 
 // Event is a cancellable handle to a scheduled callback, returned by the
 // scheduling methods. It is a value type: the zero Event is valid and all
@@ -72,24 +67,17 @@ func (e Event) Pending() bool {
 	return e.t != nil && e.t.gen == e.gen
 }
 
-// Cancel prevents a pending event from firing, removing it from the timing
-// structure immediately (heap timers via their maintained index, wheel
-// timers via their slot) so repeatedly cancelled long-horizon timers cost
-// no residual memory. Cancelling an event that has already fired (or was
-// already cancelled) is a no-op: the generation check rejects the stale
-// handle.
+// Cancel prevents a pending event from firing, removing it from the heap
+// immediately via its maintained index, so repeatedly cancelled
+// long-horizon timers cost no residual memory. Cancelling an event that has
+// already fired (or was already cancelled) is a no-op: the generation check
+// rejects the stale handle.
 func (e Event) Cancel() {
 	tm := e.t
 	if tm == nil || tm.gen != e.gen {
 		return
 	}
-	k := tm.k
-	switch {
-	case tm.index >= 0:
-		k.recycleTimer(k.events.remove(tm.index))
-	case tm.index == timerInWheel:
-		k.removeFromWheel(tm)
-	}
+	tm.k.recycleTimer(tm.k.events.remove(tm.index))
 }
 
 // eventHeap is a binary min-heap of timers ordered by (at, seq). Sequence
@@ -168,17 +156,6 @@ func (h eventHeap) down(i0 int) bool {
 	return i > i0
 }
 
-// Timer-wheel geometry: wheelSlots slots of 1<<wheelGranBits nanoseconds
-// each. With 19 bits (~524 us) and 256 slots the wheel covers ~134 ms of
-// virtual time ahead of the flushed boundary — wide enough for the timers
-// that dominate event traffic (ticker periods, processor-sharing
-// completions, netsim backoff) while far timers overflow to the heap.
-const (
-	wheelGranBits = 19
-	wheelSlots    = 256 // power of two
-	wheelMask     = wheelSlots - 1
-)
-
 // ringEntry is one zero-delay runnable: either a process to hand the baton
 // to or a callback to invoke. Entries carry the (at, seq) pair they would
 // have had as heap events, so the run loop can merge the ring against the
@@ -190,17 +167,16 @@ type ringEntry struct {
 	fn  func()
 }
 
-// Kernel is the simulation executive: a virtual clock plus a three-tier
-// timing structure (runnable ring, timer wheel, event heap). A Kernel must
-// be created with NewKernel. Kernels are not safe for use from multiple
-// goroutines except through the process handshake managed here.
+// Kernel is the simulation executive: a virtual clock plus a two-tier
+// timing structure (runnable ring, event heap). A Kernel must be created
+// with NewKernel. Kernels are not safe for use from multiple goroutines
+// except through the process handshake managed here.
 type Kernel struct {
 	now time.Duration
 	seq uint64
 	rng *rand.Rand
 
-	// events holds far timers (beyond the wheel horizon) and near timers
-	// whose wheel slot has been flushed. Its top, merged against the ring
+	// events holds every timed event. Its top, merged against the ring
 	// front, is the next event to dispatch.
 	events eventHeap
 	free   []*timer // timer pool; recycled nodes with bumped generations
@@ -212,28 +188,17 @@ type Kernel struct {
 	ringHead int
 	ringLen  int
 
-	// wheel holds near-future timers in unsorted slots; wheelLive is the
-	// slot-occupancy bitmap, wheelPos the absolute index of the first
-	// unflushed slot, and wheelCount the total timers resident. Slots are
-	// flushed into the heap (restoring (at, seq) order) before the clock
-	// enters them.
-	wheel      [wheelSlots][]*timer
-	wheelLive  [wheelSlots / 64]uint64
-	wheelPos   int64
-	wheelCount int
-
-	// pureHeap disables the ring and wheel so every event goes through the
-	// heap — the reference scheduling mode the property tests compare the
-	// hybrid against. Test-only.
+	// pureHeap disables the ring so every event, zero-delay hand-offs
+	// included, goes through the heap — the reference scheduling mode the
+	// property tests compare the ring+heap kernel against. Test-only.
 	pureHeap bool
 
 	nextPID int
 	current *Proc // process currently holding control, nil in kernel context
 	procs   []*Proc
 
-	running   bool
-	stopped   bool
-	idleHooks []func() bool
+	running bool
+	stopped bool
 
 	// fault carries a panic recovered in a process coroutine back to the
 	// kernel, which re-raises it once it holds the baton again (see
@@ -297,7 +262,7 @@ func (k *Kernel) At(t time.Duration, fn func()) Event {
 	tm.at = t
 	tm.seq = k.seq
 	tm.fn = fn
-	k.enqueue(tm)
+	k.events.push(tm)
 	//odylint:allow hotalloc Event is a two-word value handle returned on the stack; nothing escapes
 	return Event{t: tm, gen: tm.gen}
 }
@@ -308,111 +273,6 @@ func (k *Kernel) After(d time.Duration, fn func()) Event {
 		d = 0
 	}
 	return k.At(k.now+d, fn)
-}
-
-// enqueue places a timer in the wheel when its deadline falls inside the
-// wheel window, otherwise in the heap.
-func (k *Kernel) enqueue(tm *timer) {
-	if !k.pureHeap {
-		s := int64(tm.at >> wheelGranBits)
-		if k.wheelCount == 0 {
-			// Empty wheel: snap the window forward so near timers keep
-			// landing in it after long idle stretches.
-			if nowPos := int64(k.now >> wheelGranBits); nowPos > k.wheelPos {
-				k.wheelPos = nowPos
-			}
-		}
-		if s >= k.wheelPos && s < k.wheelPos+wheelSlots {
-			ci := s & wheelMask
-			tm.index = timerInWheel
-			//odylint:allow hotalloc slot growth is amortized: slot backing arrays are retained across revolutions
-			k.wheel[ci] = append(k.wheel[ci], tm)
-			k.wheelLive[ci>>6] |= 1 << (ci & 63)
-			k.wheelCount++
-			return
-		}
-	}
-	k.events.push(tm)
-}
-
-// removeFromWheel cancels a wheel-resident timer by swap-removing it from
-// its slot (order within a slot is immaterial: flushing restores global
-// order through the heap) and recycling it immediately.
-func (k *Kernel) removeFromWheel(tm *timer) {
-	ci := (int64(tm.at >> wheelGranBits)) & wheelMask
-	slot := k.wheel[ci]
-	for i, q := range slot {
-		if q == tm {
-			n := len(slot) - 1
-			slot[i] = slot[n]
-			slot[n] = nil
-			k.wheel[ci] = slot[:n]
-			if n == 0 {
-				k.wheelLive[ci>>6] &^= 1 << (ci & 63)
-			}
-			k.wheelCount--
-			k.recycleTimer(tm)
-			return
-		}
-	}
-}
-
-// nextOccupiedSlot returns the absolute index of the first non-empty wheel
-// slot at or after wheelPos. It must only be called when wheelCount > 0.
-// The occupancy bitmap makes this a handful of word scans regardless of
-// how far ahead the next timer lies.
-func (k *Kernel) nextOccupiedSlot() int64 {
-	start := k.wheelPos & wheelMask
-	for off := int64(0); off < wheelSlots; {
-		ci := (start + off) & wheelMask
-		w := k.wheelLive[ci>>6] >> (ci & 63)
-		if w != 0 {
-			return k.wheelPos + off + int64(bits.TrailingZeros64(w))
-		}
-		off += 64 - (ci & 63) // jump to the next bitmap word boundary
-	}
-	// Unreachable while the wheelCount/wheelLive invariants hold.
-	//odylint:allow panicfree wheel bookkeeping invariant; no caller can handle a corrupt occupancy bitmap
-	panic("sim: timer wheel count/bitmap mismatch")
-}
-
-// flushSlot moves every timer in the slot at absolute index abs into the
-// heap and advances the flushed boundary past it.
-func (k *Kernel) flushSlot(abs int64) {
-	ci := abs & wheelMask
-	slot := k.wheel[ci]
-	for i, tm := range slot {
-		k.events.push(tm)
-		slot[i] = nil
-	}
-	k.wheelCount -= len(slot)
-	k.wheel[ci] = slot[:0]
-	k.wheelLive[ci>>6] &^= 1 << (ci & 63)
-	k.wheelPos = abs + 1
-}
-
-// syncWheel flushes wheel slots into the heap until the heap's top timer
-// provably precedes every wheel-resident timer (every wheel timer sits in
-// an unflushed slot, so heap-top in the flushed region wins). Empty slot
-// ranges are crossed in O(1) by jumping straight to the next occupied slot
-// or to the heap top's slot, whichever is nearer.
-func (k *Kernel) syncWheel() {
-	for k.wheelCount > 0 {
-		if len(k.events) > 0 {
-			hSlot := int64(k.events[0].at >> wheelGranBits)
-			if hSlot < k.wheelPos {
-				return
-			}
-			next := k.nextOccupiedSlot()
-			if hSlot < next {
-				k.wheelPos = hSlot + 1 // slots up to hSlot are empty: trivially flushed
-				return
-			}
-			k.flushSlot(next)
-		} else {
-			k.flushSlot(k.nextOccupiedSlot())
-		}
-	}
 }
 
 // runNext schedules a zero-delay runnable — a process hand-off (p != nil)
@@ -499,19 +359,13 @@ func (k *Kernel) Shutdown() {
 	}
 }
 
-// OnIdle registers a hook invoked when the event queue drains. If the hook
-// returns true the kernel keeps running (the hook is expected to have
-// scheduled more work); otherwise the run loop exits.
-func (k *Kernel) OnIdle(fn func() bool) { k.idleHooks = append(k.idleHooks, fn) }
-
 // Run executes events in (timestamp, sequence) order until the queue is
 // empty, Stop is called, or the clock would pass horizon (use horizon <= 0
 // for no limit). It returns the virtual time at exit.
 //
-// Each iteration readies the heap against the wheel (syncWheel), then
-// services the runnable ring or the heap top, whichever carries the
-// smaller (at, seq) pair — the same total order a single heap would
-// produce, at ring-pop cost for the zero-delay traffic that dominates
+// Each iteration services the runnable ring or the heap top, whichever
+// carries the smaller (at, seq) pair — the same total order a single heap
+// would produce, at ring-pop cost for the zero-delay traffic that dominates
 // process scheduling.
 func (k *Kernel) Run(horizon time.Duration) time.Duration {
 	if k.running {
@@ -521,22 +375,10 @@ func (k *Kernel) Run(horizon time.Duration) time.Duration {
 	k.running = true
 	k.stopped = false
 	k.sinceAdvance = 0
+	//odylint:allow hotalloc once per Run call, not per event: the deferred reset runs when the loop exits
 	defer func() { k.running = false }()
 
-	for !k.stopped {
-		k.syncWheel()
-		if k.ringLen == 0 && len(k.events) == 0 {
-			again := false
-			for _, h := range k.idleHooks {
-				if h() {
-					again = true
-				}
-			}
-			if !again || (k.ringLen == 0 && len(k.events) == 0 && k.wheelCount == 0) {
-				break
-			}
-			continue
-		}
+	for !k.stopped && (k.ringLen > 0 || len(k.events) > 0) {
 		if k.ringLen > 0 {
 			re := &k.ring[k.ringHead]
 			if len(k.events) == 0 || re.at < k.events[0].at ||
@@ -615,11 +457,15 @@ func (p *Proc) Kernel() *Kernel { return p.k }
 // terminates.
 func (k *Kernel) Spawn(name string, fn func(p *Proc)) *Proc {
 	k.nextPID++
+	//odylint:allow hotalloc once per spawn: the Proc lives for the process's lifetime
 	p := &Proc{k: k, pid: k.nextPID, name: name}
+	//odylint:allow hotalloc once per spawn: the hoisted wake closure then serves every timed wake-up
 	p.wakeFn = func() { k.transfer(p) }
+	//odylint:allow hotalloc once per spawn: the process table grows by one entry per process
 	k.procs = append(k.procs, p)
 	// The coroutine first runs when transfer (or Shutdown) calls next;
 	// returning from the body ends it and hands the baton back for good.
+	//odylint:allow hotalloc once per spawn: one coroutine body per process
 	p.next, _ = iter.Pull(func(yield func(struct{}) bool) {
 		p.yield = yield
 		if !p.killed {
@@ -736,6 +582,7 @@ func (k *Kernel) transfer(p *Proc) {
 // park suspends the calling process until another party resumes it via
 // kernel.transfer. It must only be called from the process's coroutine.
 func (p *Proc) park() {
+	//odylint:allow hotalloc struct{} is zero-size: the literal never allocates
 	p.yield(struct{}{})
 	if p.killed {
 		//odylint:allow panicfree kill sentinel; recovered by runProc, never escapes the process coroutine
@@ -777,13 +624,17 @@ type WaitList struct {
 }
 
 // NewWaitList returns an empty wait list bound to k.
-func NewWaitList(k *Kernel) *WaitList { return &WaitList{k: k} }
+func NewWaitList(k *Kernel) *WaitList {
+	//odylint:allow hotalloc once per construction, not per wait
+	return &WaitList{k: k}
+}
 
 // Len reports the number of parked processes.
 func (w *WaitList) Len() int { return len(w.waiters) }
 
 // Wait parks the calling process on the list.
 func (w *WaitList) Wait(p *Proc) {
+	//odylint:allow hotalloc waiter-list growth is amortized: WakeOne shifts in place, so capacity is retained across waits
 	w.waiters = append(w.waiters, p)
 	p.park()
 }
@@ -796,8 +647,12 @@ func (w *WaitList) WakeOne() bool {
 	if len(w.waiters) == 0 {
 		return false
 	}
+	// Shift down in place rather than reslicing from [1:], which would
+	// shed capacity and make the next Wait reallocate.
 	p := w.waiters[0]
-	w.waiters = w.waiters[1:]
+	n := copy(w.waiters, w.waiters[1:])
+	w.waiters[n] = nil
+	w.waiters = w.waiters[:n]
 	w.k.runNext(p, nil)
 	return true
 }
@@ -820,12 +675,14 @@ type Group struct {
 
 // NewGroup returns an empty process group bound to k.
 func NewGroup(k *Kernel) *Group {
+	//odylint:allow hotalloc once per construction, not per event
 	return &Group{k: k, waiters: NewWaitList(k)}
 }
 
 // Go spawns fn as a member of the group.
 func (g *Group) Go(name string, fn func(p *Proc)) *Proc {
 	g.pending++
+	//odylint:allow hotalloc once per spawned member, like Spawn's own closures
 	return g.k.Spawn(name, func(p *Proc) {
 		fn(p)
 		g.pending--

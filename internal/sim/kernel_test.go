@@ -245,27 +245,6 @@ func TestGroupWait(t *testing.T) {
 	}
 }
 
-func TestOnIdleHookExtendsRun(t *testing.T) {
-	k := NewKernel(1)
-	rounds := 0
-	k.OnIdle(func() bool {
-		if rounds < 3 {
-			rounds++
-			k.After(time.Second, func() {})
-			return true
-		}
-		return false
-	})
-	k.At(time.Second, func() {})
-	end := k.Run(0)
-	if rounds != 3 {
-		t.Fatalf("idle hook ran %d times, want 3", rounds)
-	}
-	if end != 4*time.Second {
-		t.Fatalf("clock at %v, want 4s", end)
-	}
-}
-
 func TestQueuePutGet(t *testing.T) {
 	k := NewKernel(1)
 	q := NewQueue[int](k)

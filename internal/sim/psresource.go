@@ -22,20 +22,12 @@ type PSJob struct {
 	// sampling use it.
 	Principal string
 
-	res        *PSResource
 	remaining  float64
 	owner      *Proc  // parked process to wake on completion; nil for async jobs
 	onDone     func() // optional completion callback (async jobs)
 	cancelled  bool
 	cancelSelf func() // hoisted deadline-watchdog body, allocated once per pooled job
 }
-
-// Remaining reports the work left, in resource units.
-func (j *PSJob) Remaining() float64 { return j.remaining }
-
-// Cancelled reports whether the job was removed from service before
-// completion (see PSResource.cancelJob).
-func (j *PSJob) Cancelled() bool { return j.cancelled }
 
 // PSResource is an egalitarian processor-sharing server: capacity units of
 // work per second, divided equally among all active jobs. It models both the
@@ -81,7 +73,7 @@ func (r *PSResource) newJob(principal string, demand float64, owner *Proc, onDon
 		r.free = r.free[:n-1]
 	} else {
 		//odylint:allow hotalloc pool refill is amortized: a recycled job serves every later submission through it
-		j = &PSJob{res: r}
+		j = &PSJob{}
 		//odylint:allow hotalloc pool-miss only: the cancel closure is allocated once per pooled job and reused forever after
 		j.cancelSelf = func() { r.cancelJob(j) }
 	}
@@ -284,8 +276,8 @@ func (r *PSResource) UseDeadline(p *Proc, principal string, demand float64, dead
 }
 
 // cancelJob removes a job from service before completion, crediting the
-// work already done and waking the owning process (which observes
-// Cancelled). It must be called from kernel context (an event callback)
+// work already done and waking the owning process (which reads the
+// cancelled flag). It must be called from kernel context (an event callback)
 // and reports whether the job was still in service.
 func (r *PSResource) cancelJob(j *PSJob) bool {
 	if j == nil || j.cancelled {
@@ -333,17 +325,6 @@ func (r *PSResource) UseAsync(principal string, demand float64, onDone func()) {
 	r.add(r.newJob(principal, demand, nil, onDone))
 }
 
-// EstimateLatency reports how long demand units would take to complete if
-// submitted now and if the current job set remained fixed. It is advisory
-// (used by adaptive applications to pick fidelities), not a guarantee.
-func (r *PSResource) EstimateLatency(demand float64) time.Duration {
-	if demand <= 0 {
-		return 0
-	}
-	n := float64(len(r.jobs) + 1)
-	return time.Duration(demand * n / r.capacity * float64(time.Second))
-}
-
 // Queue is an unbounded FIFO channel on virtual time: Put never blocks, Get
 // parks the caller until an item is available.
 type Queue[T any] struct {
@@ -371,9 +352,12 @@ func (q *Queue[T]) Get(p *Proc) T {
 	for len(q.items) == 0 {
 		q.waiters.Wait(p)
 	}
+	// Shift down in place rather than reslicing from [1:], which would
+	// shed capacity and make the next Put reallocate.
 	v := q.items[0]
+	n := copy(q.items, q.items[1:])
 	var zero T
-	q.items[0] = zero
-	q.items = q.items[1:]
+	q.items[n] = zero
+	q.items = q.items[:n]
 	return v
 }

@@ -173,23 +173,6 @@ func TestPSSetCapacityPreservesWork(t *testing.T) {
 	}
 }
 
-func TestPSEstimateLatency(t *testing.T) {
-	k := NewKernel(1)
-	r := NewPSResource(k, "cpu", 2.0)
-	if got := r.EstimateLatency(4.0); !near(got, 2*time.Second, time.Millisecond) {
-		t.Fatalf("empty-resource estimate %v, want 2s", got)
-	}
-	k.Spawn("bg", func(p *Proc) { r.Use(p, "bg", 100) })
-	k.At(time.Second, func() {
-		// One job active: a new job would get half capacity.
-		if got := r.EstimateLatency(4.0); !near(got, 4*time.Second, time.Millisecond) {
-			t.Errorf("shared estimate %v, want 4s", got)
-		}
-		k.Stop()
-	})
-	k.Run(0)
-}
-
 // TestPSWorkConservation is a property test: for any set of jobs with
 // arbitrary arrival offsets and demands, every job completes, total served
 // work equals total demand, and no job finishes before demand/capacity.
