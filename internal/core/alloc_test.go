@@ -39,7 +39,7 @@ func TestEvaluateTickAllocatesNothing(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			k := sim.NewKernel(1)
 			acct := power.NewAccountant(k)
-			acct.SetComponent("load", 10)
+			acct.Set(acct.Register("load"), 10)
 			v := NewViceroy(k)
 			for i, name := range []string{"speech", "video", "map"} {
 				v.RegisterApp(&pinnedApp{name: name, level: tc.start}, i+1)

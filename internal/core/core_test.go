@@ -169,7 +169,7 @@ func TestByPriorityOrder(t *testing.T) {
 func rig(seed int64, initial float64, watts float64, apps ...*fakeApp) (*sim.Kernel, *Viceroy, *EnergyMonitor) {
 	k := sim.NewKernel(seed)
 	acct := power.NewAccountant(k)
-	acct.SetComponent("load", watts)
+	acct.Set(acct.Register("load"), watts)
 	supply := power.NewSupply(acct, initial)
 	v := NewViceroy(k)
 	for i, a := range apps {

@@ -419,7 +419,7 @@ func RunGoal(opt GoalOptions) GoalResult {
 	for _, r := range regs {
 		res.Adaptations[r.App.Name()] = r.Adaptations
 	}
-	res.RetryEnergy = rig.M.Acct.EnergyByPrincipal()[netsim.PrincipalRetry]
+	res.RetryEnergy = rig.M.Acct.PrincipalEnergy(netsim.PrincipalRetry)
 	res.RetryAttempts = rig.Net.RetryAttempts()
 	res.RetryBytes = rig.Net.RetryBytes()
 	res.DeadlineAborts = rig.Net.DeadlineAborts()
@@ -444,7 +444,7 @@ func RunGoal(opt GoalOptions) GoalResult {
 	}
 	if rig.Offload != nil {
 		st := rig.Offload.Stats
-		res.OffloadEnergy = rig.M.Acct.EnergyByPrincipal()[offload.Principal]
+		res.OffloadEnergy = rig.M.Acct.PrincipalEnergy(offload.Principal)
 		res.OffloadLocal = st.LocalRuns
 		res.OffloadRemote = st.RemoteRuns
 		res.OffloadHybrid = st.HybridRuns
@@ -454,7 +454,7 @@ func RunGoal(opt GoalOptions) GoalResult {
 		res.BreakerTrips = st.BreakerTrips
 	}
 	if sup != nil {
-		res.SuperviseEnergy = rig.M.Acct.EnergyByPrincipal()[supervise.Principal]
+		res.SuperviseEnergy = rig.M.Acct.PrincipalEnergy(supervise.Principal)
 		res.MissedAcks = sup.MissedAcks()
 		res.Restarts = sup.Restarts()
 		res.Quarantined = sup.Quarantined()

@@ -12,6 +12,7 @@ import (
 // the software principal executing at each instant, as PowerScope observes.
 type CPU struct {
 	acct *power.Accountant
+	comp power.ComponentID
 	prof Profile
 	res  *sim.PSResource
 
@@ -24,7 +25,7 @@ type CPU struct {
 // NewCPU returns a halted CPU with a processor-sharing capacity of one
 // cpu-second per second.
 func NewCPU(k *sim.Kernel, acct *power.Accountant, prof Profile) *CPU {
-	c := &CPU{acct: acct, prof: prof}
+	c := &CPU{acct: acct, comp: acct.Register(CompCPU), prof: prof}
 	c.res = sim.NewPSResource(k, "cpu", 1.0)
 	c.res.OnChange = c.publish
 	c.publish()
@@ -33,9 +34,9 @@ func NewCPU(k *sim.Kernel, acct *power.Accountant, prof Profile) *CPU {
 
 func (c *CPU) publish() {
 	if c.res.Active() > 0 {
-		c.acct.SetComponent(CompCPU, c.busyPower())
+		c.acct.Set(c.comp, c.busyPower())
 	} else {
-		c.acct.SetComponent(CompCPU, 0)
+		c.acct.Set(c.comp, 0)
 	}
 	c.shareBuf = c.res.Shares(c.shareBuf[:0])
 	c.acct.SetShares(c.shareBuf)

@@ -44,6 +44,7 @@ func (s DiskState) String() string {
 type Disk struct {
 	k    *sim.Kernel
 	acct *power.Accountant
+	comp power.ComponentID
 	prof Profile
 
 	state     DiskState
@@ -56,7 +57,7 @@ type Disk struct {
 
 // NewDisk returns a spinning (idle) disk without power management.
 func NewDisk(k *sim.Kernel, acct *power.Accountant, prof Profile) *Disk {
-	d := &Disk{k: k, acct: acct, prof: prof, state: DiskIdle}
+	d := &Disk{k: k, acct: acct, comp: acct.Register(CompDisk), prof: prof, state: DiskIdle}
 	d.publish()
 	return d
 }
@@ -83,7 +84,7 @@ func (d *Disk) power() float64 {
 	}
 }
 
-func (d *Disk) publish() { d.acct.SetComponent(CompDisk, d.power()) }
+func (d *Disk) publish() { d.acct.Set(d.comp, d.power()) }
 
 func (d *Disk) setState(s DiskState) {
 	if d.state == s {

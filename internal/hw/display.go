@@ -38,6 +38,7 @@ func (m BacklightMode) String() string {
 // share of the panel area. A conventional display is a 1-zone instance.
 type Display struct {
 	acct  *power.Accountant
+	comp  power.ComponentID
 	prof  Profile
 	zones []BacklightMode
 }
@@ -49,7 +50,7 @@ func NewDisplay(acct *power.Accountant, prof Profile, zones int) *Display {
 		//odylint:allow panicfree constructor precondition; invariant guard
 		panic(fmt.Sprintf("hw: display must have at least one zone, got %d", zones))
 	}
-	d := &Display{acct: acct, prof: prof, zones: make([]BacklightMode, zones)}
+	d := &Display{acct: acct, comp: acct.Register(CompDisplay), prof: prof, zones: make([]BacklightMode, zones)}
 	d.SetAll(BacklightBright)
 	return d
 }
@@ -76,7 +77,7 @@ func (d *Display) publish() {
 	for _, m := range d.zones {
 		w += d.modePower(m) * per
 	}
-	d.acct.SetComponent(CompDisplay, w)
+	d.acct.Set(d.comp, w)
 }
 
 // SetAll sets every zone to mode (the conventional whole-panel control).

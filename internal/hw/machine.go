@@ -24,8 +24,8 @@ type Machine struct {
 // no power management.
 func NewMachine(k *sim.Kernel, prof Profile, displayZones int) *Machine {
 	acct := power.NewAccountant(k)
-	acct.Superlinear = prof.Superlinear
-	acct.SetComponent(CompOther, prof.Other)
+	acct.SetSuperlinear(prof.Superlinear)
+	acct.Set(acct.Register(CompOther), prof.Other)
 	m := &Machine{
 		K:       k,
 		Prof:    prof,

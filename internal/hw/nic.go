@@ -42,13 +42,14 @@ func (s NICState) String() string {
 // publishes power.
 type NIC struct {
 	acct  *power.Accountant
+	comp  power.ComponentID
 	prof  Profile
 	state NICState
 }
 
 // NewNIC returns an idle (receiver-on) interface.
 func NewNIC(acct *power.Accountant, prof Profile) *NIC {
-	n := &NIC{acct: acct, prof: prof, state: NICIdle}
+	n := &NIC{acct: acct, comp: acct.Register(CompNetwork), prof: prof, state: NICIdle}
 	n.publish()
 	return n
 }
@@ -69,7 +70,7 @@ func (n *NIC) power() float64 {
 	}
 }
 
-func (n *NIC) publish() { n.acct.SetComponent(CompNetwork, n.power()) }
+func (n *NIC) publish() { n.acct.Set(n.comp, n.power()) }
 
 // SetState moves the interface to s.
 func (n *NIC) SetState(s NICState) {

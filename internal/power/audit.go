@@ -32,14 +32,19 @@ func conservationTolerance(totalEnergy float64, elapsed time.Duration) float64 {
 func ConservationCheck(totalEnergy float64, byComponent, byPrincipal map[string]float64, elapsed time.Duration) error {
 	// Sum in sorted-key order: rounding makes float addition sensitive to
 	// order, and the divergence this audit reports must be reproducible.
-	byComp := sumSorted(byComponent)
-	byPrin := sumSorted(byPrincipal)
+	return checkSums(totalEnergy, sumSorted(byComponent), sumSorted(byPrincipal), elapsed)
+}
+
+// checkSums compares both ledger sums against the exact integral.
+func checkSums(totalEnergy, byComp, byPrin float64, elapsed time.Duration) error {
 	tol := conservationTolerance(totalEnergy, elapsed)
 	if d := math.Abs(byComp - totalEnergy); d > tol {
+		//odylint:allow hotalloc divergence path only: formats once, when the ledger is already corrupt
 		return fmt.Errorf("power: component energy %.12g J diverged from exact integral %.12g J by %.3g J (tol %.3g) at t=%v",
 			byComp, totalEnergy, d, tol, elapsed)
 	}
 	if d := math.Abs(byPrin - totalEnergy); d > tol {
+		//odylint:allow hotalloc divergence path only: formats once, when the ledger is already corrupt
 		return fmt.Errorf("power: principal energy %.12g J diverged from exact integral %.12g J by %.3g J (tol %.3g) at t=%v",
 			byPrin, totalEnergy, d, tol, elapsed)
 	}
@@ -75,12 +80,29 @@ func sumSorted(m map[string]float64) float64 {
 	return sum
 }
 
-// AuditConservation integrates up to the current instant and cross-checks
-// both attribution ledgers against the exact integral, returning a non-nil
-// error on divergence. It is the post-run form of the odysseydebug
-// per-step assertion.
-func (a *Accountant) AuditConservation() error {
-	a.integrate()
-	a.flushComponents()
-	return ConservationCheck(a.totalEnergy, a.byComponent, a.byPrincipal, a.last)
+// sumByName adds the booked slots' energy in ascending name order, the
+// order sumSorted uses on the equivalent map, with the same allocation-free
+// min-name selection walk.
+func sumByName(slots []slot) float64 {
+	var sum float64
+	var prev string
+	started := false
+	for {
+		best := -1
+		for i := range slots {
+			s := &slots[i]
+			if !s.booked || (started && s.name <= prev) {
+				continue
+			}
+			if best < 0 || s.name < slots[best].name {
+				best = i
+			}
+		}
+		if best < 0 {
+			return sum
+		}
+		sum += slots[best].energy
+		prev = slots[best].name
+		started = true
+	}
 }

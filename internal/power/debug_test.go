@@ -18,21 +18,21 @@ func TestDebugAssertionsExercised(t *testing.T) {
 	}
 	k := sim.NewKernel(1)
 	a := NewAccountant(k)
-	a.Superlinear = func(sum float64) float64 { return sum * 1.03 }
+	a.SetSuperlinear(func(sum float64) float64 { return sum * 1.03 })
 
-	a.SetComponent("display", 1.2)
-	a.SetComponent("cpu", 0.8)
+	set(a, "display", 1.2)
+	set(a, "cpu", 0.8)
 	for i := 0; i < 200; i++ {
 		k.After(time.Duration(i)*50*time.Millisecond, func() {
 			switch i % 4 {
 			case 0:
 				a.SetShares([]sim.Share{{Principal: "video", Fraction: 0.625}, {Principal: "audio", Fraction: 0.375}})
 			case 1:
-				a.SetComponent("network", float64(i%7)*0.3)
+				set(a, "network", float64(i%7)*0.3)
 			case 2:
 				a.SetShares(nil) // idle
 			case 3:
-				a.SetComponent("cpu", 0.2+float64(i%5)*0.4)
+				set(a, "cpu", 0.2+float64(i%5)*0.4)
 			}
 		})
 	}

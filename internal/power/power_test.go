@@ -11,11 +11,14 @@ import (
 
 func approx(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
 
+// set draws watts on the named component, registering it on first use.
+func set(a *Accountant, name string, watts float64) { a.Set(a.Register(name), watts) }
+
 func TestAccountantConstantPower(t *testing.T) {
 	k := sim.NewKernel(1)
 	a := NewAccountant(k)
-	a.SetComponent("display", 4.0)
-	a.SetComponent("other", 3.0)
+	set(a, "display", 4.0)
+	set(a, "other", 3.0)
 	k.At(10*time.Second, func() {})
 	k.Run(0)
 	if got := a.TotalEnergy(); !approx(got, 70, 1e-9) {
@@ -30,9 +33,9 @@ func TestAccountantConstantPower(t *testing.T) {
 func TestAccountantPiecewise(t *testing.T) {
 	k := sim.NewKernel(1)
 	a := NewAccountant(k)
-	a.SetComponent("x", 2.0)
-	k.At(5*time.Second, func() { a.SetComponent("x", 6.0) })
-	k.At(10*time.Second, func() { a.SetComponent("x", 0.0) })
+	set(a, "x", 2.0)
+	k.At(5*time.Second, func() { set(a, "x", 6.0) })
+	k.At(10*time.Second, func() { set(a, "x", 0.0) })
 	k.At(20*time.Second, func() {})
 	k.Run(0)
 	// 2W*5s + 6W*5s + 0W*10s = 40 J
@@ -49,14 +52,14 @@ func TestAccountantNegativePowerPanics(t *testing.T) {
 			t.Error("negative power did not panic")
 		}
 	}()
-	a.SetComponent("bad", -1)
+	set(a, "bad", -1)
 }
 
 func TestAccountantSuperlinear(t *testing.T) {
 	k := sim.NewKernel(1)
 	a := NewAccountant(k)
-	a.Superlinear = func(sum float64) float64 { return sum + 0.1*sum }
-	a.SetComponent("x", 10.0)
+	a.SetSuperlinear(func(sum float64) float64 { return sum + 0.1*sum })
+	set(a, "x", 10.0)
 	if got := a.Power(); !approx(got, 11.0, 1e-9) {
 		t.Fatalf("power %v, want 11", got)
 	}
@@ -74,7 +77,7 @@ func TestAccountantSuperlinear(t *testing.T) {
 func TestAccountantIdleAttribution(t *testing.T) {
 	k := sim.NewKernel(1)
 	a := NewAccountant(k)
-	a.SetComponent("x", 5.0)
+	set(a, "x", 5.0)
 	k.At(4*time.Second, func() {})
 	k.Run(0)
 	byP := a.EnergyByPrincipal()
@@ -86,7 +89,7 @@ func TestAccountantIdleAttribution(t *testing.T) {
 func TestAccountantShareAttribution(t *testing.T) {
 	k := sim.NewKernel(1)
 	a := NewAccountant(k)
-	a.SetComponent("x", 8.0)
+	set(a, "x", 8.0)
 	a.SetShares([]sim.Share{{Principal: "app", Fraction: 0.75}, {Principal: "irq", Fraction: 0.25}})
 	k.At(2*time.Second, func() { a.SetShares(nil) })
 	k.At(4*time.Second, func() {})
@@ -106,7 +109,7 @@ func TestAccountantShareAttribution(t *testing.T) {
 func TestAccountantPrincipalsSorted(t *testing.T) {
 	k := sim.NewKernel(1)
 	a := NewAccountant(k)
-	a.SetComponent("x", 10.0)
+	set(a, "x", 10.0)
 	a.SetShares([]sim.Share{{Principal: "big", Fraction: 0.9}, {Principal: "small", Fraction: 0.1}})
 	k.At(time.Second, func() {})
 	k.Run(0)
@@ -119,7 +122,7 @@ func TestAccountantPrincipalsSorted(t *testing.T) {
 func TestCheckpoint(t *testing.T) {
 	k := sim.NewKernel(1)
 	a := NewAccountant(k)
-	a.SetComponent("x", 3.0)
+	set(a, "x", 3.0)
 	var cp Checkpoint
 	k.At(2*time.Second, func() { cp = a.Checkpoint() })
 	k.At(7*time.Second, func() {})
@@ -139,15 +142,15 @@ func TestAccountantConservation(t *testing.T) {
 		}
 		k := sim.NewKernel(3)
 		a := NewAccountant(k)
-		a.Superlinear = func(sum float64) float64 { return sum * 1.02 }
-		a.SetComponent("base", 2.0)
+		a.SetSuperlinear(func(sum float64) float64 { return sum * 1.02 })
+		set(a, "base", 2.0)
 		tm := time.Duration(0)
 		for _, s := range steps {
 			tm += time.Duration(s%10+1) * 100 * time.Millisecond
 			w := float64(s%8) * 0.5
 			pr := []string{"a", "b", "c"}[s%3]
 			k.At(tm, func() {
-				a.SetComponent("var", w)
+				set(a, "var", w)
 				if s%2 == 0 {
 					a.SetShares([]sim.Share{{Principal: pr, Fraction: 1}})
 				} else {
@@ -175,7 +178,7 @@ func TestAccountantConservation(t *testing.T) {
 func TestSupplyResidual(t *testing.T) {
 	k := sim.NewKernel(1)
 	a := NewAccountant(k)
-	a.SetComponent("x", 10.0)
+	set(a, "x", 10.0)
 	s := NewSupply(a, 100)
 	k.At(4*time.Second, func() {})
 	k.Run(0)
@@ -198,7 +201,7 @@ func TestSupplyResidual(t *testing.T) {
 func TestSupplyExternal(t *testing.T) {
 	k := sim.NewKernel(1)
 	a := NewAccountant(k)
-	a.SetComponent("x", 100.0)
+	set(a, "x", 100.0)
 	s := NewSupply(a, 0)
 	k.At(time.Hour, func() {})
 	k.Run(0)
@@ -216,7 +219,7 @@ func TestSupplyExternal(t *testing.T) {
 func TestSupplyAttachMidRun(t *testing.T) {
 	k := sim.NewKernel(1)
 	a := NewAccountant(k)
-	a.SetComponent("x", 5.0)
+	set(a, "x", 5.0)
 	var s *Supply
 	k.At(10*time.Second, func() { s = NewSupply(a, 50) })
 	k.At(14*time.Second, func() {})
@@ -229,7 +232,7 @@ func TestSupplyAttachMidRun(t *testing.T) {
 func TestMeterSamples(t *testing.T) {
 	k := sim.NewKernel(1)
 	a := NewAccountant(k)
-	a.SetComponent("x", 7.5)
+	set(a, "x", 7.5)
 	var samples []float64
 	m := NewMeter(k, a, 100*time.Millisecond, 0, func(_ time.Duration, w float64) {
 		samples = append(samples, w)
@@ -250,7 +253,7 @@ func TestMeterSamples(t *testing.T) {
 func TestMeterJitterStaysPositive(t *testing.T) {
 	k := sim.NewKernel(9)
 	a := NewAccountant(k)
-	a.SetComponent("x", 1)
+	set(a, "x", 1)
 	n := 0
 	m := NewMeter(k, a, time.Millisecond, time.Millisecond, func(time.Duration, float64) { n++ })
 	m.Start()

@@ -69,6 +69,7 @@ func DefaultConfig() Config {
 type Battery struct {
 	k    *sim.Kernel
 	acct *power.Accountant
+	comp power.ComponentID // the measurement overhead's ledger slot
 	cfg  Config
 
 	initial float64 // joules
@@ -96,6 +97,7 @@ func New(k *sim.Kernel, acct *power.Accountant, cfg Config, initialJoules float6
 	b := &Battery{
 		k:        k,
 		acct:     acct,
+		comp:     acct.Register("smartbattery"),
 		cfg:      cfg,
 		initial:  initialJoules,
 		lastAcct: acct.TotalEnergy(),
@@ -111,9 +113,9 @@ func (b *Battery) SetPolling(on bool) {
 	b.sync()
 	b.polling = on
 	if on {
-		b.acct.SetComponent("smartbattery", b.cfg.MeasureOverheadWatts)
+		b.acct.Set(b.comp, b.cfg.MeasureOverheadWatts)
 	} else {
-		b.acct.SetComponent("smartbattery", 0)
+		b.acct.Set(b.comp, 0)
 	}
 }
 

@@ -18,7 +18,7 @@ func newBattery(seed int64, cfg Config, initial float64) (*sim.Kernel, *power.Ac
 
 func TestDrainTracksAccountant(t *testing.T) {
 	k, acct, b := newBattery(1, DefaultConfig(), 1000)
-	acct.SetComponent("load", 10.0)
+	acct.Set(acct.Register("load"), 10.0)
 	k.At(20*time.Second, func() {})
 	k.Run(0)
 	if got := b.TrueResidual(); math.Abs(got-800) > 1e-6 {
@@ -38,7 +38,7 @@ func TestCapacityQuantization(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.CapacityQuantum = 50
 	k, acct, b := newBattery(1, cfg, 1000)
-	acct.SetComponent("load", 1.0)
+	acct.Set(acct.Register("load"), 1.0)
 	k.At(30*time.Second, func() {})
 	k.Run(0)
 	// True residual 970; the readout floors to the 50 J grid.
@@ -51,7 +51,7 @@ func TestCurrentQuantization(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.CurrentQuantum = 0.1 // coarse: 1.6 W steps at 16 V
 	k, acct, b := newBattery(1, cfg, 10000)
-	acct.SetComponent("load", 8.23)
+	acct.Set(acct.Register("load"), 8.23)
 	k.At(time.Second, func() {})
 	k.Run(0)
 	got := b.Power()
@@ -65,7 +65,7 @@ func TestRefreshRateLimit(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.RefreshPeriod = time.Second
 	k, acct, b := newBattery(1, cfg, 10000)
-	acct.SetComponent("load", 8.0)
+	acct.Set(acct.Register("load"), 8.0)
 	var first, second, third float64
 	k.At(2*time.Second, func() { first = b.RemainingCapacity() })
 	// Reading again within the refresh period returns the cached value
@@ -83,7 +83,7 @@ func TestRefreshRateLimit(t *testing.T) {
 
 func TestPollingOverheadBilled(t *testing.T) {
 	k, acct, b := newBattery(1, DefaultConfig(), 10000)
-	acct.SetComponent("load", 5.0)
+	acct.Set(acct.Register("load"), 5.0)
 	b.SetPolling(true)
 	k.At(100*time.Second, func() {})
 	k.Run(0)
@@ -103,7 +103,7 @@ func TestPeukertDrainsFasterAtHighLoad(t *testing.T) {
 		cfg := DefaultConfig()
 		cfg.PeukertExponent = peukert
 		k, acct, b := newBattery(1, cfg, 100000)
-		acct.SetComponent("load", watts)
+		acct.Set(acct.Register("load"), watts)
 		k.At(100*time.Second, func() {})
 		k.Run(0)
 		return b.Initial() - b.TrueResidual() // effective drain
@@ -125,7 +125,7 @@ func TestSourceDrivesEnergyMonitor(t *testing.T) {
 	cfg := DefaultConfig()
 	k, acct, b := newBattery(1, cfg, 2000)
 	b.SetPolling(true)
-	acct.SetComponent("load", 10.0)
+	acct.Set(acct.Register("load"), 10.0)
 	v := core.NewViceroy(k)
 	app := &testApp{level: 2}
 	v.RegisterApp(app, 1)
@@ -151,7 +151,7 @@ func (a *testApp) SetLevel(l int)   { a.level = l }
 
 func TestQuantizedReadingsCloseToTruth(t *testing.T) {
 	k, acct, b := newBattery(1, DefaultConfig(), 20000)
-	acct.SetComponent("load", 11.37)
+	acct.Set(acct.Register("load"), 11.37)
 	k.At(60*time.Second, func() {})
 	k.Run(0)
 	reading := b.RemainingCapacity()

@@ -532,7 +532,7 @@ func (s *Supervisor) principalEnergy(c *Cell) float64 {
 	if s.acct == nil || c.prof.Principal == "" {
 		return 0
 	}
-	return s.acct.EnergyByPrincipal()[c.prof.Principal]
+	return s.acct.PrincipalEnergy(c.prof.Principal)
 }
 
 // charge attributes cpu-seconds of supervision work to the supervise

@@ -130,7 +130,7 @@ func TestRetryBudgetExhaustionQuarantinesAndReallocates(t *testing.T) {
 	ra := v.RegisterApp(a, 1)
 	v.RegisterApp(b, 2)
 	acct := power.NewAccountant(k)
-	acct.SetComponent("load", 1)
+	acct.Set(acct.Register("load"), 1)
 	em := core.NewEnergyMonitor(v, acct, power.NewSupply(acct, 1000), core.DefaultEnergyConfig())
 	cfg := supervise.Config{NoJitter: true, RetryBudget: 1,
 		AckDeadline: time.Second, RestartBackoff: time.Second}

@@ -25,7 +25,12 @@
 #   7. go test -race ./...                 data-race gate over the full module
 #   8. go test -tags odysseydebug ...      energy-conservation runtime
 #                                          assertions cross-checking the
-#                                          exact integrator
+#                                          exact integrator on every
+#                                          segment, over power, hw,
+#                                          experiment, integration, chaos,
+#                                          fleet, supervise and smartbattery
+#                                          (every plane, adversarial
+#                                          scenarios included)
 #   9. go test -fuzz                       short fuzz budgets (seed corpus + 5s
 #                                          each) over odfs path handling
 #                                          (FuzzPathHandling), journal replay
@@ -103,8 +108,9 @@ if [ "${1:-}" != "fast" ]; then
     go test -race ./...
 fi
 
-echo "==> go test -tags odysseydebug (power, hw, experiment, integration)"
-go test -tags odysseydebug ./internal/power/... ./internal/hw/... ./internal/experiment/... ./internal/integration/...
+echo "==> go test -tags odysseydebug (power, hw, experiment, integration, chaos, fleet, supervise, smartbattery)"
+go test -tags odysseydebug ./internal/power/... ./internal/hw/... ./internal/experiment/... ./internal/integration/... \
+    ./internal/chaos/... ./internal/fleet/... ./internal/supervise/... ./internal/smartbattery/...
 
 if [ "${1:-}" != "fast" ]; then
     echo "==> go test -fuzz FuzzPathHandling -fuzztime 5s ./internal/odfs"
