@@ -16,16 +16,12 @@
 //	-only a,b        run only the named analyzers
 //	-typeerrors      also print type-checker errors encountered while loading
 //	-json            emit the machine-readable report on stdout
-//	-baseline FILE   suppress findings grandfathered in FILE (with expiry);
-//	                 stale or expired entries fail the run
-//	-write-baseline  regenerate FILE from current findings (needs -baseline);
-//	                 retained entries keep their expiry, new ones get 180 days
-//	-expiry-warn N   with -baseline: list entries expiring within N days
-//	                 (warning only; exit status unaffected)
 //	-hotreport       print the ranked kernel hot-path allocation report
 //
-// Exit status: 0 clean (possibly via baseline), 1 findings or baseline
-// rot (stale/expired entries), 2 usage or load errors.
+// The only way to silence a finding is an inline
+// "//odylint:allow <analyzer> <reason>" directive (see internal/lint).
+//
+// Exit status: 0 clean, 1 findings, 2 usage or load errors.
 package main
 
 import (
@@ -34,18 +30,18 @@ import (
 	"fmt"
 	"os"
 	"strings"
-	"time"
 
 	"odyssey/internal/lint"
 )
 
 // jsonReport is the -json schema, consumed by CI artifact tooling. Keep
-// field changes backward compatible: add, do not rename.
+// field changes backward compatible: add, do not rename. It carries no
+// baseline state: inline //odylint:allow directives are the only
+// suppression, and RunModule has already applied them.
 type jsonReport struct {
 	Module      string           `json:"module"`
 	Analyzers   []string         `json:"analyzers"`
 	Diagnostics []jsonDiagnostic `json:"diagnostics"`
-	Baseline    *jsonBaseline    `json:"baseline,omitempty"`
 	Hotalloc    []lint.HotSite   `json:"hotalloc_report"`
 	Summary     jsonSummary      `json:"summary"`
 }
@@ -56,14 +52,6 @@ type jsonDiagnostic struct {
 	Col      int    `json:"col"`
 	Analyzer string `json:"analyzer"`
 	Message  string `json:"message"`
-}
-
-type jsonBaseline struct {
-	Path       string               `json:"path"`
-	Entries    int                  `json:"entries"`
-	Suppressed int                  `json:"suppressed"`
-	Expired    []lint.BaselineEntry `json:"expired"`
-	Stale      []lint.BaselineEntry `json:"stale"`
 }
 
 type jsonSummary struct {
@@ -80,9 +68,6 @@ func run() int {
 	only := flag.String("only", "", "comma-separated analyzer names to run (default: all)")
 	typeErrors := flag.Bool("typeerrors", false, "print type-checker errors encountered while loading")
 	jsonOut := flag.Bool("json", false, "emit the machine-readable report on stdout")
-	baselinePath := flag.String("baseline", "", "baseline file of grandfathered findings")
-	writeBaseline := flag.Bool("write-baseline", false, "regenerate the -baseline file from current findings")
-	expiryWarn := flag.Int("expiry-warn", 0, "with -baseline: warn about entries expiring within N days")
 	hotreport := flag.Bool("hotreport", false, "print the ranked kernel hot-path allocation report")
 	flag.Parse()
 
@@ -109,11 +94,6 @@ func run() int {
 			analyzers = append(analyzers, a)
 		}
 	}
-	if *writeBaseline && *baselinePath == "" {
-		fmt.Fprintln(os.Stderr, "odylint: -write-baseline requires -baseline FILE")
-		return 2
-	}
-
 	patterns := flag.Args()
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
@@ -140,54 +120,22 @@ func run() int {
 	}
 
 	diags := lint.RunModule(mod, analyzers, filter)
-	now := time.Now()
-
-	var baseline *lint.Baseline
-	var res lint.BaselineResult
-	res.Kept = diags
-	if *baselinePath != "" {
-		baseline, err = lint.LoadBaseline(*baselinePath)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "odylint: %v\n", err)
-			return 2
-		}
-		if *writeBaseline {
-			if err := lint.WriteBaseline(*baselinePath, mod.Root, baseline, diags, now.AddDate(0, 0, 180)); err != nil {
-				fmt.Fprintf(os.Stderr, "odylint: %v\n", err)
-				return 2
-			}
-			fmt.Fprintf(os.Stderr, "odylint: wrote %d finding(s) to %s\n", len(diags), *baselinePath)
-			return 0
-		}
-		res = baseline.Apply(mod.Root, diags, now)
-		if *expiryWarn > 0 {
-			for _, e := range baseline.ExpiringWithin(now, time.Duration(*expiryWarn)*24*time.Hour) {
-				fmt.Fprintf(os.Stderr, "odylint: baseline entry expires soon: %s\n", e)
-			}
-		}
-	}
 
 	if *jsonOut {
 		rep := jsonReport{
 			Module:   mod.Path,
 			Hotalloc: mod.HotallocReport(),
-			Summary:  jsonSummary{Total: len(res.Kept), ByAnalyzer: map[string]int{}},
+			Summary:  jsonSummary{Total: len(diags), ByAnalyzer: map[string]int{}},
 		}
 		for _, a := range analyzers {
 			rep.Analyzers = append(rep.Analyzers, a.Name)
 		}
-		for _, d := range res.Kept {
+		for _, d := range diags {
 			rep.Diagnostics = append(rep.Diagnostics, jsonDiagnostic{
 				File: relTo(mod.Root, d.Pos.Filename), Line: d.Pos.Line, Col: d.Pos.Column,
 				Analyzer: d.Analyzer, Message: d.Message,
 			})
 			rep.Summary.ByAnalyzer[d.Analyzer]++
-		}
-		if baseline != nil {
-			rep.Baseline = &jsonBaseline{
-				Path: *baselinePath, Entries: len(baseline.Entries),
-				Suppressed: res.Suppressed, Expired: res.Expired, Stale: res.Stale,
-			}
 		}
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
@@ -196,7 +144,7 @@ func run() int {
 			return 2
 		}
 	} else {
-		for _, d := range res.Kept {
+		for _, d := range diags {
 			fmt.Printf("%s:%d:%d: %s (%s)\n", relTo(mod.Root, d.Pos.Filename), d.Pos.Line, d.Pos.Column, d.Message, d.Analyzer)
 		}
 		if *hotreport {
@@ -204,24 +152,8 @@ func run() int {
 		}
 	}
 
-	failed := false
-	if len(res.Kept) > 0 {
-		fmt.Fprintf(os.Stderr, "odylint: %d diagnostic(s)", len(res.Kept))
-		if res.Suppressed > 0 {
-			fmt.Fprintf(os.Stderr, " (%d baselined)", res.Suppressed)
-		}
-		fmt.Fprintln(os.Stderr)
-		failed = true
-	}
-	for _, e := range res.Expired {
-		fmt.Fprintf(os.Stderr, "odylint: baseline entry expired (finding fires above): %s\n", e)
-		failed = true
-	}
-	for _, e := range res.Stale {
-		fmt.Fprintf(os.Stderr, "odylint: stale baseline entry matches no finding (remove it): %s\n", e)
-		failed = true
-	}
-	if failed {
+	if len(diags) > 0 {
+		fmt.Fprintf(os.Stderr, "odylint: %d diagnostic(s)\n", len(diags))
 		return 1
 	}
 	return 0

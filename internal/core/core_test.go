@@ -33,44 +33,6 @@ func (f *fakeApp) SetLevel(l int) {
 	f.changes = append(f.changes, l)
 }
 
-func TestFidelitySpace(t *testing.T) {
-	fs := NewFidelitySpace([]FidelityDimension{
-		{Name: "compression", Values: []string{"premiere-c", "premiere-b", "base"}},
-		{Name: "window", Values: []string{"half", "full"}},
-	})
-	lo := fs.Add("min", 0, 0)
-	hi := fs.Add("max", 2, 1)
-	if lo != 0 || hi != 1 {
-		t.Fatalf("level indexes %d, %d", lo, hi)
-	}
-	if fs.Value(0, 0) != "premiere-c" || fs.Value(1, 1) != "full" {
-		t.Fatalf("values %q %q", fs.Value(0, 0), fs.Value(1, 1))
-	}
-	if fs.Coord(1, 0) != 2 {
-		t.Fatalf("coord %d", fs.Coord(1, 0))
-	}
-	if len(fs.Levels()) != 2 {
-		t.Fatalf("levels %v", fs.Levels())
-	}
-}
-
-func TestFidelitySpacePanics(t *testing.T) {
-	fs := NewFidelitySpace([]FidelityDimension{{Name: "d", Values: []string{"x"}}})
-	for _, fn := range []func(){
-		func() { fs.Add("wrong-arity") },
-		func() { fs.Add("bad-coord", 5) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Error("expected panic")
-				}
-			}()
-			fn()
-		}()
-	}
-}
-
 type fakeWarden string
 
 func (w fakeWarden) TypeName() string { return string(w) }

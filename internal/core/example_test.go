@@ -8,30 +8,6 @@ import (
 	"odyssey/internal/sim"
 )
 
-// ExampleFidelitySpace shows how a composite fidelity (the video player's
-// compression x window size) maps onto the single ordered level index the
-// viceroy adapts.
-func ExampleFidelitySpace() {
-	fs := core.NewFidelitySpace([]core.FidelityDimension{
-		{Name: "compression", Values: []string{"premiere-c", "premiere-b", "original"}},
-		{Name: "window", Values: []string{"half", "full"}},
-	})
-	fs.Add("combined", 0, 0)   // premiere-c, half window
-	fs.Add("premiere-c", 0, 1) // premiere-c, full window
-	fs.Add("premiere-b", 1, 1)
-	fs.Add("baseline", 2, 1)
-
-	for lvl, name := range fs.Levels() {
-		fmt.Printf("level %d (%s): compression=%s window=%s\n",
-			lvl, name, fs.Value(lvl, 0), fs.Value(lvl, 1))
-	}
-	// Output:
-	// level 0 (combined): compression=premiere-c window=half
-	// level 1 (premiere-c): compression=premiere-c window=full
-	// level 2 (premiere-b): compression=premiere-b window=full
-	// level 3 (baseline): compression=original window=full
-}
-
 // ExampleViceroy_Request shows the original Odyssey resource-expectation
 // API: register a window on a resource; when availability leaves the
 // window, Odyssey issues an upcall.

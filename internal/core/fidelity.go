@@ -6,8 +6,6 @@
 // that meets user-specified battery-duration goals.
 package core
 
-import "fmt"
-
 // Adaptive is implemented by applications that register fidelity levels
 // with Odyssey. Levels are ordered from 0 (lowest fidelity, least energy)
 // to len(Levels())-1 (full fidelity); the set is fixed once the application
@@ -78,58 +76,4 @@ func (r *Registration) clamp(lvl int) int {
 type Warden interface {
 	// TypeName identifies the data type the warden manages.
 	TypeName() string
-}
-
-// FidelityDimension is a helper for applications whose fidelity is a
-// composite of several knobs (the video player trades both lossy
-// compression and window size). It maps a single ordered level index onto a
-// set of named dimension values.
-type FidelityDimension struct {
-	Name   string
-	Values []string
-}
-
-// FidelitySpace enumerates composite fidelity levels in increasing order.
-type FidelitySpace struct {
-	levels []string
-	coords [][]int
-	dims   []FidelityDimension
-}
-
-// NewFidelitySpace builds a space from explicit (name, coordinates) pairs,
-// lowest fidelity first. The coordinates index into the dimensions and are
-// retrievable per level; this keeps composite adaptation policies explicit
-// and auditable rather than implied by enumeration order.
-func NewFidelitySpace(dims []FidelityDimension) *FidelitySpace {
-	return &FidelitySpace{dims: dims}
-}
-
-// Add appends a level with the given display name and per-dimension
-// coordinate indexes, returning its level index.
-func (fs *FidelitySpace) Add(name string, coords ...int) int {
-	if len(coords) != len(fs.dims) {
-		//odylint:allow panicfree malformed fidelity space is a registration bug; invariant guard
-		panic(fmt.Sprintf("core: level %q has %d coords for %d dimensions", name, len(coords), len(fs.dims)))
-	}
-	for i, c := range coords {
-		if c < 0 || c >= len(fs.dims[i].Values) {
-			//odylint:allow panicfree malformed fidelity space is a registration bug; invariant guard
-			panic(fmt.Sprintf("core: level %q coord %d out of range for dimension %q", name, c, fs.dims[i].Name))
-		}
-	}
-	fs.levels = append(fs.levels, name)
-	cp := append([]int(nil), coords...)
-	fs.coords = append(fs.coords, cp)
-	return len(fs.levels) - 1
-}
-
-// Levels returns the ordered level names.
-func (fs *FidelitySpace) Levels() []string { return fs.levels }
-
-// Coord returns the value index of dimension dim at level lvl.
-func (fs *FidelitySpace) Coord(lvl, dim int) int { return fs.coords[lvl][dim] }
-
-// Value returns the value name of dimension dim at level lvl.
-func (fs *FidelitySpace) Value(lvl, dim int) string {
-	return fs.dims[dim].Values[fs.coords[lvl][dim]]
 }

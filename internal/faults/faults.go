@@ -24,13 +24,10 @@ import (
 
 // Injector is one fault process. Start arms it against the plan's clock and
 // RNG; Stop disarms it and restores healthy state. Both are idempotent.
-// Spec returns the injector's serializable description (see spec.go), so a
-// plan can round-trip through JSON and be rebuilt against a fresh rig.
 type Injector interface {
 	Name() string
 	Start(pl *Plan)
 	Stop()
-	Spec() InjectorSpec
 }
 
 // Plan composes injectors under one seeded RNG stream, separate from the
@@ -41,10 +38,8 @@ type Plan struct {
 	Log *trace.Log
 
 	k         *sim.Kernel
-	seed      int64
 	rng       *rand.Rand
 	injectors []Injector
-	pending   []InjectorSpec // decoded but not yet materialized (spec.go)
 	counts    map[string]int
 	running   bool
 }
@@ -55,7 +50,6 @@ func NewPlan(k *sim.Kernel, name string, seed int64) *Plan {
 	return &Plan{
 		Name:   name,
 		k:      k,
-		seed:   seed,
 		rng:    rand.New(rand.NewSource(seed)),
 		counts: make(map[string]int),
 	}
@@ -94,9 +88,6 @@ func (pl *Plan) Stop() {
 		in.Stop()
 	}
 }
-
-// K exposes the plan's kernel to injectors.
-func (pl *Plan) K() *sim.Kernel { return pl.k }
 
 // Rand exposes the plan's dedicated RNG stream to injectors.
 func (pl *Plan) Rand() *rand.Rand { return pl.rng }

@@ -26,11 +26,6 @@ type LinkOutage struct {
 // Name implements Injector.
 func (o *LinkOutage) Name() string { return "link" }
 
-// Spec implements Injector.
-func (o *LinkOutage) Spec() InjectorSpec {
-	return InjectorSpec{Kind: KindLink, MeanUp: Dur(o.MeanUp), MeanDown: Dur(o.MeanDown), MaxDown: Dur(o.MaxDown)}
-}
-
 // Start implements Injector.
 func (o *LinkOutage) Start(pl *Plan) {
 	o.t = toggler{
@@ -75,11 +70,6 @@ type ByteLoss struct {
 
 // Name implements Injector.
 func (b *ByteLoss) Name() string { return "loss" }
-
-// Spec implements Injector.
-func (b *ByteLoss) Spec() InjectorSpec {
-	return InjectorSpec{Kind: KindLoss, Fraction: b.Fraction, Spread: b.Spread}
-}
 
 // Start implements Injector.
 func (b *ByteLoss) Start(pl *Plan) {
@@ -134,16 +124,6 @@ func (c *ServerCrash) Name() string {
 	return "server:" + c.Server.Name
 }
 
-// Spec implements Injector.
-func (c *ServerCrash) Spec() InjectorSpec {
-	target := TargetAnyPool
-	if c.Pool == nil {
-		target = c.Server.Name
-	}
-	return InjectorSpec{Kind: KindServerCrash, Target: target,
-		MeanUp: Dur(c.MeanUp), MeanDown: Dur(c.MeanDown), MaxDown: Dur(c.MaxDown)}
-}
-
 // Start implements Injector.
 func (c *ServerCrash) Start(pl *Plan) {
 	if c.Server == nil && len(c.Pool) > 0 {
@@ -196,16 +176,6 @@ func (l *ServerLatency) Name() string {
 	return "latency:" + l.Server.Name
 }
 
-// Spec implements Injector.
-func (l *ServerLatency) Spec() InjectorSpec {
-	target := TargetAnyPool
-	if l.Pool == nil {
-		target = l.Server.Name
-	}
-	return InjectorSpec{Kind: KindServerLatency, Target: target,
-		MeanUp: Dur(l.MeanCalm), MeanDown: Dur(l.MeanSpike), Factor: l.Factor}
-}
-
 // Start implements Injector.
 func (l *ServerLatency) Start(pl *Plan) {
 	if l.Server == nil && len(l.Pool) > 0 {
@@ -248,11 +218,6 @@ type BatteryDropout struct {
 
 // Name implements Injector.
 func (d *BatteryDropout) Name() string { return "battery" }
-
-// Spec implements Injector.
-func (d *BatteryDropout) Spec() InjectorSpec {
-	return InjectorSpec{Kind: KindBatteryDropout, MeanUp: Dur(d.MeanUp), MeanDown: Dur(d.MeanDown)}
-}
 
 // Start implements Injector.
 func (d *BatteryDropout) Start(pl *Plan) {

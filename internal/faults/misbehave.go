@@ -33,11 +33,6 @@ type AppCrash struct {
 // Name implements Injector.
 func (c *AppCrash) Name() string { return "crash:" + c.App.Name() }
 
-// Spec implements Injector.
-func (c *AppCrash) Spec() InjectorSpec {
-	return InjectorSpec{Kind: KindAppCrash, Target: c.App.Name(), MeanUp: Dur(c.MeanUp)}
-}
-
 // Start implements Injector.
 func (c *AppCrash) Start(pl *Plan) {
 	c.schedule(pl)
@@ -83,12 +78,6 @@ type AppHang struct {
 
 // Name implements Injector.
 func (h *AppHang) Name() string { return "hang:" + h.App.Name() }
-
-// Spec implements Injector.
-func (h *AppHang) Spec() InjectorSpec {
-	return InjectorSpec{Kind: KindAppHang, Target: h.App.Name(),
-		MeanUp: Dur(h.MeanOK), MeanDown: Dur(h.MeanHang), MaxDown: Dur(h.MaxHang)}
-}
 
 // Start implements Injector.
 func (h *AppHang) Start(pl *Plan) {
@@ -136,12 +125,6 @@ type AppThrash struct {
 
 // Name implements Injector.
 func (th *AppThrash) Name() string { return "thrash:" + th.App.Name() }
-
-// Spec implements Injector.
-func (th *AppThrash) Spec() InjectorSpec {
-	return InjectorSpec{Kind: KindAppThrash, Target: th.App.Name(),
-		MeanUp: Dur(th.MeanCalm), MeanDown: Dur(th.MeanThrash), Period: Dur(th.Period)}
-}
 
 // Start implements Injector.
 func (th *AppThrash) Start(pl *Plan) {
@@ -214,12 +197,6 @@ type AppLie struct {
 
 // Name implements Injector.
 func (l *AppLie) Name() string { return "lie:" + l.App.Name() }
-
-// Spec implements Injector.
-func (l *AppLie) Spec() InjectorSpec {
-	return InjectorSpec{Kind: KindAppLie, Target: l.App.Name(),
-		MeanUp: Dur(l.MeanOK), MeanDown: Dur(l.MeanLie), Delta: l.Delta}
-}
 
 // Start implements Injector.
 func (l *AppLie) Start(pl *Plan) {

@@ -41,10 +41,6 @@ func (t *TestPanic) Stop() {
 	t.ev = sim.Event{}
 }
 
-func (t *TestPanic) Spec() InjectorSpec {
-	return InjectorSpec{Kind: KindTestPanic, MeanUp: Dur(t.Delay)}
-}
-
 // TestProcPanic spawns a process that panics after Delay — the fault path
 // recoverKill must wrap with the process identity and transport to the
 // kernel goroutine.
@@ -69,10 +65,6 @@ func (t *TestProcPanic) Start(pl *Plan) {
 
 func (t *TestProcPanic) Stop() { t.stopped = true }
 
-func (t *TestProcPanic) Spec() InjectorSpec {
-	return InjectorSpec{Kind: KindTestProcPanic, MeanUp: Dur(t.Delay)}
-}
-
 // TestLivelock enters a zero-delay self-reschedule loop after Delay: virtual
 // time stops advancing and only the kernel's stall detector can end the run.
 type TestLivelock struct {
@@ -95,7 +87,3 @@ func (t *TestLivelock) Start(pl *Plan) {
 }
 
 func (t *TestLivelock) Stop() { t.stopped = true }
-
-func (t *TestLivelock) Spec() InjectorSpec {
-	return InjectorSpec{Kind: KindTestLivelock, MeanUp: Dur(t.Delay)}
-}

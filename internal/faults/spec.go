@@ -3,7 +3,6 @@ package faults
 import (
 	"encoding/json"
 	"fmt"
-	"math/rand"
 	"time"
 
 	"odyssey/internal/core"
@@ -15,12 +14,12 @@ import (
 
 // Plan serialization. A running Plan holds live pointers into one trial's
 // rig (the network, the servers, a SmartBattery, the applications), so a
-// plan cannot round-trip through JSON by itself: what serializes is the
-// injector *specification* — kind, target name, and timing parameters — and
-// deserialization yields a pending plan that Materialize binds to a fresh
-// rig through the Targets interface. Spec -> JSON -> spec -> Materialize is
-// exact: the spec carries the plan's seed, so a replayed plan draws the
-// identical fault schedule.
+// plan never serializes itself: what serializes is its PlanSpec — the
+// plan's name and seed plus each injector's kind, target name and timing
+// parameters — and PlanSpec.Plan binds a spec to a fresh rig through the
+// Targets interface. PlanSpec -> JSON -> PlanSpec -> Plan is exact: the
+// spec carries the plan's seed, so a replayed plan draws the identical
+// fault schedule.
 
 // Dur is a time.Duration that marshals as its String form ("2m10s"). The
 // round trip is exact: ParseDuration inverts String for every duration.
@@ -83,7 +82,7 @@ type InjectorSpec struct {
 
 // Targets resolves the symbolic names in injector specs against one trial's
 // live rig. Implementations return ok=false (or nil for the battery) when a
-// target does not exist in the scenario, which Materialize reports as an
+// target does not exist in the scenario, which Build reports as an
 // error rather than a panic, so a malformed or over-shrunk spec fails the
 // single trial instead of the whole soak.
 type Targets interface {
@@ -213,63 +212,4 @@ func (s PlanSpec) Plan(k *sim.Kernel, tg Targets) (*Plan, error) {
 		pl.Add(inj)
 	}
 	return pl, nil
-}
-
-// Spec returns the plan's serializable form. For a plan decoded from JSON
-// but not yet materialized, the pending injector specs are returned.
-func (pl *Plan) Spec() PlanSpec {
-	s := PlanSpec{Name: pl.Name, Seed: pl.seed}
-	if pl.injectors == nil && pl.pending != nil {
-		s.Injectors = append(s.Injectors, pl.pending...)
-		return s
-	}
-	for _, in := range pl.injectors {
-		s.Injectors = append(s.Injectors, in.Spec())
-	}
-	return s
-}
-
-// Seed returns the seed of the plan's dedicated RNG stream.
-func (pl *Plan) Seed() int64 { return pl.seed }
-
-// MarshalJSON implements json.Marshaler via the plan's spec.
-func (pl *Plan) MarshalJSON() ([]byte, error) {
-	return json.Marshal(pl.Spec())
-}
-
-// UnmarshalJSON implements json.Unmarshaler: the plan is decoded in pending
-// form (name, seed, injector specs) and must be bound to a rig with
-// Materialize before Start.
-func (pl *Plan) UnmarshalJSON(b []byte) error {
-	var s PlanSpec
-	if err := json.Unmarshal(b, &s); err != nil {
-		return err
-	}
-	*pl = Plan{
-		Name:    s.Name,
-		seed:    s.Seed,
-		rng:     rand.New(rand.NewSource(s.Seed)),
-		counts:  make(map[string]int),
-		pending: s.Injectors,
-	}
-	return nil
-}
-
-// Materialize binds a plan decoded from JSON to a live rig: every pending
-// injector spec is built against tg and the plan becomes startable on k. It
-// is an error to materialize a plan that already has live injectors.
-func (pl *Plan) Materialize(k *sim.Kernel, tg Targets) error {
-	if pl.injectors != nil {
-		return fmt.Errorf("faults: plan %q already materialized", pl.Name)
-	}
-	pl.k = k
-	for _, is := range pl.pending {
-		inj, err := is.Build(tg)
-		if err != nil {
-			return err
-		}
-		pl.injectors = append(pl.injectors, inj)
-	}
-	pl.pending = nil
-	return nil
 }

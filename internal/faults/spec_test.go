@@ -79,51 +79,112 @@ func allKindsSpec() faults.PlanSpec {
 	}
 }
 
-// TestPlanSpecJSONRoundTrip: spec -> materialized plan -> JSON -> decoded
-// plan -> materialized -> spec is the identity, for every injector kind and
-// every parameter field.
-func TestPlanSpecJSONRoundTrip(t *testing.T) {
-	k, tg := newSpecRig(1)
-	spec := allKindsSpec()
-	pl, err := spec.Plan(k, tg)
-	if err != nil {
-		t.Fatalf("materialize: %v", err)
+// specOf reads a built injector back into the spec that should have built
+// it, failing t when the injector is bound to anything but tg's objects.
+func specOf(t *testing.T, inj faults.Injector, tg faults.Targets) faults.InjectorSpec {
+	t.Helper()
+	server := func(srv *netsim.Server, pool []*netsim.Server) string {
+		if pool != nil {
+			if srv != nil {
+				t.Errorf("%s: pool:any injector pinned victim %q before Start", inj.Name(), srv.Name)
+			}
+			if want := tg.(faults.PoolTargets).PoolServers(); !reflect.DeepEqual(pool, want) {
+				t.Errorf("%s: pool %v, want the rig's %v", inj.Name(), pool, want)
+			}
+			return faults.TargetAnyPool
+		}
+		if want, ok := tg.Server(srv.Name); !ok || srv != want {
+			t.Errorf("%s: not bound to the rig's server %q", inj.Name(), srv.Name)
+		}
+		return srv.Name
 	}
-	if got := pl.Spec(); !reflect.DeepEqual(got, spec) {
-		t.Fatalf("live plan spec diverged:\n got %+v\nwant %+v", got, spec)
+	app := func(a core.Adaptive, h *supervise.AppHealth) string {
+		if wantApp, wantHealth, ok := tg.App(a.Name()); !ok || a != wantApp || h != wantHealth {
+			t.Errorf("%s: not bound to the rig's application %q", inj.Name(), a.Name())
+		}
+		return a.Name()
 	}
-	b, err := json.Marshal(pl)
+	network := func(n *netsim.Network) {
+		if n != tg.Network() {
+			t.Errorf("%s: not bound to the rig's network", inj.Name())
+		}
+	}
+	switch in := inj.(type) {
+	case *faults.LinkOutage:
+		network(in.Net)
+		return faults.InjectorSpec{Kind: faults.KindLink,
+			MeanUp: faults.Dur(in.MeanUp), MeanDown: faults.Dur(in.MeanDown), MaxDown: faults.Dur(in.MaxDown)}
+	case *faults.ByteLoss:
+		network(in.Net)
+		return faults.InjectorSpec{Kind: faults.KindLoss, Fraction: in.Fraction, Spread: in.Spread}
+	case *faults.ServerCrash:
+		return faults.InjectorSpec{Kind: faults.KindServerCrash, Target: server(in.Server, in.Pool),
+			MeanUp: faults.Dur(in.MeanUp), MeanDown: faults.Dur(in.MeanDown), MaxDown: faults.Dur(in.MaxDown)}
+	case *faults.ServerLatency:
+		return faults.InjectorSpec{Kind: faults.KindServerLatency, Target: server(in.Server, in.Pool),
+			MeanUp: faults.Dur(in.MeanCalm), MeanDown: faults.Dur(in.MeanSpike), Factor: in.Factor}
+	case *faults.BatteryDropout:
+		if in.Bat != tg.Battery() {
+			t.Errorf("%s: not bound to the rig's battery", inj.Name())
+		}
+		return faults.InjectorSpec{Kind: faults.KindBatteryDropout, MeanUp: faults.Dur(in.MeanUp), MeanDown: faults.Dur(in.MeanDown)}
+	case *faults.AppCrash:
+		return faults.InjectorSpec{Kind: faults.KindAppCrash, Target: app(in.App, in.Health), MeanUp: faults.Dur(in.MeanUp)}
+	case *faults.AppHang:
+		return faults.InjectorSpec{Kind: faults.KindAppHang, Target: app(in.App, in.Health),
+			MeanUp: faults.Dur(in.MeanOK), MeanDown: faults.Dur(in.MeanHang), MaxDown: faults.Dur(in.MaxHang)}
+	case *faults.AppThrash:
+		return faults.InjectorSpec{Kind: faults.KindAppThrash, Target: app(in.App, in.Health),
+			MeanUp: faults.Dur(in.MeanCalm), MeanDown: faults.Dur(in.MeanThrash), Period: faults.Dur(in.Period)}
+	case *faults.AppLie:
+		return faults.InjectorSpec{Kind: faults.KindAppLie, Target: app(in.App, in.Health),
+			MeanUp: faults.Dur(in.MeanOK), MeanDown: faults.Dur(in.MeanLie), Delta: in.Delta}
+	}
+	t.Errorf("unexpected injector type %T", inj)
+	return faults.InjectorSpec{}
+}
+
+// checkSpecWiring: Build puts every spec field of spec on the injector it
+// returns, bound to tg's named objects; a "pool:any" target sets Pool and
+// leaves Server nil, so no victim is pinned before Start. The PlanSpec
+// survives JSON unchanged, and re-marshalling gives the same bytes.
+func checkSpecWiring(t *testing.T, spec faults.PlanSpec, tg faults.Targets) {
+	t.Helper()
+	for _, is := range spec.Injectors {
+		inj, err := is.Build(tg)
+		if err != nil {
+			t.Fatalf("Build(%+v): %v", is, err)
+		}
+		if got := specOf(t, inj, tg); got != is {
+			t.Errorf("Build wired the wrong fields:\n got %+v\nwant %+v", got, is)
+		}
+	}
+	b, err := json.Marshal(spec)
 	if err != nil {
 		t.Fatalf("marshal: %v", err)
 	}
-	var decoded faults.Plan
+	var decoded faults.PlanSpec
 	if err := json.Unmarshal(b, &decoded); err != nil {
 		t.Fatalf("unmarshal: %v", err)
 	}
-	if got := decoded.Spec(); !reflect.DeepEqual(got, spec) {
-		t.Fatalf("decoded (pending) spec diverged:\n got %+v\nwant %+v", got, spec)
+	if !reflect.DeepEqual(decoded, spec) {
+		t.Fatalf("decoded spec diverged:\n got %+v\nwant %+v", decoded, spec)
 	}
-	if decoded.Seed() != spec.Seed {
-		t.Fatalf("seed %d after round trip, want %d", decoded.Seed(), spec.Seed)
-	}
-	k2, tg2 := newSpecRig(2)
-	if err := decoded.Materialize(k2, tg2); err != nil {
-		t.Fatalf("materialize decoded plan: %v", err)
-	}
-	if got := decoded.Spec(); !reflect.DeepEqual(got, spec) {
-		t.Fatalf("re-materialized spec diverged:\n got %+v\nwant %+v", got, spec)
-	}
-	if err := decoded.Materialize(k2, tg2); err == nil {
-		t.Fatal("second Materialize succeeded; want already-materialized error")
-	}
-	// Second marshal must be byte-identical (stable serialization).
-	b2, err := json.Marshal(&decoded)
+	b2, err := json.Marshal(decoded)
 	if err != nil {
 		t.Fatalf("re-marshal: %v", err)
 	}
 	if string(b) != string(b2) {
 		t.Fatalf("unstable serialization:\n %s\n %s", b, b2)
 	}
+}
+
+// TestPlanSpecJSONRoundTrip: for every injector kind and every parameter
+// field, Build wires the spec onto the injector and the PlanSpec survives
+// JSON marshal -> unmarshal -> marshal unchanged.
+func TestPlanSpecJSONRoundTrip(t *testing.T) {
+	_, tg := newSpecRig(1)
+	checkSpecWiring(t, allKindsSpec(), tg)
 }
 
 // TestDurRoundTrip: the Dur JSON form survives odd durations exactly.

@@ -2,7 +2,7 @@
 // "day in the life" of the simulated mobile computer, exercising the
 // bursty multi-application workload, a varying-quality wireless link,
 // bandwidth adaptation, SmartBattery-driven goal-directed energy
-// adaptation, the display dimmer, and the event log — all at once.
+// adaptation, and the event log — all at once.
 package integration_test
 
 import (

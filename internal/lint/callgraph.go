@@ -121,12 +121,6 @@ func (m *Module) Graph() *CallGraph {
 	return m.graph
 }
 
-// DeclNode returns the node for a declared function, or nil.
-func (g *CallGraph) DeclNode(f *types.Func) *Node { return g.decls[f] }
-
-// LitNode returns the node for a function literal, or nil.
-func (g *CallGraph) LitNode(l *ast.FuncLit) *Node { return g.lits[l] }
-
 func buildGraph(m *Module) *CallGraph {
 	g := &CallGraph{
 		decls: map[*types.Func]*Node{},

@@ -19,18 +19,26 @@ import (
 // covered - a directive above a call whose offending argument sits three
 // lines down still applies. Spaces after the commas are tolerated
 // ("analyzer1, analyzer2 reason" names two analyzers, not one and a half).
-// The justification is free text; write one. Directives exist for the rare
-// case where a rule's letter conflicts with its spirit - a deliberately
-// exact float comparison in a tie-break, an invariant panic that guards
-// simulation causality - and every use is greppable for review.
+// The justification is free text and must be present. Directives exist for
+// the rare case where a rule's letter conflicts with its spirit - a
+// deliberately exact float comparison in a tie-break, an invariant panic
+// that guards simulation causality - and every use is greppable for review.
+// They are the only escape hatch, so each one is checked: a directive that
+// names no analyzer, names one outside All(), or gives no justification is
+// itself a diagnostic (analyzer "directive"), which no directive silences.
 
 const directivePrefix = "odylint:allow"
+
+// directiveAnalyzer is the Analyzer field of diagnostics about malformed
+// directives. It is not in All(), so -only cannot deselect it.
+const directiveAnalyzer = "directive"
 
 // collectDirectives records, for every //odylint:allow comment in file,
 // "filename:line:analyzer" keys for each covered line: the directive's own
 // line, the line after, and - when a statement or declaration begins on
-// either of those lines - every line through that node's end.
-func collectDirectives(fset *token.FileSet, file *ast.File, allow map[string]bool) {
+// either of those lines - every line through that node's end. It returns
+// a diagnostic for every malformed directive.
+func collectDirectives(fset *token.FileSet, file *ast.File, allow map[string]bool) []Diagnostic {
 	// extent[start line] = furthest end line of any *simple* multi-line
 	// statement or declaration beginning there. Block-carrying statements
 	// (if, for, switch, function declarations) and statements containing
@@ -53,6 +61,7 @@ func collectDirectives(fset *token.FileSet, file *ast.File, allow map[string]boo
 		return true
 	})
 
+	var bad []Diagnostic
 	for _, cg := range file.Comments {
 		for _, c := range cg.List {
 			text := strings.TrimPrefix(c.Text, "//")
@@ -61,8 +70,22 @@ func collectDirectives(fset *token.FileSet, file *ast.File, allow map[string]boo
 				continue
 			}
 			rest := strings.TrimSpace(strings.TrimPrefix(text, directivePrefix))
-			names := splitDirectiveNames(rest)
+			names, reason := splitDirectiveNames(rest)
 			pos := fset.Position(c.Pos())
+			report := func(format string, args ...any) {
+				bad = append(bad, Diagnostic{Pos: pos, Analyzer: directiveAnalyzer, Message: fmt.Sprintf(format, args...)})
+			}
+			switch {
+			case len(names) == 0:
+				report("//%s names no analyzer", directivePrefix)
+			case reason == "":
+				report("//%s %s gives no justification: say why the rule does not apply here", directivePrefix, strings.Join(names, ","))
+			}
+			for _, name := range names {
+				if !knownAnalyzer(name) {
+					report("//%s names unknown analyzer %q (see odylint -list)", directivePrefix, name)
+				}
+			}
 			last := pos.Line + 1
 			for _, start := range []int{pos.Line, pos.Line + 1} {
 				if e := extent[start]; e > last {
@@ -76,6 +99,17 @@ func collectDirectives(fset *token.FileSet, file *ast.File, allow map[string]boo
 			}
 		}
 	}
+	return bad
+}
+
+// knownAnalyzer reports whether name is an analyzer of the suite.
+func knownAnalyzer(name string) bool {
+	for _, a := range All() {
+		if a.Name == name {
+			return true
+		}
+	}
+	return false
 }
 
 // containsFuncLit reports whether n's subtree holds a function literal.
@@ -90,24 +124,24 @@ func containsFuncLit(n ast.Node) bool {
 	return found
 }
 
-// splitDirectiveNames extracts the analyzer-name list from a directive's
-// argument text. Names are comma-separated; a comma may be followed by
-// whitespace, so the list extends across fields while each consumed field
-// ends in a comma. Everything after the list is the justification.
-func splitDirectiveNames(rest string) []string {
-	var names []string
-	for _, f := range strings.Fields(rest) {
-		trailing := strings.HasSuffix(f, ",")
+// splitDirectiveNames splits a directive's argument text into the
+// analyzer-name list and the justification. Names are comma-separated; a
+// comma may be followed by whitespace, so the list extends across fields
+// while each consumed field ends in a comma. Everything after the list is
+// the justification.
+func splitDirectiveNames(rest string) (names []string, reason string) {
+	fields := strings.Fields(rest)
+	for i, f := range fields {
 		for _, name := range strings.Split(f, ",") {
 			if name = strings.TrimSpace(name); name != "" {
 				names = append(names, name)
 			}
 		}
-		if !trailing {
-			break
+		if !strings.HasSuffix(f, ",") {
+			return names, strings.Join(fields[i+1:], " ")
 		}
 	}
-	return names
+	return names, ""
 }
 
 // pathHasSuffix reports whether import path p ends with the slash-separated

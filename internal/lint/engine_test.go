@@ -1,13 +1,11 @@
 package lint
 
 import (
-	"go/token"
-	"os"
+	"fmt"
 	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
-	"time"
 )
 
 // TestTaintCatchesLaundering is the analyzer's reason to exist: detrand's
@@ -84,20 +82,84 @@ func TestOdysseydebugFilesLoaded(t *testing.T) {
 // and everything after it is justification.
 func TestSplitDirectiveNames(t *testing.T) {
 	cases := []struct {
-		in   string
-		want []string
+		in     string
+		want   []string
+		reason string
 	}{
-		{"detrand reason text", []string{"detrand"}},
-		{"detrand,floateq reason", []string{"detrand", "floateq"}},
-		{"detrand, floateq reason", []string{"detrand", "floateq"}},
-		{"detrand,  floateq, mapiter why not", []string{"detrand", "floateq", "mapiter"}},
-		{"detrand", []string{"detrand"}},
-		{"", nil},
+		{"detrand reason text", []string{"detrand"}, "reason text"},
+		{"detrand,floateq reason", []string{"detrand", "floateq"}, "reason"},
+		{"detrand, floateq reason", []string{"detrand", "floateq"}, "reason"},
+		{"detrand,  floateq, mapiter why not", []string{"detrand", "floateq", "mapiter"}, "why not"},
+		{"detrand", []string{"detrand"}, ""},
+		{"detrand,", []string{"detrand"}, ""},
+		{"", nil, ""},
 	}
 	for _, c := range cases {
-		if got := splitDirectiveNames(c.in); !reflect.DeepEqual(got, c.want) {
-			t.Errorf("splitDirectiveNames(%q) = %v, want %v", c.in, got, c.want)
+		got, reason := splitDirectiveNames(c.in)
+		if !reflect.DeepEqual(got, c.want) || reason != c.reason {
+			t.Errorf("splitDirectiveNames(%q) = %v, %q, want %v, %q", c.in, got, reason, c.want, c.reason)
 		}
+	}
+}
+
+// TestDirectiveCheck: a directive that names no analyzer, names one outside
+// All(), or gives no justification is a "directive" diagnostic at the
+// comment; well-formed directives report nothing. A malformed directive
+// still suppresses the known analyzers it names, and nothing else.
+func TestDirectiveCheck(t *testing.T) {
+	mod, err := LoadModule("testdata/directives")
+	if err != nil {
+		t.Fatalf("LoadModule(testdata/directives): %v", err)
+	}
+	directives := map[string]string{} // "file:line" -> directive comment
+	for _, pkg := range mod.Pkgs {
+		for _, file := range pkg.Files {
+			for _, cg := range file.Comments {
+				for _, c := range cg.List {
+					if strings.HasPrefix(c.Text, "//"+directivePrefix) {
+						pos := mod.Fset.Position(c.Pos())
+						directives[fmt.Sprintf("%s:%d", pos.Filename, pos.Line)] = c.Text
+					}
+				}
+			}
+		}
+	}
+	want := wantMarkers(mod)
+	got := map[string][]string{} // directive comment -> its diagnostics
+	for _, d := range RunModule(mod, All(), nil) {
+		if d.Analyzer != directiveAnalyzer {
+			key := diagKey(mod.Fset, d)
+			if !want[key] {
+				t.Errorf("unexpected diagnostic %s", d)
+			}
+			delete(want, key)
+			continue
+		}
+		text, ok := directives[fmt.Sprintf("%s:%d", d.Pos.Filename, d.Pos.Line)]
+		if !ok {
+			t.Errorf("directive diagnostic away from a directive: %s", d)
+		}
+		got[text] = append(got[text], d.Message)
+	}
+	for key := range want {
+		t.Errorf("expected diagnostic did not fire: %s", key)
+	}
+	wantDirective := map[string][]string{
+		"//odylint:allow flaoteq fixture: a misspelled analyzer name": {
+			`//odylint:allow names unknown analyzer "flaoteq" (see odylint -list)`,
+		},
+		"//odylint:allow floateq, nosuch fixture: one name outside the suite": {
+			`//odylint:allow names unknown analyzer "nosuch" (see odylint -list)`,
+		},
+		"//odylint:allow floateq": {
+			"//odylint:allow floateq gives no justification: say why the rule does not apply here",
+		},
+		"//odylint:allow": {
+			"//odylint:allow names no analyzer",
+		},
+	}
+	if !reflect.DeepEqual(got, wantDirective) {
+		t.Errorf("directive diagnostics:\n got %q\nwant %q", got, wantDirective)
 	}
 }
 
@@ -122,123 +184,6 @@ func TestHotallocReportRanking(t *testing.T) {
 		} else if sawCold {
 			t.Errorf("in-loop site %+v ranked below an out-of-loop site", s)
 		}
-	}
-}
-
-func mkDiag(file, analyzer, msg string) Diagnostic {
-	return Diagnostic{
-		Pos:      token.Position{Filename: "/mod/" + file, Line: 10, Column: 2},
-		Analyzer: analyzer,
-		Message:  msg,
-	}
-}
-
-func day(s string) time.Time {
-	t, err := time.Parse("2006-01-02", s)
-	if err != nil {
-		panic(err)
-	}
-	return t
-}
-
-// TestBaselineApply covers the four entry states: live (suppresses),
-// expired (finding fires again, entry reported), stale (no matching
-// finding, fails the run), and absent (finding kept).
-func TestBaselineApply(t *testing.T) {
-	b := &Baseline{Entries: []BaselineEntry{
-		{Expires: day("2030-01-01"), Analyzer: "hotalloc", File: "a.go", Message: "live entry"},
-		{Expires: day("2020-01-01"), Analyzer: "hotalloc", File: "b.go", Message: "expired entry"},
-		{Expires: day("2030-01-01"), Analyzer: "mapiter", File: "c.go", Message: "stale entry"},
-	}}
-	diags := []Diagnostic{
-		mkDiag("a.go", "hotalloc", "live entry"),
-		mkDiag("b.go", "hotalloc", "expired entry"),
-		mkDiag("d.go", "taint", "new finding"),
-	}
-	res := b.Apply("/mod", diags, day("2025-06-01"))
-
-	if res.Suppressed != 1 {
-		t.Errorf("Suppressed = %d, want 1", res.Suppressed)
-	}
-	if len(res.Kept) != 2 {
-		t.Fatalf("Kept = %d diagnostics, want 2 (expired + new): %v", len(res.Kept), res.Kept)
-	}
-	if res.Kept[0].Message != "expired entry" || res.Kept[1].Message != "new finding" {
-		t.Errorf("Kept = %v", res.Kept)
-	}
-	if len(res.Expired) != 1 || res.Expired[0].Message != "expired entry" {
-		t.Errorf("Expired = %v, want the b.go entry", res.Expired)
-	}
-	if len(res.Stale) != 1 || res.Stale[0].Message != "stale entry" {
-		t.Errorf("Stale = %v, want the c.go entry", res.Stale)
-	}
-}
-
-// TestBaselineRoundTrip writes a baseline, reloads it, and re-applies it:
-// retained entries keep their expiry, new findings get the default horizon,
-// and the reloaded file suppresses exactly what it was built from.
-func TestBaselineRoundTrip(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "odylint.baseline")
-	diags := []Diagnostic{
-		mkDiag("a.go", "hotalloc", "first"),
-		mkDiag("a.go", "hotalloc", "first"), // duplicate identity: deduplicated
-		mkDiag("b.go", "mapiter", "second"),
-	}
-	prior := &Baseline{Entries: []BaselineEntry{
-		{Expires: day("2031-03-03"), Analyzer: "hotalloc", File: "a.go", Message: "first"},
-	}}
-	if err := WriteBaseline(path, "/mod", prior, diags, day("2026-01-01")); err != nil {
-		t.Fatal(err)
-	}
-
-	b, err := LoadBaseline(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(b.Entries) != 2 {
-		t.Fatalf("reloaded %d entries, want 2: %v", len(b.Entries), b.Entries)
-	}
-	if !b.Entries[0].Expires.Equal(day("2031-03-03")) {
-		t.Errorf("retained entry lost its expiry: %v", b.Entries[0])
-	}
-	if !b.Entries[1].Expires.Equal(day("2026-01-01")) {
-		t.Errorf("new entry did not get the default horizon: %v", b.Entries[1])
-	}
-
-	res := b.Apply("/mod", diags, day("2025-06-01"))
-	if len(res.Kept) != 0 || res.Suppressed != 3 || len(res.Stale) != 0 {
-		t.Errorf("round-tripped baseline: kept=%v suppressed=%d stale=%v, want 0/3/0",
-			res.Kept, res.Suppressed, res.Stale)
-	}
-}
-
-// TestBaselineMissingAndMalformed: a missing file is an empty baseline (the
-// bootstrap case); a malformed line is a hard error, not a silent skip.
-func TestBaselineMissingAndMalformed(t *testing.T) {
-	b, err := LoadBaseline(filepath.Join(t.TempDir(), "nope"))
-	if err != nil || len(b.Entries) != 0 {
-		t.Errorf("missing baseline: entries=%v err=%v, want empty and nil", b.Entries, err)
-	}
-
-	bad := filepath.Join(t.TempDir(), "bad")
-	if err := os.WriteFile(bad, []byte("# comment ok\nexpires=2030-01-01 no tabs here\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadBaseline(bad); err == nil {
-		t.Error("malformed baseline line loaded without error")
-	}
-}
-
-// TestExpiringWithin checks the advance-warning window arithmetic.
-func TestExpiringWithin(t *testing.T) {
-	b := &Baseline{Entries: []BaselineEntry{
-		{Expires: day("2025-06-10"), Analyzer: "a", File: "f", Message: "soon"},
-		{Expires: day("2025-09-01"), Analyzer: "a", File: "f", Message: "later"},
-		{Expires: day("2025-01-01"), Analyzer: "a", File: "f", Message: "already past"},
-	}}
-	got := b.ExpiringWithin(day("2025-06-01"), 30*24*time.Hour)
-	if len(got) != 1 || got[0].Message != "soon" {
-		t.Errorf("ExpiringWithin = %v, want only the 2025-06-10 entry", got)
 	}
 }
 

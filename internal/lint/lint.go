@@ -34,10 +34,10 @@
 //     kernel event loop and power integrator, plus a module-wide ranked
 //     report (Module.HotallocReport) seeding the perf roadmap.
 //
-// A diagnostic can be suppressed, with justification, by an
-// "//odylint:allow <analyzer>" comment on or directly above the offending
-// line (directives.go), or grandfathered with an expiry through a checked
-// in baseline file (baseline.go).
+// The one way to suppress a diagnostic is an
+// "//odylint:allow <analyzer> <reason>" comment on or directly above the
+// offending line (directives.go). A directive that names an unknown
+// analyzer or gives no reason is itself a diagnostic.
 package lint
 
 import (
@@ -106,25 +106,17 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	})
 }
 
-// Run loads the module rooted at (or above) dir and applies every analyzer
-// to each package accepted by filter (nil means all). Diagnostics come back
-// sorted by file, line, column, analyzer. The returned error covers load
-// failures only; lint findings are data, not errors.
-func Run(dir string, analyzers []*Analyzer, filter func(pkgPath string) bool) ([]Diagnostic, error) {
-	mod, err := LoadModule(dir)
-	if err != nil {
-		return nil, err
-	}
-	return RunModule(mod, analyzers, filter), nil
-}
-
-// RunModule applies analyzers to an already-loaded module.
+// RunModule applies analyzers to each package of mod accepted by filter
+// (nil means all), and reports the package's malformed //odylint:allow
+// directives whichever analyzers run. Diagnostics come back sorted by
+// file, line, column, analyzer.
 func RunModule(mod *Module, analyzers []*Analyzer, filter func(pkgPath string) bool) []Diagnostic {
 	var diags []Diagnostic
 	for _, pkg := range mod.Pkgs {
 		if filter != nil && !filter(pkg.Path) {
 			continue
 		}
+		diags = append(diags, pkg.badDirectives...)
 		for _, a := range analyzers {
 			pass := &Pass{Analyzer: a, Pkg: pkg, Module: mod, diags: &diags}
 			a.Run(pass)

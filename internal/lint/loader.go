@@ -43,6 +43,8 @@ type Package struct {
 
 	// allow maps "line:analyzer" to true for //odylint:allow directives.
 	allow map[string]bool
+	// badDirectives are the diagnostics for malformed directives.
+	badDirectives []Diagnostic
 }
 
 func (p *Package) suppressed(analyzer string, pos token.Position) bool {
@@ -223,7 +225,7 @@ func (l *loader) load(path string) (*Package, error) {
 			return nil, err
 		}
 		pkg.Files = append(pkg.Files, file)
-		collectDirectives(l.fset, file, pkg.allow)
+		pkg.badDirectives = append(pkg.badDirectives, collectDirectives(l.fset, file, pkg.allow)...)
 	}
 
 	pkg.Info = &types.Info{

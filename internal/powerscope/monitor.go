@@ -87,26 +87,6 @@ func (sm *SystemMonitor) Register(principal, path string) *Process {
 // Lookup returns the process registered for principal, or nil.
 func (sm *SystemMonitor) Lookup(principal string) *Process { return sm.byName[principal] }
 
-// SuperviseBinary is the binary path of the application supervisor daemon
-// as it appears in profiles.
-const SuperviseBinary = "/usr/odyssey/bin/supervised"
-
-// RegisterSupervisor adds the supervision daemon to the process table under
-// the "supervise" principal and declares its procedures, so that delivery
-// and restart CPU charged by the supervision plane appears in statistical
-// profiles as a proper process rather than a synthesized kernel entry.
-// Returns the registered process with its watchdog loop marked current.
-func (sm *SystemMonitor) RegisterSupervisor() *Process {
-	p := sm.Register("supervise", SuperviseBinary)
-	loop := sm.st.Declare(SuperviseBinary, "watchdog_loop")
-	sm.st.Declare(SuperviseBinary, "deliver_upcall")
-	sm.st.Declare(SuperviseBinary, "restart_child")
-	if p.current == nil {
-		p.Exec(loop)
-	}
-	return p
-}
-
 // sampleTarget resolves the (pid, pc) to record for a trigger at the
 // current instant.
 func (sm *SystemMonitor) sampleTarget() (pid int, pc uintptr) {
