@@ -27,6 +27,7 @@ import (
 	"strings"
 
 	"odyssey/internal/experiment"
+	"odyssey/internal/faults"
 	"odyssey/internal/profiling"
 	"odyssey/internal/textplot"
 	"odyssey/internal/trace"
@@ -61,15 +62,15 @@ func main() {
 	}
 	experiment.SetParallelism(*parallel)
 
-	planBuilder, ok := experiment.ResiliencePlanByName(*faultsArg)
+	faultPlan, ok := experiment.ResiliencePlan(*faultsArg, *seed)
 	if !ok {
 		fmt.Fprintf(os.Stderr, "unknown fault severity %q; known: %s\n",
 			*faultsArg, strings.Join(experiment.ResilienceSeverities, " "))
 		prof.Exit(2)
 	}
-	var misBuilder experiment.MisbehaveBuilder
+	var misPlan *faults.PlanSpec
 	if *misbehaveArg != "" {
-		misBuilder, ok = experiment.MisbehavePlanByName(*misbehaveArg)
+		misPlan, ok = experiment.MisbehavePlan(*misbehaveArg, *seed)
 		if !ok {
 			fmt.Fprintf(os.Stderr, "unknown misbehavior severity %q; known: %s\n",
 				*misbehaveArg, strings.Join(experiment.MisbehaveSeverities, " "))
@@ -105,18 +106,23 @@ func main() {
 		}
 	}
 
-	r := experiment.RunGoal(experiment.GoalOptions{
+	opt := experiment.GoalOptions{
 		Seed:          *seed,
 		InitialEnergy: *joules,
 		Goal:          *goal,
 		Bursty:        *bursty,
 		RecordTrace:   true,
-		Faults:        planBuilder,
 		Supervise:     *misbehaveArg != "",
-		Misbehave:     misBuilder,
 		Offload:       offloadCfg,
 		RecordEvents:  true,
-	})
+	}
+	var bindErr error
+	experiment.BindPlans(&opt, faultPlan, misPlan, &bindErr)
+	r := experiment.RunGoal(opt)
+	if bindErr != nil {
+		fmt.Fprintln(os.Stderr, bindErr)
+		prof.Exit(1)
+	}
 	status := "MET"
 	if !r.Met {
 		status = "NOT MET"

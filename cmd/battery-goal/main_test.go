@@ -101,3 +101,47 @@ func TestArmedOffloadRunDeterministic(t *testing.T) {
 		t.Fatalf("armed run reports no offload principal line:\n%s", a)
 	}
 }
+
+// TestUnknownLadderRejected: an unknown -faults or -misbehave severity is a
+// usage error — exit status 2, nothing on stdout, and one stderr line that
+// lists the ladder's known names.
+func TestUnknownLadderRejected(t *testing.T) {
+	for _, tc := range []struct {
+		args  []string
+		known string
+	}{
+		{[]string{"-goal", "26m", "-faults", "medium"}, "known: none mild mid severe"},
+		{[]string{"-goal", "26m", "-misbehave", "medium"}, "known: none mild mid severe"},
+		{[]string{"-faults", "bogus"}, "known: none mild mid severe"},
+	} {
+		stdout, stderr, code := batteryGoal(t, tc.args...)
+		if code != 2 {
+			t.Errorf("%v: exit status %d, want 2; stderr:\n%s", tc.args, code, stderr)
+		}
+		if stdout != "" {
+			t.Errorf("%v wrote to stdout:\n%s", tc.args, stdout)
+		}
+		if msg := strings.TrimSpace(stderr); !strings.HasSuffix(msg, tc.known) || strings.Contains(msg, "\n") {
+			t.Errorf("%v: stderr %q, want one line ending %q", tc.args, msg, tc.known)
+		}
+	}
+}
+
+// TestFaultedSupervisedRunDeterministic: a run under the mid fault plan and
+// the mid misbehavior ladder prints byte-identical reports at the same
+// seed, fault-plan and supervision lines included.
+func TestFaultedSupervisedRunDeterministic(t *testing.T) {
+	args := []string{"-goal", "26m", "-seed", "7", "-faults", "mid", "-misbehave", "mid"}
+	a, stderr, code := batteryGoal(t, args...)
+	if code != 0 {
+		t.Fatalf("%v: exit status %d; stderr:\n%s", args, code, stderr)
+	}
+	if b, _, _ := batteryGoal(t, args...); a != b {
+		t.Fatalf("same-seed faulted runs differ:\n--- first ---\n%s--- second ---\n%s", a, b)
+	}
+	for _, line := range []string{`Fault plan "mid":`, `Supervision ("mid" ladder):`} {
+		if !strings.Contains(a, line) {
+			t.Errorf("faulted run reports no %q line:\n%s", line, a)
+		}
+	}
+}

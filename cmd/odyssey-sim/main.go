@@ -223,7 +223,7 @@ func run(id string, trials int, breakdown bool) {
 		render(experiment.FigureResilience(min(trials, 3)).Table())
 	case "supervision":
 		if misbehave != "" {
-			if _, ok := experiment.MisbehavePlanByName(misbehave); !ok {
+			if !contains(experiment.MisbehaveSeverities, misbehave) {
 				fmt.Fprintf(os.Stderr, "unknown misbehavior severity %q; known: %s\n",
 					misbehave, strings.Join(experiment.MisbehaveSeverities, " "))
 				prof.Exit(2)

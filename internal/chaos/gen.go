@@ -23,12 +23,6 @@ var allApps = workload.Names
 // serverNames lists the remote servers a scenario may crash or slow.
 var serverNames = []string{"video-server", "janus-server", "map-server", "distill-server"}
 
-// Plan-seed derivation, matching the convention the experiment figures use:
-// each plane draws from its own stream so fault timing never perturbs the
-// workload draws.
-func faultSeed(seed int64) int64     { return seed*2654435761 + 97 }
-func misbehaveSeed(seed int64) int64 { return seed*2654435761 + 211 }
-
 // durBetween draws a uniformly distributed duration in [lo, hi], quantized
 // to milliseconds (the fault plane's own minimum holding time).
 func durBetween(rng *rand.Rand, lo, hi time.Duration) faults.Dur {
@@ -70,14 +64,14 @@ func Generate(seed int64) Scenario {
 	sc.Supervise = rng.Float64() < 0.6
 
 	if n := rng.Intn(4); n > 0 {
-		plan := &faults.PlanSpec{Name: "chaos-faults", Seed: faultSeed(seed)}
+		plan := &faults.PlanSpec{Name: "chaos-faults", Seed: experiment.FaultPlanSeed(seed)}
 		for i := 0; i < n; i++ {
 			plan.Injectors = append(plan.Injectors, genFaultInjector(rng, sc.SmartBattery))
 		}
 		sc.Faults = plan
 	}
 	if n := rng.Intn(3); n > 0 {
-		plan := &faults.PlanSpec{Name: "chaos-misbehave", Seed: misbehaveSeed(seed)}
+		plan := &faults.PlanSpec{Name: "chaos-misbehave", Seed: experiment.MisbehavePlanSeed(seed)}
 		for i := 0; i < n; i++ {
 			plan.Injectors = append(plan.Injectors, genMisbehaveInjector(rng, sc.Apps))
 		}
@@ -97,7 +91,7 @@ func Generate(seed int64) Scenario {
 		// the crash/overload-under-offload weather the envelope exists for.
 		if rng.Float64() < 0.5 {
 			if sc.Faults == nil {
-				sc.Faults = &faults.PlanSpec{Name: "chaos-faults", Seed: faultSeed(seed)}
+				sc.Faults = &faults.PlanSpec{Name: "chaos-faults", Seed: experiment.FaultPlanSeed(seed)}
 			}
 			sc.Faults.Injectors = append(sc.Faults.Injectors, genPoolInjector(rng))
 		}

@@ -10,10 +10,8 @@ import (
 	"odyssey/internal/core"
 	"odyssey/internal/experiment"
 	"odyssey/internal/faults"
-	"odyssey/internal/netsim"
 	"odyssey/internal/sim"
 	"odyssey/internal/smartbattery"
-	"odyssey/internal/supervise"
 	"odyssey/internal/workload"
 )
 
@@ -46,87 +44,10 @@ type Outcome struct {
 	Report   Report
 }
 
-// rigTargets binds injector specs to one trial's live rig. The faults plan
-// resolves servers, the network, and the battery; the misbehave plan
-// resolves applications (gated on the scenario's enabled subset, so a spec
-// aimed at a disabled application is a materialization error, not a silent
-// no-op).
-type rigTargets struct {
-	rig  *env.Rig
-	bat  *smartbattery.Battery
-	apps *workload.Apps
-}
-
-// BindRig returns a faults.Targets binder over one live rig, its battery
-// (nil on a bench supply), and its application set (nil when only
-// network/server/battery injectors will be materialized). BindPlans uses
-// it; callers that build their own plan binders use it directly.
+// BindRig forwards to experiment.BindRig. It stays only because the bench
+// module calls it.
 func BindRig(rig *env.Rig, bat *smartbattery.Battery, apps *workload.Apps) faults.Targets {
-	return &rigTargets{rig: rig, bat: bat, apps: apps}
-}
-
-func (t *rigTargets) Network() *netsim.Network { return t.rig.Net }
-
-func (t *rigTargets) Server(name string) (*netsim.Server, bool) {
-	for _, s := range []*netsim.Server{t.rig.VideoServer, t.rig.JanusServer, t.rig.MapServer, t.rig.WebServer} {
-		if s.Name == name {
-			return s, true
-		}
-	}
-	for _, s := range t.PoolServers() {
-		if s.Name == name {
-			return s, true
-		}
-	}
-	return nil, false
-}
-
-// PoolServers implements faults.PoolTargets over the rig's offload pool
-// (empty when the plane is disarmed, which Build reports as a spec error).
-func (t *rigTargets) PoolServers() []*netsim.Server {
-	if t.rig.Pool == nil {
-		return nil
-	}
-	return t.rig.Pool.Servers()
-}
-
-func (t *rigTargets) Battery() *smartbattery.Battery { return t.bat }
-
-func (t *rigTargets) App(name string) (core.Adaptive, *supervise.AppHealth, bool) {
-	if t.apps == nil || !t.apps.Enabled(name) {
-		return nil, nil, false
-	}
-	app := t.apps.ByName(name)
-	health := t.apps.Health(name)
-	if app == nil || health == nil {
-		return nil, nil, false
-	}
-	return app, health, true
-}
-
-// BindPlans installs the GoalOptions binders that materialize the fault
-// and misbehavior specs (either may be nil) on the run's live rig. A spec
-// that fails to materialize — an unknown target, a missing battery — is
-// stored in *buildErr and its plan dropped; the caller reports it once the
-// run returns.
-func BindPlans(opt *experiment.GoalOptions, fault, misbehave *faults.PlanSpec, buildErr *error) {
-	plan := func(spec *faults.PlanSpec, k *sim.Kernel, tg faults.Targets) *faults.Plan {
-		pl, err := spec.Plan(k, tg)
-		if err != nil {
-			*buildErr = err
-		}
-		return pl
-	}
-	if fault != nil {
-		opt.Faults = func(rig *env.Rig, bat *smartbattery.Battery, seed int64) *faults.Plan {
-			return plan(fault, rig.K, BindRig(rig, bat, nil))
-		}
-	}
-	if misbehave != nil {
-		opt.Misbehave = func(apps *workload.Apps, seed int64) *faults.Plan {
-			return plan(misbehave, apps.Rig.K, BindRig(apps.Rig, nil, apps))
-		}
-	}
+	return experiment.BindRig(rig, bat, apps)
 }
 
 // Contained describes a fault the containment fence recovered during one
@@ -180,7 +101,7 @@ func RunGoalContained(opt experiment.GoalOptions) (res experiment.GoalResult, cv
 // is returned as a contained fault.
 func runOnce(sc Scenario) (experiment.GoalResult, Ledger, string, *Contained, error) {
 	var led Ledger
-	var buildErr error
+	var bindErr error
 	opt := experiment.GoalOptions{
 		Seed:          sc.Seed,
 		InitialEnergy: sc.InitialEnergy,
@@ -204,13 +125,13 @@ func runOnce(sc Scenario) (experiment.GoalResult, Ledger, string, *Contained, er
 			}
 		},
 	}
-	BindPlans(&opt, sc.Faults, sc.Misbehave, &buildErr)
+	experiment.BindPlans(&opt, sc.Faults, sc.Misbehave, &bindErr)
 	if mutateOptions != nil {
 		mutateOptions(&opt)
 	}
 	res, cv := RunGoalContained(opt)
-	if buildErr != nil {
-		return res, led, "", nil, fmt.Errorf("chaos: scenario %s: %w", sc.ID(), buildErr)
+	if bindErr != nil {
+		return res, led, "", nil, fmt.Errorf("chaos: scenario %s: %w", sc.ID(), bindErr)
 	}
 	if cv != nil {
 		return res, led, "", cv, nil

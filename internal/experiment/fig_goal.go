@@ -68,8 +68,9 @@ type GoalOptions struct {
 	// FixedLowest, with DisableAdaptation, pins the lowest fidelity.
 	FixedLowest bool
 	// Faults, if set, builds a fault plan against the trial's rig (bat is
-	// nil unless SmartBattery is on). The plan starts with the workload
-	// and is stopped when the run finishes.
+	// nil unless SmartBattery is on); BindPlans sets it from a
+	// faults.PlanSpec. The plan starts with the workload and is stopped
+	// when the run finishes.
 	Faults func(rig *env.Rig, bat *smartbattery.Battery, seed int64) *faults.Plan
 	// RecordEvents attaches a trace log (adaptations, monitor decisions,
 	// fault events) returned in GoalResult.Events.
@@ -81,8 +82,9 @@ type GoalOptions struct {
 	// build.
 	Supervise bool
 	// Misbehave, if set (and typically with Supervise), builds an
-	// application-misbehavior fault plan against the trial's apps. It
-	// starts with the workload and is stopped when the run finishes.
+	// application-misbehavior fault plan against the trial's apps;
+	// BindPlans sets it from a faults.PlanSpec. It starts with the
+	// workload and is stopped when the run finishes.
 	Misbehave func(apps *workload.Apps, seed int64) *faults.Plan
 	// Apps restricts the scenario to a subset of the applications by name
 	// (nil = all four). The chaos plane uses this to compose random

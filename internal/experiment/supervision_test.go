@@ -63,11 +63,11 @@ func TestSupervisionNoneArmIsClean(t *testing.T) {
 // ladder registry in lockstep.
 func TestMisbehaveSeveritiesResolvable(t *testing.T) {
 	for _, sev := range MisbehaveSeverities {
-		if _, ok := MisbehavePlanByName(sev); !ok {
+		if _, ok := MisbehavePlan(sev, 1); !ok {
 			t.Fatalf("severity %q in MisbehaveSeverities but not resolvable", sev)
 		}
 	}
-	if _, ok := MisbehavePlanByName("nope"); ok {
+	if _, ok := MisbehavePlan("nope", 1); ok {
 		t.Fatal("unknown severity resolved")
 	}
 }

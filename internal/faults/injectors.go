@@ -201,9 +201,6 @@ func (l *ServerLatency) Start(pl *Plan) {
 // Stop implements Injector, restoring calm service times.
 func (l *ServerLatency) Stop() { l.t.stop() }
 
-// Spikes reports how many latency spikes began.
-func (l *ServerLatency) Spikes() int { return l.spikes }
-
 // BatteryDropout faults the SmartBattery readout path: while active,
 // current reads zero (the monitor skips the sample) and residual capacity
 // goes stale, so goal-directed adaptation runs on old data.
@@ -239,6 +236,3 @@ func (d *BatteryDropout) Start(pl *Plan) {
 
 // Stop implements Injector, restoring the readout path.
 func (d *BatteryDropout) Stop() { d.t.stop() }
-
-// Dropouts reports how many readout dropouts began.
-func (d *BatteryDropout) Dropouts() int { return d.dropouts }

@@ -94,7 +94,7 @@ func plantFault(kind string, delay time.Duration) func(*env.Rig, *smartbattery.B
 		Injectors: []faults.InjectorSpec{{Kind: kind, MeanUp: faults.Dur(delay)}},
 	}
 	return func(rig *env.Rig, bat *smartbattery.Battery, seed int64) *faults.Plan {
-		pl, err := spec.Plan(rig.K, chaos.BindRig(rig, bat, nil))
+		pl, err := spec.Plan(rig.K, experiment.BindRig(rig, bat, nil))
 		if err != nil {
 			panic(err)
 		}

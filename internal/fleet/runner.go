@@ -198,7 +198,7 @@ var mutateGoalOptions func(i int, opt *experiment.GoalOptions)
 // the mergeable outcome.
 func runSession(index int, sess Session) (sessionOutcome, error) {
 	var out sessionOutcome
-	var buildErr error
+	var bindErr error
 	profile := sess.Profile
 	opt := experiment.GoalOptions{
 		Seed:            sess.Seed,
@@ -233,13 +233,13 @@ func runSession(index int, sess Session) (sessionOutcome, error) {
 			NoHedge:    sess.OffloadNoHedge,
 		}
 	}
-	chaos.BindPlans(&opt, sess.Faults, sess.Misbehave, &buildErr)
+	experiment.BindPlans(&opt, sess.Faults, sess.Misbehave, &bindErr)
 	if mutateGoalOptions != nil {
 		mutateGoalOptions(index, &opt)
 	}
 	res, cv := chaos.RunGoalContained(opt)
-	if buildErr != nil {
-		return out, buildErr
+	if bindErr != nil {
+		return out, bindErr
 	}
 	if cv != nil {
 		// The session died mid-flight: its metrics are partial, so the

@@ -51,8 +51,7 @@ type Disk struct {
 	powerMgmt bool
 	spinDown  sim.Event
 
-	spinUps  int
-	accesses int
+	spinUps int
 }
 
 // NewDisk returns a spinning (idle) disk without power management.
@@ -67,9 +66,6 @@ func (d *Disk) State() DiskState { return d.state }
 
 // SpinUps reports how many standby-to-active transitions have occurred.
 func (d *Disk) SpinUps() int { return d.spinUps }
-
-// Accesses reports the total number of Access calls.
-func (d *Disk) Accesses() int { return d.accesses }
 
 func (d *Disk) power() float64 {
 	switch d.state {
@@ -139,7 +135,6 @@ func (d *Disk) cancelSpinDown() {
 // spin-up delay first if the disk is in standby. The calling process blocks
 // for the whole operation.
 func (d *Disk) Access(p *sim.Proc, busy time.Duration) {
-	d.accesses++
 	d.cancelSpinDown()
 	if d.state == DiskStandby || d.state == DiskOff {
 		d.spinUps++

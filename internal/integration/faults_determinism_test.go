@@ -15,17 +15,22 @@ import (
 // and the energy outcome in hex floats — to one byte string.
 func faultedRun(t *testing.T, seed int64) (string, experiment.GoalResult) {
 	t.Helper()
-	builder, ok := experiment.ResiliencePlanByName("mid")
+	plan, ok := experiment.ResiliencePlan("mid", seed)
 	if !ok {
 		t.Fatal("mid fault plan missing")
 	}
-	r := experiment.RunGoal(experiment.GoalOptions{
+	opt := experiment.GoalOptions{
 		Seed:          seed,
 		InitialEnergy: experiment.Figure20InitialEnergy,
 		Goal:          26 * time.Minute,
-		Faults:        builder,
 		RecordEvents:  true,
-	})
+	}
+	var bindErr error
+	experiment.BindPlans(&opt, plan, nil, &bindErr)
+	r := experiment.RunGoal(opt)
+	if bindErr != nil {
+		t.Fatal(bindErr)
+	}
 	var b strings.Builder
 	b.WriteString(r.Events.Text())
 	fmt.Fprintf(&b, "end=%v met=%v residual=%x retryJ=%x retryB=%x\n",

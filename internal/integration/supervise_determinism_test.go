@@ -17,18 +17,23 @@ import (
 // floats.
 func supervisedRun(t *testing.T, seed int64) (string, experiment.GoalResult) {
 	t.Helper()
-	builder, ok := experiment.MisbehavePlanByName("mid")
+	plan, ok := experiment.MisbehavePlan("mid", seed)
 	if !ok {
 		t.Fatal("mid misbehavior ladder missing")
 	}
-	r := experiment.RunGoal(experiment.GoalOptions{
+	opt := experiment.GoalOptions{
 		Seed:          seed,
 		InitialEnergy: experiment.Figure20InitialEnergy,
 		Goal:          26 * time.Minute,
 		Supervise:     true,
-		Misbehave:     builder,
 		RecordEvents:  true,
-	})
+	}
+	var bindErr error
+	experiment.BindPlans(&opt, nil, plan, &bindErr)
+	r := experiment.RunGoal(opt)
+	if bindErr != nil {
+		t.Fatal(bindErr)
+	}
 	var b strings.Builder
 	b.WriteString(r.Events.Text())
 	fmt.Fprintf(&b, "end=%v met=%v residual=%x supJ=%x\n",
