@@ -8,15 +8,15 @@
 //	odyssey-sim -figure all
 //	odyssey-sim -figure all -cpuprofile cpu.out -memprofile mem.out
 //
-// -parallel fans the runs of grid cells and goal sweeps across one worker
-// pool (default: all CPUs) without changing a byte of output; Figure 15,
-// dvs and quality run their few trials serially. -progress reports
-// per-cell timing on stderr. -trials must be at least 1.
+// -parallel fans every figure's trials — grid cells, the fixed-fidelity
+// runs of Figure 15, dvs and quality, and goal sweeps — across one worker
+// pool (default: all CPUs) without changing a byte of output. -progress
+// reports per-cell timing on stderr. -trials must be at least 1.
 //
-// Figure ids: fig2 fig4 fig6 fig8 fig10 fig11 fig13 fig14 fig15 fig16
-// fig18 fig19 fig20 fig21 fig22 — plus "ablations" (design-choice
-// ablations), "measurement" (multimeter vs SmartBattery paths), and
-// "check" (the validation scorecard; exits nonzero on failures).
+// Figure ids (as -list prints them): fig2 fig4 fig6 fig8 fig10 fig11 fig13
+// fig14 fig15 fig16 fig18 fig19 fig20 fig21 fig22 ablations measurement dvs
+// quality policy resilience supervision offload check ("check" runs the
+// validation scorecard and exits nonzero on failures).
 package main
 
 import (

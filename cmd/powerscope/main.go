@@ -6,6 +6,9 @@
 //
 //	powerscope [-workload video|speech|map|web|composite] [-seconds 30] [-seed 1]
 //	powerscope -workload composite -diff-against video   # profile both, print the delta
+//
+// A -seconds below 1 or an unknown -workload or -diff-against name is a
+// usage error: exit status 2 before any run, with nothing on stdout.
 package main
 
 import (
@@ -24,14 +27,66 @@ import (
 	"odyssey/internal/workload"
 )
 
+// workloads are the profilable workloads by name (workloadNames lists
+// them); each body runs until done reports true.
+var workloads = map[string]func(apps *workload.Apps, p *sim.Proc, done func() bool){
+	"video": func(apps *workload.Apps, p *sim.Proc, done func() bool) {
+		apps.VideoLoop(p, video.Clip{Name: "profiled", Length: 15 * time.Second}, done)
+	},
+	"speech": func(apps *workload.Apps, p *sim.Proc, done func() bool) {
+		us := speech.StandardUtterances()
+		for i := 0; !done(); i++ {
+			apps.Speech.Recognize(p, us[i%len(us)])
+			p.Sleep(2 * time.Second)
+		}
+	},
+	"map": func(apps *workload.Apps, p *sim.Proc, done func() bool) {
+		ms := mapview.StandardMaps()
+		for i := 0; !done(); i++ {
+			apps.Map.View(p, ms[i%len(ms)])
+		}
+	},
+	"web": func(apps *workload.Apps, p *sim.Proc, done func() bool) {
+		imgs := web.StandardImages()
+		for i := 0; !done(); i++ {
+			apps.Web.Fetch(p, imgs[i%len(imgs)])
+		}
+	},
+	"composite": func(apps *workload.Apps, p *sim.Proc, done func() bool) {
+		for i := 0; !done(); i++ {
+			apps.CompositeIteration(p, i)
+		}
+	},
+}
+
+const workloadNames = "video, speech, map, web, composite"
+
+// unknownWorkload reports a workload name no flag accepts and exits 2.
+func unknownWorkload(flagName, name string) {
+	fmt.Fprintf(os.Stderr, "%s: unknown workload %q; known: %s\n", flagName, name, workloadNames)
+	os.Exit(2)
+}
+
 func main() {
-	workloadName := flag.String("workload", "video", "workload to profile: video, speech, map, web, composite")
-	seconds := flag.Int("seconds", 30, "profiling duration (virtual seconds)")
+	workloadName := flag.String("workload", "video", "workload to profile: "+workloadNames)
+	seconds := flag.Int("seconds", 30, "profiling duration (virtual seconds, at least 1)")
 	seed := flag.Int64("seed", 1, "simulation seed")
 	mgmt := flag.Bool("power-mgmt", true, "enable hardware power management")
 	symbols := flag.Bool("symbols", false, "also print the symbol table")
 	diffAgainst := flag.String("diff-against", "", "also profile this workload and print the per-process energy delta")
 	flag.Parse()
+
+	// Reject bad input before any run, so a usage error prints no profile.
+	if *seconds < 1 {
+		fmt.Fprintf(os.Stderr, "-seconds must be at least 1, got %d\n", *seconds)
+		os.Exit(2)
+	}
+	if workloads[*workloadName] == nil {
+		unknownWorkload("-workload", *workloadName)
+	}
+	if *diffAgainst != "" && workloads[*diffAgainst] == nil {
+		unknownWorkload("-diff-against", *diffAgainst)
+	}
 
 	prof := profileWorkload(*workloadName, *seconds, *seed, *mgmt, *symbols)
 	if *diffAgainst != "" {
@@ -41,10 +96,9 @@ func main() {
 	}
 }
 
-// profileWorkload runs one workload under the profiler and prints (and
-// returns) its energy profile.
+// profileWorkload runs one known workload under the profiler and prints
+// (and returns) its energy profile.
 func profileWorkload(workloadName string, seconds int, seed int64, mgmt, symbols bool) *powerscope.EnergyProfile {
-
 	rig := env.NewRig(seed, 1)
 	if mgmt {
 		rig.EnablePowerMgmt()
@@ -71,43 +125,8 @@ func profileWorkload(workloadName string, seconds int, seed int64, mgmt, symbols
 	rig.K.At(dur, func() { done = true })
 
 	apps := workload.NewApps(rig)
-	switch workloadName {
-	case "video":
-		rig.K.Spawn("w", func(p *sim.Proc) {
-			apps.VideoLoop(p, video.Clip{Name: "profiled", Length: 15 * time.Second}, func() bool { return done })
-		})
-	case "speech":
-		rig.K.Spawn("w", func(p *sim.Proc) {
-			us := speech.StandardUtterances()
-			for i := 0; !done; i++ {
-				apps.Speech.Recognize(p, us[i%len(us)])
-				p.Sleep(2 * time.Second)
-			}
-		})
-	case "map":
-		rig.K.Spawn("w", func(p *sim.Proc) {
-			ms := mapview.StandardMaps()
-			for i := 0; !done; i++ {
-				apps.Map.View(p, ms[i%len(ms)])
-			}
-		})
-	case "web":
-		rig.K.Spawn("w", func(p *sim.Proc) {
-			imgs := web.StandardImages()
-			for i := 0; !done; i++ {
-				apps.Web.Fetch(p, imgs[i%len(imgs)])
-			}
-		})
-	case "composite":
-		rig.K.Spawn("w", func(p *sim.Proc) {
-			for i := 0; !done; i++ {
-				apps.CompositeIteration(p, i)
-			}
-		})
-	default:
-		fmt.Fprintf(os.Stderr, "unknown workload %q\n", workloadName)
-		os.Exit(2)
-	}
+	body := workloads[workloadName]
+	rig.K.Spawn("w", func(p *sim.Proc) { body(apps, p, func() bool { return done }) })
 
 	pf.Start()
 	rig.K.Run(dur + 30*time.Second)

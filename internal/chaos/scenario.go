@@ -161,13 +161,13 @@ func (sc Scenario) Save(dir string) (string, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return "", err
 	}
-	b, err := json.MarshalIndent(sc, "", "  ")
+	b, err := sc.encode()
 	if err != nil {
 		return "", err
 	}
 	path := filepath.Join(dir, sc.ID()+".json")
 	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, append(b, '\n'), 0o644); err != nil {
+	if err := os.WriteFile(tmp, b, 0o644); err != nil {
 		return "", err
 	}
 	if err := os.Rename(tmp, path); err != nil {
@@ -176,27 +176,43 @@ func (sc Scenario) Save(dir string) (string, error) {
 	return path, nil
 }
 
+// encode renders the scenario as Save writes it: indented JSON and a final
+// newline.
+func (sc Scenario) encode() ([]byte, error) {
+	b, err := json.MarshalIndent(sc, "", "  ")
+	return append(b, '\n'), err
+}
+
 // LoadScenario reads one scenario file, rejecting JSON that is not a
 // runnable scenario: unknown fields (a misspelled key, or some other tool's
 // output saved as .json), a goal or supply that is not positive, and an
 // application missing from the workload roster. Every error names path.
 func LoadScenario(path string) (Scenario, error) {
-	var sc Scenario
 	b, err := os.ReadFile(path)
 	if err != nil {
-		return sc, err
+		return Scenario{}, err
 	}
+	sc, err := parseScenario(b)
+	if err != nil {
+		return sc, fmt.Errorf("%s: %w", path, err)
+	}
+	return sc, nil
+}
+
+// parseScenario is LoadScenario's strict decoder, on the file's bytes.
+func parseScenario(b []byte) (Scenario, error) {
+	var sc Scenario
 	dec := json.NewDecoder(bytes.NewReader(b))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&sc); err != nil {
-		return sc, fmt.Errorf("%s: not a scenario: %w", path, err)
+		return sc, fmt.Errorf("not a scenario: %w", err)
 	}
 	if sc.Goal <= 0 || sc.InitialEnergy <= 0 {
-		return sc, fmt.Errorf("%s: not a runnable scenario: goal=%v energy=%v", path, time.Duration(sc.Goal), sc.InitialEnergy)
+		return sc, fmt.Errorf("not a runnable scenario: goal=%v energy=%v", time.Duration(sc.Goal), sc.InitialEnergy)
 	}
 	for _, app := range sc.Apps {
 		if !slices.Contains(allApps, app) {
-			return sc, fmt.Errorf("%s: not a runnable scenario: unknown application %q (known: %s)", path, app, strings.Join(allApps, " "))
+			return sc, fmt.Errorf("not a runnable scenario: unknown application %q (known: %s)", app, strings.Join(allApps, " "))
 		}
 	}
 	return sc, nil

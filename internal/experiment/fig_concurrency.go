@@ -11,15 +11,6 @@ import (
 	"odyssey/internal/workload"
 )
 
-// ConcurrencyCase is one of Figure 15's three configurations.
-type ConcurrencyCase struct {
-	Label string
-	// Setup prepares the rig (power management).
-	Setup Setup
-	// Lowest runs every application at its lowest fidelity.
-	Lowest bool
-}
-
 // ConcurrencyResult holds one case's pair of measurements.
 type ConcurrencyResult struct {
 	Label      string
@@ -38,63 +29,53 @@ const compositeIterations = 6
 
 // Figure15 compares the energy of the composite application executing in
 // isolation against executing concurrently with the background video, for
-// baseline, hardware-only power management, and lowest-fidelity cases.
+// baseline, hardware-only power management, and lowest-fidelity cases (an
+// arm's config says whether every application runs at its lowest
+// fidelity).
 func Figure15(trials int) []ConcurrencyResult {
-	mgmt := func(rig *env.Rig) { rig.EnablePowerMgmt() }
-	cases := []ConcurrencyCase{
-		{Label: BarBaseline},
-		{Label: BarHWOnly, Setup: mgmt},
-		{Label: "Lowest Fidelity", Setup: mgmt, Lowest: true},
-	}
-	out := make([]ConcurrencyResult, 0, len(cases))
-	for ci, c := range cases {
-		alone := make([]float64, 0, trials)
-		conc := make([]float64, 0, trials)
-		for t := 0; t < trials; t++ {
-			alone = append(alone, runConcurrencyTrial(int64(1500+ci*37+t), c, false))
-			conc = append(conc, runConcurrencyTrial(int64(1500+ci*37+t), c, true))
+	arms := hwAndLowestArms(false, true)
+	// Sweep arm 2*ci is case ci alone and 2*ci+1 the same case with the
+	// background video; both draw trial t from the same seed.
+	rs := sweep(2*len(arms), trials, func(a, t int) float64 {
+		ci, withVideo := a/2, a%2 == 1
+		arm := arms[ci]
+		var apps *workload.Apps
+		done := false
+		setup := func(rig *env.Rig) {
+			if arm.Setup != nil {
+				arm.Setup(rig)
+			}
+			apps = workload.NewApps(rig)
+			if arm.Config {
+				apps.SetAllLowest()
+			}
+			if withVideo {
+				rig.K.Spawn("video-bg", func(p *sim.Proc) {
+					clip := video.Clip{Name: "newsfeed", Length: 20 * time.Second}
+					apps.VideoLoop(p, clip, func() bool { return done })
+				})
+			}
 		}
+		r := runTrial(int64(1500+ci*37+t), 1, setup, func(rig *env.Rig, p *sim.Proc) {
+			apps.RunComposite(p, compositeIterations)
+			done = true
+		})
+		// With the video, the whole run's energy counts, its tail chunk
+		// included: the paper measures both applications on one client.
+		if withVideo {
+			return r.total
+		}
+		return r.energy
+	})
+	out := make([]ConcurrencyResult, 0, len(arms))
+	for ci, arm := range arms {
 		out = append(out, ConcurrencyResult{
-			Label:      c.Label,
-			Alone:      stats.Summarize(alone),
-			Concurrent: stats.Summarize(conc),
+			Label:      arm.Label,
+			Alone:      stats.Summarize(rs[2*ci]),
+			Concurrent: stats.Summarize(rs[2*ci+1]),
 		})
 	}
 	return out
-}
-
-// runConcurrencyTrial measures total energy for one composite run,
-// optionally with the background video playing for its whole duration.
-func runConcurrencyTrial(seed int64, c ConcurrencyCase, withVideo bool) float64 {
-	rig := env.NewRig(seed, 1)
-	if c.Setup != nil {
-		c.Setup(rig)
-	}
-	apps := workload.NewApps(rig)
-	if c.Lowest {
-		apps.SetAllLowest()
-	}
-	var energy float64
-	done := false
-	if withVideo {
-		rig.K.Spawn("video-bg", func(p *sim.Proc) {
-			clip := video.Clip{Name: "newsfeed", Length: 20 * time.Second}
-			apps.VideoLoop(p, clip, func() bool { return done })
-		})
-	}
-	rig.K.Spawn("composite", func(p *sim.Proc) {
-		cp := rig.M.Acct.Checkpoint()
-		apps.RunComposite(p, compositeIterations)
-		done = true
-		energy = cp.Since()
-	})
-	rig.K.Run(0)
-	// Include the video's tail chunk energy: total since start of run is
-	// what the paper measures (both applications on one client).
-	if withVideo {
-		energy = rig.M.Acct.TotalEnergy()
-	}
-	return energy
 }
 
 // ConcurrencyTable renders Figure 15's results.

@@ -37,34 +37,34 @@ func DVSPaths(trials int) []DVSRow {
 		{"+ lowest fidelity", false, video.TrackCombined},
 		{"+ DVS + lowest fidelity", true, video.TrackCombined},
 	}
-	rows := make([]DVSRow, 0, len(arms))
-	for ai, arm := range arms {
-		energies := make([]float64, 0, trials)
-		speedSum := 0.0
-		for t := 0; t < trials; t++ {
-			rig := env.NewRig(int64(2800+ai*11+t), 1)
+	type run struct{ energy, speed float64 }
+	rs := sweep(len(arms), trials, func(a, t int) run {
+		arm := arms[a]
+		var gov *hw.DVSGovernor
+		setup := func(rig *env.Rig) {
 			rig.EnablePowerMgmt()
-			var gov *hw.DVSGovernor
 			if arm.dvs {
 				gov = hw.NewDVSGovernor(rig.K, rig.M.CPU)
 				gov.Start()
 			}
-			var energy float64
-			var finalSpeed float64
-			track := arm.track
-			rig.K.Spawn("w", func(p *sim.Proc) {
-				cp := rig.M.Acct.Checkpoint()
-				video.PlayTrack(rig, p, clip, func() video.Track { return track })
-				energy = cp.Since()
-				finalSpeed = rig.M.CPU.Speed()
-				if gov != nil {
-					gov.Stop() // the governor would otherwise tick forever
-				}
-				rig.K.Stop()
-			})
-			rig.K.Run(0)
-			energies = append(energies, energy)
-			speedSum += finalSpeed
+		}
+		var speed float64
+		r := runTrial(int64(2800+a*11+t), 1, setup, func(rig *env.Rig, p *sim.Proc) {
+			video.PlayTrack(rig, p, clip, func() video.Track { return arm.track })
+			speed = rig.M.CPU.Speed()
+			if gov != nil {
+				gov.Stop() // the governor would otherwise tick forever
+			}
+		})
+		return run{r.energy, speed}
+	})
+	rows := make([]DVSRow, 0, len(arms))
+	for ai, arm := range arms {
+		energies := make([]float64, 0, trials)
+		speedSum := 0.0
+		for _, r := range rs[ai] {
+			energies = append(energies, r.energy)
+			speedSum += r.speed
 		}
 		rows = append(rows, DVSRow{
 			Name:   arm.name,

@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"odyssey/internal/app/env"
@@ -19,28 +20,21 @@ const (
 	BarCroppedSecondary = "Cropped Secondary Road Filter"
 )
 
-// mapConfigs returns the seven configurations of Figure 10.
-func mapConfigs() ([]Bar, []mapview.Config) {
-	mgmt := func(rig *env.Rig) { rig.EnablePowerMgmt() }
-	bars := []Bar{
-		{Label: BarBaseline},
-		{Label: BarHWOnly, Setup: mgmt},
-		{Label: BarMinorFilter, Setup: mgmt},
-		{Label: BarSecondaryFilter, Setup: mgmt},
-		{Label: BarCropped, Setup: mgmt},
-		{Label: BarCroppedMinor, Setup: mgmt},
-		{Label: BarCroppedSecondary, Setup: mgmt},
-	}
-	cfgs := []mapview.Config{
-		{Filter: mapview.FullDetail},
-		{Filter: mapview.FullDetail},
-		{Filter: mapview.MinorRoadFilter},
-		{Filter: mapview.SecondaryRoadFilter},
-		{Filter: mapview.FullDetail, Cropped: true},
-		{Filter: mapview.MinorRoadFilter, Cropped: true},
-		{Filter: mapview.SecondaryRoadFilter, Cropped: true},
-	}
-	return bars, cfgs
+// mapFull and mapLowest are the map viewer's highest and lowest fidelities.
+var (
+	mapFull   = mapview.Config{Filter: mapview.FullDetail}
+	mapLowest = mapview.Config{Filter: mapview.SecondaryRoadFilter, Cropped: true}
+)
+
+// mapArms are the seven configurations of Figure 10.
+var mapArms = []Arm[mapview.Config]{
+	{Bar{Label: BarBaseline}, mapFull},
+	{Bar{Label: BarHWOnly, Setup: managed}, mapFull},
+	{Bar{Label: BarMinorFilter, Setup: managed}, mapview.Config{Filter: mapview.MinorRoadFilter}},
+	{Bar{Label: BarSecondaryFilter, Setup: managed}, mapview.Config{Filter: mapview.SecondaryRoadFilter}},
+	{Bar{Label: BarCropped, Setup: managed}, mapview.Config{Filter: mapview.FullDetail, Cropped: true}},
+	{Bar{Label: BarCroppedMinor, Setup: managed}, mapview.Config{Filter: mapview.MinorRoadFilter, Cropped: true}},
+	{Bar{Label: BarCroppedSecondary, Setup: managed}, mapLowest},
 }
 
 // Figure10 measures the energy to fetch and display the four city maps at
@@ -51,21 +45,17 @@ func Figure10(trials int) *Grid {
 }
 
 // figureMap parameterizes the map experiment by think time (reused by the
-// Figure 11 sensitivity sweep).
+// Figure 16 summary).
 func figureMap(trials int, think time.Duration, seed int64) *Grid {
-	maps := mapview.StandardMaps()
-	objects := make([]string, len(maps))
-	for i, m := range maps {
-		objects[i] = m.City
-	}
-	bars, cfgs := mapConfigs()
-	return RunGrid("fig10", "Figure 10: energy impact of fidelity for map viewing",
-		objects, bars, trials, seed,
-		func(oi, bi int) Trial {
-			m, cfg := maps[oi], cfgs[bi]
-			return func(rig *env.Rig, p *sim.Proc) {
-				mapview.View(rig, p, m, cfg, think)
-			}
+	return mapGrid("fig10", "Figure 10: energy impact of fidelity for map viewing", mapArms, trials, think, seed)
+}
+
+// mapGrid views the four standard maps, each under every arm's config with
+// the given think time.
+func mapGrid(fig, title string, arms []Arm[mapview.Config], trials int, think time.Duration, seed int64) *Grid {
+	return RunGrid(fig, title, mapview.StandardMaps(), func(m mapview.Map) string { return m.City },
+		arms, trials, seed, func(rig *env.Rig, p *sim.Proc, m mapview.Map, cfg mapview.Config) {
+			mapview.View(rig, p, m, cfg, think)
 		})
 }
 
@@ -85,59 +75,45 @@ type ThinkTimeSeries struct {
 	R2         []float64
 }
 
+// thinkTimes are the user think times of the sensitivity sweeps (Figures
+// 11 and 14) and of the map and web rows of Figures 16 and 18.
+var thinkTimes = []time.Duration{0, 5 * time.Second, 10 * time.Second, 20 * time.Second}
+
 // Figure11 sweeps user think time for the San Jose map across baseline,
 // hardware-only, and lowest-fidelity configurations and fits the paper's
 // linear model.
 func Figure11(trials int) *ThinkTimeSeries {
-	maps := mapview.StandardMaps()
-	sj := maps[0]
-	mgmt := func(rig *env.Rig) { rig.EnablePowerMgmt() }
-	cases := []struct {
-		name  string
-		setup Setup
-		cfg   mapview.Config
-	}{
-		{"Baseline", nil, mapview.Config{Filter: mapview.FullDetail}},
-		{"Hardware-Only Power Mgmt.", mgmt, mapview.Config{Filter: mapview.FullDetail}},
-		{"Lowest Fidelity", mgmt, mapview.Config{Filter: mapview.SecondaryRoadFilter, Cropped: true}},
-	}
-	return thinkTimeSweep("fig11", sj.City, 1100, trials,
-		func(ci int) (string, Setup) { return cases[ci].name, cases[ci].setup },
-		len(cases),
-		func(ci int, think time.Duration) Trial {
-			cfg := cases[ci].cfg
-			return func(rig *env.Rig, p *sim.Proc) {
-				mapview.View(rig, p, sj, cfg, think)
-			}
+	sj := mapview.StandardMaps()[0]
+	return thinkTimeSweep("fig11", sj.City, 1100, trials, hwAndLowestArms(mapFull, mapLowest),
+		func(rig *env.Rig, p *sim.Proc, cfg mapview.Config, think time.Duration) {
+			mapview.View(rig, p, sj, cfg, think)
 		})
 }
 
-// thinkTimeSweep runs the 0/5/10/20 s think-time sensitivity for a set of
-// cases and fits lines. fig labels the sweep's progress lines; every
-// (case, think) cell has a distinct seed.
-func thinkTimeSweep(fig, object string, seed int64, trials int,
-	caseInfo func(ci int) (string, Setup), nCases int,
-	trialFor func(ci int, think time.Duration) Trial) *ThinkTimeSeries {
+// thinkTimeSweep runs the think-time sensitivity for each arm, playing its
+// config at every think time, and fits lines. fig labels the sweep's
+// progress lines; every (arm, think) cell has a distinct seed.
+func thinkTimeSweep[C any](fig, object string, seed int64, trials int, arms []Arm[C],
+	play func(rig *env.Rig, p *sim.Proc, cfg C, think time.Duration)) *ThinkTimeSeries {
 
-	thinks := []time.Duration{0, 5 * time.Second, 10 * time.Second, 20 * time.Second}
-	s := &ThinkTimeSeries{Object: object, ThinkTimes: thinks}
-	runs := make([]cellRun, 0, nCases*len(thinks))
-	for ci := 0; ci < nCases; ci++ {
-		name, setup := caseInfo(ci)
-		s.Cases = append(s.Cases, name)
-		for ti, think := range thinks {
-			runs = append(runs, cellRun{object, seed + int64(ci*97+ti*13), Bar{Label: name, Setup: setup}, trialFor(ci, think)})
+	s := &ThinkTimeSeries{Object: object, ThinkTimes: slices.Clone(thinkTimes)}
+	runs := make([]cellRun, 0, len(arms)*len(thinkTimes))
+	for ci, a := range arms {
+		s.Cases = append(s.Cases, a.Label)
+		for ti, think := range thinkTimes {
+			runs = append(runs, cellRun{object, seed + int64(ci*97+ti*13), a.Bar,
+				func(rig *env.Rig, p *sim.Proc) { play(rig, p, a.Config, think) }})
 		}
 	}
 	cells := runCells(fig, trials, runs)
-	xs := make([]float64, len(thinks))
-	for ti, think := range thinks {
+	xs := make([]float64, len(thinkTimes))
+	for ti, think := range thinkTimes {
 		xs[ti] = think.Seconds()
 	}
 	for ci := range s.Cases {
-		row := make([]float64, len(thinks))
-		for ti := range thinks {
-			row[ti] = cells[ci*len(thinks)+ti].Energy.Mean
+		row := make([]float64, len(thinkTimes))
+		for ti := range thinkTimes {
+			row[ti] = cells[ci*len(thinkTimes)+ti].Energy.Mean
 		}
 		s.Energy = append(s.Energy, row)
 		fit := stats.FitLine(xs, row)

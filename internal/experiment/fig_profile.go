@@ -16,7 +16,21 @@ import (
 // attached to the client while the video player runs, with the offline
 // correlation stage producing per-process and per-procedure energy.
 func Figure2(seed int64) *powerscope.EnergyProfile {
-	rig := env.NewRig(seed, 1)
+	var pf *powerscope.Profiler
+	var paths map[int]string
+	clip := video.Clip{Name: "profiled", Length: 30 * time.Second}
+	runTrial(seed, 1, func(rig *env.Rig) { pf, paths = attachProfiler(rig) }, func(rig *env.Rig, p *sim.Proc) {
+		video.PlayTrack(rig, p, clip, func() video.Track { return video.TrackBase })
+		pf.Stop()
+		rig.K.Stop() // the procedure rotator reschedules forever
+	})
+	return powerscope.Correlate(pf.Samples(), pf.Symbols, paths)
+}
+
+// attachProfiler sets up Figure 2's rig: a started PowerScope profiler
+// with the paper's process table, and hardware power management. It
+// returns the profiler and the binary path of every profiled PID.
+func attachProfiler(rig *env.Rig) (*powerscope.Profiler, map[int]string) {
 	pf := powerscope.NewProfiler(rig.K, rig.M.Acct, 1666*time.Microsecond, 150*time.Microsecond)
 
 	// Process table with the binaries the paper's profile shows.
@@ -74,14 +88,7 @@ func Figure2(seed int64) *powerscope.EnergyProfile {
 
 	rig.EnablePowerMgmt()
 	pf.Start()
-	clip := video.Clip{Name: "profiled", Length: 30 * time.Second}
-	rig.K.Spawn("workload", func(p *sim.Proc) {
-		video.PlayTrack(rig, p, clip, func() video.Track { return video.TrackBase })
-		pf.Stop()
-		rig.K.Stop()
-	})
-	rig.K.Run(45 * time.Second)
-	return powerscope.Correlate(pf.Samples(), pf.Symbols, paths)
+	return pf, paths
 }
 
 // Figure4 measures the component power table by the paper's methodology:

@@ -5,7 +5,6 @@ import (
 
 	"odyssey/internal/app/env"
 	"odyssey/internal/app/speech"
-	"odyssey/internal/hw"
 	"odyssey/internal/sim"
 	"odyssey/internal/stats"
 )
@@ -35,9 +34,15 @@ func QualityEnergy(trials int) []QualityRow {
 		{Mode: speech.Hybrid, Vocab: speech.FullVocab},
 		{Mode: speech.Hybrid, Vocab: speech.ReducedVocab},
 	}
+	// Run i of a config is trial i/len(utts) of utterance i%len(utts).
+	energies := sweep(len(configs), trials*len(utts), func(ci, i int) float64 {
+		t, ui := i/len(utts), i%len(utts)
+		return runTrial(int64(2900+ci*31+t*7+ui), 1, speechSetup, func(rig *env.Rig, p *sim.Proc) {
+			speech.Recognize(rig, p, utts[ui], configs[ci])
+		}).energy
+	})
 	rows := make([]QualityRow, 0, len(configs))
 	for ci, cfg := range configs {
-		energies := make([]float64, 0, trials*len(utts))
 		werSum, werWorst := 0.0, 0.0
 		for _, u := range utts {
 			wer := speech.WordErrorRate(u, cfg)
@@ -46,25 +51,9 @@ func QualityEnergy(trials int) []QualityRow {
 				werWorst = wer
 			}
 		}
-		for t := 0; t < trials; t++ {
-			for ui, u := range utts {
-				rig := env.NewRig(int64(2900+ci*31+t*7+ui), 1)
-				rig.EnablePowerMgmt()
-				rig.M.Display.SetAll(hw.BacklightOff)
-				var e float64
-				u := u
-				rig.K.Spawn("w", func(p *sim.Proc) {
-					cp := rig.M.Acct.Checkpoint()
-					speech.Recognize(rig, p, u, cfg)
-					e = cp.Since()
-				})
-				rig.K.Run(0)
-				energies = append(energies, e)
-			}
-		}
 		rows = append(rows, QualityRow{
 			Config:   cfg,
-			Energy:   stats.Summarize(energies),
+			Energy:   stats.Summarize(energies[ci]),
 			MeanWER:  werSum,
 			WorstWER: werWorst,
 		})

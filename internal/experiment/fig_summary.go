@@ -3,6 +3,9 @@ package experiment
 import (
 	"fmt"
 	"time"
+
+	"odyssey/internal/app/video"
+	"odyssey/internal/app/web"
 )
 
 // SummaryRow is one row of Figure 16: an application at one think time,
@@ -38,13 +41,15 @@ func Figure16(trials int) *Summary16 {
 	var combinedAtDefault []float64
 	var fidelityAtDefault []float64
 
-	record := func(app string, think time.Duration, g *Grid, lowestBar int, fidelityOnly *Grid, fidelityBar int) {
+	// fidelityOnly is a fidelityOnlyArms grid: its bar 1 is the lowest
+	// fidelity without power management.
+	record := func(app string, think time.Duration, g *Grid, lowestBar int, fidelityOnly *Grid) {
 		row := SummaryRow{Application: app, ThinkTime: think}
 		lo, hi := g.NormalizedRange(1, 0) // hw-only vs baseline
 		row.HWOnly = [2]float64{lo, hi}
 		lo, hi = g.NormalizedRange(lowestBar, 0) // combined vs baseline
 		row.Combined = [2]float64{lo, hi}
-		lo, hi = fidelityOnly.NormalizedRange(fidelityBar, 0)
+		lo, hi = fidelityOnly.NormalizedRange(1, 0)
 		row.Fidelity = [2]float64{lo, hi}
 		s.Rows = append(s.Rows, row)
 		if think < 0 || think == 5*time.Second {
@@ -55,28 +60,39 @@ func Figure16(trials int) *Summary16 {
 
 	// Video: no think-time dimension.
 	g6 := Figure6(trials)
-	g6f := figureVideoFidelityOnly(trials)
-	record("Video", -1, g6, g6.BarIndex(BarCombined), g6f, 1)
+	g6f := videoGrid("fidelity-video", "video fidelity-only",
+		fidelityOnlyArms(video.TrackBase, video.TrackCombined), trials, 1610)
+	record("Video", -1, g6, g6.BarIndex(BarCombined), g6f)
 
 	// Speech: no think-time dimension; lowest is hybrid+reduced.
 	g8 := Figure8(trials)
-	g8f := figureSpeechFidelityOnly(trials)
-	record("Speech", -1, g8, g8.BarIndex(BarHybridReduced), g8f, 1)
+	g8f := speechGrid("fidelity-speech", "speech fidelity-only",
+		fidelityOnlyArms(speechFull, speechLowest), trials, 1620)
+	record("Speech", -1, g8, g8.BarIndex(BarHybridReduced), g8f)
 
-	for _, think := range []time.Duration{0, 5 * time.Second, 10 * time.Second, 20 * time.Second} {
+	for _, think := range thinkTimes {
 		gm := figureMap(trials, think, 1600+int64(think/time.Second))
-		gmf := figureMapFidelityOnly(trials, think)
-		record("Map", think, gm, gm.BarIndex(BarCroppedSecondary), gmf, 1)
+		gmf := mapGrid("fidelity-map", "map fidelity-only",
+			fidelityOnlyArms(mapFull, mapLowest), trials, think, 1630+int64(think/time.Second))
+		record("Map", think, gm, gm.BarIndex(BarCroppedSecondary), gmf)
 	}
-	for _, think := range []time.Duration{0, 5 * time.Second, 10 * time.Second, 20 * time.Second} {
+	for _, think := range thinkTimes {
 		gw := figureWeb(trials, think, 1700+int64(think/time.Second))
-		gwf := figureWebFidelityOnly(trials, think)
-		record("Web", think, gw, gw.BarIndex("JPEG-5"), gwf, 1)
+		gwf := webGrid("fidelity-web", "web fidelity-only",
+			fidelityOnlyArms(web.FullFidelity, web.JPEG5), trials, think, 1640+int64(think/time.Second))
+		record("Web", think, gw, gw.BarIndex("JPEG-5"), gwf)
 	}
 
 	s.MeanCombined = mean(combinedAtDefault)
 	s.MeanFidelity = mean(fidelityAtDefault)
 	return s
+}
+
+// fidelityOnlyArms is the two-arm layout of the "Fidelity Reduction" column
+// of Figure 16, which isolates the benefit of lowering fidelity: baseline
+// and lowest fidelity, both with hardware power management disabled.
+func fidelityOnlyArms[C any](full, lowest C) []Arm[C] {
+	return []Arm[C]{{Bar{Label: BarBaseline}, full}, {Bar{Label: "Lowest Fidelity (no mgmt)"}, lowest}}
 }
 
 func mean(xs []float64) float64 {

@@ -16,43 +16,26 @@ const (
 	BarCombined      = "Combined"
 )
 
-// videoBars returns the six configurations of Figure 6.
-func videoBars() ([]Bar, []video.Track) {
-	mgmt := func(rig *env.Rig) { rig.EnablePowerMgmt() }
-	bars := []Bar{
-		{Label: BarBaseline},
-		{Label: BarHWOnly, Setup: mgmt},
-		{Label: BarPremiereB, Setup: mgmt},
-		{Label: BarPremiereC, Setup: mgmt},
-		{Label: BarReducedWindow, Setup: mgmt},
-		{Label: BarCombined, Setup: mgmt},
-	}
-	tracks := []video.Track{
-		video.TrackBase,
-		video.TrackBase,
-		video.TrackPremiereB,
-		video.TrackPremiereC,
-		video.TrackReducedWindow,
-		video.TrackCombined,
-	}
-	return bars, tracks
+// videoArms are the six configurations of Figure 6.
+var videoArms = []Arm[video.Track]{
+	{Bar{Label: BarBaseline}, video.TrackBase},
+	{Bar{Label: BarHWOnly, Setup: managed}, video.TrackBase},
+	{Bar{Label: BarPremiereB, Setup: managed}, video.TrackPremiereB},
+	{Bar{Label: BarPremiereC, Setup: managed}, video.TrackPremiereC},
+	{Bar{Label: BarReducedWindow, Setup: managed}, video.TrackReducedWindow},
+	{Bar{Label: BarCombined, Setup: managed}, video.TrackCombined},
 }
 
 // Figure6 measures the energy to display the four videos at each fidelity
 // (the paper's Figure 6: 4 clips x 6 bars, 5 trials each).
 func Figure6(trials int) *Grid {
-	clips := video.StandardClips()
-	objects := make([]string, len(clips))
-	for i, c := range clips {
-		objects[i] = c.Name
-	}
-	bars, tracks := videoBars()
-	return RunGrid("fig6", "Figure 6: energy impact of fidelity for video playing",
-		objects, bars, trials, 600,
-		func(oi, bi int) Trial {
-			clip, track := clips[oi], tracks[bi]
-			return func(rig *env.Rig, p *sim.Proc) {
-				video.PlayTrack(rig, p, clip, func() video.Track { return track })
-			}
+	return videoGrid("fig6", "Figure 6: energy impact of fidelity for video playing", videoArms, trials, 600)
+}
+
+// videoGrid plays the four standard clips, each at every arm's track.
+func videoGrid(fig, title string, arms []Arm[video.Track], trials int, seed int64) *Grid {
+	return RunGrid(fig, title, video.StandardClips(), func(c video.Clip) string { return c.Name },
+		arms, trials, seed, func(rig *env.Rig, p *sim.Proc, clip video.Clip, track video.Track) {
+			video.PlayTrack(rig, p, clip, func() video.Track { return track })
 		})
 }

@@ -8,8 +8,16 @@ import (
 	"odyssey/internal/sim"
 )
 
-// webQualities are the fidelity bars of Figure 13 beyond baseline/hw-only.
-var webQualities = []web.Quality{web.JPEG75, web.JPEG50, web.JPEG25, web.JPEG5}
+// webArms are the six configurations of Figure 13: baseline and
+// hardware-only at full fidelity, then decreasing JPEG quality.
+var webArms = []Arm[web.Quality]{
+	{Bar{Label: BarBaseline}, web.FullFidelity},
+	{Bar{Label: BarHWOnly, Setup: managed}, web.FullFidelity},
+	{Bar{Label: web.JPEG75.String(), Setup: managed}, web.JPEG75},
+	{Bar{Label: web.JPEG50.String(), Setup: managed}, web.JPEG50},
+	{Bar{Label: web.JPEG25.String(), Setup: managed}, web.JPEG25},
+	{Bar{Label: web.JPEG5.String(), Setup: managed}, web.JPEG5},
+}
 
 // Figure13 measures the energy to fetch and display the four GIF images at
 // decreasing JPEG quality with a five-second think time (Figure 13: 4
@@ -18,30 +26,18 @@ func Figure13(trials int) *Grid {
 	return figureWeb(trials, 5*time.Second, 1300)
 }
 
-// figureWeb parameterizes the web experiment by think time.
+// figureWeb parameterizes the web experiment by think time (reused by the
+// Figure 16 summary).
 func figureWeb(trials int, think time.Duration, seed int64) *Grid {
-	images := web.StandardImages()
-	objects := make([]string, len(images))
-	for i, img := range images {
-		objects[i] = img.Name
-	}
-	mgmt := func(rig *env.Rig) { rig.EnablePowerMgmt() }
-	bars := []Bar{
-		{Label: BarBaseline},
-		{Label: BarHWOnly, Setup: mgmt},
-	}
-	qualities := []web.Quality{web.FullFidelity, web.FullFidelity}
-	for _, q := range webQualities {
-		bars = append(bars, Bar{Label: q.String(), Setup: mgmt})
-		qualities = append(qualities, q)
-	}
-	return RunGrid("fig13", "Figure 13: energy impact of fidelity for Web browsing",
-		objects, bars, trials, seed,
-		func(oi, bi int) Trial {
-			img, q := images[oi], qualities[bi]
-			return func(rig *env.Rig, p *sim.Proc) {
-				web.Fetch(rig, p, img, q, think)
-			}
+	return webGrid("fig13", "Figure 13: energy impact of fidelity for Web browsing", webArms, trials, think, seed)
+}
+
+// webGrid fetches the four standard images, each at every arm's quality
+// with the given think time.
+func webGrid(fig, title string, arms []Arm[web.Quality], trials int, think time.Duration, seed int64) *Grid {
+	return RunGrid(fig, title, web.StandardImages(), func(img web.Image) string { return img.Name },
+		arms, trials, seed, func(rig *env.Rig, p *sim.Proc, img web.Image, q web.Quality) {
+			web.Fetch(rig, p, img, q, think)
 		})
 }
 
@@ -51,23 +47,8 @@ func figureWeb(trials int, think time.Duration, seed int64) *Grid {
 // fidelity spread we follow its spirit with the same three cases.
 func Figure14(trials int) *ThinkTimeSeries {
 	img := web.StandardImages()[0]
-	mgmt := func(rig *env.Rig) { rig.EnablePowerMgmt() }
-	cases := []struct {
-		name  string
-		setup Setup
-		q     web.Quality
-	}{
-		{"Baseline", nil, web.FullFidelity},
-		{"Hardware-Only Power Mgmt.", mgmt, web.FullFidelity},
-		{"Lowest Fidelity", mgmt, web.JPEG5},
-	}
-	return thinkTimeSweep("fig14", img.Name, 1400, trials,
-		func(ci int) (string, Setup) { return cases[ci].name, cases[ci].setup },
-		len(cases),
-		func(ci int, think time.Duration) Trial {
-			q := cases[ci].q
-			return func(rig *env.Rig, p *sim.Proc) {
-				web.Fetch(rig, p, img, q, think)
-			}
+	return thinkTimeSweep("fig14", img.Name, 1400, trials, hwAndLowestArms(web.FullFidelity, web.JPEG5),
+		func(rig *env.Rig, p *sim.Proc, q web.Quality, think time.Duration) {
+			web.Fetch(rig, p, img, q, think)
 		})
 }

@@ -5,9 +5,7 @@ import (
 	"time"
 
 	"odyssey/internal/app/env"
-	"odyssey/internal/app/mapview"
 	"odyssey/internal/app/video"
-	"odyssey/internal/sim"
 )
 
 // ZonedRow is one row of Figure 18: an application (and think time, for the
@@ -31,40 +29,35 @@ var zoneCounts = []int{1, 4, 8}
 // and map applications (the two whose windows leave screen area free; the
 // display is off for speech and Netscape is nearly full-screen).
 func Figure18(trials int) []ZonedRow {
-	rows := []ZonedRow{zonedVideoRow(trials)}
-	for _, think := range []time.Duration{0, 5 * time.Second, 10 * time.Second, 20 * time.Second} {
-		rows = append(rows, zonedMapRow(trials, think))
+	g := videoGrid("fig18-video", "Figure 18 (video)",
+		zonedArms(video.TrackBase, video.TrackCombined), trials, 1800)
+	rows := []ZonedRow{rowFromGrid("Video", -1, g)}
+	for _, think := range thinkTimes {
+		g := mapGrid("fig18-map", "Figure 18 (map)",
+			zonedArms(mapFull, mapLowest), trials, think, 1850+int64(think/time.Second))
+		rows = append(rows, rowFromGrid("Map", think, g))
 	}
 	return rows
 }
 
-// zonedBars builds the seven-bar layout shared by both applications:
-// baseline, then hw-only and lowest fidelity at each zone count.
-func zonedBars() []Bar {
-	bars := []Bar{{Label: BarBaseline}}
+// zonedArms builds the seven-arm layout shared by both applications:
+// baseline at full fidelity, then hw-only at full fidelity and the lowest
+// fidelity at each zone count.
+func zonedArms[C any](full, lowest C) []Arm[C] {
+	zoned := func(label string, z int) Bar {
+		return Bar{Label: fmt.Sprintf("%s %dz", label, z), Zones: z, Setup: func(rig *env.Rig) {
+			rig.EnablePowerMgmt()
+			rig.ZonedPolicy = z > 1
+		}}
+	}
+	arms := []Arm[C]{{Bar{Label: BarBaseline}, full}}
 	for _, z := range zoneCounts {
-		z := z
-		bars = append(bars, Bar{
-			Label: fmt.Sprintf("HW-only %dz", z),
-			Zones: z,
-			Setup: func(rig *env.Rig) {
-				rig.EnablePowerMgmt()
-				rig.ZonedPolicy = z > 1
-			},
-		})
+		arms = append(arms, Arm[C]{zoned("HW-only", z), full})
 	}
 	for _, z := range zoneCounts {
-		z := z
-		bars = append(bars, Bar{
-			Label: fmt.Sprintf("Lowest %dz", z),
-			Zones: z,
-			Setup: func(rig *env.Rig) {
-				rig.EnablePowerMgmt()
-				rig.ZonedPolicy = z > 1
-			},
-		})
+		arms = append(arms, Arm[C]{zoned("Lowest", z), lowest})
 	}
-	return bars
+	return arms
 }
 
 // rowFromGrid extracts the normalized ranges from a 7-bar zoned grid.
@@ -77,46 +70,6 @@ func rowFromGrid(app string, think time.Duration, g *Grid) ZonedRow {
 		row.Combined[zi] = [2]float64{lo, hi}
 	}
 	return row
-}
-
-func zonedVideoRow(trials int) ZonedRow {
-	clips := video.StandardClips()
-	objects := make([]string, len(clips))
-	for i, c := range clips {
-		objects[i] = c.Name
-	}
-	g := RunGrid("fig18-video", "Figure 18 (video)", objects, zonedBars(), trials, 1800,
-		func(oi, bi int) Trial {
-			clip := clips[oi]
-			track := video.TrackBase
-			if bi >= 4 { // lowest-fidelity bars
-				track = video.TrackCombined
-			}
-			return func(rig *env.Rig, p *sim.Proc) {
-				video.PlayTrack(rig, p, clip, func() video.Track { return track })
-			}
-		})
-	return rowFromGrid("Video", -1, g)
-}
-
-func zonedMapRow(trials int, think time.Duration) ZonedRow {
-	maps := mapview.StandardMaps()
-	objects := make([]string, len(maps))
-	for i, m := range maps {
-		objects[i] = m.City
-	}
-	g := RunGrid("fig18-map", "Figure 18 (map)", objects, zonedBars(), trials, 1850+int64(think/time.Second),
-		func(oi, bi int) Trial {
-			m := maps[oi]
-			cfg := mapview.Config{Filter: mapview.FullDetail}
-			if bi >= 4 {
-				cfg = mapview.Config{Filter: mapview.SecondaryRoadFilter, Cropped: true}
-			}
-			return func(rig *env.Rig, p *sim.Proc) {
-				mapview.View(rig, p, m, cfg, think)
-			}
-		})
-	return rowFromGrid("Map", think, g)
 }
 
 // ZonedTable renders Figure 18.

@@ -30,6 +30,30 @@ type Bar struct {
 	Zones int
 }
 
+// managed is the hardware-power-management setup shared by every managed
+// bar.
+func managed(rig *env.Rig) { rig.EnablePowerMgmt() }
+
+// Arm is one bar of a fixed-fidelity figure: its label and display and
+// power-management setup, plus the application configuration its trials
+// play (a video track, a speech mode and vocabulary, a map filter, a web
+// image quality).
+type Arm[C any] struct {
+	Bar
+	Config C
+}
+
+// hwAndLowestArms is the three-case layout of Figures 11, 14 and 15:
+// baseline and hardware-only power management at full fidelity, then the
+// lowest fidelity with power management.
+func hwAndLowestArms[C any](full, lowest C) []Arm[C] {
+	return []Arm[C]{
+		{Bar{Label: BarBaseline}, full},
+		{Bar{Label: BarHWOnly, Setup: managed}, full},
+		{Bar{Label: "Lowest Fidelity", Setup: managed}, lowest},
+	}
+}
+
 // Cell is the measurement for one (data object, bar) pair.
 type Cell struct {
 	Energy    stats.Summary
@@ -45,29 +69,28 @@ type Grid struct {
 	Cells   [][]Cell // [object][bar]
 }
 
-// RunGrid measures every (object, bar) cell with the given number of
-// trials. fig labels the cells' progress lines; trialFor returns the
-// workload for an object under a bar configuration. baseSeed separates
-// figures so their random streams differ.
-func RunGrid(fig, title string, objects []string, bars []Bar, trials int, baseSeed int64,
-	trialFor func(object int, bar int) Trial) *Grid {
+// RunGrid measures every (object, arm) cell with the given number of
+// trials: each trial plays one data object at one arm's config on a private
+// rig. fig labels the cells' progress lines and name gives each object's
+// row name; baseSeed separates figures so their random streams differ.
+func RunGrid[O, C any](fig, title string, objects []O, name func(O) string, arms []Arm[C],
+	trials int, baseSeed int64, play func(rig *env.Rig, p *sim.Proc, obj O, cfg C)) *Grid {
 
-	g := &Grid{Title: title, Objects: objects, Cells: make([][]Cell, len(objects))}
-	for _, b := range bars {
-		g.Bars = append(g.Bars, b.Label)
+	g := &Grid{Title: title, Cells: make([][]Cell, len(objects))}
+	for _, a := range arms {
+		g.Bars = append(g.Bars, a.Label)
 	}
-	// trialFor may close over per-figure state, so resolve the workloads
-	// serially; the Trial closures themselves run concurrently, each on a
-	// rig private to its goroutine.
-	runs := make([]cellRun, 0, len(objects)*len(bars))
+	runs := make([]cellRun, 0, len(objects)*len(arms))
 	for oi, obj := range objects {
-		for bi, bar := range bars {
-			runs = append(runs, cellRun{obj, baseSeed + int64(oi*1009+bi*101), bar, trialFor(oi, bi)})
+		g.Objects = append(g.Objects, name(obj))
+		for ai, a := range arms {
+			runs = append(runs, cellRun{g.Objects[oi], baseSeed + int64(oi*1009+ai*101), a.Bar,
+				func(rig *env.Rig, p *sim.Proc) { play(rig, p, obj, a.Config) }})
 		}
 	}
 	cells := runCells(fig, trials, runs)
 	for oi := range objects {
-		lo, hi := oi*len(bars), (oi+1)*len(bars)
+		lo, hi := oi*len(arms), (oi+1)*len(arms)
 		g.Cells[oi] = cells[lo:hi:hi]
 	}
 	return g
@@ -86,16 +109,13 @@ type cellRun struct {
 // the one path behind grid cells and think-time sweeps. All (cell, trial)
 // runs are fanned out across the worker pool (SetParallelism) and merged in
 // fixed (cell, trial) index order, so the cells, and every table rendered
-// from them, are byte-identical however many workers ran them. fig labels
-// the progress lines.
+// from them, are byte-identical however many workers ran them. Trial t of a
+// configuration seeded s runs on rig seed s*7919+t+1. fig labels the
+// progress lines.
 func runCells(fig string, trials int, runs []cellRun) []Cell {
-	results := make([][]trialResult, len(runs))
-	for ci := range results {
-		results[ci] = make([]trialResult, trials)
-	}
-	runTasks(len(runs)*trials, func(i int) {
-		r, t := runs[i/trials], i%trials
-		results[i/trials][t] = runTrial(r.seed, t, r.bar, r.trial)
+	results := sweep(len(runs), trials, func(ci, t int) trialResult {
+		r := runs[ci]
+		return runTrial(r.seed*7919+int64(t)+1, r.bar.Zones, r.bar.Setup, r.trial)
 	})
 	cells := make([]Cell, len(runs))
 	for ci, r := range runs {

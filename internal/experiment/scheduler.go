@@ -13,14 +13,14 @@ import (
 )
 
 // The trial scheduler: every run a figure needs — each (object, bar, trial)
-// of a RunGrid cell, and each (arm, trial) of a goal sweep — is fanned out
-// across one worker pool and merged back in fixed index order, so the
-// rendered tables are byte-identical to a serial run. Runs are
-// embarrassingly parallel — each one builds a private rig (its own kernel,
-// machine model, network, and viceroy) from a seed derived only from its
-// indices — so the pool never shares simulation state between goroutines
-// (enforced by odylint's kernelctx kernel-sharing rule). Figure 15, dvs and
-// quality run their few rig trials serially, outside the pool.
+// of a RunGrid cell, each fixed-fidelity run of Figure 15, dvs and
+// quality, and each (arm, trial) of a goal sweep — is fanned out across one
+// worker pool and merged back in fixed index order, so the rendered tables
+// are byte-identical to a serial run. Runs are embarrassingly parallel —
+// each one builds a private rig (its own kernel, machine model, network,
+// and viceroy) from a seed derived only from its indices — so the pool
+// never shares simulation state between goroutines (enforced by odylint's
+// kernelctx kernel-sharing rule).
 
 // sched holds the package-wide scheduler configuration. The experiment
 // front-ends (cmd/odyssey-sim, cmd/battery-goal) set it from flags before
@@ -156,15 +156,14 @@ func runTasks(n int, fn func(i int)) {
 	}
 }
 
-// sweep runs an arms x trials grid of goal-directed runs on the worker pool
-// and returns the results indexed [arm][trial]. run(a, t) must derive
-// everything from its indices, since runs execute concurrently; callers
-// reduce the results serially in trial order, so output never depends on
-// the pool width.
-func sweep(arms, trials int, run func(a, t int) GoalResult) [][]GoalResult {
-	out := make([][]GoalResult, arms)
+// sweep runs an arms x trials grid of runs on the worker pool and returns
+// the results indexed [arm][trial]. run(a, t) must derive everything from
+// its indices, since runs execute concurrently; callers reduce the results
+// serially in trial order, so output never depends on the pool width.
+func sweep[R any](arms, trials int, run func(a, t int) R) [][]R {
+	out := make([][]R, arms)
 	for a := range out {
-		out[a] = make([]GoalResult, trials)
+		out[a] = make([]R, trials)
 	}
 	runTasks(arms*trials, func(i int) {
 		out[i/trials][i%trials] = run(i/trials, i%trials)
@@ -175,38 +174,41 @@ func sweep(arms, trials int, run func(a, t int) GoalResult) [][]GoalResult {
 // trialResult is one trial's raw measurement, kept unaggregated so that the
 // merge can reproduce the serial accumulation order exactly.
 type trialResult struct {
-	energy   float64
+	energy   float64 // joules from the workload's start to its return
+	total    float64 // joules of the whole run, read when the kernel drains
 	duration time.Duration
 	before   map[string]float64 // per-principal energy before the workload
 	after    map[string]float64 // per-principal energy at kernel drain
 	wall     time.Duration      // host wall-clock cost (observability only)
 }
 
-// runTrial executes one trial of one configuration on a fresh rig. The
-// per-trial seed derivation (seed*7919+t+1) matches the original serial
-// harness, so parallel and serial schedules draw identical random streams.
-func runTrial(seed int64, t int, bar Bar, trial Trial) trialResult {
+// runTrial is the one fixed-fidelity executor: it builds a rig from seed
+// with the given display zones (0 means 1), applies setup, runs workload as
+// the "workload" process, and drives the kernel until it drains (or until a
+// process stops it). setup and workload may share state through closures
+// made for this run alone, since runs execute concurrently.
+func runTrial(seed int64, zones int, setup Setup, workload Trial) trialResult {
 	//odylint:allow detrand wall-clock timing is observability only; it never feeds the simulation
 	wallStart := time.Now()
-	zones := bar.Zones
 	if zones == 0 {
 		zones = 1
 	}
-	rig := env.NewRig(seed*7919+int64(t)+1, zones)
-	if bar.Setup != nil {
-		bar.Setup(rig)
+	rig := env.NewRig(seed, zones)
+	if setup != nil {
+		setup(rig)
 	}
 	var res trialResult
 	rig.K.Spawn("workload", func(p *sim.Proc) {
 		res.before = rig.M.Acct.EnergyByPrincipal()
 		cp := rig.M.Acct.Checkpoint()
 		start := p.Now()
-		trial(rig, p)
+		workload(rig, p)
 		res.energy = cp.Since()
 		res.duration = p.Now() - start
 	})
 	rig.K.Run(0)
 	res.after = rig.M.Acct.EnergyByPrincipal()
+	res.total = rig.M.Acct.TotalEnergy()
 	//odylint:allow detrand wall-clock timing is observability only; it never feeds the simulation
 	res.wall = time.Since(wallStart)
 	return res

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"odyssey/internal/app/env"
+	"odyssey/internal/app/video"
 	"odyssey/internal/sim"
 )
 
@@ -33,10 +34,14 @@ func gridCSV(g *Grid) string {
 // fixed seed a many-worker run renders byte-identical tables — energy,
 // duration, and per-principal breakdowns — to the serial path.
 func TestRunGridParallelByteIdentical(t *testing.T) {
+	grid := func() *Grid {
+		return videoGrid("fidelity-video", "video fidelity-only",
+			fidelityOnlyArms(video.TrackBase, video.TrackCombined), 3, 1610)
+	}
 	SetParallelism(1)
-	serial := figureVideoFidelityOnly(3)
+	serial := grid()
 	useParallelism(t, 8)
-	parallel := figureVideoFidelityOnly(3)
+	parallel := grid()
 	if a, b := gridCSV(serial), gridCSV(parallel); a != b {
 		t.Fatalf("parallel grid diverged from serial:\n--- serial ---\n%s--- parallel ---\n%s", a, b)
 	}
@@ -145,16 +150,17 @@ func TestProgressLines(t *testing.T) {
 	}
 
 	b.Reset()
-	objects, bars := []string{"o1", "o2"}, []Bar{{Label: "x"}, {Label: "y"}, {Label: "z"}}
-	RunGrid("grid", "progress grid", objects, bars, 3, 11,
-		func(oi, bi int) Trial { return trial })
+	objects := []string{"o1", "o2"}
+	arms := []Arm[struct{}]{{Bar: Bar{Label: "x"}}, {Bar: Bar{Label: "y"}}, {Bar: Bar{Label: "z"}}}
+	RunGrid("grid", "progress grid", objects, func(o string) string { return o }, arms, 3, 11,
+		func(rig *env.Rig, p *sim.Proc, _ string, _ struct{}) { trial(rig, p) })
 	out := b.String()
-	if n := strings.Count(out, "\n"); n != len(objects)*len(bars) {
-		t.Fatalf("%d progress lines for a %dx%d grid, want one per cell:\n%s", n, len(objects), len(bars), out)
+	if n := strings.Count(out, "\n"); n != len(objects)*len(arms) {
+		t.Fatalf("%d progress lines for a %dx%d grid, want one per cell:\n%s", n, len(objects), len(arms), out)
 	}
 	for _, o := range objects {
-		for _, bar := range bars {
-			if line := "cell grid " + o + " / " + bar.Label + ": 3 trials in"; strings.Count(out, line) != 1 {
+		for _, arm := range arms {
+			if line := "cell grid " + o + " / " + arm.Label + ": 3 trials in"; strings.Count(out, line) != 1 {
 				t.Fatalf("want exactly one %q line:\n%s", line, out)
 			}
 		}

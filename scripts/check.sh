@@ -34,17 +34,22 @@
 #   9. go test -fuzz                       short fuzz budgets (seed corpus + 5s
 #                                          each) over odfs path handling
 #                                          (FuzzPathHandling), journal replay
-#                                          (FuzzJournalReplay) and PowerScope
+#                                          (FuzzJournalReplay), PowerScope
 #                                          sample correlation (FuzzCorrelate)
+#                                          and the chaos scenario loader
+#                                          (FuzzLoadScenario)
 #  10. odyssey-sim -figure resilience      smoke: the fault-injection plane
 #                                          end to end on one trial
 #  11. supervision smoke (-race)           the application-supervision plane
 #                                          end to end under the mid
 #                                          misbehavior ladder
-#  12. parallel equivalence smoke          fig6, fig20 and resilience (grid
-#                                          cells and pooled goal sweeps) at
-#                                          -parallel 4 under -race must be
-#                                          byte-identical to serial
+#  12. parallel equivalence smoke          fig6, fig15, fig20, dvs, quality
+#                                          and resilience (grid cells, the
+#                                          pooled fixed-fidelity trials of
+#                                          Figure 15, dvs and quality, and
+#                                          pooled goal sweeps) at -parallel 4
+#                                          under -race must be byte-identical
+#                                          to serial
 #  13. chaos smoke + corpus replay         a bounded soak (fixed seed, 20
 #                                          scenarios) under -race must pass
 #                                          every invariant sentinel, and
@@ -121,17 +126,20 @@ if [ "${1:-}" != "fast" ]; then
     echo "==> go test -fuzz FuzzCorrelate -fuzztime 5s ./internal/powerscope"
     go test -run '^$' -fuzz FuzzCorrelate -fuzztime 5s ./internal/powerscope
 
+    echo "==> go test -fuzz FuzzLoadScenario -fuzztime 5s ./internal/chaos"
+    go test -run '^$' -fuzz FuzzLoadScenario -fuzztime 5s ./internal/chaos
+
     echo "==> resilience smoke (odyssey-sim -figure resilience -trials 1)"
     go run ./cmd/odyssey-sim -figure resilience -trials 1
 
     echo "==> supervision smoke (-race, mid misbehavior ladder)"
     go run -race ./cmd/odyssey-sim -figure supervision -misbehave mid
 
-    echo "==> parallel equivalence smoke (fig6,fig20,resilience, -race)"
+    echo "==> parallel equivalence smoke (fig6,fig15,fig20,dvs,quality,resilience, -race)"
     smokedir=$(mktemp -d)
     trap 'rm -rf "$smokedir"' EXIT
-    go run ./cmd/odyssey-sim -figure fig6,fig20,resilience -trials 2 -parallel 1 -csv > "$smokedir/serial.csv"
-    go run -race ./cmd/odyssey-sim -figure fig6,fig20,resilience -trials 2 -parallel 4 -csv > "$smokedir/parallel.csv"
+    go run ./cmd/odyssey-sim -figure fig6,fig15,fig20,dvs,quality,resilience -trials 2 -parallel 1 -csv > "$smokedir/serial.csv"
+    go run -race ./cmd/odyssey-sim -figure fig6,fig15,fig20,dvs,quality,resilience -trials 2 -parallel 4 -csv > "$smokedir/parallel.csv"
     cmp "$smokedir/serial.csv" "$smokedir/parallel.csv" || {
         echo "FAIL: -parallel 4 output differs from serial" >&2; exit 1; }
 
