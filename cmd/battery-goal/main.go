@@ -29,7 +29,6 @@ import (
 	"odyssey/internal/experiment"
 	"odyssey/internal/faults"
 	"odyssey/internal/profiling"
-	"odyssey/internal/textplot"
 	"odyssey/internal/trace"
 )
 
@@ -170,17 +169,7 @@ func main() {
 			r.OffloadHedges, r.OffloadFailovers, r.OffloadFallbacks, r.BreakerTrips)
 	}
 	if len(r.Trace) > 1 {
-		chart := textplot.New("Supply and predicted demand", 64, 12)
-		chart.XLabel = "seconds"
-		var ts, supply, demand []float64
-		for _, tp := range r.Trace {
-			ts = append(ts, tp.Time.Seconds())
-			supply = append(supply, tp.Supply)
-			demand = append(demand, tp.Demand)
-		}
-		chart.Add(textplot.Series{Name: "supply (J)", X: ts, Y: supply})
-		chart.Add(textplot.Series{Name: "demand (J)", X: ts, Y: demand})
-		fmt.Println(chart.String())
+		fmt.Println(experiment.SupplyDemandChart("Supply and predicted demand", r.Trace))
 	}
 	fmt.Println("Adaptations directed by Odyssey:")
 	names := make([]string, 0, len(r.Adaptations))

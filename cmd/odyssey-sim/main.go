@@ -30,7 +30,6 @@ import (
 	"odyssey/internal/chaos"
 	"odyssey/internal/experiment"
 	"odyssey/internal/profiling"
-	"odyssey/internal/textplot"
 )
 
 // figures lists every known figure id with a one-line description (-list).
@@ -308,17 +307,7 @@ func printGrid(g *experiment.Grid, breakdown bool) {
 func printTraces(results []experiment.GoalResult) {
 	for _, r := range results {
 		fmt.Printf("Figure 19 trace: goal %v (met=%v, residual %.0f J)\n", r.Goal, r.Met, r.Residual)
-		chart := textplot.New("", 64, 12)
-		chart.XLabel = "seconds"
-		var ts, supply, demand []float64
-		for _, tp := range r.Trace {
-			ts = append(ts, tp.Time.Seconds())
-			supply = append(supply, tp.Supply)
-			demand = append(demand, tp.Demand)
-		}
-		chart.Add(textplot.Series{Name: "supply (J)", X: ts, Y: supply})
-		chart.Add(textplot.Series{Name: "demand (J)", X: ts, Y: demand})
-		fmt.Println(chart.String())
+		fmt.Println(experiment.SupplyDemandChart("", r.Trace))
 		fmt.Printf("%8s %10s %10s  %s\n", "t (s)", "supply (J)", "demand (J)", "levels")
 		step := len(r.Trace) / 24
 		if step == 0 {

@@ -302,7 +302,8 @@ func TestContainmentCorpusSoakAndResume(t *testing.T) {
 // -scenario replay and corpus loading rejects a file that would otherwise
 // replay as a different run than its author meant — a misspelled key
 // decoding to a zero supply, a non-positive goal, an application the
-// workload does not know — and names the file in the error.
+// workload does not know, anything but whitespace after the scenario — and
+// names the file in the error.
 func TestLoadScenarioRejectsUnrunnable(t *testing.T) {
 	for _, tc := range []struct {
 		name, body, want string // want == "" means the file must load
@@ -315,6 +316,9 @@ func TestLoadScenarioRejectsUnrunnable(t *testing.T) {
 		{"negative energy", `{"seed": 3, "goal": "2m0s", "initial_energy": -5}`, "energy=-5"},
 		{"unknown app", `{"seed": 3, "goal": "2m0s", "initial_energy": 900, "apps": ["vidoe"]}`, `unknown application "vidoe"`},
 		{"not json", `{seed: 3`, "not a scenario"},
+		{"trailing garbage", `{"seed": 3, "goal": "2m0s", "initial_energy": 900}` + "\ntrailing garbage {\n", "data after the scenario"},
+		{"two concatenated scenarios", `{"seed": 3, "goal": "2m0s", "initial_energy": 900}{"seed": 4, "goal": "2m0s", "initial_energy": 900}`, "data after the scenario"},
+		{"trailing whitespace", `{"seed": 3, "goal": "2m0s", "initial_energy": 900, "apps": ["video", "web"]}` + "\n \t\r\n", ""},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			path := filepath.Join(t.TempDir(), "sc.json")

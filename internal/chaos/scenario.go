@@ -16,6 +16,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"slices"
@@ -185,8 +186,10 @@ func (sc Scenario) encode() ([]byte, error) {
 
 // LoadScenario reads one scenario file, rejecting JSON that is not a
 // runnable scenario: unknown fields (a misspelled key, or some other tool's
-// output saved as .json), a goal or supply that is not positive, and an
-// application missing from the workload roster. Every error names path.
+// output saved as .json), anything but whitespace after the scenario (two
+// scenarios concatenated, a stray edit), a goal or supply that is not
+// positive, and an application missing from the workload roster. Every
+// error names path.
 func LoadScenario(path string) (Scenario, error) {
 	b, err := os.ReadFile(path)
 	if err != nil {
@@ -206,6 +209,10 @@ func parseScenario(b []byte) (Scenario, error) {
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&sc); err != nil {
 		return sc, fmt.Errorf("not a scenario: %w", err)
+	}
+	end := dec.InputOffset()
+	if err := dec.Decode(new(json.RawMessage)); err != io.EOF {
+		return sc, fmt.Errorf("not a scenario: data after the scenario at byte %d", end)
 	}
 	if sc.Goal <= 0 || sc.InitialEnergy <= 0 {
 		return sc, fmt.Errorf("not a runnable scenario: goal=%v energy=%v", time.Duration(sc.Goal), sc.InitialEnergy)

@@ -6,9 +6,8 @@ import (
 	"time"
 
 	"odyssey/internal/app/env"
-	"odyssey/internal/power"
+	"odyssey/internal/core"
 	"odyssey/internal/stats"
-	"odyssey/internal/workload"
 )
 
 // The paper argues for a *collaborative* design: the operating system
@@ -29,20 +28,17 @@ const EnergyResource = "energy"
 // tight one (26 min), trials seeds each.
 func DecentralizedComparison(trials int) *Arms {
 	type arm struct {
-		policy        string
-		goal          time.Duration
-		decentralized bool
+		policy  string
+		goal    time.Duration
+		control Control
 	}
 	var arms []arm
 	for _, goal := range []time.Duration{20 * time.Minute, 26 * time.Minute} {
-		arms = append(arms, arm{"centralized (paper)", goal, false}, arm{"decentralized thresholds", goal, true})
+		arms = append(arms, arm{"centralized (paper)", goal, Directed}, arm{"decentralized thresholds", goal, Thresholds})
 	}
 	rs := sweep(len(arms), trials, func(a, t int) GoalResult {
-		seed := int64(3000 + t)
-		if arms[a].decentralized {
-			return runDecentralizedTrial(seed, arms[a].goal)
-		}
-		return RunGoal(GoalOptions{Seed: seed, InitialEnergy: Figure20InitialEnergy, Goal: arms[a].goal})
+		return RunGoal(GoalOptions{Seed: int64(3000 + t), InitialEnergy: Figure20InitialEnergy,
+			Goal: arms[a].goal, Control: arms[a].control})
 	})
 	return summarize("Extension: centralized goal-directed control vs decentralized energy thresholds",
 		[]string{"Policy", "Goal"}, []column{residualCol, meanFidelityCol}, rs, func(a int) []string {
@@ -73,18 +69,14 @@ var meanFidelityCol = column{
 	format: func(s stats.Summary) string { return fmt.Sprintf("%.2f", s.Mean) },
 }
 
-// runDecentralizedTrial drives the workload with residual energy published
-// as a viceroy resource and each application self-degrading one level each
-// time the residual crosses 75%, 50% and 25% of the initial supply.
-func runDecentralizedTrial(seed int64, goal time.Duration) GoalResult {
-	rig := env.NewRig(seed, 1)
-	rig.EnablePowerMgmt()
-	apps := workload.NewApps(rig)
-	regs := apps.Register()
-	apps.SetAllHighest()
-	supply := power.NewSupply(rig.M.Acct, Figure20InitialEnergy)
-
-	mon := rig.V.MonitorResource(EnergyResource, 500*time.Millisecond, supply.Residual)
+// startThresholds installs the Thresholds controller on rig. It publishes
+// residual energy as EnergyResource every 500 ms, and each registered
+// application degrades itself one level each time the residual crosses 75%,
+// 50% and 25% of initial. The energy monitor never runs, so its evaluations
+// cannot feed avg as they do under Directed; a 500 ms sampler does instead.
+// It returns the function that stops the publisher and the sampler.
+func startThresholds(rig *env.Rig, regs []*core.Registration, initial float64, residual func() float64, avg *fidelityAverager) (stop func()) {
+	mon := rig.V.MonitorResource(EnergyResource, 500*time.Millisecond, residual)
 	mon.Start()
 
 	// Self-adaptation: every application independently watches the energy
@@ -97,7 +89,7 @@ func runDecentralizedTrial(seed int64, goal time.Duration) GoalResult {
 			if ti >= len(thresholds) {
 				return
 			}
-			low := thresholds[ti] * Figure20InitialEnergy
+			low := thresholds[ti] * initial
 			_, err := rig.V.Request(EnergyResource, low, 1e18, func(float64) {
 				reg.App.SetLevel(reg.App.Level() - 1)
 				reg.Adaptations++
@@ -111,47 +103,10 @@ func runDecentralizedTrial(seed int64, goal time.Duration) GoalResult {
 		watch(0)
 	}
 
-	res := GoalResult{Goal: goal, Adaptations: make(map[string]int)}
-	avg := newFidelityAverager(regs)
 	sampler := rig.K.Every(500*time.Millisecond, func() { avg.observe(rig.K.Now()) })
 	sampler.Start()
-
-	done := false
-	finish := func(metNow bool) {
-		if done {
-			return
-		}
-		done = true
-		res.Met = metNow
-		res.Residual = supply.Residual()
-		res.EndTime = rig.K.Now()
+	return func() {
 		mon.Stop()
 		sampler.Stop()
-		rig.K.Stop()
 	}
-	var watchEnd func()
-	watchEnd = func() {
-		if supply.Depleted() {
-			finish(rig.K.Now() >= goal)
-			return
-		}
-		if rig.K.Now() >= goal {
-			finish(true)
-			return
-		}
-		rig.K.After(250*time.Millisecond, watchEnd)
-	}
-	rig.K.After(250*time.Millisecond, watchEnd)
-
-	apps.StartGoalWorkload(compositePeriod, func() bool { return done })
-	rig.K.Run(goal + time.Hour)
-	if !done {
-		finish(rig.K.Now() >= goal)
-	}
-	avg.observe(res.EndTime)
-	res.MeanFidelity = avg.means()
-	for _, r := range regs {
-		res.Adaptations[r.App.Name()] = r.Adaptations
-	}
-	return res
 }

@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"maps"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -287,8 +288,7 @@ func TestGoalDirectedMeetsPaperGoals(t *testing.T) {
 }
 
 func TestGoalRuntimeBandMatchesPaperShape(t *testing.T) {
-	hi := RuntimeAtFixedFidelity(7, Figure20InitialEnergy, false)
-	lo := RuntimeAtFixedFidelity(7, Figure20InitialEnergy, true)
+	hi, lo := FeasibleBand(7, Figure20InitialEnergy)
 	// Paper: 19:27 at highest fidelity, 27:06 at lowest (ratio 1.39).
 	if hi < 18*time.Minute || hi > 21*time.Minute {
 		t.Errorf("highest-fidelity runtime %v, want ~19.5 min", hi)
@@ -599,6 +599,48 @@ func TestDecentralizedComparison(t *testing.T) {
 		dFid, cFid := dLoose.Values["Mean fidelity"].Mean, cLoose.Values["Mean fidelity"].Mean
 		if dFid >= cFid {
 			t.Errorf("decentralized mean fidelity %.2f not below centralized %.2f on the loose goal", dFid, cFid)
+		}
+	}
+}
+
+// TestDecentralizedComparisonLeavesNoGoroutines: the threshold arm tears
+// its rig down like every goal run, so no parked process goroutine outlives
+// the figure. A coroutine's goroutine exits just after Shutdown hands back,
+// hence the poll.
+func TestDecentralizedComparisonLeavesNoGoroutines(t *testing.T) {
+	useParallelism(t, 1)
+	before := runtime.NumGoroutine()
+	DecentralizedComparison(1)
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines live after DecentralizedComparison(1), %d before",
+				runtime.NumGoroutine(), before)
+		}
+		runtime.Gosched()
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestPinnedRunsHoldFidelity: a pinned run directs no adaptation and
+// holds every application at the pinned fidelity from start to end.
+func TestPinnedRunsHoldFidelity(t *testing.T) {
+	for _, c := range []struct {
+		control Control
+		want    float64
+	}{{PinHighest, 1}, {PinLowest, 0}} {
+		r := RunGoal(GoalOptions{Seed: 7, InitialEnergy: Figure20InitialEnergy,
+			Goal: 8 * time.Hour, Control: c.control})
+		if len(r.MeanFidelity) != 4 {
+			t.Fatalf("control %d: mean fidelity for %d apps, want 4", c.control, len(r.MeanFidelity))
+		}
+		for app, f := range r.MeanFidelity {
+			if f != c.want {
+				t.Errorf("control %d: %s mean fidelity %v, want exactly %v", c.control, app, f, c.want)
+			}
+			if n := r.Adaptations[app]; n != 0 {
+				t.Errorf("control %d: %s adapted %d times", c.control, app, n)
+			}
 		}
 	}
 }

@@ -14,6 +14,7 @@ import (
 	"odyssey/internal/smartbattery"
 	"odyssey/internal/stats"
 	"odyssey/internal/supervise"
+	"odyssey/internal/textplot"
 	"odyssey/internal/trace"
 	"odyssey/internal/workload"
 )
@@ -62,11 +63,9 @@ type GoalOptions struct {
 	// exponent (>1 drains faster at high load — the non-ideal battery
 	// behaviour the paper avoided by running from a bench supply).
 	Peukert float64
-	// DisableAdaptation runs the workload at a fixed fidelity instead of
-	// under the monitor (for measuring the feasible runtime band).
-	DisableAdaptation bool
-	// FixedLowest, with DisableAdaptation, pins the lowest fidelity.
-	FixedLowest bool
+	// Control selects what steers fidelity: the energy monitor (the zero
+	// value), a pinned fidelity, or the decentralized thresholds.
+	Control Control
 	// Faults, if set, builds a fault plan against the trial's rig (bat is
 	// nil unless SmartBattery is on); BindPlans sets it from a
 	// faults.PlanSpec. The plan starts with the workload and is stopped
@@ -96,7 +95,7 @@ type GoalOptions struct {
 	Observe func(rig *env.Rig, em *core.EnergyMonitor)
 	// Profile, if non-nil, selects a hardware power profile other than the
 	// reference ThinkPad 560X — the fleet plane's device-class variants
-	// (hw.Profile.Scaled). Nil keeps the legacy rig byte for byte.
+	// (hw.Profile.Scaled).
 	Profile *hw.Profile
 	// CompositePeriod overrides how often a composite iteration starts in
 	// the continuous workload (0 = the paper's 25 s) — the fleet plane's
@@ -112,6 +111,26 @@ type GoalOptions struct {
 	// every application on its legacy path byte for byte.
 	Offload *OffloadConfig
 }
+
+// Control selects what steers fidelity during a goal run.
+type Control int
+
+const (
+	// Directed, the paper's design: the energy monitor predicts demand
+	// against supply and directs adaptation toward the goal.
+	Directed Control = iota
+	// PinHighest runs every application at highest fidelity with no
+	// adaptation; with an unreachable goal the run measures the top of
+	// the feasible runtime band.
+	PinHighest
+	// PinLowest pins the lowest fidelity: the bottom of the band.
+	PinLowest
+	// Thresholds is the decentralized alternative of
+	// DecentralizedComparison: each application degrades itself as the
+	// residual energy crosses fixed fractions of the initial supply (see
+	// startThresholds).
+	Thresholds
+)
 
 // OffloadConfig parameterizes the offload plane for one run. Chaos
 // scenarios store it as JSON under these tags.
@@ -225,12 +244,11 @@ func (fa *fidelityAverager) means() map[string]float64 {
 
 // RunGoal executes one goal-directed energy adaptation experiment.
 func RunGoal(opt GoalOptions) GoalResult {
-	var rig *env.Rig
+	profile := hw.ThinkPad560X()
 	if opt.Profile != nil {
-		rig = env.NewRigProfile(opt.Seed, 1, *opt.Profile)
-	} else {
-		rig = env.NewRig(opt.Seed, 1)
+		profile = *opt.Profile
 	}
+	rig := env.NewRigProfile(opt.Seed, 1, profile)
 	rig.EnablePowerMgmt()
 	if opt.StallBound != 0 {
 		bound := opt.StallBound
@@ -260,18 +278,14 @@ func RunGoal(opt GoalOptions) GoalResult {
 			panic(err)
 		}
 	}
-	var regs []*core.Registration
+	regs := apps.Register()
 	if opt.EqualPriority {
-		for _, a := range []core.Adaptive{apps.Speech, apps.Video, apps.Map, apps.Web} {
-			if apps.Enabled(a.Name()) {
-				regs = append(regs, rig.V.RegisterApp(a, 1))
-			}
+		for _, r := range regs {
+			r.SetPriority(1)
 		}
-	} else {
-		regs = apps.Register()
 	}
 	apps.SetAllHighest()
-	if opt.DisableAdaptation && opt.FixedLowest {
+	if opt.Control == PinLowest {
 		apps.SetAllLowest()
 	}
 
@@ -350,8 +364,13 @@ func RunGoal(opt GoalOptions) GoalResult {
 			res.Trace = append(res.Trace, tp)
 		}
 	}
-	if !opt.DisableAdaptation {
+	stopControl := func() {}
+	switch opt.Control {
+	case Directed:
 		em.Start()
+		stopControl = em.Stop
+	case Thresholds:
+		stopControl = startThresholds(rig, regs, opt.InitialEnergy, residual, avg)
 	}
 
 	goal := opt.Goal
@@ -380,15 +399,15 @@ func RunGoal(opt GoalOptions) GoalResult {
 		if sup != nil {
 			sup.Stop()
 		}
-		em.Stop()
+		stopControl()
 		rig.K.Stop()
 	}
 	var watch func()
 	watch = func() {
 		if depleted() {
 			// The supply drained; the goal is met only if we
-			// reached it (DisableAdaptation runs measure runtime
-			// this way).
+			// reached it (the pinned runs measure runtime this
+			// way).
 			finish(rig.K.Now() >= goal)
 			return
 		}
@@ -467,20 +486,6 @@ func RunGoal(opt GoalOptions) GoalResult {
 		opt.Observe(rig, em)
 	}
 	return res
-}
-
-// RuntimeAtFixedFidelity measures how long the goal workload runs on the
-// supply with adaptation disabled — the feasible-band endpoints the paper
-// quotes (19:27 at highest fidelity, 27:06 at lowest, for 12,000 J).
-func RuntimeAtFixedFidelity(seed int64, initialEnergy float64, lowest bool) time.Duration {
-	r := RunGoal(GoalOptions{
-		Seed:              seed,
-		InitialEnergy:     initialEnergy,
-		Goal:              8 * time.Hour, // unreachable: run to depletion
-		DisableAdaptation: true,
-		FixedLowest:       lowest,
-	})
-	return r.EndTime
 }
 
 // Arms is a goal-directed figure reduced for display, the goal sweeps'
@@ -614,6 +619,22 @@ func Figure19() []GoalResult {
 		})
 	})
 	return []GoalResult{rs[0][0], rs[1][0]}
+}
+
+// SupplyDemandChart renders a goal run's trace as an ASCII chart of residual
+// supply and predicted demand against time, Figure 19's top graph.
+func SupplyDemandChart(title string, points []core.TracePoint) string {
+	chart := textplot.New(title, 64, 12)
+	chart.XLabel = "seconds"
+	ts := make([]float64, len(points))
+	supply := make([]float64, len(points))
+	demand := make([]float64, len(points))
+	for i, tp := range points {
+		ts[i], supply[i], demand[i] = tp.Time.Seconds(), tp.Supply, tp.Demand
+	}
+	chart.Add(textplot.Series{Name: "supply (J)", X: ts, Y: supply})
+	chart.Add(textplot.Series{Name: "demand (J)", X: ts, Y: demand})
+	return chart.String()
 }
 
 // Figure21 sweeps the smoothing half-life (as a fraction of remaining time)

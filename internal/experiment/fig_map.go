@@ -41,13 +41,7 @@ var mapArms = []Arm[mapview.Config]{
 // each fidelity with the paper's default five-second think time (Figure 10:
 // 4 maps x 7 bars, 10 trials each in the paper).
 func Figure10(trials int) *Grid {
-	return figureMap(trials, 5*time.Second, 1000)
-}
-
-// figureMap parameterizes the map experiment by think time (reused by the
-// Figure 16 summary).
-func figureMap(trials int, think time.Duration, seed int64) *Grid {
-	return mapGrid("fig10", "Figure 10: energy impact of fidelity for map viewing", mapArms, trials, think, seed)
+	return mapGrid("fig10", "Figure 10: energy impact of fidelity for map viewing", mapArms, trials, 5*time.Second, 1000)
 }
 
 // mapGrid views the four standard maps, each under every arm's config with

@@ -58,26 +58,27 @@ func Figure16(trials int) *Summary16 {
 		}
 	}
 
-	// Video: no think-time dimension.
-	g6 := Figure6(trials)
+	// The full grids run the arms of Figures 6, 8, 10 and 13 but report
+	// progress under this figure's id. Video: no think-time dimension.
+	g6 := videoGrid("fig16", "video", videoArms, trials, 600)
 	g6f := videoGrid("fidelity-video", "video fidelity-only",
 		fidelityOnlyArms(video.TrackBase, video.TrackCombined), trials, 1610)
 	record("Video", -1, g6, g6.BarIndex(BarCombined), g6f)
 
 	// Speech: no think-time dimension; lowest is hybrid+reduced.
-	g8 := Figure8(trials)
+	g8 := speechGrid("fig16", "speech", speechArms, trials, 800)
 	g8f := speechGrid("fidelity-speech", "speech fidelity-only",
 		fidelityOnlyArms(speechFull, speechLowest), trials, 1620)
 	record("Speech", -1, g8, g8.BarIndex(BarHybridReduced), g8f)
 
 	for _, think := range thinkTimes {
-		gm := figureMap(trials, think, 1600+int64(think/time.Second))
+		gm := mapGrid("fig16", "map", mapArms, trials, think, 1600+int64(think/time.Second))
 		gmf := mapGrid("fidelity-map", "map fidelity-only",
 			fidelityOnlyArms(mapFull, mapLowest), trials, think, 1630+int64(think/time.Second))
 		record("Map", think, gm, gm.BarIndex(BarCroppedSecondary), gmf)
 	}
 	for _, think := range thinkTimes {
-		gw := figureWeb(trials, think, 1700+int64(think/time.Second))
+		gw := webGrid("fig16", "web", webArms, trials, think, 1700+int64(think/time.Second))
 		gwf := webGrid("fidelity-web", "web fidelity-only",
 			fidelityOnlyArms(web.FullFidelity, web.JPEG5), trials, think, 1640+int64(think/time.Second))
 		record("Web", think, gw, gw.BarIndex("JPEG-5"), gwf)

@@ -23,13 +23,7 @@ var webArms = []Arm[web.Quality]{
 // decreasing JPEG quality with a five-second think time (Figure 13: 4
 // images x 6 bars, 10 trials each in the paper).
 func Figure13(trials int) *Grid {
-	return figureWeb(trials, 5*time.Second, 1300)
-}
-
-// figureWeb parameterizes the web experiment by think time (reused by the
-// Figure 16 summary).
-func figureWeb(trials int, think time.Duration, seed int64) *Grid {
-	return webGrid("fig13", "Figure 13: energy impact of fidelity for Web browsing", webArms, trials, think, seed)
+	return webGrid("fig13", "Figure 13: energy impact of fidelity for Web browsing", webArms, trials, 5*time.Second, 1300)
 }
 
 // webGrid fetches the four standard images, each at every arm's quality

@@ -5,9 +5,11 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
+	"time"
 )
 
 // updateGoldens rewrites the golden figure files from the current code:
@@ -34,7 +36,9 @@ func titledCSV(t *Table) string { return "# " + t.Title + "\n" + t.CSV() }
 
 // figureGoldens renders every figure at goldenTrials: each table as
 // odyssey-sim -csv prints it, each grid with every per-object breakdown,
-// Figure 2's profile as text, and Figure 19's traces as hex floats.
+// Figure 2's profile as text, and Figure 19's traces as hex floats. Goal
+// runs whose tables round them are also pinned exactly: both policy arms,
+// the equal-priority ablation arm, and the feasible band at seeds 1 and 7.
 func figureGoldens() []goldenFigure {
 	return []goldenFigure{
 		{"fig2", "# Figure 2: PowerScope energy profile of 30 s of video playback\n" + Figure2(1).String()},
@@ -60,7 +64,64 @@ func figureGoldens() []goldenFigure {
 		{"resilience", titledCSV(FigureResilience(goldenTrials).Table())},
 		{"supervision", titledCSV(FigureSupervision(goldenTrials).Table())},
 		{"offload", titledCSV(FigureOffload(goldenTrials).Table())},
+		{"policy-runs", resultHex(policyRuns())},
+		{"ablation-equal-priority", resultHex(equalPriorityRuns())},
+		{"band", bandNs(1, 7)},
 	}
+}
+
+// policyRuns runs both arms of the policy figure at both of its goals with
+// the figure's seeds, goldenTrials each, in (goal, policy, trial) order.
+func policyRuns() []GoalResult {
+	goals := []time.Duration{20 * time.Minute, 26 * time.Minute}
+	return slices.Concat(sweep(2*len(goals), goldenTrials, func(a, t int) GoalResult {
+		return RunGoal(GoalOptions{Seed: int64(3000 + t), InitialEnergy: Figure20InitialEnergy,
+			Goal: goals[a/2], Control: [2]Control{Directed, Thresholds}[a%2]})
+	})...)
+}
+
+// equalPriorityRuns runs the ablations' equal-priority arm (the fifth) with
+// its seeds, goldenTrials of them.
+func equalPriorityRuns() []GoalResult {
+	return sweep(1, goldenTrials, func(_, t int) GoalResult {
+		return RunGoal(GoalOptions{
+			Seed:          int64(2600 + 4*31 + t),
+			InitialEnergy: Figure20InitialEnergy,
+			Goal:          26 * time.Minute,
+			EqualPriority: true,
+		})
+	})[0]
+}
+
+// bandNs renders the feasible runtime band at each seed in nanoseconds.
+func bandNs(seeds ...int64) string {
+	var b strings.Builder
+	for _, seed := range seeds {
+		hi, lo := FeasibleBand(seed, Figure20InitialEnergy)
+		fmt.Fprintf(&b, "seed %d highest=%d lowest=%d\n", seed, int64(hi), int64(lo))
+	}
+	return b.String()
+}
+
+// resultHex renders goal runs' outcomes exactly, one line per run: the goal,
+// whether it was met, the residual as a hex float, the end time in
+// nanoseconds, then each application's adaptation count and mean fidelity
+// (a hex float) in name order.
+func resultHex(results []GoalResult) string {
+	var b strings.Builder
+	for _, r := range results {
+		fmt.Fprintf(&b, "goal %v met=%v residual=%x end=%d", r.Goal, r.Met, r.Residual, int64(r.EndTime))
+		apps := make([]string, 0, len(r.Adaptations))
+		for app := range r.Adaptations {
+			apps = append(apps, app)
+		}
+		sort.Strings(apps)
+		for _, app := range apps {
+			fmt.Fprintf(&b, " %s=%d/%x", app, r.Adaptations[app], r.MeanFidelity[app])
+		}
+		b.WriteByte('\n')
+	}
+	return b.String()
 }
 
 // traceStride is how many evaluations apart the golden trace lines are: 5 s

@@ -246,13 +246,19 @@ func cellWall(rs []trialResult) time.Duration {
 }
 
 // FeasibleBand measures the battery-duration band goal-directed adaptation
-// works within: runtime at highest and lowest fidelity on the same supply.
-// The two fixed-fidelity runs are independent simulations, so they execute
-// on the worker pool.
+// works within: how long the goal workload runs on the supply pinned at
+// highest and at lowest fidelity — the endpoints the paper quotes (19:27
+// and 27:06 for 12,000 J). The two pinned runs are independent
+// simulations, so they execute on the worker pool.
 func FeasibleBand(seed int64, initialEnergy float64) (hi, lo time.Duration) {
 	var out [2]time.Duration
 	runTasks(2, func(i int) {
-		out[i] = RuntimeAtFixedFidelity(seed, initialEnergy, i == 1)
+		out[i] = RunGoal(GoalOptions{
+			Seed:          seed,
+			InitialEnergy: initialEnergy,
+			Goal:          8 * time.Hour, // unreachable: run to depletion
+			Control:       [2]Control{PinHighest, PinLowest}[i],
+		}).EndTime
 	})
 	return out[0], out[1]
 }

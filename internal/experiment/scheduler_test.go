@@ -103,16 +103,20 @@ func TestSavingsRangeEmptyGrid(t *testing.T) {
 	}
 }
 
-// TestFeasibleBandMatchesSerialRuns: the pooled band equals the two direct
-// fixed-fidelity runs.
+// TestFeasibleBandMatchesSerialRuns: the pooled band equals the two pinned
+// runs made directly, one after the other.
 func TestFeasibleBandMatchesSerialRuns(t *testing.T) {
 	useParallelism(t, 2)
 	hi, lo := FeasibleBand(7, Figure20InitialEnergy)
-	if want := RuntimeAtFixedFidelity(7, Figure20InitialEnergy, false); hi != want {
-		t.Fatalf("highest-fidelity runtime %v, want %v", hi, want)
-	}
-	if want := RuntimeAtFixedFidelity(7, Figure20InitialEnergy, true); lo != want {
-		t.Fatalf("lowest-fidelity runtime %v, want %v", lo, want)
+	for _, c := range []struct {
+		control Control
+		got     time.Duration
+	}{{PinHighest, hi}, {PinLowest, lo}} {
+		want := RunGoal(GoalOptions{Seed: 7, InitialEnergy: Figure20InitialEnergy,
+			Goal: 8 * time.Hour, Control: c.control}).EndTime
+		if c.got != want {
+			t.Fatalf("runtime pinned by control %d is %v, want %v", c.control, c.got, want)
+		}
 	}
 }
 
@@ -137,7 +141,8 @@ func TestSweepIndexesArmTrial(t *testing.T) {
 }
 
 // TestProgressLines: the progress stream reports every computed cell with
-// its trial count — one line per cell of a grid, whatever the pool width.
+// its trial count — one line per cell of a grid, whatever the pool width —
+// under the id of the figure that ran it.
 func TestProgressLines(t *testing.T) {
 	var b strings.Builder
 	SetProgress(&b)
@@ -163,6 +168,20 @@ func TestProgressLines(t *testing.T) {
 			if line := "cell grid " + o + " / " + arm.Label + ": 3 trials in"; strings.Count(out, line) != 1 {
 				t.Fatalf("want exactly one %q line:\n%s", line, out)
 			}
+		}
+	}
+
+	// Figure 16 reruns the arms of Figures 6, 8, 10 and 13; its cells report
+	// under its own id, so -figure all -progress tells the two apart.
+	b.Reset()
+	Figure16(1)
+	out = b.String()
+	if !strings.Contains(out, "cell fig16 ") {
+		t.Fatalf("no cell fig16 line from Figure16:\n%s", out)
+	}
+	for _, id := range []string{"fig6", "fig8", "fig10", "fig13"} {
+		if strings.Contains(out, "cell "+id+" ") {
+			t.Fatalf("Figure16 reports a cell as %s:\n%s", id, out)
 		}
 	}
 }

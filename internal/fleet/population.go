@@ -303,7 +303,11 @@ func (p Population) Session(fleetSeed int64, i int) Session {
 	return sess
 }
 
-// Plan-seed derivation, matching the convention the chaos and experiment
-// planes use: each plane draws from its own stream.
+// Plan-seed derivation. These offsets (+131, +223) are fleet's own and do
+// not match the chaos and experiment convention (experiment.FaultPlanSeed
+// and MisbehavePlanSeed, +97 and +211); faultSeed's +131 also equals
+// supervise.supSeed, so a session that arms both a fault plan and the
+// supervisor draws both from one stream. Changing either moves fleet
+// output, so the fix waits for a change that re-blesses it.
 func faultSeed(seed int64) int64     { return seed*2654435761 + 131 }
 func misbehaveSeed(seed int64) int64 { return seed*2654435761 + 223 }
