@@ -13,8 +13,9 @@
 // -misbehave arms the application supervisor and (for severities other
 // than "none") injects the named application-misbehavior ladder; with the
 // flag empty the supervisor is disarmed and runs are byte-identical to
-// earlier releases. -joules must be finite and above zero and -goal must
-// not be negative; anything else is a usage error (exit status 2).
+// earlier releases. -joules must be finite and above zero, -goal must not be
+// negative, and the feasible band (no -goal) takes a supply of at most about
+// 2.9e10 J; anything else is a usage error (exit status 2).
 package main
 
 import (
@@ -57,6 +58,10 @@ func main() {
 	}
 	if *goal < 0 {
 		fmt.Fprintf(os.Stderr, "-goal must not be negative, got %v\n", *goal)
+		prof.Exit(2)
+	}
+	if _, ok := experiment.BandGoal(*joules); *goal == 0 && !ok {
+		fmt.Fprintf(os.Stderr, "-joules %v is too large a supply to measure the feasible band (give a -goal)\n", *joules)
 		prof.Exit(2)
 	}
 	experiment.SetParallelism(*parallel)

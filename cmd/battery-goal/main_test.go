@@ -40,7 +40,8 @@ func batteryGoal(t *testing.T, args ...string) (stdout, stderr string, code int)
 }
 
 // TestImpossibleSupplyOrGoalRejected: a supply that is not a finite positive
-// number of joules, or a negative goal, is a usage error — exit status 2 and
+// number of joules (or, for the feasible band, too large to measure), or a
+// negative goal, is a usage error — exit status 2 and
 // one line on stderr naming the flag, with nothing on stdout. (A supply of
 // zero or less would otherwise run on an unlimited external source and
 // report a met goal with an absurd residual.)
@@ -50,6 +51,7 @@ func TestImpossibleSupplyOrGoalRejected(t *testing.T) {
 		{"-joules", "-100"},
 		{"-joules", "NaN"},
 		{"-joules", "+Inf"},
+		{"-joules", "3e10"}, // the feasible band's goal would overflow
 		{"-goal", "26m", "-joules", "0"},
 		{"-goal", "-5m"},
 	} {

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"odyssey/internal/experiment"
+	"odyssey/internal/faults"
 	"odyssey/internal/power"
 	"odyssey/internal/trace"
 )
@@ -146,45 +147,32 @@ func checkClock(r *Report, res experiment.GoalResult) {
 	}
 }
 
-// bracketPairs maps each windowed fault message to its closing message.
-// Every injector that opens a window must close it — the toggler fires the
-// exit callback even on Stop — so an unmatched begin means a fault leaked
-// past the end of the run.
-var bracketPairs = map[string]string{
-	"outage begin":  "outage end",
-	"spike begin":   "spike end",
-	"dropout begin": "dropout end",
-	"hang begin":    "hang end",
-	"thrash begin":  "thrash end",
-	"lie begin":     "lie end",
-	"crash":         "recover",
-}
-
-// checkTrace audits fault-event well-formedness: per subject, every
-// window-opening event is balanced by its closing event, and the balance
-// never goes negative (an end before any begin). The balance may exceed one
-// — two injectors of the same kind aimed at one component nest their
-// windows legitimately — but it must return to zero by the end of the run.
-// A log that dropped events cannot be audited this way and is skipped.
+// checkTrace audits fault-event well-formedness against
+// faults.WindowKinds: per subject, every window-opening event is balanced
+// by its closing event, and the balance never goes negative (an end before
+// any begin). Every injector that opens a window must close it — it fires
+// the exit even on Stop — so an unmatched begin means a fault leaked past
+// the end of the run. The balance may exceed one — two injectors of the
+// same kind aimed at one component nest their windows legitimately — but it
+// must return to zero by the end of the run. A log that dropped events
+// cannot be audited this way and is skipped.
 func checkTrace(r *Report, res experiment.GoalResult) {
 	if res.Events == nil || res.Events.Dropped() > 0 {
 		return
 	}
-	closers := make(map[string]string, len(bracketPairs))
-	//odylint:allow mapiter inverting a bijective literal map; distinct values make the write order immaterial
-	for open, close := range bracketPairs {
-		closers[close] = open
-	}
-	balance := make(map[string]int) // subject+open-message -> open windows
+	balance := make(map[string]int) // subject+begin-message -> open windows
 	for _, e := range res.Events.Filter(trace.CatFault, "") {
-		if _, isOpen := bracketPairs[e.Message]; isOpen {
-			balance[e.Subject+"/"+e.Message]++
-		} else if open, isClose := closers[e.Message]; isClose {
-			key := e.Subject + "/" + open
-			balance[key]--
-			if balance[key] < 0 {
-				r.add(SentinelTrace, fmt.Sprintf("%s: %q without a prior %q", e.Subject, e.Message, open))
-				return
+		for _, w := range faults.WindowKinds {
+			switch e.Message {
+			case w.Begin:
+				balance[e.Subject+"/"+w.Begin]++
+			case w.End:
+				key := e.Subject + "/" + w.Begin
+				balance[key]--
+				if balance[key] < 0 {
+					r.add(SentinelTrace, fmt.Sprintf("%s: %q without a prior %q", e.Subject, e.Message, w.Begin))
+					return
+				}
 			}
 		}
 	}

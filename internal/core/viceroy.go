@@ -24,16 +24,14 @@ type Viceroy struct {
 	deliverer UpcallDeliverer
 }
 
-// UpcallDeliverer intercepts viceroy-to-application upcalls. The supervision
-// plane (internal/supervise) installs one to wrap every upcall in a
+// UpcallDeliverer intercepts viceroy-to-application fidelity upcalls. The
+// supervision plane (internal/supervise) installs one to wrap each in a
 // virtual-clock watchdog; with no deliverer installed, upcalls go straight
-// to the application exactly as they always have.
+// to the application exactly as they always have. Resource-expectation
+// upcalls always go straight to the application.
 type UpcallDeliverer interface {
 	// DeliverSetLevel delivers the fidelity upcall r.App.SetLevel(level).
 	DeliverSetLevel(r *Registration, level int)
-	// DeliverExpectation delivers the resource-expectation upcall
-	// e.Upcall(avail).
-	DeliverExpectation(e *Expectation, avail float64)
 }
 
 // SetDeliverer installs (or, with nil, removes) the upcall deliverer.
@@ -47,15 +45,6 @@ func (v *Viceroy) deliverSetLevel(r *Registration, level int) {
 		return
 	}
 	r.App.SetLevel(level)
-}
-
-// deliverExpectation routes an expectation upcall the same way.
-func (v *Viceroy) deliverExpectation(e *Expectation, avail float64) {
-	if v.deliverer != nil {
-		v.deliverer.DeliverExpectation(e, avail)
-		return
-	}
-	e.Upcall(avail)
 }
 
 // resource is a named, scalar resource level with registered expectations.
@@ -73,11 +62,6 @@ type Expectation struct {
 	Low      float64
 	High     float64
 	Upcall   func(avail float64)
-	// Owner optionally names the application the expectation belongs to,
-	// so the supervision plane can attribute the upcall. Set it after
-	// Request returns (delivery is always deferred to a scheduled event,
-	// so the assignment happens first).
-	Owner string
 
 	active bool
 	// cancelled distinguishes an application's Cancel from consumption by
@@ -208,7 +192,7 @@ func (v *Viceroy) Request(resourceName string, low, high float64, upcall func(av
 		avail := r.avail
 		v.k.After(0, func() {
 			if e.active && !e.cancelled {
-				v.deliverExpectation(e, avail)
+				e.Upcall(avail)
 			}
 		})
 	}
@@ -248,7 +232,7 @@ func (v *Viceroy) UpdateResource(name string, avail float64) {
 			if e.cancelled {
 				return
 			}
-			v.deliverExpectation(e, avail)
+			e.Upcall(avail)
 		})
 	}
 }

@@ -34,6 +34,9 @@ const (
 	// compositePeriod is how often a composite iteration begins in the
 	// goal-directed workload.
 	compositePeriod = 25 * time.Second
+	// goalHorizon is how far past its goal RunGoal lets a run go before
+	// ending it regardless.
+	goalHorizon = 4 * time.Hour
 )
 
 // GoalOptions parameterizes one goal-directed run.
@@ -74,11 +77,11 @@ type GoalOptions struct {
 	// RecordEvents attaches a trace log (adaptations, monitor decisions,
 	// fault events) returned in GoalResult.Events.
 	RecordEvents bool
-	// Supervise arms the application supervision plane: every upcall is
-	// delivered through the watchdog, the periodic health audit runs, and
-	// misbehaving applications are restarted or quarantined. When false the
-	// viceroy's direct delivery path is byte-identical to an unsupervised
-	// build.
+	// Supervise arms the application supervision plane: every fidelity
+	// upcall is delivered through the watchdog, the periodic health audit
+	// runs, and misbehaving applications are restarted or quarantined. When
+	// false the viceroy's direct delivery path is byte-identical to an
+	// unsupervised build.
 	Supervise bool
 	// Misbehave, if set (and typically with Supervise), builds an
 	// application-misbehavior fault plan against the trial's apps;
@@ -430,8 +433,7 @@ func RunGoal(opt GoalOptions) GoalResult {
 		apps.StartGoalWorkload(period, until)
 	}
 
-	horizon := goal + 4*time.Hour
-	rig.K.Run(horizon)
+	rig.K.Run(goal + goalHorizon)
 	if !done {
 		finish(rig.K.Now() >= goal)
 	}

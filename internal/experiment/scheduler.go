@@ -3,11 +3,13 @@ package experiment
 import (
 	"fmt"
 	"io"
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"odyssey/internal/app/env"
+	"odyssey/internal/hw"
 	"odyssey/internal/sim"
 	"odyssey/internal/stats"
 )
@@ -248,17 +250,33 @@ func cellWall(rs []trialResult) time.Duration {
 // FeasibleBand measures the battery-duration band goal-directed adaptation
 // works within: how long the goal workload runs on the supply pinned at
 // highest and at lowest fidelity — the endpoints the paper quotes (19:27
-// and 27:06 for 12,000 J). The two pinned runs are independent
+// and 27:06 for 12,000 J). Both runs get BandGoal's goal, which neither
+// reaches, so each runs to depletion. The two pinned runs are independent
 // simulations, so they execute on the worker pool.
 func FeasibleBand(seed int64, initialEnergy float64) (hi, lo time.Duration) {
+	goal, _ := BandGoal(initialEnergy)
 	var out [2]time.Duration
 	runTasks(2, func(i int) {
 		out[i] = RunGoal(GoalOptions{
 			Seed:          seed,
 			InitialEnergy: initialEnergy,
-			Goal:          8 * time.Hour, // unreachable: run to depletion
+			Goal:          goal,
 			Control:       [2]Control{PinHighest, PinLowest}[i],
 		}).EndTime
 	})
 	return out[0], out[1]
+}
+
+// BandGoal is the goal of FeasibleBand's pinned runs on a supply: the time
+// the reference profile's always-on Other draw alone would take to drain
+// it. Every run draws at least Other, so none reaches this goal. ok is
+// false when the goal plus RunGoal's horizon does not fit a time.Duration
+// (a supply above about 2.9e10 J); goal is then the largest that does.
+func BandGoal(initialEnergy float64) (goal time.Duration, ok bool) {
+	limit := time.Duration(math.MaxInt64) - goalHorizon
+	ns := initialEnergy / hw.ThinkPad560X().Other * float64(time.Second)
+	if !(ns < float64(limit)) {
+		return limit, false
+	}
+	return time.Duration(ns), true
 }

@@ -120,6 +120,23 @@ func TestFeasibleBandMatchesSerialRuns(t *testing.T) {
 	}
 }
 
+// TestFeasibleBandRunsToDepletion: the pinned runs end at depletion
+// whatever the supply, so on 400 kJ the lowest-fidelity end runs past 8 h
+// and the band keeps the proportions it has on the Figure 20 supply.
+func TestFeasibleBandRunsToDepletion(t *testing.T) {
+	useParallelism(t, 2)
+	hi20, lo20 := FeasibleBand(1, Figure20InitialEnergy)
+	hi, lo := FeasibleBand(1, 400_000)
+	if lo <= 8*time.Hour {
+		t.Fatalf("lowest-fidelity runtime %v on 400 kJ, want past 8h", lo)
+	}
+	want := lo20.Seconds() / hi20.Seconds()
+	if got := lo.Seconds() / hi.Seconds(); math.Abs(got/want-1) > 0.01 {
+		t.Fatalf("band ratio %.4f on 400 kJ, want within 1%% of %.4f on %.0f J",
+			got, want, Figure20InitialEnergy)
+	}
+}
+
 // TestSweepIndexesArmTrial: the sweep files run(a, t) under [a][t] at any
 // pool width, with arm and trial counts that differ.
 func TestSweepIndexesArmTrial(t *testing.T) {

@@ -18,15 +18,15 @@ import (
 // dividing by zero. The link must still toggle and every window must close.
 func TestZeroDurationOutages(t *testing.T) {
 	m, n := newRig(11)
-	pl := faults.NewPlan(m.K, "zero", 5)
+	pl := bindPlan(t, m.K, &stubTargets{net: n}, 5, linkSpec(0, 0, 0))
 	pl.Log = trace.NewLog(m.K.Now, 0)
-	out := &faults.LinkOutage{Net: n, MeanUp: 0, MeanDown: 0, MaxDown: 0}
-	pl.Add(out)
 	pl.Start()
 	m.K.At(2*time.Second, func() { m.K.Stop() })
 	m.K.Run(0)
 	pl.Stop()
-	if out.Outages() == 0 {
+	_, counts := pl.Counts()
+	outages := counts["link/outage begin"]
+	if outages == 0 {
 		t.Fatal("zero-mean outage injector never fired")
 	}
 	if !n.LinkUp() {
@@ -39,8 +39,8 @@ func TestZeroDurationOutages(t *testing.T) {
 	// With 1 ms clamped dwell on both sides, two virtual seconds hold at
 	// most ~2000 windows; far fewer means the clamp regressed upward,
 	// more means it stopped clamping.
-	if out.Outages() > 2000 {
-		t.Fatalf("%d outages in 2 s; clamp below 1 ms broken", out.Outages())
+	if outages > 2000 {
+		t.Fatalf("%d outages in 2 s; clamp below 1 ms broken", outages)
 	}
 }
 
@@ -51,11 +51,10 @@ func TestZeroDurationOutages(t *testing.T) {
 func TestOverlappingInjectorsOneComponent(t *testing.T) {
 	m, _ := newRig(12)
 	srv := netsim.NewServer(m.K, "shared")
-	pl := faults.NewPlan(m.K, "overlap", 9)
+	crash := faults.InjectorSpec{Kind: faults.KindServerCrash, Target: "shared",
+		MeanUp: faults.Dur(5 * time.Second), MeanDown: faults.Dur(4 * time.Second)}
+	pl := bindPlan(t, m.K, &stubTargets{servers: map[string]*netsim.Server{"shared": srv}}, 9, crash, crash)
 	pl.Log = trace.NewLog(m.K.Now, 0)
-	a := &faults.ServerCrash{Server: srv, MeanUp: 5 * time.Second, MeanDown: 4 * time.Second}
-	b := &faults.ServerCrash{Server: srv, MeanUp: 5 * time.Second, MeanDown: 4 * time.Second}
-	pl.Add(a, b)
 	pl.Start()
 	m.K.At(5*time.Minute, func() { m.K.Stop() })
 	m.K.Run(0)
@@ -63,8 +62,16 @@ func TestOverlappingInjectorsOneComponent(t *testing.T) {
 	if srv.Down() {
 		t.Fatal("server left down after both injectors stopped")
 	}
-	if a.Crashes() == 0 || b.Crashes() == 0 {
-		t.Fatalf("expected both injectors to fire; got %d and %d", a.Crashes(), b.Crashes())
+	// Each injector numbers its own crashes, so two first crashes (value
+	// 1) mean both fired.
+	firsts := 0
+	for _, e := range pl.Log.Filter(trace.CatFault, "server:shared") {
+		if e.Message == "crash" && e.Value == 1 {
+			firsts++
+		}
+	}
+	if firsts != 2 {
+		t.Fatalf("expected both injectors to fire; got %d first crashes", firsts)
 	}
 	_, counts := pl.Counts()
 	if crash, rec := counts["server:shared/crash"], counts["server:shared/recover"]; crash != rec {
@@ -78,9 +85,11 @@ func TestOverlappingInjectorsOneComponent(t *testing.T) {
 // also safe (Start after Stop re-arms cleanly).
 func TestInjectionAfterKernelDrain(t *testing.T) {
 	m, n := newRig(13)
-	pl := faults.NewPlan(m.K, "drain", 17)
-	out := &faults.LinkOutage{Net: n, MeanUp: 10 * time.Second, MeanDown: 2 * time.Second}
-	pl.Add(out)
+	pl := bindPlan(t, m.K, &stubTargets{net: n}, 17, linkSpec(10*time.Second, 2*time.Second, 0))
+	outages := func() int {
+		_, counts := pl.Counts()
+		return counts["link/outage begin"]
+	}
 	pl.Start()
 	m.K.At(time.Minute, func() { m.K.Stop() })
 	m.K.Run(0) // drains to the Stop at t=1m
@@ -92,7 +101,7 @@ func TestInjectionAfterKernelDrain(t *testing.T) {
 	if !n.LinkUp() {
 		t.Fatal("link left down after drain+Stop")
 	}
-	before := out.Outages()
+	before := outages()
 
 	// Re-arm on the same kernel: the injector schedules fresh events and
 	// the next Run window sees new outages.
@@ -100,7 +109,7 @@ func TestInjectionAfterKernelDrain(t *testing.T) {
 	m.K.At(end+5*time.Minute, func() { m.K.Stop() })
 	m.K.Run(0)
 	pl.Stop()
-	if out.Outages() <= before {
-		t.Fatalf("no outages after restart (had %d, still %d)", before, out.Outages())
+	if outages() <= before {
+		t.Fatalf("no outages after restart (had %d, still %d)", before, outages())
 	}
 }

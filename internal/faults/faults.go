@@ -6,11 +6,12 @@
 // reproducible as a clean one: same seed, same outages, same byte losses,
 // same trace.
 //
-// Injectors compose into a Plan. Network injectors act on the one transfer
-// path in internal/netsim: calls that carry a deadline time out, retry, and
-// return fallback errors, while calls without one block through the fault.
-// With no plan attached no deadline fires, so fault-free runs are
-// byte-for-byte unchanged.
+// A Plan is a PlanSpec bound to one trial's rig: each InjectorSpec resolves
+// its target and drives it with the spec's own parameters. Network
+// injectors act on the one transfer path in internal/netsim: calls that
+// carry a deadline time out, retry, and return fallback errors, while calls
+// without one block through the fault. With no plan attached no deadline
+// fires, so fault-free runs are byte-for-byte unchanged.
 package faults
 
 import (
@@ -22,16 +23,9 @@ import (
 	"odyssey/internal/trace"
 )
 
-// Injector is one fault process. Start arms it against the plan's clock and
-// RNG; Stop disarms it and restores healthy state. Both are idempotent.
-type Injector interface {
-	Name() string
-	Start(pl *Plan)
-	Stop()
-}
-
-// Plan composes injectors under one seeded RNG stream, separate from the
+// Plan runs its injectors under one seeded RNG stream, separate from the
 // kernel's, so adding or removing faults never perturbs workload draws.
+// PlanSpec.Plan builds it.
 type Plan struct {
 	Name string
 	// Log, if set, receives every fault event under trace.CatFault.
@@ -39,42 +33,28 @@ type Plan struct {
 
 	k         *sim.Kernel
 	rng       *rand.Rand
-	injectors []Injector
+	injectors []injector
 	counts    map[string]int
 	running   bool
 }
 
-// NewPlan returns an empty plan driving its injectors from k, with fault
-// timing drawn from its own stream seeded by seed.
-func NewPlan(k *sim.Kernel, name string, seed int64) *Plan {
-	return &Plan{
-		Name:   name,
-		k:      k,
-		rng:    rand.New(rand.NewSource(seed)),
-		counts: make(map[string]int),
-	}
+// injector is one InjectorSpec bound to its target. start arms it against
+// the plan's clock and RNG; stop disarms it and restores healthy state. The
+// plan alternates the two, so neither is called twice in a row, and an
+// injector's counters carry across a stop and the next start.
+type injector interface {
+	start(pl *Plan)
+	stop()
 }
 
-// Add appends injectors to the plan (before or after Start; added ones
-// start immediately if the plan is running). It returns the plan.
-func (pl *Plan) Add(injs ...Injector) *Plan {
-	pl.injectors = append(pl.injectors, injs...)
-	if pl.running {
-		for _, in := range injs {
-			in.Start(pl)
-		}
-	}
-	return pl
-}
-
-// Start arms every injector.
+// Start arms every injector, in spec order.
 func (pl *Plan) Start() {
 	if pl.running {
 		return
 	}
 	pl.running = true
 	for _, in := range pl.injectors {
-		in.Start(pl)
+		in.start(pl)
 	}
 }
 
@@ -85,12 +65,9 @@ func (pl *Plan) Stop() {
 	}
 	pl.running = false
 	for _, in := range pl.injectors {
-		in.Stop()
+		in.stop()
 	}
 }
-
-// Rand exposes the plan's dedicated RNG stream to injectors.
-func (pl *Plan) Rand() *rand.Rand { return pl.rng }
 
 // event counts one fault occurrence and records it in the trace log.
 func (pl *Plan) event(subject, message string, value float64) {
@@ -132,58 +109,4 @@ func (pl *Plan) hold(mean, max time.Duration) time.Duration {
 		d = max
 	}
 	return d
-}
-
-// toggler is the shared two-state (healthy/faulted) engine behind the
-// injectors: exponential holding times in each state, enter/exit callbacks
-// run in kernel context.
-type toggler struct {
-	pl      *Plan
-	ev      sim.Event
-	meanOK  time.Duration
-	meanBad time.Duration
-	maxBad  time.Duration
-	faulted bool
-	enter   func() // healthy -> faulted
-	exit    func() // faulted -> healthy
-	stopped bool
-}
-
-func (t *toggler) start(pl *Plan) {
-	t.pl = pl
-	t.stopped = false
-	t.faulted = false
-	t.schedule()
-}
-
-func (t *toggler) schedule() {
-	mean, max := t.meanOK, time.Duration(0)
-	if t.faulted {
-		mean, max = t.meanBad, t.maxBad
-	}
-	t.ev = t.pl.k.After(t.pl.hold(mean, max), func() {
-		if t.stopped {
-			return
-		}
-		t.faulted = !t.faulted
-		if t.faulted {
-			t.enter()
-		} else {
-			t.exit()
-		}
-		t.schedule()
-	})
-}
-
-func (t *toggler) stop() {
-	if t.stopped {
-		return
-	}
-	t.stopped = true
-	t.ev.Cancel()
-	t.ev = sim.Event{}
-	if t.faulted {
-		t.faulted = false
-		t.exit()
-	}
 }

@@ -18,26 +18,50 @@ func newRig(seed int64) (*hw.Machine, *netsim.Network) {
 	return m, netsim.New(m)
 }
 
+// bindPlan binds injs to tg as one plan seeded by seed, failing t if any
+// injector does not bind.
+func bindPlan(t *testing.T, k *sim.Kernel, tg faults.Targets, seed int64, injs ...faults.InjectorSpec) *faults.Plan {
+	t.Helper()
+	pl, err := faults.PlanSpec{Name: "test", Seed: seed, Injectors: injs}.Plan(k, tg)
+	if err != nil {
+		t.Fatalf("bind: %v", err)
+	}
+	return pl
+}
+
+// linkSpec is a link-outage injector with the given dwell means and cap.
+func linkSpec(up, down, maxDown time.Duration) faults.InjectorSpec {
+	return faults.InjectorSpec{Kind: faults.KindLink,
+		MeanUp: faults.Dur(up), MeanDown: faults.Dur(down), MaxDown: faults.Dur(maxDown)}
+}
+
 // TestPlanTogglesLink: the outage injector takes the carrier up and down on
 // the plan's own RNG and logs every transition under trace.CatFault.
 func TestPlanTogglesLink(t *testing.T) {
 	m, n := newRig(1)
-	pl := faults.NewPlan(m.K, "test", 42)
+	pl := bindPlan(t, m.K, &stubTargets{net: n}, 42, linkSpec(30*time.Second, 10*time.Second, 20*time.Second))
 	pl.Log = trace.NewLog(m.K.Now, 0)
-	out := &faults.LinkOutage{Net: n, MeanUp: 30 * time.Second, MeanDown: 10 * time.Second, MaxDown: 20 * time.Second}
-	pl.Add(out)
 	pl.Start()
 	m.K.At(10*time.Minute, func() { m.K.Stop() })
 	m.K.Run(0)
-	if out.Outages() == 0 {
+	_, counts := pl.Counts()
+	outages := counts["link/outage begin"]
+	if outages == 0 {
 		t.Fatal("no outages in 10 minutes of 30 s mean uptime")
 	}
-	if out.DownTime() <= 0 || out.DownTime() > 5*time.Minute {
-		t.Fatalf("accumulated downtime %v implausible for ~25%% duty cycle", out.DownTime())
+	// Each outage end logs the accumulated downtime of completed outages.
+	events := pl.Log.Filter(trace.CatFault, "link")
+	var downTime time.Duration
+	for _, e := range events {
+		if e.Message == "outage end" {
+			downTime = time.Duration(e.Value * float64(time.Second))
+		}
 	}
-	begins := len(pl.Log.Filter(trace.CatFault, "link"))
-	if begins < 2*out.Outages() {
-		t.Fatalf("%d logged link events for %d outages; want begin+end pairs", begins, out.Outages())
+	if downTime <= 0 || downTime > 5*time.Minute {
+		t.Fatalf("accumulated downtime %v implausible for ~25%% duty cycle", downTime)
+	}
+	if begins := len(events); begins < 2*outages {
+		t.Fatalf("%d logged link events for %d outages; want begin+end pairs", begins, outages)
 	}
 	pl.Stop()
 	if !n.LinkUp() {
@@ -52,12 +76,13 @@ func TestPlanStopRestoresHealth(t *testing.T) {
 	m, n := newRig(2)
 	srv := netsim.NewServer(m.K, "s")
 	bat := smartbattery.New(m.K, m.Acct, smartbattery.DefaultConfig(), 9_000)
-	pl := faults.NewPlan(m.K, "test", 7)
-	pl.Add(
-		&faults.LinkOutage{Net: n, MeanUp: 5 * time.Second, MeanDown: time.Minute},
-		&faults.ServerCrash{Server: srv, MeanUp: 5 * time.Second, MeanDown: time.Minute},
-		&faults.ServerLatency{Server: srv, MeanCalm: 5 * time.Second, MeanSpike: time.Minute, Factor: 4},
-		&faults.BatteryDropout{Bat: bat, MeanUp: 5 * time.Second, MeanDown: time.Minute},
+	tg := &stubTargets{net: n, servers: map[string]*netsim.Server{"s": srv}, bat: bat}
+	up, down := faults.Dur(5*time.Second), faults.Dur(time.Minute)
+	pl := bindPlan(t, m.K, tg, 7,
+		faults.InjectorSpec{Kind: faults.KindLink, MeanUp: up, MeanDown: down},
+		faults.InjectorSpec{Kind: faults.KindServerCrash, Target: "s", MeanUp: up, MeanDown: down},
+		faults.InjectorSpec{Kind: faults.KindServerLatency, Target: "s", MeanUp: up, MeanDown: down, Factor: 4},
+		faults.InjectorSpec{Kind: faults.KindBatteryDropout, MeanUp: up, MeanDown: down},
 	)
 	pl.Start()
 	// Long fault dwells and short healthy dwells: by t=2 min essentially
@@ -87,9 +112,7 @@ func TestPlanStopRestoresHealth(t *testing.T) {
 // armed and restores losslessness on Stop.
 func TestByteLossArmsAndDisarms(t *testing.T) {
 	m, n := newRig(3)
-	pl := faults.NewPlan(m.K, "test", 1)
-	loss := &faults.ByteLoss{Net: n, Fraction: 0.2}
-	pl.Add(loss)
+	pl := bindPlan(t, m.K, &stubTargets{net: n}, 1, faults.InjectorSpec{Kind: faults.KindLoss, Fraction: 0.2})
 	pl.Start()
 	m.K.Spawn("x", func(p *sim.Proc) {
 		if err := n.BulkTransfer(p, "app", 100_000, netsim.CallOptions{Timeout: time.Minute}); err != nil {
@@ -119,12 +142,13 @@ func TestPlanDeterministicAcrossRuns(t *testing.T) {
 	run := func(seed int64) string {
 		m, n := newRig(1)
 		srv := netsim.NewServer(m.K, "s")
-		pl := faults.NewPlan(m.K, "test", seed)
-		pl.Log = trace.NewLog(m.K.Now, 0)
-		pl.Add(
-			&faults.LinkOutage{Net: n, MeanUp: 40 * time.Second, MeanDown: 10 * time.Second},
-			&faults.ServerCrash{Server: srv, MeanUp: time.Minute, MeanDown: 15 * time.Second},
+		tg := &stubTargets{net: n, servers: map[string]*netsim.Server{"s": srv}}
+		pl := bindPlan(t, m.K, tg, seed,
+			linkSpec(40*time.Second, 10*time.Second, 0),
+			faults.InjectorSpec{Kind: faults.KindServerCrash, Target: "s",
+				MeanUp: faults.Dur(time.Minute), MeanDown: faults.Dur(15 * time.Second)},
 		)
+		pl.Log = trace.NewLog(m.K.Now, 0)
 		pl.Start()
 		m.K.At(15*time.Minute, func() { m.K.Stop() })
 		m.K.Run(0)
@@ -151,8 +175,7 @@ func TestPlanDeterministicAcrossRuns(t *testing.T) {
 // key and sums to TotalEvents.
 func TestCountsAndTotal(t *testing.T) {
 	m, n := newRig(4)
-	pl := faults.NewPlan(m.K, "test", 5)
-	pl.Add(&faults.LinkOutage{Net: n, MeanUp: 20 * time.Second, MeanDown: 5 * time.Second})
+	pl := bindPlan(t, m.K, &stubTargets{net: n}, 5, linkSpec(20*time.Second, 5*time.Second, 0))
 	pl.Start()
 	m.K.At(10*time.Minute, func() { m.K.Stop() })
 	m.K.Run(0)

@@ -3,236 +3,243 @@ package faults
 import (
 	"time"
 
+	"odyssey/internal/core"
 	"odyssey/internal/netsim"
+	"odyssey/internal/sim"
 	"odyssey/internal/smartbattery"
+	"odyssey/internal/supervise"
 )
 
-// LinkOutage drops the wireless carrier entirely — the connectivity-loss
-// events the fade model (netsim.LinkQuality) cannot express. Up and down
-// dwell times are exponential with the given means; MaxDown, if positive,
-// caps a single outage.
-type LinkOutage struct {
-	Net      *netsim.Network
-	MeanUp   time.Duration
-	MeanDown time.Duration
-	MaxDown  time.Duration
+// WindowKind is one toggling injector kind. Every Begin event a plan logs
+// for a subject is closed by an End event for that subject, at Stop at the
+// latest. Two injectors aimed at one component nest their windows, so a
+// subject may have several open at once, but none is left open after Stop.
+type WindowKind struct {
+	Kind       string
+	Begin, End string
 
-	t         toggler
-	outages   int
-	downSince time.Duration
-	downTotal time.Duration
+	prefix      string                  // event subject, or its part before the target name
+	enter, exit func(w *window) float64 // apply / heal the fault; the event's value
 }
 
-// Name implements Injector.
-func (o *LinkOutage) Name() string { return "link" }
+// WindowKinds lists the seven toggling kinds. The chaos trace-wellformed
+// sentinel reads the Begin/End pairs from here, so a new window kind is
+// audited as soon as it is listed.
+//
+// The network kinds: a link outage drops the wireless carrier entirely —
+// the connectivity loss the fade model (netsim.LinkQuality) cannot express;
+// a server crash fails every deadline-bounded call with ErrServerDown; a
+// latency spike multiplies the server's service times by Factor (overload,
+// a congested backhaul); a battery dropout faults the SmartBattery readout,
+// so current reads zero (the monitor skips the sample) and residual capacity
+// goes stale.
+//
+// The application kinds attack the applications themselves through the
+// misbehavior surface (supervise.AppHealth) every adaptive application
+// embeds. A hung application swallows upcalls: it neither applies nor
+// acknowledges them, so a supervised upcall trips its watchdog. A thrashing
+// one defies degradation, re-raising its fidelity to maximum every Period
+// (default 2 s, at least 1 ms) until the window ends or a restart clears
+// the flag. A lying one keeps reporting the level the viceroy set while
+// operating Delta (default 2) levels higher, which only the supervisor's
+// PowerScope audit detects. With no supervisor installed the misbehavior
+// simply wrecks the run — the baseline the supervision plane is measured
+// against.
+var WindowKinds = []WindowKind{
+	{Kind: KindLink, Begin: "outage begin", End: "outage end", prefix: "link",
+		enter: func(w *window) float64 {
+			w.downSince = w.pl.k.Now()
+			w.net.SetLinkUp(false)
+			return float64(w.n)
+		},
+		exit: func(w *window) float64 {
+			w.downTotal += w.pl.k.Now() - w.downSince
+			w.net.SetLinkUp(true)
+			return w.downTotal.Seconds()
+		}},
+	{Kind: KindServerCrash, Begin: "crash", End: "recover", prefix: "server:",
+		enter: func(w *window) float64 { w.srv.SetDown(true); return float64(w.n) },
+		exit:  func(w *window) float64 { w.srv.SetDown(false); return float64(w.n) }},
+	{Kind: KindServerLatency, Begin: "spike begin", End: "spike end", prefix: "latency:",
+		enter: func(w *window) float64 { w.srv.SetLatencyFactor(w.spec.Factor); return w.spec.Factor },
+		exit:  func(w *window) float64 { w.srv.SetLatencyFactor(1); return float64(w.n) }},
+	{Kind: KindBatteryDropout, Begin: "dropout begin", End: "dropout end", prefix: "battery",
+		enter: func(w *window) float64 { w.bat.SetDropout(true); return float64(w.n) },
+		exit:  func(w *window) float64 { w.bat.SetDropout(false); return float64(w.n) }},
+	{Kind: KindAppHang, Begin: "hang begin", End: "hang end", prefix: "hang:",
+		enter: func(w *window) float64 { w.health.SetHung(true); return float64(w.n) },
+		exit:  func(w *window) float64 { w.health.SetHung(false); return float64(w.n) }},
+	{Kind: KindAppThrash, Begin: "thrash begin", End: "thrash end", prefix: "thrash:",
+		enter: func(w *window) float64 { w.health.SetThrashing(true); w.pulse(); return float64(w.n) },
+		exit:  func(w *window) float64 { w.health.SetThrashing(false); return float64(w.raises) }},
+	{Kind: KindAppLie, Begin: "lie begin", End: "lie end", prefix: "lie:",
+		enter: func(w *window) float64 {
+			delta := w.spec.Delta
+			if delta == 0 {
+				delta = 2
+			}
+			w.health.SetLieDelta(delta)
+			return float64(delta)
+		},
+		exit: func(w *window) float64 { w.health.SetLieDelta(0); return float64(w.n) }},
+}
 
-// Start implements Injector.
-func (o *LinkOutage) Start(pl *Plan) {
-	o.t = toggler{
-		meanOK:  o.MeanUp,
-		meanBad: o.MeanDown,
-		maxBad:  o.MaxDown,
-		enter: func() {
-			o.outages++
-			o.downSince = pl.k.Now()
-			o.Net.SetLinkUp(false)
-			pl.event(o.Name(), "outage begin", float64(o.outages))
-		},
-		exit: func() {
-			o.downTotal += pl.k.Now() - o.downSince
-			o.Net.SetLinkUp(true)
-			pl.event(o.Name(), "outage end", o.downTotal.Seconds())
-		},
+// windowKind returns the WindowKinds entry for kind, or nil.
+func windowKind(kind string) *WindowKind {
+	for i := range WindowKinds {
+		if WindowKinds[i].Kind == kind {
+			return &WindowKinds[i]
+		}
 	}
-	o.t.start(pl)
+	return nil
 }
 
-// Stop implements Injector, restoring the carrier if an outage is active.
-func (o *LinkOutage) Stop() { o.t.stop() }
+// window is a bound toggling injector. Healthy and faulted dwell times are
+// exponential draws from the plan's stream with the spec's MeanUp and
+// MeanDown; MaxDown, if positive, caps a faulted one. Entering the faulted
+// state applies the fault and logs the kind's Begin; leaving it, on
+// schedule or at Stop, heals the fault and logs End.
+type window struct {
+	*WindowKind
+	spec    InjectorSpec
+	subject string
 
-// Outages reports how many outages began.
-func (o *LinkOutage) Outages() int { return o.outages }
+	// The target; the kind's enter/exit use the one it needs.
+	net    *netsim.Network
+	srv    *netsim.Server
+	pool   []*netsim.Server // pool:any: srv is drawn from it at the first start
+	bat    *smartbattery.Battery
+	app    core.Adaptive
+	health *supervise.AppHealth
 
-// DownTime reports accumulated carrier-absent time (completed outages).
-func (o *LinkOutage) DownTime() time.Duration { return o.downTotal }
+	pl      *Plan
+	ev      sim.Event
+	faulted bool
+	n       int // windows begun
 
-// ByteLoss makes every transfer lose a fraction of its bytes to the
+	downSince, downTotal time.Duration // link outage
+	pulseEv              sim.Event     // app thrash: the re-raise loop
+	raises               int
+}
+
+func (w *window) start(pl *Plan) {
+	w.pl = pl
+	if w.srv == nil && w.pool != nil {
+		// One draw, before the toggle's, so which member falls is
+		// deterministic per seed.
+		w.srv = w.pool[pl.rng.Intn(len(w.pool))]
+		w.subject += w.srv.Name
+		pl.event(w.subject, "pool victim", 0)
+	}
+	w.faulted = false
+	w.schedule()
+}
+
+func (w *window) schedule() {
+	mean, max := w.spec.MeanUp.D(), time.Duration(0)
+	if w.faulted {
+		mean, max = w.spec.MeanDown.D(), w.spec.MaxDown.D()
+	}
+	w.ev = w.pl.k.After(w.pl.hold(mean, max), func() {
+		w.faulted = !w.faulted
+		if w.faulted {
+			w.n++
+			w.pl.event(w.subject, w.Begin, w.enter(w))
+		} else {
+			w.pl.event(w.subject, w.End, w.exit(w))
+		}
+		w.schedule()
+	})
+}
+
+func (w *window) stop() {
+	w.pulseEv.Cancel()
+	w.pulseEv = sim.Event{}
+	w.ev.Cancel()
+	w.ev = sim.Event{}
+	if w.faulted {
+		w.faulted = false
+		w.pl.event(w.subject, w.End, w.exit(w))
+	}
+}
+
+// pulse is the thrashing application's side of the fight: while the window
+// lasts (and the process lives), re-raise to full fidelity every Period.
+func (w *window) pulse() {
+	period := w.spec.Period.D()
+	switch {
+	case period <= 0:
+		period = 2 * time.Second
+	case period < time.Millisecond:
+		period = time.Millisecond // the floor hold puts under every dwell
+	}
+	w.pulseEv = w.pl.k.After(period, func() {
+		if w.pulseEv == (sim.Event{}) || !w.health.Thrashing() {
+			return
+		}
+		if w.health.Alive() {
+			if max := len(w.app.Levels()) - 1; w.app.Level() < max {
+				w.raises++
+				w.app.SetLevel(max)
+				w.pl.event(w.subject, "fidelity re-raised", float64(max))
+			}
+		}
+		w.pulse()
+	})
+}
+
+// byteLoss makes every transfer lose a fraction of its bytes to the
 // channel, inflating traffic by the retransmission factor 1/(1-loss); the
-// extra bytes and their CPU are charged to the net-retry principal. The
-// per-transfer fraction is Fraction spread uniformly by +/- Spread.
-type ByteLoss struct {
-	Net      *netsim.Network
-	Fraction float64
-	Spread   float64
-
-	armed bool
+// extra bytes and their CPU are charged to the net-retry principal. Each
+// transfer draws its fraction from the plan's stream: Fraction spread
+// uniformly by +/- Spread.
+type byteLoss struct {
+	spec InjectorSpec
+	net  *netsim.Network
 }
 
-// Name implements Injector.
-func (b *ByteLoss) Name() string { return "loss" }
-
-// Start implements Injector.
-func (b *ByteLoss) Start(pl *Plan) {
-	if b.armed {
-		return
-	}
-	b.armed = true
-	b.Net.SetLossSampler(func() float64 {
-		f := b.Fraction
-		if b.Spread > 0 {
-			f *= 1 + b.Spread*(2*pl.rng.Float64()-1)
+func (b *byteLoss) start(pl *Plan) {
+	b.net.SetLossSampler(func() float64 {
+		f := b.spec.Fraction
+		if b.spec.Spread > 0 {
+			f *= 1 + b.spec.Spread*(2*pl.rng.Float64()-1)
 		}
 		if f < 0 {
 			f = 0
 		}
 		return f
 	})
-	pl.event(b.Name(), "byte loss armed", b.Fraction)
+	pl.event("loss", "byte loss armed", b.spec.Fraction)
 }
 
-// Stop implements Injector, restoring losslessness.
-func (b *ByteLoss) Stop() {
-	if !b.armed {
-		return
-	}
-	b.armed = false
-	b.Net.SetLossSampler(nil)
+func (b *byteLoss) stop() { b.net.SetLossSampler(nil) }
+
+// appCrash kills the application process at exponentially distributed
+// intervals with mean MeanUp. It never revives it: that is the supervisor's
+// job (restart) or nobody's (the unsupervised baseline). Each kill only
+// lands on a live process, so a quarantined application stays dead; Stop's
+// cleanup revives it.
+type appCrash struct {
+	spec    InjectorSpec
+	subject string
+	health  *supervise.AppHealth
+	ev      sim.Event
+	kills   int
 }
 
-// ServerCrash takes a remote server through crash/recover windows. While
-// down, calls with a deadline time out with ErrServerDown.
-type ServerCrash struct {
-	Server   *netsim.Server
-	MeanUp   time.Duration
-	MeanDown time.Duration
-	MaxDown  time.Duration
-	// Pool, when non-nil, marks a symbolic TargetAnyPool injector: the
-	// victim Server is drawn from it with the plan's seeded RNG at Start
-	// (one draw, before the toggler's), so which member crashes is
-	// deterministic per seed and the spec round-trips symbolically.
-	Pool []*netsim.Server
-
-	t       toggler
-	crashes int
+func (c *appCrash) start(pl *Plan) {
+	c.ev = pl.k.After(pl.hold(c.spec.MeanUp.D(), 0), func() {
+		if c.health.Alive() {
+			c.kills++
+			c.health.SetCrashed(true)
+			pl.event(c.subject, "process killed", float64(c.kills))
+		}
+		c.start(pl)
+	})
 }
 
-// Name implements Injector.
-func (c *ServerCrash) Name() string {
-	if c.Server == nil {
-		return "server:" + TargetAnyPool
-	}
-	return "server:" + c.Server.Name
+func (c *appCrash) stop() {
+	c.ev.Cancel()
+	c.ev = sim.Event{}
+	c.health.SetCrashed(false)
 }
-
-// Start implements Injector.
-func (c *ServerCrash) Start(pl *Plan) {
-	if c.Server == nil && len(c.Pool) > 0 {
-		c.Server = c.Pool[pl.Rand().Intn(len(c.Pool))]
-		pl.event(c.Name(), "pool victim", float64(0))
-	}
-	c.t = toggler{
-		meanOK:  c.MeanUp,
-		meanBad: c.MeanDown,
-		maxBad:  c.MaxDown,
-		enter: func() {
-			c.crashes++
-			c.Server.SetDown(true)
-			pl.event(c.Name(), "crash", float64(c.crashes))
-		},
-		exit: func() {
-			c.Server.SetDown(false)
-			pl.event(c.Name(), "recover", float64(c.crashes))
-		},
-	}
-	c.t.start(pl)
-}
-
-// Stop implements Injector, recovering the server if it is down.
-func (c *ServerCrash) Stop() { c.t.stop() }
-
-// Crashes reports how many crash windows began.
-func (c *ServerCrash) Crashes() int { return c.crashes }
-
-// ServerLatency injects service-time spikes: during a spike every request
-// to the server takes Factor times as long, modeling overload or a
-// congested backhaul.
-type ServerLatency struct {
-	Server    *netsim.Server
-	MeanCalm  time.Duration
-	MeanSpike time.Duration
-	Factor    float64
-	// Pool marks a symbolic TargetAnyPool injector; see ServerCrash.Pool.
-	Pool []*netsim.Server
-
-	t      toggler
-	spikes int
-}
-
-// Name implements Injector.
-func (l *ServerLatency) Name() string {
-	if l.Server == nil {
-		return "latency:" + TargetAnyPool
-	}
-	return "latency:" + l.Server.Name
-}
-
-// Start implements Injector.
-func (l *ServerLatency) Start(pl *Plan) {
-	if l.Server == nil && len(l.Pool) > 0 {
-		l.Server = l.Pool[pl.Rand().Intn(len(l.Pool))]
-		pl.event(l.Name(), "pool victim", float64(0))
-	}
-	l.t = toggler{
-		meanOK:  l.MeanCalm,
-		meanBad: l.MeanSpike,
-		enter: func() {
-			l.spikes++
-			l.Server.SetLatencyFactor(l.Factor)
-			pl.event(l.Name(), "spike begin", l.Factor)
-		},
-		exit: func() {
-			l.Server.SetLatencyFactor(1)
-			pl.event(l.Name(), "spike end", float64(l.spikes))
-		},
-	}
-	l.t.start(pl)
-}
-
-// Stop implements Injector, restoring calm service times.
-func (l *ServerLatency) Stop() { l.t.stop() }
-
-// BatteryDropout faults the SmartBattery readout path: while active,
-// current reads zero (the monitor skips the sample) and residual capacity
-// goes stale, so goal-directed adaptation runs on old data.
-type BatteryDropout struct {
-	Bat      *smartbattery.Battery
-	MeanUp   time.Duration
-	MeanDown time.Duration
-
-	t        toggler
-	dropouts int
-}
-
-// Name implements Injector.
-func (d *BatteryDropout) Name() string { return "battery" }
-
-// Start implements Injector.
-func (d *BatteryDropout) Start(pl *Plan) {
-	d.t = toggler{
-		meanOK:  d.MeanUp,
-		meanBad: d.MeanDown,
-		enter: func() {
-			d.dropouts++
-			d.Bat.SetDropout(true)
-			pl.event(d.Name(), "dropout begin", float64(d.dropouts))
-		},
-		exit: func() {
-			d.Bat.SetDropout(false)
-			pl.event(d.Name(), "dropout end", float64(d.dropouts))
-		},
-	}
-	d.t.start(pl)
-}
-
-// Stop implements Injector, restoring the readout path.
-func (d *BatteryDropout) Stop() { d.t.stop() }

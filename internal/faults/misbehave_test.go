@@ -4,8 +4,11 @@ import (
 	"testing"
 	"time"
 
+	"odyssey/internal/core"
 	"odyssey/internal/faults"
+	"odyssey/internal/netsim"
 	"odyssey/internal/sim"
+	"odyssey/internal/smartbattery"
 	"odyssey/internal/supervise"
 	"odyssey/internal/trace"
 )
@@ -21,21 +24,41 @@ func (f *fakeAdaptive) Levels() []string { return []string{"a", "b", "c", "d"} }
 func (f *fakeAdaptive) Level() int       { return f.level }
 func (f *fakeAdaptive) SetLevel(l int)   { f.level = l }
 
+// appTargets binds application injectors to one fakeAdaptive; it has no
+// network, servers or battery.
+type appTargets struct{ *fakeAdaptive }
+
+func (appTargets) Network() *netsim.Network             { return nil }
+func (appTargets) Server(string) (*netsim.Server, bool) { return nil, false }
+func (appTargets) Battery() *smartbattery.Battery       { return nil }
+func (a appTargets) App(name string) (core.Adaptive, *supervise.AppHealth, bool) {
+	return a.fakeAdaptive, &a.Health, name == a.name
+}
+
+// appSpec is an application injector of kind aimed at "a".
+func appSpec(kind string, up, down time.Duration) faults.InjectorSpec {
+	return faults.InjectorSpec{Kind: kind, Target: "a", MeanUp: faults.Dur(up), MeanDown: faults.Dur(down)}
+}
+
+// count reads one "injector/event" counter of pl.
+func count(pl *faults.Plan, key string) int {
+	_, counts := pl.Counts()
+	return counts[key]
+}
+
 // TestAppCrashKillsOnceAndStopRevives: the crash injector kills a live
 // process, never re-kills a dead one (revival is the supervisor's job), and
 // Stop's cleanup revives it.
 func TestAppCrashKillsOnceAndStopRevives(t *testing.T) {
 	k := sim.NewKernel(3)
 	app := &fakeAdaptive{name: "a", level: 3}
-	pl := faults.NewPlan(k, "t", 7)
+	pl := bindPlan(t, k, appTargets{app}, 7, appSpec(faults.KindAppCrash, 10*time.Second, 0))
 	pl.Log = trace.NewLog(k.Now, 0)
-	cr := &faults.AppCrash{App: app, Health: &app.Health, MeanUp: 10 * time.Second}
-	pl.Add(cr)
 	pl.Start()
 	k.At(5*time.Minute, func() { k.Stop() })
 	k.Run(0)
-	if cr.Kills() != 1 {
-		t.Fatalf("kills %d with nobody reviving the process, want exactly 1", cr.Kills())
+	if kills := count(pl, "crash:a/process killed"); kills != 1 {
+		t.Fatalf("kills %d with nobody reviving the process, want exactly 1", kills)
 	}
 	if app.Health.Alive() {
 		t.Fatal("process alive after kill")
@@ -51,19 +74,19 @@ func TestAppCrashKillsOnceAndStopRevives(t *testing.T) {
 func TestAppHangWindowsToggle(t *testing.T) {
 	k := sim.NewKernel(3)
 	app := &fakeAdaptive{name: "a", level: 3}
-	pl := faults.NewPlan(k, "t", 7)
+	hang := appSpec(faults.KindAppHang, 20*time.Second, 5*time.Second)
+	hang.MaxDown = faults.Dur(10 * time.Second)
+	pl := bindPlan(t, k, appTargets{app}, 7, hang)
 	pl.Log = trace.NewLog(k.Now, 0)
-	hg := &faults.AppHang{App: app, Health: &app.Health,
-		MeanOK: 20 * time.Second, MeanHang: 5 * time.Second, MaxHang: 10 * time.Second}
-	pl.Add(hg)
 	pl.Start()
 	k.At(5*time.Minute, func() { k.Stop() })
 	k.Run(0)
-	if hg.Hangs() < 2 {
-		t.Fatalf("hangs %d in 5 minutes of 20 s mean uptime", hg.Hangs())
+	hangs := count(pl, "hang:a/hang begin")
+	if hangs < 2 {
+		t.Fatalf("hangs %d in 5 minutes of 20 s mean uptime", hangs)
 	}
-	if got := len(pl.Log.Filter(trace.CatFault, hg.Name())); got < 2*hg.Hangs()-1 {
-		t.Fatalf("%d logged events for %d hang windows; want begin+end pairs", got, hg.Hangs())
+	if got := len(pl.Log.Filter(trace.CatFault, "hang:a")); got < 2*hangs-1 {
+		t.Fatalf("%d logged events for %d hang windows; want begin+end pairs", got, hangs)
 	}
 	pl.Stop()
 	if app.Health.Hung() {
@@ -77,14 +100,14 @@ func TestAppHangWindowsToggle(t *testing.T) {
 func TestAppThrashReRaisesAndResetSilences(t *testing.T) {
 	k := sim.NewKernel(3)
 	app := &fakeAdaptive{name: "a", level: 0}
-	pl := faults.NewPlan(k, "t", 7)
-	th := &faults.AppThrash{App: app, Health: &app.Health,
-		MeanCalm: time.Second, MeanThrash: time.Hour, Period: time.Second}
-	pl.Add(th)
+	thrash := appSpec(faults.KindAppThrash, time.Second, time.Hour)
+	thrash.Period = faults.Dur(time.Second)
+	pl := bindPlan(t, k, appTargets{app}, 7, thrash)
+	raises := func() int { return count(pl, "thrash:a/fidelity re-raised") }
 	pl.Start()
 	k.At(30*time.Second, func() { k.Stop() })
 	k.Run(0)
-	if th.Raises() == 0 {
+	if raises() == 0 {
 		t.Fatal("no defiant re-raises during a thrash window")
 	}
 	if app.level != 3 {
@@ -93,12 +116,12 @@ func TestAppThrashReRaisesAndResetSilences(t *testing.T) {
 	// A restart clears the thrashing flag; the degraded level then sticks.
 	app.Health.Reset()
 	app.level = 0
-	raised := th.Raises()
+	raised := raises()
 	k.At(k.Now()+10*time.Second, func() { k.Stop() })
 	k.Run(0)
-	if th.Raises() != raised {
+	if raises() != raised {
 		t.Fatalf("pulse loop re-raised after restart cleared the flag (%d -> %d)",
-			raised, th.Raises())
+			raised, raises())
 	}
 	pl.Stop()
 }
@@ -108,14 +131,13 @@ func TestAppThrashReRaisesAndResetSilences(t *testing.T) {
 func TestAppLieShiftsEffectiveLevelOnly(t *testing.T) {
 	k := sim.NewKernel(3)
 	app := &fakeAdaptive{name: "a", level: 1}
-	pl := faults.NewPlan(k, "t", 7)
-	li := &faults.AppLie{App: app, Health: &app.Health,
-		MeanOK: time.Second, MeanLie: time.Hour, Delta: 2}
-	pl.Add(li)
+	lie := appSpec(faults.KindAppLie, time.Second, time.Hour)
+	lie.Delta = 2
+	pl := bindPlan(t, k, appTargets{app}, 7, lie)
 	pl.Start()
 	k.At(30*time.Second, func() { k.Stop() })
 	k.Run(0)
-	if li.Lies() == 0 {
+	if count(pl, "lie:a/lie begin") == 0 {
 		t.Fatal("no lie window opened")
 	}
 	if app.Level() != 1 {
@@ -136,13 +158,10 @@ func TestMisbehaveDeterministicAcrossRuns(t *testing.T) {
 	run := func() string {
 		k := sim.NewKernel(5)
 		app := &fakeAdaptive{name: "a", level: 3}
-		pl := faults.NewPlan(k, "t", 99)
+		hang := appSpec(faults.KindAppHang, 20*time.Second, 5*time.Second)
+		hang.MaxDown = faults.Dur(10 * time.Second)
+		pl := bindPlan(t, k, appTargets{app}, 99, appSpec(faults.KindAppCrash, 30*time.Second, 0), hang)
 		pl.Log = trace.NewLog(k.Now, 0)
-		pl.Add(
-			&faults.AppCrash{App: app, Health: &app.Health, MeanUp: 30 * time.Second},
-			&faults.AppHang{App: app, Health: &app.Health,
-				MeanOK: 20 * time.Second, MeanHang: 5 * time.Second, MaxHang: 10 * time.Second},
-		)
 		pl.Start()
 		k.At(5*time.Minute, func() { k.Stop() })
 		k.Run(0)

@@ -42,11 +42,11 @@ func anyPoolSpec() faults.PlanSpec {
 }
 
 // TestAnyPoolSpecRoundTrip: the symbolic "pool:any" target survives
-// Build and JSON: the built injectors hold the whole pool with no victim
-// pinned before Start, and the PlanSpec round-trips unchanged.
+// binding and JSON: no victim is pinned before Start, each injector's
+// victim is a pool member, and the PlanSpec round-trips unchanged.
 func TestAnyPoolSpecRoundTrip(t *testing.T) {
-	_, tg := newPoolRig(1, 3)
-	checkSpecWiring(t, anyPoolSpec(), tg)
+	k, tg := newPoolRig(1, 3)
+	checkSpecWiring(t, anyPoolSpec(), k, tg)
 }
 
 // TestAnyPoolVictimDeterminism: the victim draw comes from the plan's
@@ -96,16 +96,15 @@ func TestAnyPoolVictimDeterminism(t *testing.T) {
 // (or an empty one) is a materialization error, never a panic.
 func TestAnyPoolBuildErrors(t *testing.T) {
 	k, bare := newSpecRig(3)
+	kEmpty, empty := newPoolRig(4, 0)
 	for _, kind := range []string{faults.KindServerCrash, faults.KindServerLatency} {
-		is := faults.InjectorSpec{Kind: kind, Target: faults.TargetAnyPool}
-		if _, err := is.Build(bare); err == nil {
+		spec := faults.PlanSpec{Name: "pool", Seed: 1,
+			Injectors: []faults.InjectorSpec{{Kind: kind, Target: faults.TargetAnyPool}}}
+		if _, err := spec.Plan(k, bare); err == nil {
 			t.Errorf("%s built against a pool-less binder; want error", kind)
 		}
-		kEmpty, empty := newPoolRig(4, 0)
-		_ = kEmpty
-		if _, err := is.Build(empty); err == nil {
+		if _, err := spec.Plan(kEmpty, empty); err == nil {
 			t.Errorf("%s built against an empty pool; want error", kind)
 		}
 	}
-	_ = k
 }

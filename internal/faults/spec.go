@@ -3,6 +3,7 @@ package faults
 import (
 	"encoding/json"
 	"fmt"
+	"math/rand"
 	"time"
 
 	"odyssey/internal/core"
@@ -60,11 +61,13 @@ const (
 	KindAppLie         = "app-lie"
 )
 
-// InjectorSpec is the serializable description of one injector. Fields are
-// reused across kinds: MeanUp/MeanDown are the healthy/faulted dwell means
-// (calm/spike for latency, lifetime-between-kills for app-crash), MaxDown
-// caps one faulted window, and the scalar fields carry the kind-specific
-// magnitudes.
+// InjectorSpec is one injector: PlanSpec.Plan binds it to its target and
+// the bound injector reads its parameters from here. Fields are reused
+// across kinds: MeanUp/MeanDown are the healthy/faulted dwell means
+// (calm/spike for latency, lifetime-between-kills for app-crash, the fixed
+// firing delay for the planted kinds), MaxDown, if positive, caps one
+// faulted window of any WindowKinds kind, and the scalar fields carry the
+// kind-specific magnitudes.
 type InjectorSpec struct {
 	Kind   string `json:"kind"`
 	Target string `json:"target,omitempty"` // server or application name
@@ -72,7 +75,7 @@ type InjectorSpec struct {
 	MeanUp   Dur `json:"mean_up,omitempty"`
 	MeanDown Dur `json:"mean_down,omitempty"`
 	MaxDown  Dur `json:"max_down,omitempty"`
-	Period   Dur `json:"period,omitempty"` // app-thrash re-raise cadence
+	Period   Dur `json:"period,omitempty"` // app-thrash re-raise cadence (default 2 s, at least 1 ms)
 
 	Fraction float64 `json:"fraction,omitempty"` // byte-loss mean fraction
 	Spread   float64 `json:"spread,omitempty"`   // byte-loss +/- spread
@@ -82,8 +85,8 @@ type InjectorSpec struct {
 
 // Targets resolves the symbolic names in injector specs against one trial's
 // live rig. Implementations return ok=false (or nil for the battery) when a
-// target does not exist in the scenario, which Build reports as an
-// error rather than a panic, so a malformed or over-shrunk spec fails the
+// target does not exist in the scenario, which PlanSpec.Plan reports as
+// an error rather than a panic, so a malformed or over-shrunk spec fails the
 // single trial instead of the whole soak.
 type Targets interface {
 	// Network returns the wireless network under test.
@@ -105,8 +108,8 @@ type Targets interface {
 const TargetAnyPool = "pool:any"
 
 // PoolTargets is the optional extension a binder implements when its rig
-// carries an offload pool; Build consults it only for TargetAnyPool specs,
-// so binders for pool-less rigs need not change.
+// carries an offload pool; PlanSpec.Plan consults it only for TargetAnyPool
+// specs, so binders for pool-less rigs need not change.
 type PoolTargets interface {
 	// PoolServers returns the pool members, in index order.
 	PoolServers() []*netsim.Server
@@ -126,68 +129,55 @@ func poolServers(kind string, tg Targets) ([]*netsim.Server, error) {
 	return pool, nil
 }
 
-// Build materializes the spec into a live injector bound to tg.
-func (s InjectorSpec) Build(tg Targets) (Injector, error) {
+// bind resolves the spec's target in tg and returns the injector that
+// drives it, reading its parameters from the spec.
+func (s InjectorSpec) bind(tg Targets) (injector, error) {
 	switch s.Kind {
-	case KindLink:
-		return &LinkOutage{Net: tg.Network(), MeanUp: s.MeanUp.D(), MeanDown: s.MeanDown.D(), MaxDown: s.MaxDown.D()}, nil
 	case KindLoss:
-		return &ByteLoss{Net: tg.Network(), Fraction: s.Fraction, Spread: s.Spread}, nil
-	case KindServerCrash:
-		if s.Target == TargetAnyPool {
-			pool, err := poolServers(s.Kind, tg)
-			if err != nil {
-				return nil, err
-			}
-			return &ServerCrash{Pool: pool, MeanUp: s.MeanUp.D(), MeanDown: s.MeanDown.D(), MaxDown: s.MaxDown.D()}, nil
-		}
-		srv, ok := tg.Server(s.Target)
-		if !ok {
-			return nil, fmt.Errorf("faults: %s: unknown server %q", s.Kind, s.Target)
-		}
-		return &ServerCrash{Server: srv, MeanUp: s.MeanUp.D(), MeanDown: s.MeanDown.D(), MaxDown: s.MaxDown.D()}, nil
-	case KindServerLatency:
-		if s.Target == TargetAnyPool {
-			pool, err := poolServers(s.Kind, tg)
-			if err != nil {
-				return nil, err
-			}
-			return &ServerLatency{Pool: pool, MeanCalm: s.MeanUp.D(), MeanSpike: s.MeanDown.D(), Factor: s.Factor}, nil
-		}
-		srv, ok := tg.Server(s.Target)
-		if !ok {
-			return nil, fmt.Errorf("faults: %s: unknown server %q", s.Kind, s.Target)
-		}
-		return &ServerLatency{Server: srv, MeanCalm: s.MeanUp.D(), MeanSpike: s.MeanDown.D(), Factor: s.Factor}, nil
-	case KindBatteryDropout:
-		bat := tg.Battery()
-		if bat == nil {
-			return nil, fmt.Errorf("faults: %s: scenario has no SmartBattery", s.Kind)
-		}
-		return &BatteryDropout{Bat: bat, MeanUp: s.MeanUp.D(), MeanDown: s.MeanDown.D()}, nil
-	case KindTestPanic:
-		return &TestPanic{Delay: s.MeanUp.D()}, nil
-	case KindTestProcPanic:
-		return &TestProcPanic{Delay: s.MeanUp.D()}, nil
-	case KindTestLivelock:
-		return &TestLivelock{Delay: s.MeanUp.D()}, nil
-	case KindAppCrash, KindAppHang, KindAppThrash, KindAppLie:
+		return &byteLoss{spec: s, net: tg.Network()}, nil
+	case KindTestPanic, KindTestProcPanic, KindTestLivelock:
+		return &planted{kind: s.Kind, delay: s.MeanUp.D()}, nil
+	case KindAppCrash:
 		app, health, ok := tg.App(s.Target)
 		if !ok {
 			return nil, fmt.Errorf("faults: %s: unknown application %q", s.Kind, s.Target)
 		}
-		switch s.Kind {
-		case KindAppCrash:
-			return &AppCrash{App: app, Health: health, MeanUp: s.MeanUp.D()}, nil
-		case KindAppHang:
-			return &AppHang{App: app, Health: health, MeanOK: s.MeanUp.D(), MeanHang: s.MeanDown.D(), MaxHang: s.MaxDown.D()}, nil
-		case KindAppThrash:
-			return &AppThrash{App: app, Health: health, MeanCalm: s.MeanUp.D(), MeanThrash: s.MeanDown.D(), Period: s.Period.D()}, nil
-		default:
-			return &AppLie{App: app, Health: health, MeanOK: s.MeanUp.D(), MeanLie: s.MeanDown.D(), Delta: s.Delta}, nil
-		}
+		return &appCrash{spec: s, subject: "crash:" + app.Name(), health: health}, nil
 	}
-	return nil, fmt.Errorf("faults: unknown injector kind %q", s.Kind)
+	wk := windowKind(s.Kind)
+	if wk == nil {
+		return nil, fmt.Errorf("faults: unknown injector kind %q", s.Kind)
+	}
+	w := &window{WindowKind: wk, spec: s, subject: wk.prefix}
+	switch s.Kind {
+	case KindLink:
+		w.net = tg.Network()
+	case KindServerCrash, KindServerLatency:
+		if s.Target == TargetAnyPool {
+			pool, err := poolServers(s.Kind, tg)
+			if err != nil {
+				return nil, err
+			}
+			w.pool = pool
+			return w, nil
+		}
+		srv, ok := tg.Server(s.Target)
+		if !ok {
+			return nil, fmt.Errorf("faults: %s: unknown server %q", s.Kind, s.Target)
+		}
+		w.srv, w.subject = srv, w.subject+srv.Name
+	case KindBatteryDropout:
+		if w.bat = tg.Battery(); w.bat == nil {
+			return nil, fmt.Errorf("faults: %s: scenario has no SmartBattery", s.Kind)
+		}
+	default: // the application kinds
+		app, health, ok := tg.App(s.Target)
+		if !ok {
+			return nil, fmt.Errorf("faults: %s: unknown application %q", s.Kind, s.Target)
+		}
+		w.app, w.health, w.subject = app, health, w.subject+app.Name()
+	}
+	return w, nil
 }
 
 // PlanSpec is the serializable form of a Plan: its name, its RNG seed, and
@@ -200,16 +190,17 @@ type PlanSpec struct {
 	Injectors []InjectorSpec `json:"injectors,omitempty"`
 }
 
-// Plan materializes the spec into a live plan driving its injectors from k,
-// bound to tg.
+// Plan binds the spec to tg: a plan driving its injectors from k, with
+// fault timing drawn from its own stream seeded by the spec's Seed. An
+// unknown kind or an unresolvable target is an error.
 func (s PlanSpec) Plan(k *sim.Kernel, tg Targets) (*Plan, error) {
-	pl := NewPlan(k, s.Name, s.Seed)
+	pl := &Plan{Name: s.Name, k: k, rng: rand.New(rand.NewSource(s.Seed)), counts: make(map[string]int)}
 	for _, is := range s.Injectors {
-		inj, err := is.Build(tg)
+		in, err := is.bind(tg)
 		if err != nil {
 			return nil, err
 		}
-		pl.Add(inj)
+		pl.injectors = append(pl.injectors, in)
 	}
 	return pl, nil
 }

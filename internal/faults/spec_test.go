@@ -3,6 +3,7 @@ package faults_test
 import (
 	"encoding/json"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -12,6 +13,7 @@ import (
 	"odyssey/internal/sim"
 	"odyssey/internal/smartbattery"
 	"odyssey/internal/supervise"
+	"odyssey/internal/trace"
 )
 
 // stubApp is a minimal core.Adaptive for binding app injectors in tests.
@@ -79,84 +81,115 @@ func allKindsSpec() faults.PlanSpec {
 	}
 }
 
-// specOf reads a built injector back into the spec that should have built
-// it, failing t when the injector is bound to anything but tg's objects.
-func specOf(t *testing.T, inj faults.Injector, tg faults.Targets) faults.InjectorSpec {
-	t.Helper()
-	server := func(srv *netsim.Server, pool []*netsim.Server) string {
-		if pool != nil {
-			if srv != nil {
-				t.Errorf("%s: pool:any injector pinned victim %q before Start", inj.Name(), srv.Name)
-			}
-			if want := tg.(faults.PoolTargets).PoolServers(); !reflect.DeepEqual(pool, want) {
-				t.Errorf("%s: pool %v, want the rig's %v", inj.Name(), pool, want)
-			}
-			return faults.TargetAnyPool
+// cappedSpec gives every window kind a faulted dwell mean forty times its
+// MaxDown, so without the cap nearly every window would outlast it.
+func cappedSpec() faults.PlanSpec {
+	spec := faults.PlanSpec{Name: "capped", Seed: 31}
+	for _, wk := range faults.WindowKinds {
+		is := faults.InjectorSpec{Kind: wk.Kind, MeanUp: faults.Dur(20 * time.Second),
+			MeanDown: faults.Dur(10 * time.Minute), MaxDown: faults.Dur(15 * time.Second)}
+		switch wk.Kind {
+		case faults.KindServerCrash:
+			is.Target = "srv-a"
+		case faults.KindServerLatency:
+			is.Target, is.Factor = "srv-a", 3
+		case faults.KindAppHang, faults.KindAppThrash, faults.KindAppLie:
+			is.Target = "video"
 		}
-		if want, ok := tg.Server(srv.Name); !ok || srv != want {
-			t.Errorf("%s: not bound to the rig's server %q", inj.Name(), srv.Name)
-		}
-		return srv.Name
+		spec.Injectors = append(spec.Injectors, is)
 	}
-	app := func(a core.Adaptive, h *supervise.AppHealth) string {
-		if wantApp, wantHealth, ok := tg.App(a.Name()); !ok || a != wantApp || h != wantHealth {
-			t.Errorf("%s: not bound to the rig's application %q", inj.Name(), a.Name())
-		}
-		return a.Name()
-	}
-	network := func(n *netsim.Network) {
-		if n != tg.Network() {
-			t.Errorf("%s: not bound to the rig's network", inj.Name())
-		}
-	}
-	switch in := inj.(type) {
-	case *faults.LinkOutage:
-		network(in.Net)
-		return faults.InjectorSpec{Kind: faults.KindLink,
-			MeanUp: faults.Dur(in.MeanUp), MeanDown: faults.Dur(in.MeanDown), MaxDown: faults.Dur(in.MaxDown)}
-	case *faults.ByteLoss:
-		network(in.Net)
-		return faults.InjectorSpec{Kind: faults.KindLoss, Fraction: in.Fraction, Spread: in.Spread}
-	case *faults.ServerCrash:
-		return faults.InjectorSpec{Kind: faults.KindServerCrash, Target: server(in.Server, in.Pool),
-			MeanUp: faults.Dur(in.MeanUp), MeanDown: faults.Dur(in.MeanDown), MaxDown: faults.Dur(in.MaxDown)}
-	case *faults.ServerLatency:
-		return faults.InjectorSpec{Kind: faults.KindServerLatency, Target: server(in.Server, in.Pool),
-			MeanUp: faults.Dur(in.MeanCalm), MeanDown: faults.Dur(in.MeanSpike), Factor: in.Factor}
-	case *faults.BatteryDropout:
-		if in.Bat != tg.Battery() {
-			t.Errorf("%s: not bound to the rig's battery", inj.Name())
-		}
-		return faults.InjectorSpec{Kind: faults.KindBatteryDropout, MeanUp: faults.Dur(in.MeanUp), MeanDown: faults.Dur(in.MeanDown)}
-	case *faults.AppCrash:
-		return faults.InjectorSpec{Kind: faults.KindAppCrash, Target: app(in.App, in.Health), MeanUp: faults.Dur(in.MeanUp)}
-	case *faults.AppHang:
-		return faults.InjectorSpec{Kind: faults.KindAppHang, Target: app(in.App, in.Health),
-			MeanUp: faults.Dur(in.MeanOK), MeanDown: faults.Dur(in.MeanHang), MaxDown: faults.Dur(in.MaxHang)}
-	case *faults.AppThrash:
-		return faults.InjectorSpec{Kind: faults.KindAppThrash, Target: app(in.App, in.Health),
-			MeanUp: faults.Dur(in.MeanCalm), MeanDown: faults.Dur(in.MeanThrash), Period: faults.Dur(in.Period)}
-	case *faults.AppLie:
-		return faults.InjectorSpec{Kind: faults.KindAppLie, Target: app(in.App, in.Health),
-			MeanUp: faults.Dur(in.MeanOK), MeanDown: faults.Dur(in.MeanLie), Delta: in.Delta}
-	}
-	t.Errorf("unexpected injector type %T", inj)
-	return faults.InjectorSpec{}
+	return spec
 }
 
-// checkSpecWiring: Build puts every spec field of spec on the injector it
-// returns, bound to tg's named objects; a "pool:any" target sets Pool and
-// leaves Server nil, so no victim is pinned before Start. The PlanSpec
-// survives JSON unchanged, and re-marshalling gives the same bytes.
-func checkSpecWiring(t *testing.T, spec faults.PlanSpec, tg faults.Targets) {
+// subjectOf is the event subject an injector bound from is logs under, or
+// its prefix when the victim is drawn from the pool at Start.
+func subjectOf(is faults.InjectorSpec) string {
+	prefix := map[string]string{
+		faults.KindLink: "link", faults.KindLoss: "loss", faults.KindBatteryDropout: "battery",
+		faults.KindServerCrash: "server:", faults.KindServerLatency: "latency:",
+		faults.KindAppCrash: "crash:", faults.KindAppHang: "hang:",
+		faults.KindAppThrash: "thrash:", faults.KindAppLie: "lie:",
+	}[is.Kind]
+	if is.Target == faults.TargetAnyPool || !strings.HasSuffix(prefix, ":") {
+		return prefix
+	}
+	return prefix + is.Target
+}
+
+// checkSpecWiring: PlanSpec.Plan binds every injector of spec to tg's named
+// objects and each one acts on its parameters. Binding logs nothing and
+// pins no "pool:any" victim before Start; over ten virtual minutes every
+// injector fires under the subject of its target (a pool member for
+// "pool:any"), a spike, lie or loss event carries the spec's magnitude, and
+// no window outlasts the spec's MaxDown. The PlanSpec survives JSON
+// unchanged, and re-marshalling gives the same bytes.
+func checkSpecWiring(t *testing.T, spec faults.PlanSpec, k *sim.Kernel, tg faults.Targets) {
 	t.Helper()
+	pl, err := spec.Plan(k, tg)
+	if err != nil {
+		t.Fatalf("Plan(%+v): %v", spec, err)
+	}
+	if n := pl.TotalEvents(); n != 0 {
+		t.Fatalf("%d fault events before Start", n)
+	}
+	pl.Log = trace.NewLog(k.Now, 0)
+	pl.Start()
+	k.At(k.Now()+10*time.Minute, func() { k.Stop() })
+	k.Run(0)
+	pl.Stop()
+	events := pl.Log.Filter(trace.CatFault, "")
 	for _, is := range spec.Injectors {
-		inj, err := is.Build(tg)
-		if err != nil {
-			t.Fatalf("Build(%+v): %v", is, err)
+		subject, fired := subjectOf(is), false
+		if is.Target == faults.TargetAnyPool {
+			for _, e := range events {
+				if e.Message == "pool victim" && strings.HasPrefix(e.Subject, subject) {
+					subject = e.Subject
+				}
+			}
+			if pt, ok := tg.(faults.PoolTargets); !ok || !inPool(pt.PoolServers(), strings.TrimPrefix(subject, subjectOf(is))) {
+				t.Errorf("%s: victim subject %q is not a pool member", is.Kind, subject)
+			}
 		}
-		if got := specOf(t, inj, tg); got != is {
-			t.Errorf("Build wired the wrong fields:\n got %+v\nwant %+v", got, is)
+		opened := []time.Duration{}
+		for _, e := range events {
+			if e.Subject != subject || e.Message == "pool victim" {
+				continue
+			}
+			fired = true
+			switch e.Message {
+			case "spike begin":
+				if e.Value != is.Factor {
+					t.Errorf("%s: spike factor %v, want %v", subject, e.Value, is.Factor)
+				}
+			case "lie begin":
+				want := is.Delta
+				if want == 0 {
+					want = 2 // the default divergence
+				}
+				if e.Value != float64(want) {
+					t.Errorf("%s: lie delta %v, want %v", subject, e.Value, want)
+				}
+			case "byte loss armed":
+				if e.Value != is.Fraction {
+					t.Errorf("%s: loss fraction %v, want %v", subject, e.Value, is.Fraction)
+				}
+			}
+			for _, wk := range faults.WindowKinds {
+				if wk.Kind != is.Kind {
+					continue
+				}
+				if e.Message == wk.Begin {
+					opened = append(opened, e.Time)
+				} else if e.Message == wk.End && len(opened) > 0 {
+					if d := e.Time - opened[0]; is.MaxDown > 0 && d > is.MaxDown.D() {
+						t.Errorf("%s: window at %v lasted %v, past MaxDown %v", subject, opened[0], d, is.MaxDown.D())
+					}
+					opened = opened[1:]
+				}
+			}
+		}
+		if !fired {
+			t.Errorf("%s: no events under %q in ten minutes", is.Kind, subject)
 		}
 	}
 	b, err := json.Marshal(spec)
@@ -179,12 +212,24 @@ func checkSpecWiring(t *testing.T, spec faults.PlanSpec, tg faults.Targets) {
 	}
 }
 
+func inPool(pool []*netsim.Server, name string) bool {
+	for _, srv := range pool {
+		if srv.Name == name {
+			return true
+		}
+	}
+	return false
+}
+
 // TestPlanSpecJSONRoundTrip: for every injector kind and every parameter
-// field, Build wires the spec onto the injector and the PlanSpec survives
-// JSON marshal -> unmarshal -> marshal unchanged.
+// field, PlanSpec.Plan wires the spec onto the injector and the PlanSpec
+// survives JSON marshal -> unmarshal -> marshal unchanged. MaxDown caps
+// every window kind, a latency spike and a lie window included.
 func TestPlanSpecJSONRoundTrip(t *testing.T) {
-	_, tg := newSpecRig(1)
-	checkSpecWiring(t, allKindsSpec(), tg)
+	k, tg := newSpecRig(1)
+	checkSpecWiring(t, allKindsSpec(), k, tg)
+	k, tg = newSpecRig(2)
+	checkSpecWiring(t, cappedSpec(), k, tg)
 }
 
 // TestDurRoundTrip: the Dur JSON form survives odd durations exactly.
@@ -221,9 +266,6 @@ func TestSpecBuildErrors(t *testing.T) {
 		{Kind: faults.KindAppLie, Target: "no-such-app"},
 	}
 	for _, is := range cases {
-		if _, err := is.Build(tg); err == nil {
-			t.Errorf("Build(%+v) succeeded; want error", is)
-		}
 		spec := faults.PlanSpec{Name: "bad", Seed: 1, Injectors: []faults.InjectorSpec{is}}
 		if _, err := spec.Plan(k, tg); err == nil {
 			t.Errorf("PlanSpec with %+v materialized; want error", is)
@@ -231,7 +273,8 @@ func TestSpecBuildErrors(t *testing.T) {
 	}
 	// Battery-dropout without a battery is an error too.
 	noBat := &stubTargets{net: tg.net, servers: tg.servers, apps: tg.apps}
-	if _, err := (faults.InjectorSpec{Kind: faults.KindBatteryDropout}).Build(noBat); err == nil {
+	spec := faults.PlanSpec{Name: "bad", Seed: 1, Injectors: []faults.InjectorSpec{{Kind: faults.KindBatteryDropout}}}
+	if _, err := spec.Plan(k, noBat); err == nil {
 		t.Error("battery-dropout built without a battery")
 	}
 }

@@ -6,11 +6,11 @@
 // reported level silently wrecks the battery-duration goal for everyone.
 //
 // The supervisor closes that hole with the discipline of a supervision
-// tree: every upcall is delivered through a virtual-clock watchdog with an
-// acknowledgment deadline; a periodic audit checks each process for death,
-// for fidelity levels that defy the last directive, and for PowerScope
-// attribution that exceeds the fidelity model's prediction at the reported
-// level. Any of these is a strike, answered by restart with exponential
+// tree: every fidelity upcall is delivered through a virtual-clock watchdog
+// with an acknowledgment deadline; a periodic audit checks each process for
+// death, for fidelity levels that defy the last directive, and for
+// PowerScope attribution that exceeds the fidelity model's prediction at the
+// reported level. Any of these is a strike, answered by restart with exponential
 // backoff and seeded jitter (the internal/netsim/resilient.go pattern);
 // when the retry budget is exhausted the application is quarantined —
 // killed, excluded from adaptation, and its priority-weighted share of the
@@ -224,9 +224,8 @@ type Supervisor struct {
 	// trace.CatSupervise.
 	Log *trace.Log
 
-	cells  []*Cell
-	byReg  map[*core.Registration]*Cell
-	byName map[string]*Cell
+	cells []*Cell
+	byReg map[*core.Registration]*Cell
 
 	auditEv sim.Event
 	running bool
@@ -255,7 +254,6 @@ func New(k *sim.Kernel, v *core.Viceroy, em *core.EnergyMonitor, acct *power.Acc
 		cfg:     cfg.withDefaults(),
 		rng:     rand.New(rand.NewSource(supSeed(seed))),
 		byReg:   make(map[*core.Registration]*Cell),
-		byName:  make(map[string]*Cell),
 		strikes: make(map[string]int),
 	}
 }
@@ -267,7 +265,6 @@ func (s *Supervisor) Watch(reg *core.Registration, health *AppHealth, prof Profi
 	c.lastEnergy = s.principalEnergy(c)
 	s.cells = append(s.cells, c)
 	s.byReg[reg] = c
-	s.byName[c.name()] = c
 	return c
 }
 
@@ -343,36 +340,6 @@ func (s *Supervisor) DeliverSetLevel(r *core.Registration, level int) {
 	acked = true
 	c.pendingAcks--
 	c.holdUntil = s.k.Now() + s.cfg.AuditGrace
-	wd.Cancel()
-}
-
-// DeliverExpectation implements core.UpcallDeliverer for resource
-// expectations, keyed by the expectation's Owner.
-func (s *Supervisor) DeliverExpectation(e *core.Expectation, avail float64) {
-	c := s.byName[e.Owner]
-	if c == nil {
-		e.Upcall(avail) // unowned or unwatched expectation
-		return
-	}
-	if c.state == cellQuarantined {
-		return
-	}
-	s.charge(s.cfg.DeliveryCPU)
-	acked := false
-	c.pendingAcks++
-	wd := s.k.After(s.cfg.AckDeadline, func() {
-		if !acked {
-			c.pendingAcks--
-			s.missedAck(c, "expectation upcall")
-		}
-	})
-	if !c.health.Alive() || c.health.Hung() {
-		s.trace(c.name(), "upcall swallowed", avail)
-		return
-	}
-	e.Upcall(avail)
-	acked = true
-	c.pendingAcks--
 	wd.Cancel()
 }
 

@@ -262,25 +262,6 @@ func TestUnwatchedRegistrationPassesThrough(t *testing.T) {
 	}
 }
 
-func TestExpectationUpcallWatchdog(t *testing.T) {
-	cfg := supervise.Config{NoJitter: true, AckDeadline: time.Second}
-	h := newHarness(t, cfg, supervise.Profile{})
-	fired := false
-	e := &core.Expectation{Owner: "a", Upcall: func(float64) { fired = true }}
-	h.k.At(time.Second, func() {
-		h.health.SetHung(true)
-		h.sup.DeliverExpectation(e, 5)
-	})
-	h.k.Run(10 * time.Second)
-	if fired {
-		t.Fatal("hung app acknowledged an expectation upcall")
-	}
-	if h.sup.MissedAcks() != 1 || h.sup.Strikes()["hang"] != 1 {
-		t.Fatalf("missed acks %d strikes %v, want 1 and hang:1",
-			h.sup.MissedAcks(), h.sup.Strikes())
-	}
-}
-
 func TestQuarantinedAppReceivesNoUpcalls(t *testing.T) {
 	cfg := supervise.Config{NoJitter: true, RetryBudget: 1,
 		AckDeadline: time.Second, RestartBackoff: time.Second}

@@ -35,9 +35,10 @@
 #                                          each) over odfs path handling
 #                                          (FuzzPathHandling), journal replay
 #                                          (FuzzJournalReplay), PowerScope
-#                                          sample correlation (FuzzCorrelate)
-#                                          and the chaos scenario loader
-#                                          (FuzzLoadScenario)
+#                                          sample correlation (FuzzCorrelate),
+#                                          the chaos scenario loader
+#                                          (FuzzLoadScenario) and fault-plan
+#                                          decode and binding (FuzzPlanSpec)
 #  10. odyssey-sim -figure resilience      smoke: the fault-injection plane
 #                                          end to end on one trial
 #  11. supervision smoke (-race)           the application-supervision plane
@@ -130,6 +131,9 @@ if [ "${1:-}" != "fast" ]; then
 
     echo "==> go test -fuzz FuzzLoadScenario -fuzztime 5s ./internal/chaos"
     go test -run '^$' -fuzz FuzzLoadScenario -fuzztime 5s ./internal/chaos
+
+    echo "==> go test -fuzz FuzzPlanSpec -fuzztime 5s ./internal/faults"
+    go test -run '^$' -fuzz FuzzPlanSpec -fuzztime 5s ./internal/faults
 
     echo "==> resilience smoke (odyssey-sim -figure resilience -trials 1)"
     go run ./cmd/odyssey-sim -figure resilience -trials 1
