@@ -108,25 +108,13 @@ func (r *Rig) EnablePowerMgmt() {
 	r.Net.StandbyPolicy = true
 }
 
-// Illuminate applies the display policy for an application whose window
-// covers screenFrac of the panel: conventionally the whole panel is bright;
-// under the zoned policy only covered zones are fully lit while peripheral
-// zones fall to dim — the "window in focus brightly illuminated, rest of
-// the screen dim" configuration of Section 4 (this reproduces the paper's
-// projected 24% / 28-29% lowest-fidelity video savings).
-func (r *Rig) Illuminate(screenFrac float64) {
-	if !r.ZonedPolicy {
-		r.M.Display.SetAll(hw.BacklightBright)
-		return
-	}
-	lit := hw.ZonesForWindow(r.M.Display.Zones(), screenFrac)
-	r.M.Display.SetCoverage(lit, hw.BacklightBright, hw.BacklightDim)
-}
-
-// IlluminateWindow is the geometric form of Illuminate: the window manager
-// snaps the window to straddle the fewest zones (the paper's proposed
-// "snap-to" feature) and lights exactly those, with peripheral zones dim.
-// Displays with nonstandard zone counts fall back to area-based coverage.
+// IlluminateWindow applies the display policy for an application window:
+// conventionally the whole panel is bright; under the zoned policy the
+// window manager snaps the window to straddle the fewest zones (the paper's
+// proposed "snap-to" feature) and lights exactly those, with peripheral
+// zones dim — the "window in focus brightly illuminated, rest of the screen
+// dim" configuration of Section 4 (this reproduces the paper's projected
+// 24% / 28-29% lowest-fidelity video savings).
 func (r *Rig) IlluminateWindow(win hw.Rect) {
 	if !r.ZonedPolicy {
 		r.M.Display.SetAll(hw.BacklightBright)
@@ -134,8 +122,8 @@ func (r *Rig) IlluminateWindow(win hw.Rect) {
 	}
 	g, err := hw.GridForZones(r.M.Display.Zones())
 	if err != nil {
-		r.Illuminate(win.Area())
-		return
+		//odylint:allow panicfree rigs are built with 1, 4 or 8 zones; another count is a caller bug, like NewDisplay's zone guard
+		panic(err)
 	}
 	r.M.Display.IlluminateWindow(g, win, hw.BacklightBright, hw.BacklightDim)
 }
@@ -172,10 +160,4 @@ func (r *Rig) Think(p *sim.Proc, d time.Duration) {
 	}
 	jit := 1 + ThinkJitterFraction*(2*r.K.Rand().Float64()-1)
 	p.Sleep(time.Duration(float64(d) * jit))
-}
-
-// Jitter scales d by ±frac uniform noise.
-func (r *Rig) Jitter(d time.Duration, frac float64) time.Duration {
-	j := 1 + frac*(2*r.K.Rand().Float64()-1)
-	return time.Duration(float64(d) * j)
 }

@@ -40,7 +40,7 @@ func TestEnablePowerMgmt(t *testing.T) {
 func TestIlluminateConventional(t *testing.T) {
 	rig := NewRig(1, 1)
 	rig.M.Display.SetAll(hw.BacklightOff)
-	rig.Illuminate(0.2)
+	rig.IlluminateWindow(hw.Rect{X: 0.1, Y: 0.1, W: 0.4, H: 0.5})
 	if got := rig.M.Display.Power(); math.Abs(got-rig.M.Prof.DisplayBright) > 1e-9 {
 		t.Fatalf("conventional illuminate power %v, want full bright", got)
 	}
@@ -49,11 +49,31 @@ func TestIlluminateConventional(t *testing.T) {
 func TestIlluminateZoned(t *testing.T) {
 	rig := NewRig(1, 4)
 	rig.ZonedPolicy = true
-	rig.Illuminate(0.22) // one zone of four bright, rest dim
+	// A window inside the top-left quadrant: zone 0 of the 2x2 grid bright,
+	// the three zones it does not cover dim.
+	rig.IlluminateWindow(hw.Rect{X: 0.05, Y: 0.05, W: 0.4, H: 0.4})
+	for i, want := range []hw.BacklightMode{hw.BacklightBright, hw.BacklightDim, hw.BacklightDim, hw.BacklightDim} {
+		if got := rig.M.Display.Zone(i); got != want {
+			t.Errorf("zone %d %v, want %v", i, got, want)
+		}
+	}
 	want := rig.M.Prof.DisplayBright/4 + 3*rig.M.Prof.DisplayDim/4
 	if got := rig.M.Display.Power(); math.Abs(got-want) > 1e-9 {
 		t.Fatalf("zoned illuminate power %v, want %v", got, want)
 	}
+}
+
+// TestIlluminateWindowNoLayoutPanics: a zoned rig whose zone count has no
+// standard layout is a caller bug, and lighting a window on it panics.
+func TestIlluminateWindowNoLayoutPanics(t *testing.T) {
+	rig := NewRig(1, 3)
+	rig.ZonedPolicy = true
+	defer func() {
+		if recover() == nil {
+			t.Error("3-zone rig illuminated a window without panicking")
+		}
+	}()
+	rig.IlluminateWindow(hw.Rect{W: 0.5, H: 0.5})
 }
 
 func TestThinkJitterBounds(t *testing.T) {
@@ -85,14 +105,6 @@ func TestThinkZeroIsInstant(t *testing.T) {
 	rig.K.Run(0)
 	if dur != 0 {
 		t.Fatalf("zero think took %v", dur)
-	}
-}
-
-func TestJitterScales(t *testing.T) {
-	rig := NewRig(3, 1)
-	d := rig.Jitter(10*time.Second, 0.1)
-	if d < 9*time.Second || d > 11*time.Second {
-		t.Fatalf("jittered duration %v outside ±10%%", d)
 	}
 }
 

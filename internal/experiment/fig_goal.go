@@ -336,7 +336,7 @@ func RunGoal(opt GoalOptions) GoalResult {
 	}
 	var sup *supervise.Supervisor
 	if opt.Supervise {
-		sup = supervise.New(rig.K, rig.V, em, rig.M.Acct, rig.M.CPU, supervise.Config{}, opt.Seed)
+		sup = supervise.New(rig.K, rig.V, em, rig.M.Acct, rig.M.CPU, opt.Seed)
 		sup.Log = res.Events
 		apps.Supervise(sup, regs)
 		rig.V.SetDeliverer(sup)
@@ -424,7 +424,7 @@ func RunGoal(opt GoalOptions) GoalResult {
 
 	until := func() bool { return done }
 	if opt.Bursty {
-		apps.StartBurstyWorkload(workload.DefaultBurstyConfig(), until)
+		apps.StartBurstyWorkload(until)
 	} else {
 		period := opt.CompositePeriod
 		if period <= 0 {

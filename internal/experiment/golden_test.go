@@ -38,7 +38,8 @@ func titledCSV(t *Table) string { return "# " + t.Title + "\n" + t.CSV() }
 // odyssey-sim -csv prints it, each grid with every per-object breakdown,
 // Figure 2's profile as text, and Figure 19's traces as hex floats. Goal
 // runs whose tables round them are also pinned exactly: both policy arms,
-// the equal-priority ablation arm, and the feasible band at seeds 1 and 7.
+// the equal-priority ablation arm, the feasible band at seeds 1 and 7, and
+// the plane runs of planeRuns.
 func figureGoldens() []goldenFigure {
 	return []goldenFigure{
 		{"fig2", "# Figure 2: PowerScope energy profile of 30 s of video playback\n" + Figure2(1).String()},
@@ -67,7 +68,47 @@ func figureGoldens() []goldenFigure {
 		{"policy-runs", resultHex(policyRuns())},
 		{"ablation-equal-priority", resultHex(equalPriorityRuns())},
 		{"band", bandNs(1, 7)},
+		{"plane-runs", planeHex(planeRuns())},
 	}
+}
+
+// planeRun is one pinned run of a robustness plane, named by its ladder
+// rung, with the seed its figure gives it.
+type planeRun struct {
+	name string
+	run  func() GoalResult
+}
+
+// planeRuns runs one or two rungs of each robustness ladder and Figure 22's
+// first bursty run with their figures' seeds: every retry backoff,
+// supervisor restart, hedge, breaker and bursty slot shows in some value.
+func planeRuns() []planeRun {
+	return []planeRun{
+		{"resilience mid", func() GoalResult { return RunResilienceTrial("mid", 2562) }},
+		{"resilience severe", func() GoalResult { return RunResilienceTrial("severe", 2593) }},
+		{"supervision mid", func() GoalResult { return RunSupervisionTrial("mid", 2662) }},
+		{"supervision severe", func() GoalResult { return RunSupervisionTrial("severe", 2693) }},
+		{"offload auto:crash", func() GoalResult { return RunOffloadTrial("auto", "crash", 2981) }},
+		{"offload remote:flap", func() GoalResult { return RunOffloadTrial("remote", "flap", 2917) }},
+		{"fig22 bursty", func() GoalResult { return Figure22(1)[0] }},
+	}
+}
+
+// planeHex renders the plane runs exactly, one line per run: the residual
+// and the retry, supervise and offload energies as hex floats, the end time
+// in nanoseconds, and the plane counters.
+func planeHex(runs []planeRun) string {
+	results := sweep(len(runs), 1, func(a, _ int) GoalResult { return runs[a].run() })
+	var b strings.Builder
+	for i, pr := range runs {
+		r := results[i][0]
+		fmt.Fprintf(&b, "%s: residual=%x end=%d met=%v restarts=%d missed-acks=%d retries=%d"+
+			" hedges=%d failovers=%d fallbacks=%d trips=%d retry=%x supervise=%x offload=%x\n",
+			pr.name, r.Residual, int64(r.EndTime), r.Met, r.Restarts, r.MissedAcks, r.RetryAttempts,
+			r.OffloadHedges, r.OffloadFailovers, r.OffloadFallbacks, r.BreakerTrips,
+			r.RetryEnergy, r.SuperviseEnergy, r.OffloadEnergy)
+	}
+	return b.String()
 }
 
 // policyRuns runs both arms of the policy figure at both of its goals with

@@ -102,11 +102,7 @@ func (e *TaskPanic) Error() string {
 // want finer containment (the chaos soak quarantines per scenario) fence
 // inside fn; this pool-level fence is the backstop that keeps one crash
 // from stranding the pool.
-func RunTasks(n int, fn func(i int)) { runTasks(n, fn) }
-
-// runTasks executes fn(0..n-1) on the configured worker pool. Callers index
-// their result slots by i, so completion order never affects output.
-func runTasks(n int, fn func(i int)) {
+func RunTasks(n int, fn func(i int)) {
 	var (
 		faultMu sync.Mutex
 		fault   *TaskPanic
@@ -167,7 +163,7 @@ func sweep[R any](arms, trials int, run func(a, t int) R) [][]R {
 	for a := range out {
 		out[a] = make([]R, trials)
 	}
-	runTasks(arms*trials, func(i int) {
+	RunTasks(arms*trials, func(i int) {
 		out[i/trials][i%trials] = run(i/trials, i%trials)
 	})
 	return out
@@ -256,7 +252,7 @@ func cellWall(rs []trialResult) time.Duration {
 func FeasibleBand(seed int64, initialEnergy float64) (hi, lo time.Duration) {
 	goal, _ := BandGoal(initialEnergy)
 	var out [2]time.Duration
-	runTasks(2, func(i int) {
+	RunTasks(2, func(i int) {
 		out[i] = RunGoal(GoalOptions{
 			Seed:          seed,
 			InitialEnergy: initialEnergy,

@@ -123,16 +123,7 @@ func NewAggregate() *Aggregate {
 }
 
 // sortedKeys collects map keys in deterministic order.
-func sortedKeysAgg(m map[string]*Agg) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
-
-func sortedKeysGroup(m map[string]*GroupAgg) []string {
+func sortedKeys[V any](m map[string]V) []string {
 	keys := make([]string, 0, len(m))
 	for k := range m {
 		keys = append(keys, k)
@@ -160,7 +151,7 @@ func (a *Aggregate) Merge(o *Aggregate) {
 	a.Energy.Merge(o.Energy)
 	a.RetryJ.Merge(o.RetryJ)
 
-	for _, k := range sortedKeysAgg(o.ByPrincipal) {
+	for _, k := range sortedKeys(o.ByPrincipal) {
 		dst := a.ByPrincipal[k]
 		if dst == nil {
 			dst = &Agg{}
@@ -168,7 +159,7 @@ func (a *Aggregate) Merge(o *Aggregate) {
 		}
 		dst.Merge(*o.ByPrincipal[k])
 	}
-	for _, k := range sortedKeysGroup(o.ByClass) {
+	for _, k := range sortedKeys(o.ByClass) {
 		dst := a.ByClass[k]
 		if dst == nil {
 			dst = newGroupAgg()
@@ -176,7 +167,7 @@ func (a *Aggregate) Merge(o *Aggregate) {
 		}
 		dst.merge(o.ByClass[k])
 	}
-	for _, k := range sortedKeysGroup(o.ByBehavior) {
+	for _, k := range sortedKeys(o.ByBehavior) {
 		dst := a.ByBehavior[k]
 		if dst == nil {
 			dst = newGroupAgg()
@@ -280,14 +271,14 @@ func (a *Aggregate) Fingerprint() string {
 		b.WriteByte('\n')
 	}
 	fmt.Fprintf(&b, "energy=%s retryJ=%s\n", a.Energy.hex(), a.RetryJ.hex())
-	for _, k := range sortedKeysAgg(a.ByPrincipal) {
+	for _, k := range sortedKeys(a.ByPrincipal) {
 		fmt.Fprintf(&b, "principal %s=%s\n", k, a.ByPrincipal[k].hex())
 	}
 	for _, grp := range []struct {
 		label string
 		m     map[string]*GroupAgg
 	}{{"class", a.ByClass}, {"behavior", a.ByBehavior}} {
-		for _, k := range sortedKeysGroup(grp.m) {
+		for _, k := range sortedKeys(grp.m) {
 			g := grp.m[k]
 			fmt.Fprintf(&b, "%s %s sessions=%d met=%d p50=%x p95=%x p99=%x energy=%s\n",
 				grp.label, k, g.Sessions, g.GoalMet,

@@ -61,7 +61,7 @@ func (r *Result) render(w *strings.Builder, withDashboard bool) {
 		a.Energy.Mean(), a.Energy.Min, a.Energy.Max, a.RetryJ.Mean(), a.RetryJ.Max)
 
 	fmt.Fprintln(w, "\nper-principal energy (J/session):")
-	for _, k := range sortedKeysAgg(a.ByPrincipal) {
+	for _, k := range sortedKeys(a.ByPrincipal) {
 		p := a.ByPrincipal[k]
 		fmt.Fprintf(w, "  %-14s mean=%9.1f max=%9.1f (%d sessions)\n", k, p.Mean(), p.Max, p.Count)
 	}

@@ -15,6 +15,7 @@ package fleet
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"strconv"
@@ -160,15 +161,34 @@ func sparse(buckets *[sketchBuckets]int64) map[string]int64 {
 	return m
 }
 
-func unsparse(m map[string]int64, buckets *[sketchBuckets]int64) error {
-	//odylint:allow mapiter order-independent: keys map to distinct buckets, and any malformed key aborts the decode
-	for k, c := range m {
+// unsparse fills buckets from their sparse form and adds the counts to
+// *total. A key must be the canonical decimal form of an index in range, so
+// no two keys name one bucket. Keys are read in sorted order, so a malformed
+// journal line reports the same error on every run.
+func unsparse(m map[string]int64, buckets *[sketchBuckets]int64, total *int64) error {
+	for _, k := range sortedKeys(m) {
 		i, err := strconv.Atoi(k)
-		if err != nil || i < 0 || i >= sketchBuckets {
-			return fmt.Errorf("fleet: sketch bucket %q outside [0,%d)", k, sketchBuckets)
+		if err != nil || i < 0 || i >= sketchBuckets || strconv.Itoa(i) != k {
+			return fmt.Errorf("fleet: sketch bucket %q is not an index in [0,%d)", k, sketchBuckets)
 		}
-		buckets[i] = c
+		if err := addCount(total, m[k]); err != nil {
+			return err
+		}
+		buckets[i] = m[k]
 	}
+	return nil
+}
+
+// addCount adds one bucket count to *total, rejecting a negative count and
+// a total past the int64 range.
+func addCount(total *int64, c int64) error {
+	if c < 0 {
+		return fmt.Errorf("fleet: negative sketch count %d", c)
+	}
+	if c > math.MaxInt64-*total {
+		return errors.New("fleet: sketch counts overflow int64")
+	}
+	*total += c
 	return nil
 }
 
@@ -178,16 +198,29 @@ func (s *Sketch) MarshalJSON() ([]byte, error) {
 }
 
 // UnmarshalJSON decodes the sparse form, replacing the sketch's contents.
+// It rejects a malformed bucket key, a negative count, and an n other than
+// the bucket total, and leaves the sketch unchanged on error.
 func (s *Sketch) UnmarshalJSON(b []byte) error {
 	var j sketchJSON
 	if err := json.Unmarshal(b, &j); err != nil {
 		return err
 	}
-	*s = Sketch{zero: j.Zero, n: j.N}
-	if err := unsparse(j.Pos, &s.pos); err != nil {
+	d := Sketch{zero: j.Zero, n: j.N}
+	var total int64
+	if err := addCount(&total, j.Zero); err != nil {
 		return err
 	}
-	return unsparse(j.Neg, &s.neg)
+	if err := unsparse(j.Pos, &d.pos, &total); err != nil {
+		return err
+	}
+	if err := unsparse(j.Neg, &d.neg, &total); err != nil {
+		return err
+	}
+	if total != j.N {
+		return fmt.Errorf("fleet: sketch n=%d but its buckets hold %d", j.N, total)
+	}
+	*s = d
+	return nil
 }
 
 // Quantile returns the q-th quantile (q in [0,1]) by nearest rank: the

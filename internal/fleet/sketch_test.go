@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"sort"
@@ -149,5 +150,35 @@ func TestSketchApproxSum(t *testing.T) {
 	got := s.ApproxSum()
 	if rel := math.Abs(got-exact) / exact; rel > s.RelErrBound() {
 		t.Fatalf("approx sum %.2f vs exact %.2f (rel err %.5f)", got, exact, rel)
+	}
+}
+
+// malformedSketches are journal lines the sketch decoder must reject: three
+// keys naming one bucket (the kept count would depend on map order), a
+// negative count, and an n the buckets do not hold.
+var malformedSketches = []string{
+	`{"pos":{"100":5,"0100":7,"+100":9},"n":1}`,
+	`{"pos":{"100":-3},"n":10}`,
+	`{"pos":{"100":1},"n":1000}`,
+}
+
+// TestSketchRejectsMalformed: a sketch line that is not a valid sketch is a
+// decode error that leaves the target untouched, not a sketch whose counts
+// or quantiles are wrong.
+func TestSketchRejectsMalformed(t *testing.T) {
+	for _, line := range malformedSketches {
+		s := NewSketch()
+		s.Observe(42)
+		want := *s
+		if err := s.UnmarshalJSON([]byte(line)); err == nil {
+			t.Errorf("%s decoded without error: count %d, median %v", line, s.Count(), s.Quantile(0.5))
+		} else if *s != want {
+			t.Errorf("%s: rejected decode changed the sketch", line)
+		}
+	}
+	// Counts that add past the int64 range are rejected, not wrapped.
+	over := fmt.Sprintf(`{"pos":{"1":%d,"2":%d},"n":-2}`, int64(math.MaxInt64), int64(math.MaxInt64))
+	if err := NewSketch().UnmarshalJSON([]byte(over)); err == nil {
+		t.Errorf("%s decoded without error", over)
 	}
 }

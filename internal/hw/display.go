@@ -71,14 +71,7 @@ func (d *Display) modePower(m BacklightMode) float64 {
 }
 
 // publish pushes the current panel draw to the accountant.
-func (d *Display) publish() {
-	per := 1.0 / float64(len(d.zones))
-	w := 0.0
-	for _, m := range d.zones {
-		w += d.modePower(m) * per
-	}
-	d.acct.Set(d.comp, w)
-}
+func (d *Display) publish() { d.acct.Set(d.comp, d.Power()) }
 
 // SetAll sets every zone to mode (the conventional whole-panel control).
 func (d *Display) SetAll(m BacklightMode) {
@@ -98,26 +91,6 @@ func (d *Display) SetZone(i int, m BacklightMode) {
 	d.publish()
 }
 
-// SetCoverage lights the first lit zones at litMode and the remainder at
-// restMode — the "window in focus bright, rest dark" policy the paper
-// envisions window managers providing.
-func (d *Display) SetCoverage(lit int, litMode, restMode BacklightMode) {
-	if lit < 0 {
-		lit = 0
-	}
-	if lit > len(d.zones) {
-		lit = len(d.zones)
-	}
-	for i := range d.zones {
-		if i < lit {
-			d.zones[i] = litMode
-		} else {
-			d.zones[i] = restMode
-		}
-	}
-	d.publish()
-}
-
 // Zone returns the illumination of zone i.
 func (d *Display) Zone(i int) BacklightMode { return d.zones[i] }
 
@@ -129,25 +102,4 @@ func (d *Display) Power() float64 {
 		w += d.modePower(m) * per
 	}
 	return w
-}
-
-// ZonesForWindow reports how many zones a window covering areaFraction of
-// the screen occupies, assuming snap-to placement that straddles the fewest
-// possible zones (the paper's proposed window-manager feature). The result
-// is at least 1 for any non-empty window.
-func ZonesForWindow(zoneCount int, areaFraction float64) int {
-	if areaFraction <= 0 {
-		return 0
-	}
-	if areaFraction > 1 {
-		areaFraction = 1
-	}
-	n := int(areaFraction*float64(zoneCount) + 0.999999)
-	if n < 1 {
-		n = 1
-	}
-	if n > zoneCount {
-		n = zoneCount
-	}
-	return n
 }

@@ -87,43 +87,22 @@ func TestZonedDisplayPower(t *testing.T) {
 	m := NewMachine(k, ThinkPad560X(), 4)
 	d := m.Display
 	// 1 of 4 zones bright, rest off: quarter of bright power.
-	d.SetCoverage(1, BacklightBright, BacklightOff)
+	d.SetAll(BacklightOff)
+	d.SetZone(0, BacklightBright)
 	if got := d.Power(); !approx(got, m.Prof.DisplayBright/4, 1e-12) {
 		t.Fatalf("1/4-zone power %v, want %v", got, m.Prof.DisplayBright/4)
 	}
 	// 2 bright + 2 dim.
-	d.SetCoverage(2, BacklightBright, BacklightDim)
+	d.SetZone(1, BacklightBright)
+	d.SetZone(2, BacklightDim)
+	d.SetZone(3, BacklightDim)
 	want := m.Prof.DisplayBright/2 + m.Prof.DisplayDim/2
 	if got := d.Power(); !approx(got, want, 1e-12) {
 		t.Fatalf("2+2 power %v, want %v", got, want)
 	}
-	// Coverage is clamped.
-	d.SetCoverage(99, BacklightBright, BacklightOff)
-	if got := d.Power(); !approx(got, m.Prof.DisplayBright, 1e-12) {
-		t.Fatalf("clamped coverage power %v", got)
-	}
-}
-
-func TestZonesForWindow(t *testing.T) {
-	cases := []struct {
-		zones int
-		area  float64
-		want  int
-	}{
-		{4, 1.0, 4},
-		{4, 0.25, 1},  // full-fidelity video fits one zone of four
-		{8, 0.25, 2},  // and two zones of eight
-		{4, 0.5, 2},   // cropped map: two zones of four
-		{8, 0.30, 3},  // three zones of eight
-		{8, 0.125, 1}, // reduced video within one zone of eight
-		{4, 0.0, 0},
-		{4, 1.5, 4},
-		{8, 0.75, 6}, // full map occupies six zones of eight
-	}
-	for _, c := range cases {
-		if got := ZonesForWindow(c.zones, c.area); got != c.want {
-			t.Errorf("ZonesForWindow(%d, %v) = %d, want %d", c.zones, c.area, got, c.want)
-		}
+	// The accountant books the draw the display reports.
+	if got := m.Acct.Component(CompDisplay); got != d.Power() {
+		t.Fatalf("accountant display draw %v, want %v", got, d.Power())
 	}
 }
 

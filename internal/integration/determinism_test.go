@@ -53,7 +53,7 @@ func determinismRun(t *testing.T, seed int64) string {
 		quality.Stop()
 		rig.K.Stop()
 	})
-	apps.StartBurstyWorkload(workload.DefaultBurstyConfig(), func() bool { return done || bat.Depleted() })
+	apps.StartBurstyWorkload(func() bool { return done || bat.Depleted() })
 
 	rig.K.Run(goal + time.Hour)
 

@@ -57,7 +57,7 @@ func TestFullStackScenario(t *testing.T) {
 		quality.Stop()
 		rig.K.Stop()
 	})
-	apps.StartBurstyWorkload(workload.DefaultBurstyConfig(), func() bool { return done || bat.Depleted() })
+	apps.StartBurstyWorkload(func() bool { return done || bat.Depleted() })
 
 	rig.K.Run(goal + time.Hour)
 
@@ -113,7 +113,7 @@ func TestFullStackDeterminism(t *testing.T) {
 		apps.Register()
 		done := false
 		rig.K.At(10*time.Minute, func() { done = true; quality.Stop(); rig.K.Stop() })
-		apps.StartBurstyWorkload(workload.DefaultBurstyConfig(), func() bool { return done })
+		apps.StartBurstyWorkload(func() bool { return done })
 		rig.K.Run(0)
 		return rig.M.Acct.TotalEnergy()
 	}

@@ -2,19 +2,17 @@ package netsim
 
 import (
 	"errors"
+	"math"
 	"testing"
 	"time"
 
 	"odyssey/internal/sim"
 )
 
-// TestBackoffNeverOvershootsDeadline was written failing-first: the naive
-// port of CallOptions.Deadline clamped each attempt's timeout but let the
-// inter-attempt backoff sleep run unclamped, so a call with a 2.5 s overall
-// deadline could return at 3+ s — the backoff slept straight through the
-// budget even though no further attempt could be made. The contract under
-// test: once Deadline is set, RPC/BulkTransfer return at or before it
-// on the virtual clock, no matter how the retry budget and backoff interact.
+// TestBackoffNeverOvershootsDeadline: once Deadline is set, RPC and
+// BulkTransfer return at or before it on the virtual clock, however the
+// retry budget and backoff interact; a backoff that cannot end before the
+// deadline is not slept.
 func TestBackoffNeverOvershootsDeadline(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -32,14 +30,13 @@ func TestBackoffNeverOvershootsDeadline(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			m, n := newNet(17)
 			srv := NewServer(m.K, "s")
-			// Backoff (2 s) dwarfs the remaining budget after the first
-			// 1 s attempt: a naive implementation sleeps it anyway.
-			deadline := 2500 * time.Millisecond
+			// The shortest first backoff, retryBackoff x (1-jitterFrac),
+			// outlasts the budget left after a first 1 s attempt: a naive
+			// implementation sleeps it anyway.
+			deadline := time.Second + retryBackoff/4
 			opts := CallOptions{
 				Timeout:  time.Second,
 				Attempts: 3,
-				Backoff:  2 * time.Second,
-				NoJitter: true,
 				Deadline: deadline,
 			}
 			var err error
@@ -78,7 +75,6 @@ func TestDeadlineBoundsEveryAttempt(t *testing.T) {
 			err = n.RPC(p, "app", 1_000, srv, 10*time.Second, 1_000, CallOptions{
 				Timeout:  timeout,
 				Attempts: 2,
-				NoJitter: true,
 				Deadline: 800 * time.Millisecond,
 			})
 			done = p.Now()
@@ -93,23 +89,40 @@ func TestDeadlineBoundsEveryAttempt(t *testing.T) {
 	}
 }
 
-// TestDeadlineZeroIsLegacyRetrySchedule: the zero value keeps the exact
-// pre-Deadline retry schedule, so every existing caller is untouched.
+// TestDeadlineZeroIsLegacyRetrySchedule: with no Deadline every backoff is
+// slept in full, so a dead-link call takes its probes plus its backoffs, and
+// the n-th backoff lies within retryBackoff x backoffFactor^n x (1 +/-
+// jitterFrac). Calls of 1 to 4 attempts on one seed draw the same jitter
+// stream, so each call outlasts the one before by one probe and one backoff.
 func TestDeadlineZeroIsLegacyRetrySchedule(t *testing.T) {
-	m, n := newNet(23)
-	n.SetLinkUp(false)
-	srv := NewServer(m.K, "s")
-	var done time.Duration
-	m.K.Spawn("x", func(p *sim.Proc) {
-		_ = n.RPC(p, "app", 1_000, srv, time.Second, 1_000, CallOptions{
-			Timeout: time.Second, Attempts: 3, Backoff: 400 * time.Millisecond,
-			BackoffFactor: 2, NoJitter: true,
+	call := func(attempts int) time.Duration {
+		m, n := newNet(23)
+		n.SetLinkUp(false)
+		srv := NewServer(m.K, "s")
+		var err error
+		var done time.Duration
+		m.K.Spawn("x", func(p *sim.Proc) {
+			err = n.RPC(p, "app", 1_000, srv, time.Second, 1_000, CallOptions{Timeout: time.Second, Attempts: attempts})
+			done = p.Now()
 		})
-		done = p.Now()
-	})
-	m.K.Run(0)
-	// 3 probes (100 ms each) + backoffs of 400 ms and 800 ms = 1.5 s.
-	if want := 1500 * time.Millisecond; done != want {
-		t.Fatalf("legacy schedule took %v, want %v", done, want)
+		m.K.Run(0)
+		if !errors.Is(err, ErrLinkDown) {
+			t.Fatalf("%d attempts: err = %v, want ErrLinkDown", attempts, err)
+		}
+		return done
+	}
+	prev := call(1)
+	if prev != linkProbe {
+		t.Fatalf("one attempt took %v, want one %v probe", prev, linkProbe)
+	}
+	for attempts := 2; attempts <= 4; attempts++ {
+		done := call(attempts)
+		wait := done - prev - linkProbe
+		base := float64(retryBackoff) * math.Pow(backoffFactor, float64(attempts-2))
+		lo, hi := time.Duration(base*(1-jitterFrac)), time.Duration(base*(1+jitterFrac))
+		if wait < lo || wait > hi {
+			t.Fatalf("backoff %d slept %v, want within [%v, %v]", attempts-1, wait, lo, hi)
+		}
+		prev = done
 	}
 }

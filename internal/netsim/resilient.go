@@ -25,28 +25,17 @@ var (
 const linkProbe = 100 * time.Millisecond
 
 // CallOptions bounds a call: a per-attempt timeout on the virtual clock, a
-// retry budget, and exponential backoff with seeded jitter drawn from the
-// kernel RNG. The zero value is an unbounded call that blocks through
-// outages and crashes and cannot fail; the other zero fields select the
-// defaults below.
+// retry budget, and an overall deadline. Failed attempts retry after an
+// exponential backoff with seeded jitter drawn from the kernel RNG. The zero
+// value is an unbounded call that blocks through outages and crashes and
+// cannot fail.
 type CallOptions struct {
 	// Timeout is the per-attempt deadline, relative to the attempt start.
 	// Zero means no per-attempt deadline.
 	Timeout time.Duration
-	// Attempts is the total attempt budget (first try included).
+	// Attempts is the total attempt budget (first try included); zero
+	// selects defaultAttempts.
 	Attempts int
-	// Backoff is the delay before the first retry; each subsequent retry
-	// multiplies it by BackoffFactor.
-	Backoff       time.Duration
-	BackoffFactor float64
-	// JitterFrac spreads each backoff uniformly by +/- the given fraction,
-	// decorrelating retry storms across processes. Leaving it zero selects
-	// the default; to genuinely disable jitter set NoJitter.
-	JitterFrac float64
-	// NoJitter requests exactly deterministic backoff delays (no RNG draw
-	// per retry). JitterFrac alone cannot express this: its zero value is
-	// reserved for "use the default" per the zero-value contract above.
-	NoJitter bool
 	// Deadline, when nonzero, is an absolute virtual-clock instant bounding
 	// the whole call: attempts are truncated to it, no attempt starts after
 	// it, and backoff sleeps never overshoot it. Zero leaves only the
@@ -55,32 +44,16 @@ type CallOptions struct {
 	Deadline time.Duration
 }
 
-// Default retry options: a failing call costs a few attempts, not a hung
-// process.
+// Retry schedule: a failing call costs a few attempts, not a hung process.
+// The first retry waits retryBackoff, each later one backoffFactor times the
+// last, and every wait is spread uniformly by +/- jitterFrac to decorrelate
+// retry storms across processes.
 const (
 	defaultAttempts = 3
-	defaultBackoff  = 250 * time.Millisecond
-	defaultFactor   = 2.0
-	defaultJitter   = 0.5
+	retryBackoff    = 250 * time.Millisecond
+	backoffFactor   = 2.0
+	jitterFrac      = 0.5
 )
-
-func (o CallOptions) withDefaults() CallOptions {
-	if o.Attempts <= 0 {
-		o.Attempts = defaultAttempts
-	}
-	if o.Backoff <= 0 {
-		o.Backoff = defaultBackoff
-	}
-	if o.BackoffFactor < 1 {
-		o.BackoffFactor = defaultFactor
-	}
-	if o.NoJitter {
-		o.JitterFrac = 0
-	} else if o.JitterFrac <= 0 || o.JitterFrac >= 1 {
-		o.JitterFrac = defaultJitter
-	}
-	return o
-}
 
 // attemptDeadline bounds one attempt starting at now: the per-attempt
 // timeout, truncated to the overall Deadline when one is set. Zero means the
@@ -106,10 +79,13 @@ func (o CallOptions) attemptDeadline(now time.Duration) time.Duration {
 // server or a stall times out, and failed attempts retry with backoff under
 // the net-retry principal so their energy is visible in PowerScope profiles.
 func (n *Network) RPC(p *sim.Proc, principal string, callBytes float64, server *Server, serverTime time.Duration, replyBytes float64, opts CallOptions) error {
-	opts = opts.withDefaults()
-	backoff := opts.Backoff
+	attempts := opts.Attempts
+	if attempts <= 0 {
+		attempts = defaultAttempts
+	}
+	wait := retryBackoff
 	var err error
-	for attempt := 0; attempt < opts.Attempts; attempt++ {
+	for attempt := 0; attempt < attempts; attempt++ {
 		pr := principal
 		if attempt > 0 {
 			pr = PrincipalRetry
@@ -119,8 +95,8 @@ func (n *Network) RPC(p *sim.Proc, principal string, callBytes float64, server *
 		if err == nil {
 			return nil
 		}
-		if attempt < opts.Attempts-1 {
-			sleep := jittered(backoff, opts.JitterFrac, n.k)
+		if attempt < attempts-1 {
+			sleep := jittered(wait, n.k)
 			if opts.Deadline > 0 {
 				// Sleeping to or past the overall deadline cannot buy
 				// another attempt; give up with the budget unspent.
@@ -129,7 +105,7 @@ func (n *Network) RPC(p *sim.Proc, principal string, callBytes float64, server *
 				}
 			}
 			p.Sleep(sleep)
-			backoff = time.Duration(float64(backoff) * opts.BackoffFactor)
+			wait = time.Duration(float64(wait) * backoffFactor)
 		}
 	}
 	return err
@@ -186,10 +162,8 @@ func (n *Network) tryOnce(p *sim.Proc, principal string, callBytes float64, serv
 	return n.flow(p, principal, replyBytes, deadline)
 }
 
-// jittered spreads d by +/- frac uniformly using the kernel's seeded RNG.
-func jittered(d time.Duration, frac float64, k *sim.Kernel) time.Duration {
-	if frac <= 0 {
-		return d
-	}
-	return time.Duration(float64(d) * (1 + frac*(2*k.Rand().Float64()-1)))
+// jittered spreads d by +/- jitterFrac uniformly using the kernel's seeded
+// RNG.
+func jittered(d time.Duration, k *sim.Kernel) time.Duration {
+	return time.Duration(float64(d) * (1 + jitterFrac*(2*k.Rand().Float64()-1)))
 }

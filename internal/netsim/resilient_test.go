@@ -133,23 +133,28 @@ func TestDeadLinkFailsFast(t *testing.T) {
 	m, n := newNet(3)
 	n.SetLinkUp(false)
 	srv := NewServer(m.K, "s")
+	opts := CallOptions{Timeout: 2 * time.Second, Attempts: 3}
 	var rpcErr, bulkErr error
-	var done time.Duration
+	var took [2]time.Duration
 	m.K.Spawn("x", func(p *sim.Proc) {
-		rpcErr = n.RPC(p, "app", 20_000, srv, time.Second, 1_000,
-			CallOptions{Timeout: 2 * time.Second, Attempts: 3, Backoff: 100 * time.Millisecond})
-		bulkErr = n.BulkTransfer(p, "app", 50_000,
-			CallOptions{Timeout: 2 * time.Second, Attempts: 3, Backoff: 100 * time.Millisecond})
-		done = p.Now()
+		t0 := p.Now()
+		rpcErr = n.RPC(p, "app", 20_000, srv, time.Second, 1_000, opts)
+		took[0] = p.Now() - t0
+		t0 = p.Now()
+		bulkErr = n.BulkTransfer(p, "app", 50_000, opts)
+		took[1] = p.Now() - t0
 	})
 	m.K.Run(0)
 	if !errors.Is(rpcErr, ErrLinkDown) || !errors.Is(bulkErr, ErrLinkDown) {
 		t.Fatalf("errors %v / %v, want ErrLinkDown", rpcErr, bulkErr)
 	}
-	// 2 calls x (3 probes + 2 jittered backoffs <= 150+300 ms) < 2 s total;
-	// a blocking implementation would burn 6 x 2 s of timeouts instead.
-	if done > 2*time.Second {
-		t.Fatalf("dead-link calls took %v; fail-fast probing should resolve in <2s", done)
+	// Each call is 3 probes plus 2 jittered backoffs of at most 375 and
+	// 750 ms, under its 2 s per-attempt timeout; a blocking implementation
+	// would burn 3 x 2 s of timeouts per call instead.
+	for i, d := range took {
+		if d >= opts.Timeout {
+			t.Fatalf("dead-link call %d took %v; fail-fast probing should resolve in <%v", i, d, opts.Timeout)
+		}
 	}
 }
 
@@ -164,14 +169,15 @@ func TestCrashedServerTimesOutAndChargesRetries(t *testing.T) {
 	var done time.Duration
 	m.K.Spawn("x", func(p *sim.Proc) {
 		err = n.RPC(p, "app", 20_000, srv, time.Second, 1_000,
-			CallOptions{Timeout: time.Second, Attempts: 2, Backoff: 100 * time.Millisecond})
+			CallOptions{Timeout: time.Second, Attempts: 2})
 		done = p.Now()
 	})
 	m.K.Run(0)
 	if !errors.Is(err, ErrServerDown) {
 		t.Fatalf("error %v, want ErrServerDown", err)
 	}
-	// Two attempts, each bounded by its 1 s deadline, plus one backoff.
+	// Two attempts, each bounded by its 1 s deadline, plus one backoff of at
+	// most 375 ms.
 	if done < 2*time.Second || done > 2500*time.Millisecond {
 		t.Fatalf("two 1 s attempts finished at %v", done)
 	}
@@ -234,7 +240,7 @@ func TestRetryScheduleDeterministic(t *testing.T) {
 		var done time.Duration
 		m.K.Spawn("x", func(p *sim.Proc) {
 			if err := n.BulkTransfer(p, "app", 40_000,
-				CallOptions{Timeout: 2 * time.Second, Attempts: 4, Backoff: 200 * time.Millisecond}); err != nil {
+				CallOptions{Timeout: 2 * time.Second, Attempts: 4}); err != nil {
 				t.Errorf("transfer never recovered: %v", err)
 			}
 			done = p.Now()
@@ -275,31 +281,12 @@ func TestServerLatencyFactorSlowsRequests(t *testing.T) {
 	}
 }
 
-// TestWithDefaultsJitterContract pins the three jitter configurations down:
-// the zero value selects the documented default (the old `< 0` guard left it
-// at 0, so unset callers got fully correlated retries), an explicit in-range
-// fraction is preserved, and NoJitter forces 0 regardless of JitterFrac.
-func TestWithDefaultsJitterContract(t *testing.T) {
-	if got := (CallOptions{}).withDefaults().JitterFrac; got != defaultJitter {
-		t.Fatalf("zero-value JitterFrac resolved to %v, want default %v", got, defaultJitter)
-	}
-	if got := (CallOptions{JitterFrac: 0.3}).withDefaults().JitterFrac; got != 0.3 {
-		t.Fatalf("explicit JitterFrac 0.3 resolved to %v", got)
-	}
-	if got := (CallOptions{JitterFrac: 1.5}).withDefaults().JitterFrac; got != defaultJitter {
-		t.Fatalf("out-of-range JitterFrac resolved to %v, want default %v", got, defaultJitter)
-	}
-	if got := (CallOptions{NoJitter: true}).withDefaults().JitterFrac; got != 0 {
-		t.Fatalf("NoJitter resolved to %v, want 0", got)
-	}
-	if got := (CallOptions{NoJitter: true, JitterFrac: 0.3}).withDefaults().JitterFrac; got != 0 {
-		t.Fatalf("NoJitter with explicit JitterFrac resolved to %v, want 0", got)
-	}
-}
-
-// TestNoJitterExactSchedule: with jitter disabled the dead-link retry
-// schedule is exactly arithmetic — three probes plus the 100 ms and 200 ms
-// backoffs — with no RNG draw to perturb it.
+// TestNoJitterExactSchedule: apart from its seeded jitter the dead-link retry
+// schedule is exactly arithmetic — three probes plus backoffs of retryBackoff
+// and retryBackoff x backoffFactor, each jittered by one draw from the kernel
+// RNG and nothing else. The name dates from the NoJitter option; jitter is now
+// always on, so the test replays the same draws on a twin machine built from
+// the same seed to get the exact finish time.
 func TestNoJitterExactSchedule(t *testing.T) {
 	m, n := newNet(12)
 	n.SetLinkUp(false)
@@ -308,14 +295,17 @@ func TestNoJitterExactSchedule(t *testing.T) {
 	var done time.Duration
 	m.K.Spawn("x", func(p *sim.Proc) {
 		err = n.RPC(p, "app", 10_000, srv, time.Second, 1_000,
-			CallOptions{Timeout: 2 * time.Second, Attempts: 3, Backoff: 100 * time.Millisecond, NoJitter: true})
+			CallOptions{Timeout: 2 * time.Second, Attempts: 3})
 		done = p.Now()
 	})
 	m.K.Run(0)
 	if !errors.Is(err, ErrLinkDown) {
 		t.Fatalf("error %v, want ErrLinkDown", err)
 	}
-	if want := 3*linkProbe + 100*time.Millisecond + 200*time.Millisecond; done != want {
-		t.Fatalf("no-jitter schedule finished at %v, want exactly %v", done, want)
+	twin, _ := newNet(12)
+	first := jittered(retryBackoff, twin.K)
+	second := jittered(time.Duration(float64(retryBackoff)*backoffFactor), twin.K)
+	if want := 3*linkProbe + first + second; done != want {
+		t.Fatalf("dead-link schedule finished at %v, want exactly %v", done, want)
 	}
 }

@@ -3,8 +3,8 @@ package offload
 import "time"
 
 // breakerState is the classic three-state circuit breaker, run entirely on
-// the virtual clock: closed admits traffic; BreakerThreshold consecutive
-// failures open it; after BreakerCooldown of virtual time an open breaker
+// the virtual clock: closed admits traffic; breakerThreshold consecutive
+// failures open it; after breakerCooldown of virtual time an open breaker
 // admits exactly one half-open probe, whose outcome either re-closes or
 // re-opens it. Breakers are per pool member, so one crashed server stops
 // costing timeouts while its siblings keep serving.
@@ -47,9 +47,9 @@ func (s *Service) record(i int, ok bool) {
 		return
 	}
 	b.fails++
-	if b.state == breakerHalfOpen || b.fails >= s.cfg.BreakerThreshold {
+	if b.state == breakerHalfOpen || b.fails >= breakerThreshold {
 		b.state = breakerOpen
-		b.openUntil = s.k.Now() + s.cfg.BreakerCooldown
+		b.openUntil = s.k.Now() + breakerCooldown
 		b.fails = 0
 		s.Stats.BreakerTrips++
 	}

@@ -90,50 +90,32 @@ type Outcome struct {
 	LocalErr error  // the local arm's own transfer failure, if any
 }
 
-// Config tunes the service; the zero value selects the defaults below.
+// Config selects the service's envelope and placement policy.
 type Config struct {
 	// Hedge arms the hedged second request. Disarmed, a slow primary
 	// simply consumes the whole call budget before degrading to local.
 	Hedge bool
-	// HedgeFactor: hedge when the primary exceeds its latency estimate
-	// times this factor.
-	HedgeFactor float64
-	// BreakerThreshold consecutive failures open a server's breaker;
-	// BreakerCooldown later it admits one half-open probe.
-	BreakerThreshold int
-	BreakerCooldown  time.Duration
-	// LatencyWeight converts seconds of expected latency into
-	// joule-equivalents at zero battery pressure; pressure scales it away
-	// so a draining battery shifts the verdict toward pure energy.
-	LatencyWeight float64
 	// Policy forces the verdict: "local", "remote", or "" / "auto" for
 	// the cost model. The robustness envelope applies regardless — a
 	// forced-remote request still degrades to local rather than strand.
 	Policy string
 }
 
+// The envelope and cost-model parameters.
 const (
-	defaultHedgeFactor      = 3.0
-	defaultBreakerThreshold = 2
-	defaultBreakerCooldown  = 45 * time.Second
-	defaultLatencyWeight    = 6.0 // J/s: waiting is worth ~background power
+	// hedgeFactor: hedge when the primary exceeds its latency estimate
+	// times this factor.
+	hedgeFactor = 3.0
+	// breakerThreshold consecutive failures open a server's breaker;
+	// breakerCooldown later it admits one half-open probe.
+	breakerThreshold = 2
+	breakerCooldown  = 45 * time.Second
+	// latencyWeight converts seconds of expected latency into
+	// joule-equivalents at zero battery pressure (J/s: waiting is worth
+	// about background power); pressure scales it away so a draining
+	// battery shifts the verdict toward pure energy.
+	latencyWeight = 6.0
 )
-
-func (c Config) withDefaults() Config {
-	if c.HedgeFactor <= 1 {
-		c.HedgeFactor = defaultHedgeFactor
-	}
-	if c.BreakerThreshold <= 0 {
-		c.BreakerThreshold = defaultBreakerThreshold
-	}
-	if c.BreakerCooldown <= 0 {
-		c.BreakerCooldown = defaultBreakerCooldown
-	}
-	if c.LatencyWeight <= 0 {
-		c.LatencyWeight = defaultLatencyWeight
-	}
-	return c
-}
 
 // Stats is the service's observable counter block, harvested by the
 // experiment layer into GoalResult.
@@ -175,7 +157,7 @@ func New(k *sim.Kernel, m *hw.Machine, net *netsim.Network, pool *netsim.Pool, s
 		m:        m,
 		net:      net,
 		pool:     pool,
-		cfg:      cfg.withDefaults(),
+		cfg:      cfg,
 		rng:      rand.New(rand.NewSource(seed)),
 		breakers: make([]breaker, pool.Size()),
 	}
@@ -224,7 +206,7 @@ func (s *Service) estimate(arm Arm, serveSec float64, pressure float64) float64 
 	energy := cpuSec*prof.CPUBusy +
 		linkSec*prof.NICTransfer +
 		bytes*(irqKernCPUPerByte)*prof.CPUBusy
-	return energy + arm.Penalty + s.cfg.LatencyWeight*(1-pressure)*sec
+	return energy + arm.Penalty + latencyWeight*(1-pressure)*sec
 }
 
 // irqKernCPUPerByte mirrors netsim's per-byte interrupt+kernel CPU cost for
@@ -358,7 +340,7 @@ func (s *Service) dispatch(p *sim.Proc, arm Arm, verdict Decision, cands []int) 
 			// The hedge trigger: a jittered multiple of the estimate,
 			// drawn from the service's private stream.
 			jitter := 0.9 + 0.2*s.rng.Float64()
-			timeout = time.Duration(float64(est+time.Duration(linkSec*float64(time.Second))) * s.cfg.HedgeFactor * jitter)
+			timeout = time.Duration(float64(est+time.Duration(linkSec*float64(time.Second))) * hedgeFactor * jitter)
 			if timeout > budget {
 				timeout = budget
 			}

@@ -38,21 +38,23 @@ func remoteArm() *offload.Arm {
 // traffic refused -> (cooldown) half-open probe fails -> open again ->
 // (cooldown, server healthy) half-open probe succeeds -> closed.
 func TestBreakerLifecycle(t *testing.T) {
-	r := newTestRig(11, 1, offload.Config{Policy: "remote", BreakerThreshold: 2, BreakerCooldown: 45 * time.Second})
+	r := newTestRig(11, 1, offload.Config{Policy: "remote"})
 	srv := r.pool.Server(0)
 	srv.SetDown(true)
 	local := offload.Arm{CPU: 2.0}
 	step := func(p *sim.Proc) offload.Outcome { return r.svc.Do(p, "speech", local, remoteArm(), nil) }
 	r.k.Spawn("client", func(p *sim.Proc) {
-		if out := step(p); !out.FellBack {
-			t.Error("first failed attempt did not degrade to local")
-		}
-		if got := r.svc.BreakerState(0); got != "closed" {
-			t.Errorf("breaker %s after 1 failure, want closed (threshold 2)", got)
+		for i := 1; i < offload.BreakerThreshold; i++ {
+			if out := step(p); !out.FellBack {
+				t.Errorf("failed attempt %d did not degrade to local", i)
+			}
+			if got := r.svc.BreakerState(0); got != "closed" {
+				t.Errorf("breaker %s after %d failures, want closed (threshold %d)", got, i, offload.BreakerThreshold)
+			}
 		}
 		step(p)
 		if got := r.svc.BreakerState(0); got != "open" {
-			t.Errorf("breaker %s after 2 failures, want open", got)
+			t.Errorf("breaker %s after %d failures, want open", got, offload.BreakerThreshold)
 		}
 		if r.svc.Stats.BreakerTrips != 1 {
 			t.Errorf("trips = %d, want 1", r.svc.Stats.BreakerTrips)
@@ -68,7 +70,7 @@ func TestBreakerLifecycle(t *testing.T) {
 		}
 		// Cooldown expires but the server is still down: the half-open
 		// probe fails and re-opens.
-		p.Sleep(46 * time.Second)
+		p.Sleep(offload.BreakerCooldown + time.Second)
 		step(p)
 		if got := r.svc.BreakerState(0); got != "open" {
 			t.Errorf("breaker %s after failed half-open probe, want open", got)
@@ -78,7 +80,7 @@ func TestBreakerLifecycle(t *testing.T) {
 		}
 		// Server recovers; the next probe after cooldown re-closes.
 		srv.SetDown(false)
-		p.Sleep(46 * time.Second)
+		p.Sleep(offload.BreakerCooldown + time.Second)
 		if out := step(p); out.Mode != offload.Remote || out.FellBack {
 			t.Errorf("recovered probe: outcome %+v, want remote", out)
 		}

@@ -8,7 +8,6 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Mean returns the arithmetic mean of xs, or 0 for an empty slice.
@@ -178,43 +177,4 @@ func Ratio(num, den float64) float64 {
 		return 0
 	}
 	return num / den
-}
-
-// NormalizeRange returns the min and max of each value in xs divided by the
-// matching value in base — the "0.66-0.92"-style entries in the paper's
-// Figure 16. The slices must have equal length.
-func NormalizeRange(xs, base []float64) (lo, hi float64) {
-	if len(xs) != len(base) {
-		//odylint:allow panicfree mismatched series is a caller bug; invariant guard
-		panic(fmt.Sprintf("stats: NormalizeRange length mismatch %d vs %d", len(xs), len(base)))
-	}
-	ratios := make([]float64, 0, len(xs))
-	for i := range xs {
-		ratios = append(ratios, Ratio(xs[i], base[i]))
-	}
-	return Min(ratios), Max(ratios)
-}
-
-// Percentile returns the p-th percentile (0-100) of xs using linear
-// interpolation between closest ranks. It copies xs.
-func Percentile(xs []float64, p float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	cp := append([]float64(nil), xs...)
-	sort.Float64s(cp)
-	if p <= 0 {
-		return cp[0]
-	}
-	if p >= 100 {
-		return cp[len(cp)-1]
-	}
-	rank := p / 100 * float64(len(cp)-1)
-	lo := int(math.Floor(rank))
-	hi := int(math.Ceil(rank))
-	if lo == hi {
-		return cp[lo]
-	}
-	frac := rank - float64(lo)
-	return cp[lo]*(1-frac) + cp[hi]*frac
 }

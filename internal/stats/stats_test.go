@@ -127,38 +127,12 @@ func TestFitLineMismatchPanics(t *testing.T) {
 	FitLine([]float64{1, 2}, []float64{1})
 }
 
-func TestNormalizeRange(t *testing.T) {
-	lo, hi := NormalizeRange([]float64{50, 90}, []float64{100, 100})
-	if !approx(lo, 0.5, 1e-12) || !approx(hi, 0.9, 1e-12) {
-		t.Fatalf("range %v-%v", lo, hi)
-	}
-}
-
 func TestRatio(t *testing.T) {
 	if Ratio(1, 0) != 0 {
 		t.Error("Ratio with zero denominator should be 0")
 	}
 	if !approx(Ratio(3, 4), 0.75, 1e-12) {
 		t.Error("Ratio(3,4)")
-	}
-}
-
-func TestPercentile(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5}
-	if got := Percentile(xs, 50); !approx(got, 3, 1e-12) {
-		t.Errorf("median = %v", got)
-	}
-	if got := Percentile(xs, 0); got != 1 {
-		t.Errorf("p0 = %v", got)
-	}
-	if got := Percentile(xs, 100); got != 5 {
-		t.Errorf("p100 = %v", got)
-	}
-	if got := Percentile(xs, 25); !approx(got, 2, 1e-12) {
-		t.Errorf("p25 = %v", got)
-	}
-	if Percentile(nil, 50) != 0 {
-		t.Error("empty percentile should be 0")
 	}
 }
 
@@ -203,43 +177,6 @@ func TestFitLineRecoversAffine(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestPercentileEdges pins the boundary and interpolation behaviour down:
-// out-of-range p clamps to the extremes, a single sample answers every p,
-// and mid-rank queries interpolate linearly between closest ranks.
-func TestPercentileEdges(t *testing.T) {
-	if got := Percentile(nil, 0); got != 0 {
-		t.Errorf("empty p0 = %v", got)
-	}
-	if got := Percentile([]float64{7}, 0); got != 7 {
-		t.Errorf("single-sample p0 = %v", got)
-	}
-	if got := Percentile([]float64{7}, 50); got != 7 {
-		t.Errorf("single-sample p50 = %v", got)
-	}
-	if got := Percentile([]float64{7}, 100); got != 7 {
-		t.Errorf("single-sample p100 = %v", got)
-	}
-	xs := []float64{1, 2}
-	if got := Percentile(xs, 50); !approx(got, 1.5, 1e-12) {
-		t.Errorf("[1,2] p50 = %v, want 1.5", got)
-	}
-	if got := Percentile([]float64{1, 2, 3, 4}, 25); !approx(got, 1.75, 1e-12) {
-		t.Errorf("[1..4] p25 = %v, want 1.75", got)
-	}
-	if got := Percentile(xs, -10); got != 1 {
-		t.Errorf("p<0 should clamp to min, got %v", got)
-	}
-	if got := Percentile(xs, 250); got != 2 {
-		t.Errorf("p>100 should clamp to max, got %v", got)
-	}
-	// Percentile must not reorder the caller's slice.
-	orig := []float64{3, 1, 2}
-	Percentile(orig, 50)
-	if orig[0] != 3 || orig[1] != 1 || orig[2] != 2 {
-		t.Errorf("Percentile mutated its input: %v", orig)
 	}
 }
 

@@ -37,114 +37,46 @@ import (
 // work: upcall dispatch, watchdog bookkeeping, and application restarts.
 const Principal = "supervise"
 
-// Config bounds the supervisor. The zero value selects the defaults below,
-// per the package-wide zero-value contract of CallOptions.
-type Config struct {
-	// AckDeadline is the virtual-clock watchdog on every delivered
-	// upcall; an application that has not acknowledged by then is marked
-	// unresponsive.
-	AckDeadline time.Duration
-	// RetryBudget is how many restarts an application gets before it is
-	// quarantined.
-	RetryBudget int
-	// RestartBackoff is the delay before the first restart; each
-	// subsequent restart multiplies it by BackoffFactor.
-	RestartBackoff time.Duration
-	BackoffFactor  float64
-	// JitterFrac spreads each backoff uniformly by +/- the given
-	// fraction from the supervisor's own seeded stream. Zero selects the
-	// default; NoJitter disables jitter entirely.
-	JitterFrac float64
-	NoJitter   bool
-	// RestartCPU is the cpu-seconds charged to the supervise principal
-	// per restart (exec plus state recovery of the fresh process).
-	RestartCPU float64
-	// DeliveryCPU is the cpu-seconds charged per supervised upcall
-	// (dispatch plus watchdog arming).
-	DeliveryCPU float64
-	// AuditPeriod is how often each application's health is audited.
-	AuditPeriod time.Duration
-	// LieTolerance and LieFloorWatts gate the consumption audit: a
-	// strike requires measured power above LieTolerance times the
-	// fidelity model's prediction and above the prediction plus the
-	// absolute floor, for LieStrikes consecutive audit windows. The
-	// margins absorb the burstiness of real attribution windows.
-	LieTolerance  float64
-	LieFloorWatts float64
-	LieStrikes    int
-	// AuditGrace suspends the consumption audit after a level directive
-	// or a restart: pipelined work from the previous operating point
-	// (prefetched video chunks, buffered decode) keeps the measured draw
-	// at the old level for a few seconds, and judging it against the new
-	// level's model would re-strike an application that just complied.
-	AuditGrace time.Duration
-}
-
-// Default supervisor parameters: deadlines generous against a 500 ms
-// evaluation loop, three restarts before quarantine, audits every second.
+// Supervisor parameters: deadlines generous against a 500 ms evaluation
+// loop, three restarts before quarantine, audits every second.
 const (
-	defaultAckDeadline    = 2 * time.Second
-	defaultRetryBudget    = 3
-	defaultRestartBackoff = 2 * time.Second
-	defaultBackoffFactor  = 2.0
-	defaultJitterFrac     = 0.25
-	defaultRestartCPU     = 0.15
-	defaultDeliveryCPU    = 0.002
-	defaultAuditPeriod    = time.Second
-	defaultLieTolerance   = 1.5
-	defaultLieFloorWatts  = 0.25
-	defaultLieStrikes     = 3
-	defaultAuditGrace     = 5 * time.Second
+	// ackDeadline is the virtual-clock watchdog on every delivered upcall;
+	// an application that has not acknowledged by then is marked
+	// unresponsive.
+	ackDeadline = 2 * time.Second
+	// retryBudget is how many restarts an application gets before it is
+	// quarantined.
+	retryBudget = 3
+	// restartBackoff is the delay before the first restart; each
+	// subsequent restart multiplies it by backoffFactor.
+	restartBackoff = 2 * time.Second
+	backoffFactor  = 2.0
+	// jitterFrac spreads each backoff uniformly by +/- the given fraction
+	// from the supervisor's own seeded stream.
+	jitterFrac = 0.25
+	// restartCPU is the cpu-seconds charged to the supervise principal per
+	// restart (exec plus state recovery of the fresh process).
+	restartCPU = 0.15
+	// deliveryCPU is the cpu-seconds charged per supervised upcall
+	// (dispatch plus watchdog arming).
+	deliveryCPU = 0.002
+	// auditPeriod is how often each application's health is audited.
+	auditPeriod = time.Second
+	// lieTolerance and lieFloorWatts gate the consumption audit: a strike
+	// requires measured power above lieTolerance times the fidelity
+	// model's prediction and above the prediction plus the absolute floor,
+	// for lieStrikes consecutive audit windows. The margins absorb the
+	// burstiness of real attribution windows.
+	lieTolerance  = 1.5
+	lieFloorWatts = 0.25
+	lieStrikes    = 3
+	// auditGrace suspends the consumption audit after a level directive or
+	// a restart: pipelined work from the previous operating point
+	// (prefetched video chunks, buffered decode) keeps the measured draw at
+	// the old level for a few seconds, and judging it against the new
+	// level's model would re-strike an application that just complied.
+	auditGrace = 5 * time.Second
 )
-
-// DefaultConfig returns the default supervisor parameters.
-func DefaultConfig() Config { return Config{}.withDefaults() }
-
-func (c Config) withDefaults() Config {
-	if c.AckDeadline <= 0 {
-		c.AckDeadline = defaultAckDeadline
-	}
-	if c.RetryBudget <= 0 {
-		c.RetryBudget = defaultRetryBudget
-	}
-	if c.RestartBackoff <= 0 {
-		c.RestartBackoff = defaultRestartBackoff
-	}
-	if c.BackoffFactor < 1 {
-		c.BackoffFactor = defaultBackoffFactor
-	}
-	if c.NoJitter {
-		c.JitterFrac = 0
-	} else if c.JitterFrac <= 0 || c.JitterFrac >= 1 {
-		c.JitterFrac = defaultJitterFrac
-	}
-	if c.RestartCPU < 0 {
-		c.RestartCPU = 0
-		//odylint:allow floateq zero-value sentinel meaning "use the default", not a computed quantity
-	} else if c.RestartCPU == 0 {
-		c.RestartCPU = defaultRestartCPU
-	}
-	//odylint:allow floateq zero-value sentinel meaning "use the default", not a computed quantity
-	if c.DeliveryCPU == 0 {
-		c.DeliveryCPU = defaultDeliveryCPU
-	}
-	if c.AuditPeriod <= 0 {
-		c.AuditPeriod = defaultAuditPeriod
-	}
-	if c.LieTolerance <= 1 {
-		c.LieTolerance = defaultLieTolerance
-	}
-	if c.LieFloorWatts <= 0 {
-		c.LieFloorWatts = defaultLieFloorWatts
-	}
-	if c.LieStrikes <= 0 {
-		c.LieStrikes = defaultLieStrikes
-	}
-	if c.AuditGrace <= 0 {
-		c.AuditGrace = defaultAuditGrace
-	}
-	return c
-}
 
 // Profile is the consumption-audit contract for one application: the
 // app-exclusive PowerScope principal to meter and the fidelity model's
@@ -197,7 +129,7 @@ type Cell struct {
 	lastEnergy float64
 	lastAuditT time.Duration
 	// holdUntil suspends the consumption audit until pipelined work from
-	// the previous operating point has drained (see Config.AuditGrace).
+	// the previous operating point has drained (see auditGrace).
 	holdUntil time.Duration
 }
 
@@ -217,7 +149,6 @@ type Supervisor struct {
 	em   *core.EnergyMonitor
 	acct *power.Accountant
 	cpu  *hw.CPU
-	cfg  Config
 	rng  *rand.Rand
 
 	// Log, if set, receives every supervision event under
@@ -244,14 +175,13 @@ func supSeed(seed int64) int64 { return seed*2654435761 + 131 }
 // em receives budget reallocations on quarantine (nil disables them); acct
 // and cpu meter and charge supervision work. seed feeds the backoff-jitter
 // stream.
-func New(k *sim.Kernel, v *core.Viceroy, em *core.EnergyMonitor, acct *power.Accountant, cpu *hw.CPU, cfg Config, seed int64) *Supervisor {
+func New(k *sim.Kernel, v *core.Viceroy, em *core.EnergyMonitor, acct *power.Accountant, cpu *hw.CPU, seed int64) *Supervisor {
 	return &Supervisor{
 		k:       k,
 		v:       v,
 		em:      em,
 		acct:    acct,
 		cpu:     cpu,
-		cfg:     cfg.withDefaults(),
 		rng:     rand.New(rand.NewSource(supSeed(seed))),
 		byReg:   make(map[*core.Registration]*Cell),
 		strikes: make(map[string]int),
@@ -311,7 +241,7 @@ func (s *Supervisor) Strikes() map[string]int {
 
 // DeliverSetLevel implements core.UpcallDeliverer: the fidelity upcall runs
 // under a watchdog; a dead or hung process neither applies it nor
-// acknowledges, and the watchdog fires AckDeadline later.
+// acknowledges, and the watchdog fires ackDeadline later.
 func (s *Supervisor) DeliverSetLevel(r *core.Registration, level int) {
 	c := s.byReg[r]
 	if c == nil {
@@ -323,10 +253,10 @@ func (s *Supervisor) DeliverSetLevel(r *core.Registration, level int) {
 	}
 	c.hasDirected = true
 	c.lastDirected = level
-	s.charge(s.cfg.DeliveryCPU)
+	s.charge(deliveryCPU)
 	acked := false
 	c.pendingAcks++
-	wd := s.k.After(s.cfg.AckDeadline, func() {
+	wd := s.k.After(ackDeadline, func() {
 		if !acked {
 			c.pendingAcks--
 			s.missedAck(c, "fidelity upcall")
@@ -339,7 +269,7 @@ func (s *Supervisor) DeliverSetLevel(r *core.Registration, level int) {
 	c.reg.App.SetLevel(level)
 	acked = true
 	c.pendingAcks--
-	c.holdUntil = s.k.Now() + s.cfg.AuditGrace
+	c.holdUntil = s.k.Now() + auditGrace
 	wd.Cancel()
 }
 
@@ -348,7 +278,7 @@ func (s *Supervisor) DeliverSetLevel(r *core.Registration, level int) {
 // crashed; one that exists but did not acknowledge is hung.
 func (s *Supervisor) missedAck(c *Cell, what string) {
 	s.missedAcks++
-	s.trace(c.name(), "unresponsive: "+what, s.cfg.AckDeadline.Seconds())
+	s.trace(c.name(), "unresponsive: "+what, ackDeadline.Seconds())
 	cause := "hang"
 	if !c.health.Alive() {
 		cause = "crash"
@@ -364,7 +294,7 @@ func (s *Supervisor) strike(c *Cell, cause string) {
 		return
 	}
 	s.strikes[cause]++
-	if c.restarts >= s.cfg.RetryBudget {
+	if c.restarts >= retryBudget {
 		s.quarantine(c, cause)
 		return
 	}
@@ -377,10 +307,10 @@ func (s *Supervisor) scheduleRestart(c *Cell, cause string) {
 	c.state = cellRestarting
 	c.reg.SetExcluded(true)
 	if c.backoff <= 0 {
-		c.backoff = s.cfg.RestartBackoff
+		c.backoff = restartBackoff
 	}
 	delay := s.jittered(c.backoff)
-	c.backoff = time.Duration(float64(c.backoff) * s.cfg.BackoffFactor)
+	c.backoff = time.Duration(float64(c.backoff) * backoffFactor)
 	s.trace(c.name(), "restart scheduled ("+cause+")", delay.Seconds())
 	c.restartEv = s.k.After(delay, func() { s.restart(c) })
 }
@@ -392,7 +322,7 @@ func (s *Supervisor) restart(c *Cell) {
 	c.restartEv = sim.Event{}
 	c.restarts++
 	s.restarts++
-	s.charge(s.cfg.RestartCPU)
+	s.charge(restartCPU)
 	c.health.Reset()
 	c.state = cellHealthy
 	c.reg.SetExcluded(false)
@@ -402,7 +332,7 @@ func (s *Supervisor) restart(c *Cell) {
 	c.lieRun = 0
 	c.lastEnergy = s.principalEnergy(c)
 	c.lastAuditT = s.k.Now()
-	c.holdUntil = s.k.Now() + s.cfg.AuditGrace
+	c.holdUntil = s.k.Now() + auditGrace
 	s.trace(c.name(), "restarted", float64(c.restarts))
 }
 
@@ -423,7 +353,7 @@ func (s *Supervisor) quarantine(c *Cell, cause string) {
 }
 
 func (s *Supervisor) scheduleAudit() {
-	s.auditEv = s.k.After(s.cfg.AuditPeriod, func() {
+	s.auditEv = s.k.After(auditPeriod, func() {
 		if !s.running {
 			return
 		}
@@ -482,9 +412,9 @@ func (s *Supervisor) auditPower(c *Cell) {
 	}
 	w := (e - prev) / dt
 	want := c.prof.ExpectedPower(c.reg.App.Level())
-	if w > want*s.cfg.LieTolerance && w > want+s.cfg.LieFloorWatts {
+	if w > want*lieTolerance && w > want+lieFloorWatts {
 		c.lieRun++
-		if c.lieRun >= s.cfg.LieStrikes {
+		if c.lieRun >= lieStrikes {
 			c.lieRun = 0
 			s.trace(c.name(), "consumption exceeds fidelity model", w)
 			s.strike(c, "lie")
@@ -505,17 +435,14 @@ func (s *Supervisor) principalEnergy(c *Cell) float64 {
 // charge attributes cpu-seconds of supervision work to the supervise
 // principal without blocking any process.
 func (s *Supervisor) charge(sec float64) {
-	if s.cpu != nil && sec > 0 {
+	if s.cpu != nil {
 		s.cpu.RunAsync(Principal, sec, nil)
 	}
 }
 
-// jittered spreads d by +/- JitterFrac from the supervisor's own stream.
+// jittered spreads d by +/- jitterFrac from the supervisor's own stream.
 func (s *Supervisor) jittered(d time.Duration) time.Duration {
-	if s.cfg.JitterFrac <= 0 {
-		return d
-	}
-	return time.Duration(float64(d) * (1 + s.cfg.JitterFrac*(2*s.rng.Float64()-1)))
+	return time.Duration(float64(d) * (1 + jitterFrac*(2*s.rng.Float64()-1)))
 }
 
 // trace records one supervision event.

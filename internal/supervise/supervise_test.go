@@ -1,6 +1,7 @@
 package supervise_test
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -29,8 +30,7 @@ func (f *fakeApp) SetLevel(l int) {
 	f.changes = append(f.changes, l)
 }
 
-// harness wires a kernel, viceroy, one watched fake app, and a supervisor
-// with deterministic (jitter-free) timing.
+// harness wires a kernel, viceroy, one watched fake app, and a supervisor.
 type harness struct {
 	k      *sim.Kernel
 	v      *core.Viceroy
@@ -41,12 +41,12 @@ type harness struct {
 	log    *trace.Log
 }
 
-func newHarness(t *testing.T, cfg supervise.Config, prof supervise.Profile) *harness {
+func newHarness(t *testing.T, prof supervise.Profile) *harness {
 	t.Helper()
 	h := &harness{k: sim.NewKernel(1), app: &fakeApp{name: "a", level: 3}}
 	h.v = core.NewViceroy(h.k)
 	h.reg = h.v.RegisterApp(h.app, 1)
-	h.sup = supervise.New(h.k, h.v, nil, nil, nil, cfg, 1)
+	h.sup = supervise.New(h.k, h.v, nil, nil, nil, 1)
 	h.log = trace.NewLog(h.k.Now, 1000)
 	h.sup.Log = h.log
 	h.sup.Watch(h.reg, &h.health, prof)
@@ -65,7 +65,7 @@ func (h *harness) hasEvent(message string) bool {
 }
 
 func TestHealthyDeliveryAppliesAndAcks(t *testing.T) {
-	h := newHarness(t, supervise.Config{NoJitter: true}, supervise.Profile{})
+	h := newHarness(t, supervise.Profile{})
 	h.k.At(time.Second, func() { h.sup.DeliverSetLevel(h.reg, 2) })
 	h.k.Run(10 * time.Second)
 	if h.app.level != 2 {
@@ -81,9 +81,7 @@ func TestHealthyDeliveryAppliesAndAcks(t *testing.T) {
 }
 
 func TestHungUpcallWatchdogRestartsWithBackoff(t *testing.T) {
-	cfg := supervise.Config{NoJitter: true, AckDeadline: 2 * time.Second,
-		RestartBackoff: 2 * time.Second, BackoffFactor: 2}
-	h := newHarness(t, cfg, supervise.Profile{})
+	h := newHarness(t, supervise.Profile{})
 	h.k.At(time.Second, func() {
 		h.health.SetHung(true)
 		h.sup.DeliverSetLevel(h.reg, 0)
@@ -110,15 +108,22 @@ func TestHungUpcallWatchdogRestartsWithBackoff(t *testing.T) {
 	if h.app.level != 1 {
 		t.Fatalf("level %d after restarts, want last directed 1", h.app.level)
 	}
-	// Backoff doubling is visible in the restart-scheduled trace values.
+	// Backoff growth is visible in the restart-scheduled trace values: the
+	// n-th delay lies within base x factor^n x (1 +/- jitter).
 	var delays []float64
 	for _, e := range h.log.Filter(trace.CatSupervise, "") {
 		if strings.HasPrefix(e.Message, "restart scheduled") {
 			delays = append(delays, e.Value)
 		}
 	}
-	if len(delays) != 2 || delays[0] != 2 || delays[1] != 4 {
-		t.Fatalf("restart delays %v, want [2 4] (exponential backoff, no jitter)", delays)
+	if len(delays) != 2 {
+		t.Fatalf("restart delays %v, want two", delays)
+	}
+	for n, d := range delays {
+		base := supervise.RestartBackoff.Seconds() * math.Pow(supervise.BackoffFactor, float64(n))
+		if lo, hi := base*(1-supervise.JitterFrac), base*(1+supervise.JitterFrac); d < lo-1e-9 || d > hi+1e-9 {
+			t.Fatalf("restart delay %d = %vs outside [%v, %v] (exponential backoff with jitter)", n, d, lo, hi)
+		}
 	}
 }
 
@@ -132,9 +137,7 @@ func TestRetryBudgetExhaustionQuarantinesAndReallocates(t *testing.T) {
 	acct := power.NewAccountant(k)
 	acct.Set(acct.Register("load"), 1)
 	em := core.NewEnergyMonitor(v, acct, power.NewSupply(acct, 1000), core.DefaultEnergyConfig())
-	cfg := supervise.Config{NoJitter: true, RetryBudget: 1,
-		AckDeadline: time.Second, RestartBackoff: time.Second}
-	sup := supervise.New(k, v, em, acct, nil, cfg, 1)
+	sup := supervise.New(k, v, em, acct, nil, 1)
 	log := trace.NewLog(k.Now, 1000)
 	sup.Log = log
 	var health supervise.AppHealth
@@ -142,7 +145,8 @@ func TestRetryBudgetExhaustionQuarantinesAndReallocates(t *testing.T) {
 	v.SetDeliverer(sup)
 	sup.Start()
 	// Keep killing the app; each restart revives it, each audit strikes it
-	// again, and the second strike lands after the budget is spent.
+	// again, and the strike after the last budgeted restart quarantines it.
+	// The three jittered backoffs end by 22 s.
 	var kill func()
 	kill = func() {
 		if !cell.Quarantined() {
@@ -151,9 +155,12 @@ func TestRetryBudgetExhaustionQuarantinesAndReallocates(t *testing.T) {
 		}
 	}
 	k.At(time.Second, kill)
-	k.Run(20 * time.Second)
+	k.Run(40 * time.Second)
 	if !cell.Quarantined() {
 		t.Fatal("retry budget exhausted but app not quarantined")
+	}
+	if got := sup.Restarts(); got != supervise.RetryBudget {
+		t.Fatalf("quarantined after %d restarts, want the budget of %d", got, supervise.RetryBudget)
 	}
 	if got := sup.Quarantined(); len(got) != 1 || got[0] != "a" {
 		t.Fatalf("quarantined %v, want [a]", got)
@@ -177,7 +184,7 @@ func TestRetryBudgetExhaustionQuarantinesAndReallocates(t *testing.T) {
 }
 
 func TestThrashDetectedByAudit(t *testing.T) {
-	h := newHarness(t, supervise.Config{NoJitter: true}, supervise.Profile{})
+	h := newHarness(t, supervise.Profile{})
 	h.k.At(time.Second, func() { h.sup.DeliverSetLevel(h.reg, 1) })
 	// The app re-raises its fidelity behind the viceroy's back.
 	h.k.At(1500*time.Millisecond, func() { h.app.level = 3 })
@@ -203,7 +210,7 @@ func lieRig(t *testing.T) (*sim.Kernel, *supervise.Supervisor, *core.Registratio
 	v := core.NewViceroy(k)
 	app := &fakeApp{name: "a", level: 0}
 	reg := v.RegisterApp(app, 1)
-	sup := supervise.New(k, v, nil, m.Acct, m.CPU, supervise.Config{NoJitter: true}, 1)
+	sup := supervise.New(k, v, nil, m.Acct, m.CPU, 1)
 	sup.Log = trace.NewLog(k.Now, 1000)
 	var loop func()
 	loop = func() {
@@ -249,7 +256,7 @@ func TestAuditGraceSuppressesLieAfterDirective(t *testing.T) {
 }
 
 func TestUnwatchedRegistrationPassesThrough(t *testing.T) {
-	h := newHarness(t, supervise.Config{NoJitter: true}, supervise.Profile{})
+	h := newHarness(t, supervise.Profile{})
 	other := &fakeApp{name: "other", level: 3}
 	regOther := h.v.RegisterApp(other, 2)
 	h.k.At(time.Second, func() { h.sup.DeliverSetLevel(regOther, 0) })
@@ -263,16 +270,14 @@ func TestUnwatchedRegistrationPassesThrough(t *testing.T) {
 }
 
 func TestQuarantinedAppReceivesNoUpcalls(t *testing.T) {
-	cfg := supervise.Config{NoJitter: true, RetryBudget: 1,
-		AckDeadline: time.Second, RestartBackoff: time.Second}
-	h := newHarness(t, cfg, supervise.Profile{})
+	h := newHarness(t, supervise.Profile{})
 	var kill func()
 	kill = func() {
 		h.health.SetCrashed(true)
 		h.k.After(500*time.Millisecond, kill)
 	}
 	h.k.At(time.Second, kill)
-	h.k.Run(20 * time.Second)
+	h.k.Run(40 * time.Second)
 	if len(h.sup.Quarantined()) != 1 {
 		t.Fatalf("quarantined %v, want [a]", h.sup.Quarantined())
 	}
@@ -283,12 +288,11 @@ func TestQuarantinedAppReceivesNoUpcalls(t *testing.T) {
 	}
 }
 
-// TestSameSeedSameSchedule: with jitter enabled, the whole supervision
-// schedule is a deterministic function of the seed.
+// TestSameSeedSameSchedule: the jittered supervision schedule is a
+// deterministic function of the seed.
 func TestSameSeedSameSchedule(t *testing.T) {
 	run := func() string {
-		cfg := supervise.Config{AckDeadline: time.Second, RestartBackoff: time.Second}
-		h := newHarness(t, cfg, supervise.Profile{})
+		h := newHarness(t, supervise.Profile{})
 		for i := 1; i <= 5; i++ {
 			i := i
 			h.k.At(time.Duration(i)*3*time.Second, func() {
@@ -299,7 +303,11 @@ func TestSameSeedSameSchedule(t *testing.T) {
 		h.k.Run(30 * time.Second)
 		return h.log.Text()
 	}
-	if a, b := run(), run(); a != b {
+	a, b := run(), run()
+	if a != b {
 		t.Fatalf("same-seed supervision traces differ:\n%s\n---\n%s", a, b)
+	}
+	if !strings.Contains(a, "restart scheduled") {
+		t.Fatalf("schedule drew no jittered backoff:\n%s", a)
 	}
 }

@@ -262,27 +262,21 @@ func (a *Apps) StartGoalWorkload(period time.Duration, until func() bool) {
 	}
 }
 
-// BurstyConfig parameterizes the stochastic workload of Figure 22.
-type BurstyConfig struct {
-	// SwitchProbability is the per-minute chance an application flips
-	// between active and idle (0.1 in the paper).
-	SwitchProbability float64
-	// Slot is the scheduling quantum (one minute in the paper).
-	Slot time.Duration
-}
-
-// DefaultBurstyConfig returns the paper's stochastic model parameters.
-func DefaultBurstyConfig() BurstyConfig {
-	return BurstyConfig{SwitchProbability: 0.10, Slot: time.Minute}
-}
+// The paper's stochastic model for Figure 22: each application flips
+// between active and idle with probability burstySwitch at every one-minute
+// slot boundary.
+const (
+	burstySwitch = 0.10
+	burstySlot   = time.Minute
+)
 
 // StartBurstyWorkload launches four independently bursty applications: in
 // each slot an active application executes a fixed workload (the video
 // application shows a one-minute video, the map application fetches five
 // maps, and so on), and at each slot boundary it stays in its current state
-// with probability 1-SwitchProbability. Applications stop once until()
-// reports true.
-func (a *Apps) StartBurstyWorkload(cfg BurstyConfig, until func() bool) {
+// with probability 1-burstySwitch. Applications stop once until() reports
+// true.
+func (a *Apps) StartBurstyWorkload(until func() bool) {
 	k := a.Rig.K
 	rng := k.Rand()
 
@@ -297,10 +291,10 @@ func (a *Apps) StartBurstyWorkload(cfg BurstyConfig, until func() bool) {
 				if active {
 					work(p, slot)
 				}
-				if next := slotStart + cfg.Slot; next > p.Now() {
+				if next := slotStart + burstySlot; next > p.Now() {
 					p.SleepUntil(next)
 				}
-				if rng.Float64() < cfg.SwitchProbability {
+				if rng.Float64() < burstySwitch {
 					active = !active
 				}
 			}
@@ -308,7 +302,7 @@ func (a *Apps) StartBurstyWorkload(cfg BurstyConfig, until func() bool) {
 	}
 
 	slotted("bursty-video", a.Video.Name(), func(p *sim.Proc, slot int) {
-		a.Video.Play(p, video.Clip{Name: "bursty-minute", Length: cfg.Slot - 5*time.Second})
+		a.Video.Play(p, video.Clip{Name: "bursty-minute", Length: burstySlot - 5*time.Second})
 	})
 	slotted("bursty-speech", a.Speech.Name(), func(p *sim.Proc, slot int) {
 		for i := 0; i < 4; i++ {

@@ -133,7 +133,7 @@ func TestBurstyWorkloadRunsAndStops(t *testing.T) {
 	apps := NewApps(rig)
 	done := false
 	rig.K.At(5*time.Minute, func() { done = true })
-	apps.StartBurstyWorkload(DefaultBurstyConfig(), func() bool { return done })
+	apps.StartBurstyWorkload(func() bool { return done })
 	end := rig.K.Run(20 * time.Minute)
 	// All slotted drivers observe the stop flag within one slot.
 	if end > 7*time.Minute {
@@ -152,7 +152,7 @@ func TestBurstyWorkloadVariesAcrossSeeds(t *testing.T) {
 		apps := NewApps(rig)
 		done := false
 		rig.K.At(4*time.Minute, func() { done = true })
-		apps.StartBurstyWorkload(DefaultBurstyConfig(), func() bool { return done })
+		apps.StartBurstyWorkload(func() bool { return done })
 		rig.K.Run(10 * time.Minute)
 		energies[rig.M.Acct.TotalEnergy()] = true
 	}

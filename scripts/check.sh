@@ -37,8 +37,10 @@
 #                                          (FuzzJournalReplay), PowerScope
 #                                          sample correlation (FuzzCorrelate),
 #                                          the chaos scenario loader
-#                                          (FuzzLoadScenario) and fault-plan
+#                                          (FuzzLoadScenario), fault-plan
 #                                          decode and binding (FuzzPlanSpec)
+#                                          and the fleet sketch decoder
+#                                          (FuzzSketchJSON)
 #  10. odyssey-sim -figure resilience      smoke: the fault-injection plane
 #                                          end to end on one trial
 #  11. supervision smoke (-race)           the application-supervision plane
@@ -134,6 +136,9 @@ if [ "${1:-}" != "fast" ]; then
 
     echo "==> go test -fuzz FuzzPlanSpec -fuzztime 5s ./internal/faults"
     go test -run '^$' -fuzz FuzzPlanSpec -fuzztime 5s ./internal/faults
+
+    echo "==> go test -fuzz FuzzSketchJSON -fuzztime 5s ./internal/fleet"
+    go test -run '^$' -fuzz FuzzSketchJSON -fuzztime 5s ./internal/fleet
 
     echo "==> resilience smoke (odyssey-sim -figure resilience -trials 1)"
     go run ./cmd/odyssey-sim -figure resilience -trials 1
