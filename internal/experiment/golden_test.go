@@ -10,6 +10,12 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"odyssey/internal/app/env"
+	"odyssey/internal/core"
+	"odyssey/internal/faults"
+	"odyssey/internal/hw"
+	"odyssey/internal/power"
 )
 
 // updateGoldens rewrites the golden figure files from the current code:
@@ -39,8 +45,10 @@ func titledCSV(t *Table) string { return "# " + t.Title + "\n" + t.CSV() }
 // Figure 2's profile as text, and Figure 19's traces as hex floats. Goal
 // runs whose tables round them are also pinned exactly: both policy arms,
 // the equal-priority ablation arm, the feasible band at seeds 1 and 7, and
-// the plane runs of planeRuns.
-func figureGoldens() []goldenFigure {
+// the plane runs of planeRuns. The ledgers of the plane runs and two more
+// are pinned too, and t fails on any of them that does not conserve energy
+// or pass the budget audit.
+func figureGoldens(t *testing.T) []goldenFigure {
 	return []goldenFigure{
 		{"fig2", "# Figure 2: PowerScope energy profile of 30 s of video playback\n" + Figure2(1).String()},
 		{"fig4", titledCSV(Figure4())},
@@ -69,6 +77,7 @@ func figureGoldens() []goldenFigure {
 		{"ablation-equal-priority", resultHex(equalPriorityRuns())},
 		{"band", bandNs(1, 7)},
 		{"plane-runs", planeHex(planeRuns())},
+		{"ledgers", ledgerHex(t, ledgerRuns())},
 	}
 }
 
@@ -109,6 +118,114 @@ func planeHex(runs []planeRun) string {
 			r.RetryEnergy, r.SuperviseEnergy, r.OffloadEnergy)
 	}
 	return b.String()
+}
+
+// Ledger is a run's energy accounting at its end.
+type Ledger struct {
+	Total       float64
+	ByComponent map[string]float64
+	ByPrincipal map[string]float64
+	Elapsed     time.Duration
+	BudgetErr   error
+}
+
+// ledgerRun is one run whose ledger the ledgers golden pins: the options
+// and plans its trial function gives RunGoal.
+type ledgerRun struct {
+	name             string
+	opt              GoalOptions
+	fault, misbehave *faults.PlanSpec
+}
+
+// ledgerRuns are the plane runs, a SmartBattery run with Peukert losses on
+// a scaled profile, and a decentralized-threshold run.
+func ledgerRuns() []ledgerRun {
+	resMid, _ := ResiliencePlan("mid", 2562)
+	resSevere, _ := ResiliencePlan("severe", 2593)
+	supMid, _ := MisbehavePlan("mid", 2662)
+	supSevere, _ := MisbehavePlan("severe", 2693)
+	crash, _ := findRung(offloadLadder, "crash")
+	flap, _ := findRung(offloadLadder, "flap")
+	profile := hw.ThinkPad560X().Scaled(1.1, 0.9)
+	fig20 := func(seed int64, goal time.Duration) GoalOptions {
+		return GoalOptions{Seed: seed, InitialEnergy: Figure20InitialEnergy, Goal: goal}
+	}
+	supervised := func(seed int64) GoalOptions {
+		opt := fig20(seed, supervisionGoal)
+		opt.Supervise = true
+		return opt
+	}
+	offloaded := func(policy string, r rung, seed int64) GoalOptions {
+		opt := fig20(seed, offloadGoal)
+		opt.Offload = &OffloadConfig{Servers: offloadPoolSize, Contention: r.contention, Policy: policy}
+		return opt
+	}
+	smart := fig20(2726, 22*time.Minute)
+	smart.SmartBattery, smart.Peukert, smart.Profile = true, 1.08, &profile
+	thresholds := fig20(3000, 26*time.Minute)
+	thresholds.Control = Thresholds
+	return []ledgerRun{
+		{"resilience mid", fig20(2562, resilienceGoal), resMid, nil},
+		{"resilience severe", fig20(2593, resilienceGoal), resSevere, nil},
+		{"supervision mid", supervised(2662), nil, supMid},
+		{"supervision severe", supervised(2693), nil, supSevere},
+		{"offload auto:crash", offloaded("auto", crash, 2981), crash.seeded(offloadPlanSeed(2981)), nil},
+		{"offload remote:flap", offloaded("remote", flap, 2917), flap.seeded(offloadPlanSeed(2917)), nil},
+		{"fig22 bursty", GoalOptions{Seed: 2200, InitialEnergy: Figure22InitialEnergy, Goal: 2*time.Hour + 45*time.Minute,
+			Bursty: true, ExtendAt: time.Hour, ExtendBy: 30 * time.Minute}, nil, nil},
+		{"smartbattery peukert 1.08", smart, nil, nil},
+		{"thresholds", thresholds, nil, nil},
+	}
+}
+
+// ledgerHex renders each run's ledger exactly: a header line with the
+// total as a hex float, the virtual time it covers in nanoseconds and the
+// budget audit's verdict, then every component and principal entry as a
+// hex float in name order. t fails on a ledger that does not conserve
+// energy or fails the budget audit.
+func ledgerHex(t *testing.T, runs []ledgerRun) string {
+	leds := make([]Ledger, len(runs))
+	sweep(len(runs), 1, func(a, _ int) GoalResult {
+		opt := runs[a].opt
+		opt.Observe = func(rig *env.Rig, em *core.EnergyMonitor) {
+			leds[a] = Ledger{
+				Total:       rig.M.Acct.TotalEnergy(),
+				ByComponent: rig.M.Acct.EnergyByComponent(),
+				ByPrincipal: rig.M.Acct.EnergyByPrincipal(),
+				Elapsed:     rig.K.Now(),
+				BudgetErr:   em.AuditBudgetShares(),
+			}
+		}
+		return runPlanned(opt, runs[a].fault, runs[a].misbehave)
+	})
+	var b strings.Builder
+	for i, lr := range runs {
+		led := leds[i]
+		if err := power.ConservationCheck(led.Total, led.ByComponent, led.ByPrincipal, led.Elapsed); err != nil {
+			t.Errorf("%s: %v", lr.name, err)
+		}
+		if led.BudgetErr != nil {
+			t.Errorf("%s: budget audit: %v", lr.name, led.BudgetErr)
+		}
+		fmt.Fprintf(&b, "%s: total=%x elapsed=%d budget=%v\n", lr.name, led.Total, int64(led.Elapsed), led.BudgetErr)
+		for _, k := range sortedNames(led.ByComponent) {
+			fmt.Fprintf(&b, "  component %s=%x\n", k, led.ByComponent[k])
+		}
+		for _, k := range sortedNames(led.ByPrincipal) {
+			fmt.Fprintf(&b, "  principal %s=%x\n", k, led.ByPrincipal[k])
+		}
+	}
+	return b.String()
+}
+
+// sortedNames returns a ledger's entry names in order.
+func sortedNames(m map[string]float64) []string {
+	names := make([]string, 0, len(m))
+	for k := range m {
+		names = append(names, k)
+	}
+	sort.Strings(names)
+	return names
 }
 
 // policyRuns runs both arms of the policy figure at both of its goals with
@@ -213,7 +330,7 @@ func TestFigureGoldens(t *testing.T) {
 	}
 	for _, w := range widths {
 		useParallelism(t, w)
-		for _, g := range figureGoldens() {
+		for _, g := range figureGoldens(t) {
 			path := filepath.Join("testdata", g.name+".csv")
 			if *updateGoldens {
 				if err := os.WriteFile(path, []byte(g.body), 0o644); err != nil {
