@@ -110,7 +110,7 @@ func main() {
 		}
 	}
 
-	opt := experiment.GoalOptions{
+	r, err := experiment.RunPlanned(experiment.GoalOptions{
 		Seed:          *seed,
 		InitialEnergy: *joules,
 		Goal:          *goal,
@@ -119,12 +119,9 @@ func main() {
 		Supervise:     *misbehaveArg != "",
 		Offload:       offloadCfg,
 		RecordEvents:  true,
-	}
-	var bindErr error
-	experiment.BindPlans(&opt, faultPlan, misPlan, &bindErr)
-	r := experiment.RunGoal(opt)
-	if bindErr != nil {
-		fmt.Fprintln(os.Stderr, bindErr)
+	}, faultPlan, misPlan)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		prof.Exit(1)
 	}
 	status := "MET"

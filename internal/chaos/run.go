@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"odyssey/internal/app/env"
-	"odyssey/internal/core"
 	"odyssey/internal/experiment"
 	"odyssey/internal/faults"
 	"odyssey/internal/sim"
@@ -15,19 +14,12 @@ import (
 	"odyssey/internal/workload"
 )
 
-// Ledger is the post-run accounting snapshot the sentinels audit: the exact
-// energy integral, both attribution ledgers, and the budget-ledger audit
-// verdict, captured through GoalOptions.Observe while the rig is still
-// alive. It is a plain value so a test can corrupt a copy (via the
-// mutateLedger hook below) and prove the sentinels catch what the
-// simulation — which has no such bug — would never hand them.
-type Ledger struct {
-	Total       float64
-	ByComponent map[string]float64
-	ByPrincipal map[string]float64
-	Elapsed     time.Duration
-	BudgetErr   error
-}
+// Ledger is the post-run accounting snapshot the sentinels audit, as
+// RunGoal returns it in GoalResult.Ledger. It is a plain value so a test can
+// corrupt a copy (via the mutateLedger hook below) and prove the sentinels
+// catch what the simulation — which has no such bug — would never hand
+// them.
+type Ledger = experiment.Ledger
 
 // mutateLedger, when non-nil, corrupts every captured ledger before the
 // sentinels see it. It exists solely for mutation testing: the
@@ -40,8 +32,10 @@ var mutateLedger func(*Ledger)
 type Outcome struct {
 	Scenario Scenario
 	Result   experiment.GoalResult
-	Ledger   Ledger
-	Report   Report
+	// Ledger is Result.Ledger, kept as a field of its own because the
+	// bench module reads it.
+	Ledger Ledger
+	Report Report
 }
 
 // BindRig forwards to experiment.BindRig. It stays only because the bench
@@ -57,24 +51,21 @@ type Contained struct {
 	Detail   string
 }
 
-// mutateOptions, when non-nil, rewrites the GoalOptions runOnce builds
-// before the run starts. It exists solely for containment self-tests that
-// plant panics in the observation path. Never set outside tests.
-var mutateOptions func(*experiment.GoalOptions)
-
 // sentinelHook, when non-nil, runs at the head of the sentinel audit. It
 // exists solely for containment self-tests that plant a panic inside the
 // audit itself. Never set outside tests.
 var sentinelHook func(sc Scenario)
 
-// RunGoalContained is the panic fence around one simulated session, shared
-// by the soak and the fleet. Any panic unwinding RunGoal — a process fault
-// transported by the kernel (sim.ProcPanic), a kernel-context panic from an
-// injector or callback, or the stall detector's sim.ErrStall — is
+// RunContained is the panic fence around one simulated session, shared by
+// the soak and the fleet. It runs opt with the fault and misbehavior specs
+// bound (experiment.RunPlanned). Any panic unwinding RunGoal — a process
+// fault transported by the kernel (sim.ProcPanic), a kernel-context panic
+// from an injector or callback, or the stall detector's sim.ErrStall — is
 // recovered here and handed back as a contained fault, instead of killing
 // the whole batch. The rig's goroutines are already torn down when the
-// fence fires: RunGoal defers Kernel.Shutdown.
-func RunGoalContained(opt experiment.GoalOptions) (res experiment.GoalResult, cv *Contained) {
+// fence fires: RunGoal defers Kernel.Shutdown. A spec that fails to bind is
+// the error, and wins over a contained fault.
+func RunContained(opt experiment.GoalOptions, fault, misbehave *faults.PlanSpec) (res experiment.GoalResult, cv *Contained, err error) {
 	defer func() {
 		r := recover()
 		if r == nil {
@@ -91,18 +82,17 @@ func RunGoalContained(opt experiment.GoalOptions) (res experiment.GoalResult, cv
 			cv = &Contained{Sentinel: SentinelPanic, Detail: fmt.Sprintf("kernel-context panic: %v\n%s", r, sim.CallerStack(1))}
 		}
 	}()
-	return experiment.RunGoal(opt), nil
+	res, err = experiment.RunPlanned(opt, fault, misbehave)
+	return res, nil, err
 }
 
-// runOnce executes the scenario once and captures everything the sentinels
-// need: the goal result, the ledger snapshot, and a determinism
+// runOnce executes the scenario once and returns everything the sentinels
+// need: the goal result, whose ledger they audit, and a determinism
 // fingerprint. A plan that fails to materialize (unknown target, missing
 // battery) is a scenario error, not a sentinel violation; a panic or stall
 // is returned as a contained fault.
-func runOnce(sc Scenario) (experiment.GoalResult, Ledger, string, *Contained, error) {
-	var led Ledger
-	var bindErr error
-	opt := experiment.GoalOptions{
+func runOnce(sc Scenario) (experiment.GoalResult, string, *Contained, error) {
+	res, cv, err := RunContained(experiment.GoalOptions{
 		Seed:          sc.Seed,
 		InitialEnergy: sc.InitialEnergy,
 		Goal:          time.Duration(sc.Goal),
@@ -114,29 +104,17 @@ func runOnce(sc Scenario) (experiment.GoalResult, Ledger, string, *Contained, er
 		StallBound:    sc.StallBound,
 		Offload:       sc.Offload,
 		RecordEvents:  true,
-		Observe: func(rig *env.Rig, em *core.EnergyMonitor) {
-			led.Total = rig.M.Acct.TotalEnergy()
-			led.ByComponent = rig.M.Acct.EnergyByComponent()
-			led.ByPrincipal = rig.M.Acct.EnergyByPrincipal()
-			led.Elapsed = rig.K.Now()
-			led.BudgetErr = em.AuditBudgetShares()
-			if mutateLedger != nil {
-				mutateLedger(&led)
-			}
-		},
-	}
-	experiment.BindPlans(&opt, sc.Faults, sc.Misbehave, &bindErr)
-	if mutateOptions != nil {
-		mutateOptions(&opt)
-	}
-	res, cv := RunGoalContained(opt)
-	if bindErr != nil {
-		return res, led, "", nil, fmt.Errorf("chaos: scenario %s: %w", sc.ID(), bindErr)
+	}, sc.Faults, sc.Misbehave)
+	if err != nil {
+		return res, "", nil, fmt.Errorf("chaos: scenario %s: %w", sc.ID(), err)
 	}
 	if cv != nil {
-		return res, led, "", cv, nil
+		return res, "", cv, nil
 	}
-	return res, led, fingerprint(res), nil, nil
+	if mutateLedger != nil {
+		mutateLedger(&res.Ledger)
+	}
+	return res, fingerprint(res), nil, nil
 }
 
 // fingerprint renders everything observable about a run into one string:
@@ -196,7 +174,7 @@ func firstDiff(a, b string) string {
 // crashing sentinel becomes a panic violation in the report it was
 // producing, so a bug in the audit code is triaged like any other crash
 // instead of taking the soak down.
-func auditContained(sc Scenario, res experiment.GoalResult, led Ledger) (rep Report) {
+func auditContained(sc Scenario, res experiment.GoalResult) (rep Report) {
 	defer func() {
 		if r := recover(); r != nil {
 			rep = Report{ScenarioID: sc.ID()}
@@ -206,7 +184,7 @@ func auditContained(sc Scenario, res experiment.GoalResult, led Ledger) (rep Rep
 	if sentinelHook != nil {
 		sentinelHook(sc)
 	}
-	return audit(sc, res, led)
+	return audit(sc, res)
 }
 
 // Run executes the scenario twice — once for the sentinel audit, once more
@@ -216,11 +194,11 @@ func auditContained(sc Scenario, res experiment.GoalResult, led Ledger) (rep Rep
 // stalls, are in the Report.
 func Run(sc Scenario) (*Outcome, error) {
 	sc = sc.normalize()
-	res, led, fp1, cv, err := runOnce(sc)
+	res, fp1, cv, err := runOnce(sc)
 	if err != nil {
 		return nil, err
 	}
-	out := &Outcome{Scenario: sc, Result: res, Ledger: led}
+	out := &Outcome{Scenario: sc, Result: res, Ledger: res.Ledger}
 	if cv != nil {
 		// The run died mid-flight: its result and ledger are partial, so
 		// neither the post-run audit nor the determinism double-run apply.
@@ -229,13 +207,13 @@ func Run(sc Scenario) (*Outcome, error) {
 		out.Report.add(cv.Sentinel, cv.Detail)
 		return out, nil
 	}
-	out.Report = auditContained(sc, res, led)
+	out.Report = auditContained(sc, res)
 	if out.Report.Has(SentinelPanic) {
 		// The audit itself crashed; a second run would audit nothing new.
 		return out, nil
 	}
 
-	_, _, fp2, cv2, err := runOnce(sc)
+	_, fp2, cv2, err := runOnce(sc)
 	if err != nil {
 		return nil, err
 	}

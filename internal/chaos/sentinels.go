@@ -99,10 +99,10 @@ func (r *Report) add(sentinel, detail string) {
 
 // audit runs every post-run sentinel (determinism is the caller's, since it
 // needs a second run).
-func audit(sc Scenario, res experiment.GoalResult, led Ledger) Report {
+func audit(sc Scenario, res experiment.GoalResult) Report {
 	r := Report{ScenarioID: sc.ID()}
-	checkEnergy(&r, led)
-	checkBudget(&r, led)
+	checkEnergy(&r, res.Ledger)
+	checkBudget(&r, res.Ledger)
 	checkClock(&r, res)
 	checkTrace(&r, res)
 	checkResidual(&r, sc, res)

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"odyssey/internal/app/env"
-	"odyssey/internal/core"
 	"odyssey/internal/trace"
 )
 
@@ -332,15 +331,16 @@ func TestGoalTraceShape(t *testing.T) {
 func TestGoalTraceLevelsMatchApps(t *testing.T) {
 	levels := map[string]int{}
 	final := map[string]int{}
+	observeRig = func(rig *env.Rig) {
+		for _, reg := range rig.V.Apps() {
+			levels[reg.App.Name()] = reg.NumLevels() - 1
+			final[reg.App.Name()] = reg.App.Level()
+		}
+	}
+	defer func() { observeRig = nil }()
 	r := RunGoal(GoalOptions{
 		Seed: 9, InitialEnergy: Figure20InitialEnergy,
 		Goal: 22 * time.Minute, RecordTrace: true, RecordEvents: true,
-		Observe: func(rig *env.Rig, _ *core.EnergyMonitor) {
-			for _, reg := range rig.V.Apps() {
-				levels[reg.App.Name()] = reg.NumLevels() - 1
-				final[reg.App.Name()] = reg.App.Level()
-			}
-		},
 	})
 	if len(levels) != 4 || len(r.Trace) < 1000 {
 		t.Fatalf("%d applications, %d trace points", len(levels), len(r.Trace))

@@ -70,7 +70,7 @@ type GoalOptions struct {
 	// value), a pinned fidelity, or the decentralized thresholds.
 	Control Control
 	// Faults, if set, builds a fault plan against the trial's rig (bat is
-	// nil unless SmartBattery is on); BindPlans sets it from a
+	// nil unless SmartBattery is on); RunPlanned sets it from a
 	// faults.PlanSpec. The plan starts with the workload and is stopped
 	// when the run finishes.
 	Faults func(rig *env.Rig, bat *smartbattery.Battery, seed int64) *faults.Plan
@@ -85,17 +85,13 @@ type GoalOptions struct {
 	Supervise bool
 	// Misbehave, if set (and typically with Supervise), builds an
 	// application-misbehavior fault plan against the trial's apps;
-	// BindPlans sets it from a faults.PlanSpec. It starts with the
+	// RunPlanned sets it from a faults.PlanSpec. It starts with the
 	// workload and is stopped when the run finishes.
 	Misbehave func(apps *workload.Apps, seed int64) *faults.Plan
 	// Apps restricts the scenario to a subset of the applications by name
 	// (nil = all four). The chaos plane uses this to compose random
 	// application mixes and to shrink failing mixes.
 	Apps []string
-	// Observe, if set, runs after the simulation finishes but before the
-	// rig is discarded, with the run's ledgers still intact — the chaos
-	// sentinel suite's window into the accountant and the budget ledger.
-	Observe func(rig *env.Rig, em *core.EnergyMonitor)
 	// Profile, if non-nil, selects a hardware power profile other than the
 	// reference ThinkPad 560X — the fleet plane's device-class variants
 	// (hw.Profile.Scaled).
@@ -199,7 +195,28 @@ type GoalResult struct {
 	Quarantined     []string       // applications quarantined, in order
 	Strikes         map[string]int // strikes by cause (crash/hang/thrash/lie)
 	BudgetShares    map[string]float64
+
+	// Ledger is the run's energy accounting as the run ends.
+	Ledger Ledger
 }
+
+// Ledger is a run's energy accounting at its end: the exact integral of
+// system power, the same energy attributed by hardware component and by
+// software principal, the virtual time the integrals cover, and the
+// budget ledger's audit verdict. The chaos sentinels audit it, and the
+// fleet folds its total and principals into the fleet reduction.
+type Ledger struct {
+	Total       float64
+	ByComponent map[string]float64
+	ByPrincipal map[string]float64
+	Elapsed     time.Duration
+	BudgetErr   error
+}
+
+// observeRig, when non-nil, sees each finished run's rig. It exists solely
+// for tests that check state no result field carries. Never set outside
+// tests.
+var observeRig func(*env.Rig)
 
 // fidelityAverager accumulates time-weighted fidelity levels. Weights are
 // indexed like apps, so an observation only reads levels and adds.
@@ -484,8 +501,15 @@ func RunGoal(opt GoalOptions) GoalResult {
 		res.Strikes = sup.Strikes()
 		res.BudgetShares = em.BudgetShares()
 	}
-	if opt.Observe != nil {
-		opt.Observe(rig, em)
+	res.Ledger = Ledger{
+		Total:       rig.M.Acct.TotalEnergy(),
+		ByComponent: rig.M.Acct.EnergyByComponent(),
+		ByPrincipal: rig.M.Acct.EnergyByPrincipal(),
+		Elapsed:     rig.K.Now(),
+		BudgetErr:   em.AuditBudgetShares(),
+	}
+	if observeRig != nil {
+		observeRig(rig)
 	}
 	return res
 }

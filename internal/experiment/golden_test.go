@@ -11,9 +11,6 @@ import (
 	"testing"
 	"time"
 
-	"odyssey/internal/app/env"
-	"odyssey/internal/core"
-	"odyssey/internal/faults"
 	"odyssey/internal/hw"
 	"odyssey/internal/power"
 )
@@ -81,8 +78,8 @@ func figureGoldens(t *testing.T) []goldenFigure {
 	}
 }
 
-// planeRun is one pinned run of a robustness plane, named by its ladder
-// rung, with the seed its figure gives it.
+// planeRun is one pinned goal run, named by its ladder rung (with the seed
+// its figure gives it) or by its configuration.
 type planeRun struct {
 	name string
 	run  func() GoalResult
@@ -120,62 +117,20 @@ func planeHex(runs []planeRun) string {
 	return b.String()
 }
 
-// Ledger is a run's energy accounting at its end.
-type Ledger struct {
-	Total       float64
-	ByComponent map[string]float64
-	ByPrincipal map[string]float64
-	Elapsed     time.Duration
-	BudgetErr   error
-}
-
-// ledgerRun is one run whose ledger the ledgers golden pins: the options
-// and plans its trial function gives RunGoal.
-type ledgerRun struct {
-	name             string
-	opt              GoalOptions
-	fault, misbehave *faults.PlanSpec
-}
-
 // ledgerRuns are the plane runs, a SmartBattery run with Peukert losses on
 // a scaled profile, and a decentralized-threshold run.
-func ledgerRuns() []ledgerRun {
-	resMid, _ := ResiliencePlan("mid", 2562)
-	resSevere, _ := ResiliencePlan("severe", 2593)
-	supMid, _ := MisbehavePlan("mid", 2662)
-	supSevere, _ := MisbehavePlan("severe", 2693)
-	crash, _ := findRung(offloadLadder, "crash")
-	flap, _ := findRung(offloadLadder, "flap")
+func ledgerRuns() []planeRun {
 	profile := hw.ThinkPad560X().Scaled(1.1, 0.9)
-	fig20 := func(seed int64, goal time.Duration) GoalOptions {
-		return GoalOptions{Seed: seed, InitialEnergy: Figure20InitialEnergy, Goal: goal}
-	}
-	supervised := func(seed int64) GoalOptions {
-		opt := fig20(seed, supervisionGoal)
-		opt.Supervise = true
-		return opt
-	}
-	offloaded := func(policy string, r rung, seed int64) GoalOptions {
-		opt := fig20(seed, offloadGoal)
-		opt.Offload = &OffloadConfig{Servers: offloadPoolSize, Contention: r.contention, Policy: policy}
-		return opt
-	}
-	smart := fig20(2726, 22*time.Minute)
-	smart.SmartBattery, smart.Peukert, smart.Profile = true, 1.08, &profile
-	thresholds := fig20(3000, 26*time.Minute)
-	thresholds.Control = Thresholds
-	return []ledgerRun{
-		{"resilience mid", fig20(2562, resilienceGoal), resMid, nil},
-		{"resilience severe", fig20(2593, resilienceGoal), resSevere, nil},
-		{"supervision mid", supervised(2662), nil, supMid},
-		{"supervision severe", supervised(2693), nil, supSevere},
-		{"offload auto:crash", offloaded("auto", crash, 2981), crash.seeded(offloadPlanSeed(2981)), nil},
-		{"offload remote:flap", offloaded("remote", flap, 2917), flap.seeded(offloadPlanSeed(2917)), nil},
-		{"fig22 bursty", GoalOptions{Seed: 2200, InitialEnergy: Figure22InitialEnergy, Goal: 2*time.Hour + 45*time.Minute,
-			Bursty: true, ExtendAt: time.Hour, ExtendBy: 30 * time.Minute}, nil, nil},
-		{"smartbattery peukert 1.08", smart, nil, nil},
-		{"thresholds", thresholds, nil, nil},
-	}
+	return append(planeRuns(),
+		planeRun{"smartbattery peukert 1.08", func() GoalResult {
+			return RunGoal(GoalOptions{Seed: 2726, InitialEnergy: Figure20InitialEnergy, Goal: 22 * time.Minute,
+				SmartBattery: true, Peukert: 1.08, Profile: &profile})
+		}},
+		planeRun{"thresholds", func() GoalResult {
+			return RunGoal(GoalOptions{Seed: 3000, InitialEnergy: Figure20InitialEnergy, Goal: 26 * time.Minute,
+				Control: Thresholds})
+		}},
+	)
 }
 
 // ledgerHex renders each run's ledger exactly: a header line with the
@@ -183,24 +138,11 @@ func ledgerRuns() []ledgerRun {
 // budget audit's verdict, then every component and principal entry as a
 // hex float in name order. t fails on a ledger that does not conserve
 // energy or fails the budget audit.
-func ledgerHex(t *testing.T, runs []ledgerRun) string {
-	leds := make([]Ledger, len(runs))
-	sweep(len(runs), 1, func(a, _ int) GoalResult {
-		opt := runs[a].opt
-		opt.Observe = func(rig *env.Rig, em *core.EnergyMonitor) {
-			leds[a] = Ledger{
-				Total:       rig.M.Acct.TotalEnergy(),
-				ByComponent: rig.M.Acct.EnergyByComponent(),
-				ByPrincipal: rig.M.Acct.EnergyByPrincipal(),
-				Elapsed:     rig.K.Now(),
-				BudgetErr:   em.AuditBudgetShares(),
-			}
-		}
-		return runPlanned(opt, runs[a].fault, runs[a].misbehave)
-	})
+func ledgerHex(t *testing.T, runs []planeRun) string {
+	results := sweep(len(runs), 1, func(a, _ int) GoalResult { return runs[a].run() })
 	var b strings.Builder
 	for i, lr := range runs {
-		led := leds[i]
+		led := results[i][0].Ledger
 		if err := power.ConservationCheck(led.Total, led.ByComponent, led.ByPrincipal, led.Elapsed); err != nil {
 			t.Errorf("%s: %v", lr.name, err)
 		}

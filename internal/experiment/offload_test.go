@@ -5,23 +5,14 @@ import (
 	"testing"
 	"time"
 
-	"odyssey/internal/app/env"
-	"odyssey/internal/core"
 	"odyssey/internal/offload"
 )
 
 // goalPrincipals runs one goal trial and returns its per-principal energy
 // ledger alongside the result.
 func goalPrincipals(opt GoalOptions) (GoalResult, map[string]float64) {
-	var by map[string]float64
-	prev := opt.Observe
-	opt.Observe = func(rig *env.Rig, em *core.EnergyMonitor) {
-		by = rig.M.Acct.EnergyByPrincipal()
-		if prev != nil {
-			prev(rig, em)
-		}
-	}
-	return RunGoal(opt), by
+	r := RunGoal(opt)
+	return r, r.Ledger.ByPrincipal
 }
 
 // TestOffloadDisarmedLeavesNoTrace: with GoalOptions.Offload nil the run is

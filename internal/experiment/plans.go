@@ -11,7 +11,7 @@ import (
 	"odyssey/internal/workload"
 )
 
-// Fault plans. Every plan a run arms is a faults.PlanSpec that BindPlans
+// Fault plans. Every plan a run arms is a faults.PlanSpec that RunPlanned
 // binds to the run's live rig: the chaos and fleet planes draw their specs
 // at random, and the resilience, supervision and offload ladders keep
 // theirs as tables of rungs whose trials fill in the seed.
@@ -61,13 +61,10 @@ func (r rung) seeded(seed int64) *faults.PlanSpec {
 	return &sp
 }
 
-// runPlanned runs opt with the fault and misbehavior plans (either may be
-// nil) bound to its rig. The ladders' tables are fixed, so a plan that
-// fails to bind is a broken table, not a bad scenario.
+// runPlanned is RunPlanned for the ladders. Their tables are fixed, so a
+// plan that fails to bind is a broken table, not a bad scenario.
 func runPlanned(opt GoalOptions, fault, misbehave *faults.PlanSpec) GoalResult {
-	var err error
-	BindPlans(&opt, fault, misbehave, &err)
-	res := RunGoal(opt)
+	res, err := RunPlanned(opt, fault, misbehave)
 	if err != nil {
 		//odylint:allow panicfree experiment misconfiguration; every ladder rung is bound by TestLadderRungsBind
 		panic(err)
@@ -132,16 +129,22 @@ func (t *rigTargets) App(name string) (core.Adaptive, *supervise.AppHealth, bool
 	return app, health, true
 }
 
-// BindPlans installs the GoalOptions binders that build the fault and
-// misbehavior specs (either may be nil) on the run's live rig. A spec that
-// fails to bind — an unknown target, a missing battery — is stored in
-// *bindErr and its plan dropped; the caller reports it once the run
-// returns.
-func BindPlans(opt *GoalOptions, fault, misbehave *faults.PlanSpec, bindErr *error) {
-	plan := func(spec *faults.PlanSpec, k *sim.Kernel, tg faults.Targets) *faults.Plan {
-		pl, err := spec.Plan(k, tg)
+// RunPlanned runs opt with the fault and misbehavior specs (either may be
+// nil) bound to its live rig. A spec that fails to bind — an unknown
+// target, a missing battery — is dropped, the run goes on without it, and
+// its error comes back with the result. The error also wins over a panic
+// or stall of the half-bound run, which is then discarded: the run was
+// malformed, so what it did next is no finding.
+func RunPlanned(opt GoalOptions, fault, misbehave *faults.PlanSpec) (res GoalResult, err error) {
+	defer func() {
 		if err != nil {
-			*bindErr = err
+			recover()
+		}
+	}()
+	plan := func(spec *faults.PlanSpec, k *sim.Kernel, tg faults.Targets) *faults.Plan {
+		pl, bindErr := spec.Plan(k, tg)
+		if bindErr != nil {
+			err = bindErr
 		}
 		return pl
 	}
@@ -155,4 +158,6 @@ func BindPlans(opt *GoalOptions, fault, misbehave *faults.PlanSpec, bindErr *err
 			return plan(misbehave, apps.Rig.K, BindRig(apps.Rig, nil, apps))
 		}
 	}
+	res = RunGoal(opt)
+	return res, err
 }

@@ -14,7 +14,7 @@ import (
 // TestLadderRungsBind walks every rung of the resilience, supervision and
 // offload ladders. Each rung's plan must carry the expected name, injector
 // count and stream seed, survive a JSON round trip unchanged, and bind
-// through BindPlans to a fresh rig without error: offload rungs against a
+// through BindRig to a fresh rig without error: offload rungs against a
 // 3-server pool, misbehavior rungs against all four applications. A
 // misspelled target or a kind the rig cannot serve fails here, not as a
 // silently clean trial.
@@ -84,16 +84,11 @@ func TestLadderRungsBind(t *testing.T) {
 			if l.pool {
 				rig.EnableOffload(offloadPoolSize, r.contention, seed, offload.Config{})
 			}
-			var opt GoalOptions
-			var bindErr error
-			var pl *faults.Plan
+			tg := BindRig(rig, nil, nil)
 			if l.misbehave {
-				BindPlans(&opt, nil, spec, &bindErr)
-				pl = opt.Misbehave(workload.NewApps(rig), seed)
-			} else {
-				BindPlans(&opt, spec, nil, &bindErr)
-				pl = opt.Faults(rig, nil, seed)
+				tg = BindRig(rig, nil, workload.NewApps(rig))
 			}
+			pl, bindErr := spec.Plan(rig.K, tg)
 			if bindErr != nil || pl == nil {
 				t.Errorf("%s/%s: binding to a fresh rig failed: %v", l.ladder, r.name, bindErr)
 			} else if pl.Name != w.name {

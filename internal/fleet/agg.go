@@ -4,9 +4,9 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"time"
 
 	"odyssey/internal/chaos"
+	"odyssey/internal/experiment"
 )
 
 // Agg is a streaming count/sum/min/max accumulator. Merge adds sums and
@@ -178,41 +178,42 @@ func (a *Aggregate) Merge(o *Aggregate) {
 }
 
 // observe folds one finished session into the reduction. A contained
-// session (panic or stall recovered by the runner's fence) counts toward
-// Sessions and its contained counter; everything else about it is a
-// partial measurement of a run that died mid-flight, so only the
+// session (cv non-nil: a panic or stall recovered by the runner's fence)
+// counts toward Sessions and its contained counter; everything else about
+// it is a partial measurement of a run that died mid-flight, so only the
 // session-spec sketches (goal length, start stagger) are folded.
-func (a *Aggregate) observe(sess Session, out sessionOutcome) {
+func (a *Aggregate) observe(sess Session, res experiment.GoalResult, cv *chaos.Contained) {
 	a.Sessions++
 	a.SessionMin.Observe(sess.Goal.Minutes())
 	a.StartMin.Observe(sess.Start.Minutes())
-	switch out.Contained {
-	case "":
-	case chaos.SentinelStall:
-		a.ContainedStalls++
-		return
-	default:
-		a.ContainedPanics++
+	if cv != nil {
+		if cv.Sentinel == chaos.SentinelStall {
+			a.ContainedStalls++
+		} else {
+			a.ContainedPanics++
+		}
 		return
 	}
-	if out.Met {
+	if res.Met {
 		a.GoalMet++
 	}
-	a.Quarantines += int64(out.Quarantined)
-	a.Restarts += int64(out.Restarts)
-	a.Adaptations += int64(out.Adaptations)
-	a.FaultEvents += int64(out.FaultEvents)
-	a.Residual.Observe(out.Residual)
-	a.Energy.Observe(out.Drained)
-	a.RetryJ.Observe(out.RetryJ)
+	a.Quarantines += int64(len(res.Quarantined))
+	a.Restarts += int64(res.Restarts)
+	for _, n := range res.Adaptations {
+		a.Adaptations += int64(n)
+	}
+	a.FaultEvents += int64(res.FaultEvents)
+	a.Residual.Observe(res.Residual)
+	a.Energy.Observe(res.Ledger.Total)
+	a.RetryJ.Observe(res.RetryEnergy)
 
-	for i, name := range out.Principals {
+	for _, name := range sortedKeys(res.Ledger.ByPrincipal) {
 		dst := a.ByPrincipal[name]
 		if dst == nil {
 			dst = &Agg{}
 			a.ByPrincipal[name] = dst
 		}
-		dst.Observe(out.PrincipalJ[i])
+		dst.Observe(res.Ledger.ByPrincipal[name])
 	}
 	for _, g := range []struct {
 		m   map[string]*GroupAgg
@@ -227,11 +228,11 @@ func (a *Aggregate) observe(sess Session, out sessionOutcome) {
 			g.m[g.key] = dst
 		}
 		dst.Sessions++
-		if out.Met {
+		if res.Met {
 			dst.GoalMet++
 		}
-		dst.Residual.Observe(out.Residual)
-		dst.Energy.Observe(out.Drained)
+		dst.Residual.Observe(res.Residual)
+		dst.Energy.Observe(res.Ledger.Total)
 	}
 }
 
@@ -291,27 +292,4 @@ func (a *Aggregate) Fingerprint() string {
 
 func (a Agg) hex() string {
 	return fmt.Sprintf("n=%d sum=%x min=%x max=%x", a.Count, a.Sum, a.Min, a.Max)
-}
-
-// sessionOutcome is what the runner extracts from one finished goal run
-// before the rig is garbage: the scalars the reduction folds, plus the
-// per-principal energy ledger flattened into parallel slices in sorted
-// principal order.
-type sessionOutcome struct {
-	Met         bool
-	Residual    float64
-	Drained     float64
-	RetryJ      float64
-	Quarantined int
-	Restarts    int
-	Adaptations int
-	FaultEvents int
-	Elapsed     time.Duration
-	Principals  []string
-	PrincipalJ  []float64
-	// Contained is the sentinel name (chaos.SentinelPanic or
-	// chaos.SentinelStall) when the runner's fence recovered the session,
-	// with Detail the triage text; empty for sessions that completed.
-	Contained string
-	Detail    string
 }

@@ -5,11 +5,13 @@ import (
 	"reflect"
 	"testing"
 	"time"
+
+	"odyssey/internal/experiment"
 )
 
 // synthOutcome fabricates a session outcome from a seeded generator — the
 // aggregate plumbing doesn't care that no simulation ran.
-func synthOutcome(rng *rand.Rand) (Session, sessionOutcome) {
+func synthOutcome(rng *rand.Rand) (Session, experiment.GoalResult) {
 	classes := []string{"flagship", "midrange", "budget", "aged"}
 	behaviors := []string{"commuter", "streamer"}
 	sess := Session{
@@ -18,18 +20,17 @@ func synthOutcome(rng *rand.Rand) (Session, sessionOutcome) {
 		Goal:     time.Duration(1+rng.Intn(10)) * time.Minute,
 		Start:    time.Duration(rng.Intn(3600)) * time.Second,
 	}
-	out := sessionOutcome{
+	out := experiment.GoalResult{
 		Met:         rng.Float64() < 0.9,
 		Residual:    rng.Float64() * 5000,
-		Drained:     1000 + rng.Float64()*4000,
-		RetryJ:      rng.Float64() * 50,
-		Quarantined: rng.Intn(2),
+		Ledger:      experiment.Ledger{Total: 1000 + rng.Float64()*4000},
+		RetryEnergy: rng.Float64() * 50,
+		Quarantined: make([]string, rng.Intn(2)),
 		Restarts:    rng.Intn(3),
-		Adaptations: rng.Intn(20),
+		Adaptations: map[string]int{"video": rng.Intn(20)},
 		FaultEvents: rng.Intn(40),
-		Principals:  []string{"Idle", "X", "xanim"},
-		PrincipalJ:  []float64{rng.Float64() * 900, rng.Float64() * 400, rng.Float64() * 700},
 	}
+	out.Ledger.ByPrincipal = map[string]float64{"Idle": rng.Float64() * 900, "X": rng.Float64() * 400, "xanim": rng.Float64() * 700}
 	return sess, out
 }
 
@@ -38,7 +39,7 @@ func synthAggregate(seed int64, n int) *Aggregate {
 	a := NewAggregate()
 	for i := 0; i < n; i++ {
 		sess, out := synthOutcome(rng)
-		a.observe(sess, out)
+		a.observe(sess, out, nil)
 	}
 	return a
 }

@@ -9,11 +9,9 @@ import (
 	"testing"
 	"time"
 
-	"odyssey/internal/app/env"
 	"odyssey/internal/chaos"
 	"odyssey/internal/experiment"
 	"odyssey/internal/faults"
-	"odyssey/internal/smartbattery"
 )
 
 // TestSketchJSONRoundTrip: the sparse wire form reproduces the sketch
@@ -49,15 +47,16 @@ func TestAggregateJSONRoundTrip(t *testing.T) {
 		{Class: "tablet", Behavior: "idle", Goal: 2 * time.Hour, Start: 45 * time.Minute},
 		{Class: "phone", Behavior: "heavy", Goal: time.Hour, Start: 0},
 	}
-	outs := []sessionOutcome{
-		{Met: true, Residual: 120.5, Drained: 900.25, RetryJ: 1.5,
-			Principals: []string{"video", "web"}, PrincipalJ: []float64{500.125, 400.0625}},
-		{Met: false, Residual: 0, Drained: 4000, Quarantined: 1, Restarts: 2,
-			Principals: []string{"web"}, PrincipalJ: []float64{4000}},
-		{Contained: chaos.SentinelPanic, Detail: "planted"},
+	outs := []experiment.GoalResult{
+		{Met: true, Residual: 120.5, RetryEnergy: 1.5,
+			Ledger: experiment.Ledger{Total: 900.25, ByPrincipal: map[string]float64{"video": 500.125, "web": 400.0625}}},
+		{Met: false, Residual: 0, Quarantined: []string{"web"}, Restarts: 2,
+			Ledger: experiment.Ledger{Total: 4000, ByPrincipal: map[string]float64{"web": 4000}}},
+		{},
 	}
+	contained := []*chaos.Contained{nil, nil, {Sentinel: chaos.SentinelPanic, Detail: "planted"}}
 	for i := range sessions {
-		a.observe(sessions[i], outs[i])
+		a.observe(sessions[i], outs[i], contained[i])
 	}
 	if a.ContainedPanics != 1 {
 		t.Fatalf("contained panics %d, want 1", a.ContainedPanics)
@@ -86,19 +85,12 @@ func TestAggregateJSONRoundTrip(t *testing.T) {
 	}
 }
 
-// plantFault returns a GoalOptions fault binder materializing one planted
-// injector of the given kind.
-func plantFault(kind string, delay time.Duration) func(*env.Rig, *smartbattery.Battery, int64) *faults.Plan {
-	spec := faults.PlanSpec{
+// plantFault returns a fault plan of one planted injector of the given
+// kind.
+func plantFault(kind string, delay time.Duration) *faults.PlanSpec {
+	return &faults.PlanSpec{
 		Name: "planted", Seed: 1,
 		Injectors: []faults.InjectorSpec{{Kind: kind, MeanUp: faults.Dur(delay)}},
-	}
-	return func(rig *env.Rig, bat *smartbattery.Battery, seed int64) *faults.Plan {
-		pl, err := spec.Plan(rig.K, experiment.BindRig(rig, bat, nil))
-		if err != nil {
-			panic(err)
-		}
-		return pl
 	}
 }
 
@@ -106,16 +98,16 @@ func plantFault(kind string, delay time.Duration) func(*env.Rig, *smartbattery.B
 // livelocks; the fleet run completes, counts both under the containment
 // counters, and keeps their partial metrics out of the reduction.
 func TestFleetContainsPanicsAndStalls(t *testing.T) {
-	mutateGoalOptions = func(i int, opt *experiment.GoalOptions) {
-		switch i {
+	mutateSession = func(sess *Session, opt *experiment.GoalOptions) {
+		switch sess.Index {
 		case 1:
-			opt.Faults = plantFault(faults.KindTestProcPanic, time.Second)
+			sess.Faults = plantFault(faults.KindTestProcPanic, time.Second)
 		case 2:
-			opt.Faults = plantFault(faults.KindTestLivelock, time.Second)
+			sess.Faults = plantFault(faults.KindTestLivelock, time.Second)
 			opt.StallBound = 50_000
 		}
 	}
-	defer func() { mutateGoalOptions = nil }()
+	defer func() { mutateSession = nil }()
 
 	var progress strings.Builder
 	res, err := Run(RunOptions{

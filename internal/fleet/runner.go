@@ -5,14 +5,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
 
-	"odyssey/internal/app/env"
 	"odyssey/internal/chaos"
-	"odyssey/internal/core"
 	"odyssey/internal/experiment"
 	"odyssey/internal/journal"
-	"odyssey/internal/workload"
 )
 
 // The fleet runner. Sessions are sharded into a FIXED number of contiguous
@@ -141,15 +137,15 @@ func Run(opts RunOptions) (*Result, error) {
 		lo, hi := shardRange(s, shards, n)
 		for i := lo; i < hi; i++ {
 			sess := opts.Population.Session(opts.Seed, i)
-			out, err := runSession(i, sess)
+			res, cv, err := runSession(sess)
 			if err != nil {
 				errs[s] = fmt.Errorf("fleet: session %d (seed %d): %w", i, sess.Seed, err)
 				return
 			}
-			if out.Contained != "" && opts.Progress != nil {
-				_, _ = fmt.Fprintf(opts.Progress, "contained %s in session %d (seed %d): %s\n", out.Contained, i, sess.Seed, out.Detail)
+			if cv != nil && opts.Progress != nil {
+				_, _ = fmt.Fprintf(opts.Progress, "contained %s in session %d (seed %d): %s\n", cv.Sentinel, i, sess.Seed, cv.Detail)
 			}
-			agg.observe(sess, out)
+			agg.observe(sess, res, cv)
 		}
 		// Journal before publishing: a shard is either durably journaled
 		// and counted, or neither.
@@ -187,18 +183,15 @@ func Run(opts RunOptions) (*Result, error) {
 	return res, nil
 }
 
-// mutateGoalOptions, when non-nil, rewrites session index i's GoalOptions
-// before the run starts. It exists solely for containment self-tests that
-// plant crashing or livelocking injectors into an otherwise healthy fleet.
-// Never set outside tests.
-var mutateGoalOptions func(i int, opt *experiment.GoalOptions)
+// mutateSession, when non-nil, rewrites a session and the GoalOptions
+// built from it before the run starts. It exists solely for containment
+// self-tests that plant crashing or livelocking injectors into an otherwise
+// healthy fleet. Never set outside tests.
+var mutateSession func(sess *Session, opt *experiment.GoalOptions)
 
 // runSession executes one derived session through the goal-directed
-// experiment on a private rig, behind chaos's panic fence, and extracts
-// the mergeable outcome.
-func runSession(index int, sess Session) (sessionOutcome, error) {
-	var out sessionOutcome
-	var bindErr error
+// experiment on a private rig, behind chaos's panic fence.
+func runSession(sess Session) (experiment.GoalResult, *chaos.Contained, error) {
 	profile := sess.Profile
 	opt := experiment.GoalOptions{
 		Seed:            sess.Seed,
@@ -211,20 +204,6 @@ func runSession(index int, sess Session) (sessionOutcome, error) {
 		Apps:            sess.Apps,
 		Profile:         &profile,
 		CompositePeriod: sess.CompositePeriod,
-		Observe: func(rig *env.Rig, em *core.EnergyMonitor) {
-			out.Drained = rig.M.Acct.TotalEnergy()
-			by := rig.M.Acct.EnergyByPrincipal()
-			names := make([]string, 0, len(by))
-			for name := range by {
-				names = append(names, name)
-			}
-			sort.Strings(names)
-			out.Principals = names
-			out.PrincipalJ = make([]float64, len(names))
-			for pi, name := range names {
-				out.PrincipalJ[pi] = by[name]
-			}
-		},
 	}
 	if sess.OffloadServers > 0 {
 		opt.Offload = &experiment.OffloadConfig{
@@ -233,29 +212,8 @@ func runSession(index int, sess Session) (sessionOutcome, error) {
 			NoHedge:    sess.OffloadNoHedge,
 		}
 	}
-	experiment.BindPlans(&opt, sess.Faults, sess.Misbehave, &bindErr)
-	if mutateGoalOptions != nil {
-		mutateGoalOptions(index, &opt)
+	if mutateSession != nil {
+		mutateSession(&sess, &opt)
 	}
-	res, cv := chaos.RunGoalContained(opt)
-	if bindErr != nil {
-		return out, bindErr
-	}
-	if cv != nil {
-		// The session died mid-flight: its metrics are partial, so the
-		// aggregate folds only the containment counters for it.
-		out.Contained, out.Detail = cv.Sentinel, cv.Detail
-		return out, nil
-	}
-	out.Met = res.Met
-	out.Residual = res.Residual
-	out.RetryJ = res.RetryEnergy
-	out.Quarantined = len(res.Quarantined)
-	out.Restarts = res.Restarts
-	out.FaultEvents = res.FaultEvents
-	out.Elapsed = res.EndTime
-	for _, name := range workload.Names {
-		out.Adaptations += res.Adaptations[name]
-	}
-	return out, nil
+	return chaos.RunContained(opt, sess.Faults, sess.Misbehave)
 }

@@ -19,17 +19,14 @@ func faultedRun(t *testing.T, seed int64) (string, experiment.GoalResult) {
 	if !ok {
 		t.Fatal("mid fault plan missing")
 	}
-	opt := experiment.GoalOptions{
+	r, err := experiment.RunPlanned(experiment.GoalOptions{
 		Seed:          seed,
 		InitialEnergy: experiment.Figure20InitialEnergy,
 		Goal:          26 * time.Minute,
 		RecordEvents:  true,
-	}
-	var bindErr error
-	experiment.BindPlans(&opt, plan, nil, &bindErr)
-	r := experiment.RunGoal(opt)
-	if bindErr != nil {
-		t.Fatal(bindErr)
+	}, plan, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
 	var b strings.Builder
 	b.WriteString(r.Events.Text())

@@ -21,18 +21,15 @@ func supervisedRun(t *testing.T, seed int64) (string, experiment.GoalResult) {
 	if !ok {
 		t.Fatal("mid misbehavior ladder missing")
 	}
-	opt := experiment.GoalOptions{
+	r, err := experiment.RunPlanned(experiment.GoalOptions{
 		Seed:          seed,
 		InitialEnergy: experiment.Figure20InitialEnergy,
 		Goal:          26 * time.Minute,
 		Supervise:     true,
 		RecordEvents:  true,
-	}
-	var bindErr error
-	experiment.BindPlans(&opt, nil, plan, &bindErr)
-	r := experiment.RunGoal(opt)
-	if bindErr != nil {
-		t.Fatal(bindErr)
+	}, nil, plan)
+	if err != nil {
+		t.Fatal(err)
 	}
 	var b strings.Builder
 	b.WriteString(r.Events.Text())
