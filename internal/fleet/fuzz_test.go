@@ -1,15 +1,18 @@
 package fleet
 
 import (
+	"fmt"
 	"math"
 	"testing"
 )
 
 // FuzzSketchJSON checks the sketch decoder behind the fleet shard journal:
 // any input it accepts decodes the same way twice, and survives a
-// MarshalJSON round trip with the same count and quantiles. The seeds are
-// the sketches of a small fleet run and the malformed lines the decoder
-// must reject.
+// MarshalJSON round trip with the same count and quantiles. Its quantiles
+// never decrease as q rises, and lie between the values of its lowest and
+// highest occupied buckets. The seeds are the sketches of a small fleet
+// run, a sketch at the int64 count limit, and the malformed lines the
+// decoder must reject.
 func FuzzSketchJSON(f *testing.F) {
 	r, err := Run(RunOptions{Population: DefaultPopulation(), Seed: 3, Devices: 8, Shards: 2})
 	if err != nil {
@@ -26,6 +29,7 @@ func FuzzSketchJSON(f *testing.F) {
 		}
 		f.Add(b)
 	}
+	f.Add([]byte(fmt.Sprintf(`{"neg":{"7":1},"zero":%d,"n":%d}`, int64(math.MaxInt64-1), int64(math.MaxInt64))))
 	for _, line := range malformedSketches {
 		f.Add([]byte(line))
 	}
@@ -48,10 +52,40 @@ func FuzzSketchJSON(f *testing.F) {
 		if rt.Count() != s.Count() {
 			t.Fatalf("round trip changed the count %d to %d:\n%s", s.Count(), rt.Count(), enc)
 		}
+		lo, hi := occupiedRange(&s)
+		prev := math.Inf(-1)
 		for _, q := range []float64{0, 0.01, 0.25, 0.5, 0.75, 0.99, 1} {
-			if a, b := s.Quantile(q), rt.Quantile(q); math.Float64bits(a) != math.Float64bits(b) {
+			a, b := s.Quantile(q), rt.Quantile(q)
+			if math.Float64bits(a) != math.Float64bits(b) {
 				t.Fatalf("round trip changed quantile %v from %v to %v:\n%s", q, a, b, enc)
 			}
+			if s.Count() > 0 && (a < prev || a < lo || a > hi) {
+				t.Fatalf("quantile %v = %v after %v, outside the occupied range [%v, %v]:\n%s", q, a, prev, lo, hi, enc)
+			}
+			prev = a
 		}
 	})
+}
+
+// occupiedRange returns the values of a sketch's lowest and highest
+// occupied buckets (both 0 when it is empty).
+func occupiedRange(s *Sketch) (lo, hi float64) {
+	var vals []float64
+	for i := sketchBuckets - 1; i >= 0; i-- {
+		if s.neg[i] > 0 {
+			vals = append(vals, -bucketMid(i))
+		}
+	}
+	if s.zero > 0 {
+		vals = append(vals, 0)
+	}
+	for i := 0; i < sketchBuckets; i++ {
+		if s.pos[i] > 0 {
+			vals = append(vals, bucketMid(i))
+		}
+	}
+	if len(vals) == 0 {
+		return 0, 0
+	}
+	return vals[0], vals[len(vals)-1]
 }

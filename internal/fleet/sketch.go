@@ -236,7 +236,13 @@ func (s *Sketch) Quantile(q float64) float64 {
 	if q > 1 {
 		q = 1
 	}
-	rank := int64(q*float64(s.n-1) + 0.5)
+	// Clamp the rank to [0, n-1] while it is still a float: near n = 2^63
+	// it rounds up to 2^63, and converting that to int64 is
+	// implementation-defined.
+	rank := s.n - 1
+	if r := q*float64(s.n-1) + 0.5; r < float64(rank) {
+		rank = int64(r)
+	}
 	// Ascending value order: negatives from largest magnitude down, then
 	// zero, then positives from smallest magnitude up.
 	var cum int64

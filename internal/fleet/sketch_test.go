@@ -182,3 +182,19 @@ func TestSketchRejectsMalformed(t *testing.T) {
 		t.Errorf("%s decoded without error", over)
 	}
 }
+
+// TestSketchQuantileAtInt64Range: a sketch holding MaxInt64 zeros, which
+// the decoder accepts, reports 0 at every quantile. Its top rank rounds to
+// 2^63 as a float, past the int64 range.
+func TestSketchQuantileAtInt64Range(t *testing.T) {
+	s := NewSketch()
+	line := fmt.Sprintf(`{"zero":%d,"n":%d}`, int64(math.MaxInt64), int64(math.MaxInt64))
+	if err := s.UnmarshalJSON([]byte(line)); err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range []float64{0, 0.5, 0.99, 1} {
+		if got := s.Quantile(q); got != 0 {
+			t.Errorf("p%v = %v, want 0", q*100, got)
+		}
+	}
+}
