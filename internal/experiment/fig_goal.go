@@ -320,11 +320,7 @@ func RunGoal(opt GoalOptions) GoalResult {
 		bat      *smartbattery.Battery
 	)
 	if opt.SmartBattery {
-		bcfg := smartbattery.DefaultConfig()
-		if opt.Peukert > 0 {
-			bcfg.PeukertExponent = opt.Peukert
-		}
-		bat = smartbattery.New(rig.K, rig.M.Acct, bcfg, opt.InitialEnergy)
+		bat = smartbattery.New(rig.K, rig.M.Acct, opt.Peukert, opt.InitialEnergy)
 		bat.SetPolling(true)
 		em = core.NewEnergyMonitorSource(rig.V, smartbattery.Source{B: bat}, cfg)
 		residual = bat.TrueResidual

@@ -75,7 +75,7 @@ func TestPlanTogglesLink(t *testing.T) {
 func TestPlanStopRestoresHealth(t *testing.T) {
 	m, n := newRig(2)
 	srv := netsim.NewServer(m.K, "s")
-	bat := smartbattery.New(m.K, m.Acct, smartbattery.DefaultConfig(), 9_000)
+	bat := smartbattery.New(m.K, m.Acct, 1, 9_000)
 	tg := &stubTargets{net: n, servers: map[string]*netsim.Server{"s": srv}, bat: bat}
 	up, down := faults.Dur(5*time.Second), faults.Dur(time.Minute)
 	pl := bindPlan(t, m.K, tg, 7,
@@ -200,7 +200,7 @@ func TestCountsAndTotal(t *testing.T) {
 // reports zero current and a stale capacity; recovery resumes live readings.
 func TestBatteryDropoutBlanksReadings(t *testing.T) {
 	m, _ := newRig(6)
-	bat := smartbattery.New(m.K, m.Acct, smartbattery.DefaultConfig(), 9_000)
+	bat := smartbattery.New(m.K, m.Acct, 1, 9_000)
 	bat.SetPolling(true)
 	// A steady load so current is nonzero when healthy.
 	m.CPU.RunAsync("app", (30 * time.Minute).Seconds(), nil)

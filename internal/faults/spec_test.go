@@ -53,7 +53,7 @@ func (t *stubTargets) App(name string) (core.Adaptive, *supervise.AppHealth, boo
 func newSpecRig(seed int64) (*sim.Kernel, *stubTargets) {
 	m, n := newRig(seed)
 	srv := netsim.NewServer(m.K, "srv-a")
-	bat := smartbattery.New(m.K, m.Acct, smartbattery.DefaultConfig(), 10_000)
+	bat := smartbattery.New(m.K, m.Acct, 1, 10_000)
 	return m.K, &stubTargets{
 		net:     n,
 		servers: map[string]*netsim.Server{"srv-a": srv},

@@ -38,7 +38,7 @@ func determinismRun(t *testing.T, seed int64) string {
 		t.Fatal(err)
 	}
 
-	bat := smartbattery.New(rig.K, rig.M.Acct, smartbattery.DefaultConfig(), initialJ)
+	bat := smartbattery.New(rig.K, rig.M.Acct, 1, initialJ)
 	bat.SetPolling(true)
 	em := core.NewEnergyMonitorSource(rig.V, smartbattery.Source{B: bat}, core.DefaultEnergyConfig())
 	em.SetGoal(goal)

@@ -40,7 +40,7 @@ func TestFullStackScenario(t *testing.T) {
 
 	// SmartBattery measurement path driving the goal-directed monitor,
 	// with an event log capturing its decisions.
-	bat := smartbattery.New(rig.K, rig.M.Acct, smartbattery.DefaultConfig(), initialJ)
+	bat := smartbattery.New(rig.K, rig.M.Acct, 1, initialJ)
 	bat.SetPolling(true)
 	em := core.NewEnergyMonitorSource(rig.V, smartbattery.Source{B: bat}, core.DefaultEnergyConfig())
 	em.SetGoal(goal)

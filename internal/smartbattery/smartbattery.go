@@ -27,42 +27,24 @@ import (
 	"odyssey/internal/sim"
 )
 
-// Config describes a SmartBattery part.
-type Config struct {
-	// Voltage is the pack's nominal (well-controlled) voltage.
-	Voltage float64
-	// CurrentQuantum is the current-reading resolution in amperes.
-	CurrentQuantum float64
-	// CapacityQuantum is the residual-capacity resolution in joules.
-	CapacityQuantum float64
-	// RefreshPeriod bounds how often readings change.
-	RefreshPeriod time.Duration
-	// MeasureOverheadWatts is the power cost of the monitoring circuit
+// The SmartBattery part the paper cites: a DS2437-class monitor on a
+// 560X-class pack.
+const (
+	// voltage is the pack's nominal (well-controlled) voltage.
+	voltage = 16.0
+	// currentQuantum is the current-reading resolution in amperes (10 mA).
+	currentQuantum = 0.010
+	// capacityQuantum is the residual-capacity resolution in joules
+	// (10 mWh).
+	capacityQuantum = 36.0
+	// refreshPeriod bounds how often readings change.
+	refreshPeriod = 250 * time.Millisecond
+	// measureOverheadWatts is the power cost of the monitoring circuit
 	// while polling is enabled (< 0.010 W for the parts the paper cites).
-	MeasureOverheadWatts float64
-
-	// PeukertExponent models rate-dependent capacity: effective drain is
-	// (I/I_rated)^(k-1) * I. 1.0 (or 0) disables the effect — the ideal
-	// source the paper obtained by removing the battery and using a bench
-	// supply. Typical Li-ion packs are 1.01-1.10.
-	PeukertExponent float64
-	// RatedCurrent is the discharge rate at which capacity is nominal.
-	RatedCurrent float64
-}
-
-// DefaultConfig returns a model of the SmartBattery parts the paper cites
-// (DS2437-class monitor on a 560X-class pack).
-func DefaultConfig() Config {
-	return Config{
-		Voltage:              16.0,
-		CurrentQuantum:       0.010, // 10 mA
-		CapacityQuantum:      36.0,  // 10 mWh
-		RefreshPeriod:        250 * time.Millisecond,
-		MeasureOverheadWatts: 0.008,
-		PeukertExponent:      1.0, // ideal unless the experiment opts in
-		RatedCurrent:         0.65,
-	}
-}
+	measureOverheadWatts = 0.008
+	// ratedCurrent is the discharge rate at which capacity is nominal.
+	ratedCurrent = 0.65
+)
 
 // Battery is a finite energy store drained by the machine's accountant,
 // read through a quantized, rate-limited SmartBattery interface.
@@ -70,7 +52,12 @@ type Battery struct {
 	k    *sim.Kernel
 	acct *power.Accountant
 	comp power.ComponentID // the measurement overhead's ledger slot
-	cfg  Config
+
+	// peukert models rate-dependent capacity: effective drain is
+	// (I/I_rated)^(k-1) * I. At or below 1 the effect is off — the ideal
+	// source the paper obtained by removing the battery and using a bench
+	// supply. Typical Li-ion packs are 1.01-1.10.
+	peukert float64
 
 	initial float64 // joules
 	drained float64 // joules removed from the pack (after Peukert effect)
@@ -87,23 +74,20 @@ type Battery struct {
 	dropout bool
 }
 
-// New attaches a battery holding initialJoules to the machine measured by
-// acct. The battery drains at the accountant's power (plus measurement
-// overhead while polling, plus any Peukert losses).
-func New(k *sim.Kernel, acct *power.Accountant, cfg Config, initialJoules float64) *Battery {
-	if cfg.Voltage <= 0 {
-		cfg.Voltage = 16.0
-	}
-	b := &Battery{
+// New attaches a battery holding initialJoules, with Peukert exponent
+// peukert, to the machine measured by acct. The battery drains at the
+// accountant's power (plus measurement overhead while polling, plus any
+// Peukert losses).
+func New(k *sim.Kernel, acct *power.Accountant, peukert, initialJoules float64) *Battery {
+	return &Battery{
 		k:        k,
 		acct:     acct,
 		comp:     acct.Register("smartbattery"),
-		cfg:      cfg,
+		peukert:  peukert,
 		initial:  initialJoules,
 		lastAcct: acct.TotalEnergy(),
 		lastSync: k.Now(),
 	}
-	return b
 }
 
 // SetPolling enables or disables the monitoring circuit. While enabled, the
@@ -113,7 +97,7 @@ func (b *Battery) SetPolling(on bool) {
 	b.sync()
 	b.polling = on
 	if on {
-		b.acct.Set(b.comp, b.cfg.MeasureOverheadWatts)
+		b.acct.Set(b.comp, measureOverheadWatts)
 	} else {
 		b.acct.Set(b.comp, 0)
 	}
@@ -138,12 +122,12 @@ func (b *Battery) sync() {
 // effectiveDrain maps the electrical load to charge actually removed,
 // applying the Peukert rate effect when configured.
 func (b *Battery) effectiveDrain(watts float64) float64 {
-	k := b.cfg.PeukertExponent
-	if k <= 1.0 || b.cfg.RatedCurrent <= 0 {
+	k := b.peukert
+	if k <= 1.0 {
 		return watts
 	}
-	i := watts / b.cfg.Voltage
-	scale := math.Pow(i/b.cfg.RatedCurrent, k-1)
+	i := watts / voltage
+	scale := math.Pow(i/ratedCurrent, k-1)
 	if scale < 1 {
 		// Below the rated current the pack is at least nominal;
 		// do not credit extra capacity.
@@ -175,26 +159,19 @@ func (b *Battery) refresh() {
 	now := b.k.Now()
 	// An explicit flag, not a cacheCap==0 sentinel: a fully drained pack
 	// reads exactly 0 and must still be rate-limited.
-	if b.cacheValid && now-b.lastRefresh < b.cfg.RefreshPeriod {
+	if b.cacheValid && now-b.lastRefresh < refreshPeriod {
 		return
 	}
 	b.cacheValid = true
 	b.lastRefresh = now
 
-	i := b.lastPower / b.cfg.Voltage
-	if q := b.cfg.CurrentQuantum; q > 0 {
-		i = math.Round(i/q) * q
-	}
-	b.cacheI = i
+	b.cacheI = math.Round(b.lastPower/voltage/currentQuantum) * currentQuantum
 
 	c := b.initial - b.drained
 	if c < 0 {
 		c = 0
 	}
-	if q := b.cfg.CapacityQuantum; q > 0 {
-		c = math.Floor(c/q) * q
-	}
-	b.cacheCap = c
+	b.cacheCap = math.Floor(c/capacityQuantum) * capacityQuantum
 }
 
 // Current returns the quantized, rate-limited current reading in amperes.
@@ -210,7 +187,7 @@ func (b *Battery) Current() float64 {
 
 // Power returns the quantized power reading in watts (current x voltage).
 func (b *Battery) Power() float64 {
-	return b.Current() * b.cfg.Voltage
+	return b.Current() * voltage
 }
 
 // RemainingCapacity returns the quantized residual energy in joules — the

@@ -10,14 +10,14 @@ import (
 	"odyssey/internal/sim"
 )
 
-func newBattery(seed int64, cfg Config, initial float64) (*sim.Kernel, *power.Accountant, *Battery) {
+func newBattery(seed int64, peukert, initial float64) (*sim.Kernel, *power.Accountant, *Battery) {
 	k := sim.NewKernel(seed)
 	acct := power.NewAccountant(k)
-	return k, acct, New(k, acct, cfg, initial)
+	return k, acct, New(k, acct, peukert, initial)
 }
 
 func TestDrainTracksAccountant(t *testing.T) {
-	k, acct, b := newBattery(1, DefaultConfig(), 1000)
+	k, acct, b := newBattery(1, 1, 1000)
 	acct.Set(acct.Register("load"), 10.0)
 	k.At(20*time.Second, func() {})
 	k.Run(0)
@@ -35,44 +35,42 @@ func TestDrainTracksAccountant(t *testing.T) {
 }
 
 func TestCapacityQuantization(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.CapacityQuantum = 50
-	k, acct, b := newBattery(1, cfg, 1000)
+	k, acct, b := newBattery(1, 1, 1000)
 	acct.Set(acct.Register("load"), 1.0)
 	k.At(30*time.Second, func() {})
 	k.Run(0)
-	// True residual 970; the readout floors to the 50 J grid.
-	if got := b.RemainingCapacity(); got != 950 {
-		t.Fatalf("quantized capacity %v, want 950", got)
+	// True residual 970; the readout floors to the 36 J (10 mWh) grid.
+	if got := b.RemainingCapacity(); got != 936 {
+		t.Fatalf("quantized capacity %v, want 936", got)
 	}
 }
 
 func TestCurrentQuantization(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.CurrentQuantum = 0.1 // coarse: 1.6 W steps at 16 V
-	k, acct, b := newBattery(1, cfg, 10000)
+	k, acct, b := newBattery(1, 1, 10000)
 	acct.Set(acct.Register("load"), 8.23)
 	k.At(time.Second, func() {})
 	k.Run(0)
 	got := b.Power()
-	// 8.23 W = 0.514 A -> rounds to 0.5 A -> 8.0 W.
-	if math.Abs(got-8.0) > 1e-9 {
-		t.Fatalf("quantized power %v, want 8.0", got)
+	// 8.23 W = 0.514 A -> rounds to 0.51 A on the 10 mA grid -> 8.16 W.
+	if math.Abs(got-8.16) > 1e-9 {
+		t.Fatalf("quantized power %v, want 8.16", got)
 	}
 }
 
 func TestRefreshRateLimit(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.RefreshPeriod = time.Second
-	k, acct, b := newBattery(1, cfg, 10000)
+	k, acct, b := newBattery(1, 1, 10000)
 	acct.Set(acct.Register("load"), 8.0)
-	var first, second, third float64
-	k.At(2*time.Second, func() { first = b.RemainingCapacity() })
-	// Reading again within the refresh period returns the cached value
-	// even though more energy has drained.
-	k.At(2*time.Second+200*time.Millisecond, func() { second = b.RemainingCapacity() })
+	var first, second, third, truth1, truth2 float64
+	k.At(3400*time.Millisecond, func() { first, truth1 = b.RemainingCapacity(), b.TrueResidual() })
+	// Reading again 200 ms later, within the 250 ms refresh period,
+	// returns the cached value even though the pack has drained past the
+	// next capacity step (9972 J, at 3.5 s).
+	k.At(3600*time.Millisecond, func() { second, truth2 = b.RemainingCapacity(), b.TrueResidual() })
 	k.At(4*time.Second, func() { third = b.RemainingCapacity() })
 	k.Run(0)
+	if math.Floor(truth1/capacityQuantum) == math.Floor(truth2/capacityQuantum) {
+		t.Fatalf("true residual %v -> %v crossed no capacity step; a fresh reading would not change either", truth1, truth2)
+	}
 	if first != second {
 		t.Fatalf("reading changed within refresh period: %v -> %v", first, second)
 	}
@@ -82,13 +80,13 @@ func TestRefreshRateLimit(t *testing.T) {
 }
 
 func TestPollingOverheadBilled(t *testing.T) {
-	k, acct, b := newBattery(1, DefaultConfig(), 10000)
+	k, acct, b := newBattery(1, 1, 10000)
 	acct.Set(acct.Register("load"), 5.0)
 	b.SetPolling(true)
 	k.At(100*time.Second, func() {})
 	k.Run(0)
 	byC := acct.EnergyByComponent()
-	want := DefaultConfig().MeasureOverheadWatts * 100
+	want := measureOverheadWatts * 100
 	if math.Abs(byC["smartbattery"]-want) > 1e-6 {
 		t.Fatalf("overhead energy %v, want %v", byC["smartbattery"], want)
 	}
@@ -100,9 +98,7 @@ func TestPollingOverheadBilled(t *testing.T) {
 
 func TestPeukertDrainsFasterAtHighLoad(t *testing.T) {
 	run := func(watts float64, peukert float64) float64 {
-		cfg := DefaultConfig()
-		cfg.PeukertExponent = peukert
-		k, acct, b := newBattery(1, cfg, 100000)
+		k, acct, b := newBattery(1, peukert, 100000)
 		acct.Set(acct.Register("load"), watts)
 		k.At(100*time.Second, func() {})
 		k.Run(0)
@@ -122,8 +118,7 @@ func TestPeukertDrainsFasterAtHighLoad(t *testing.T) {
 }
 
 func TestSourceDrivesEnergyMonitor(t *testing.T) {
-	cfg := DefaultConfig()
-	k, acct, b := newBattery(1, cfg, 2000)
+	k, acct, b := newBattery(1, 1, 2000)
 	b.SetPolling(true)
 	acct.Set(acct.Register("load"), 10.0)
 	v := core.NewViceroy(k)
@@ -150,16 +145,16 @@ func (a *testApp) Level() int       { return a.level }
 func (a *testApp) SetLevel(l int)   { a.level = l }
 
 func TestQuantizedReadingsCloseToTruth(t *testing.T) {
-	k, acct, b := newBattery(1, DefaultConfig(), 20000)
+	k, acct, b := newBattery(1, 1, 20000)
 	acct.Set(acct.Register("load"), 11.37)
 	k.At(60*time.Second, func() {})
 	k.Run(0)
 	reading := b.RemainingCapacity()
 	truth := b.TrueResidual()
-	if math.Abs(reading-truth) > DefaultConfig().CapacityQuantum+1 {
+	if math.Abs(reading-truth) > capacityQuantum+1 {
 		t.Fatalf("capacity reading %v vs truth %v differ beyond one quantum", reading, truth)
 	}
-	if math.Abs(b.Power()-11.37) > DefaultConfig().CurrentQuantum*16+1e-9 {
+	if math.Abs(b.Power()-11.37) > currentQuantum*voltage+1e-9 {
 		t.Fatalf("power reading %v vs truth 11.37 beyond one quantum", b.Power())
 	}
 }
