@@ -3,7 +3,7 @@
 # (.github/workflows/ci.yml). Run it from anywhere inside the module.
 #
 #   scripts/check.sh         full suite
-#   scripts/check.sh fast    skip the -race run (quick pre-commit loop)
+#   scripts/check.sh fast    gates 1-6, 8 and 17 (quick pre-commit loop)
 #
 # Gates, in order:
 #   1. go build ./...                      everything compiles
@@ -78,6 +78,16 @@
 #                                          profile go tool pprof reads, and
 #                                          the soak's stdout is byte-identical
 #                                          to the same run without the flag
+#  17. bench goldens                       bash bench/run.sh --workload <w>
+#                                          --seconds 1 for chaos-soak, fleet,
+#                                          long-session and figures: each run
+#                                          completes its golden op prefix and
+#                                          exits 1 with "golden digest
+#                                          mismatch" when its output moved
+#
+# A change meant to move simulated output re-blesses bench/golden.json
+# (bash bench/run.sh --bless) in a benchmark PR, and says why in
+# CHANGES.md.
 #
 # battery-goal's determinism checks (same-seed runs byte-identical, a
 # disarmed run free of supervision and offload output, an armed run
@@ -192,5 +202,11 @@ if [ "${1:-}" != "fast" ]; then
         echo "FAIL: go tool pprof cannot read the -cpuprofile output" >&2; exit 1; }
 
 fi
+
+echo "==> bench goldens (bench/run.sh --seconds 1: chaos-soak, fleet, long-session, figures)"
+for w in chaos-soak fleet long-session figures; do
+    bash bench/run.sh --workload "$w" --seconds 1 > /dev/null || {
+        echo "FAIL: bench workload $w did not reproduce bench/golden.json" >&2; exit 1; }
+done
 
 echo "ALL CHECKS PASSED"
