@@ -208,6 +208,17 @@ func TestRunErrorsOnMalformedSpec(t *testing.T) {
 	if _, err := Run(sc2); err == nil {
 		t.Fatal("misbehavior aimed at a disabled app ran without error")
 	}
+	// So must the crashing and livelocking scenarios of the containment
+	// tests: the bind error wins over the panic or stall their half-bound
+	// runs then raise.
+	livelock := plantedScenario(5, faults.KindTestLivelock)
+	livelock.StallBound = 50_000
+	for _, sc := range []Scenario{plantedScenario(3, faults.KindTestProcPanic), plantedScenario(4, faults.KindTestPanic), livelock} {
+		sc.Misbehave = planSpecAimedAt("no-such-app")
+		if out, err := Run(sc); err == nil {
+			t.Errorf("%s: scenario with an unresolvable target ran without error:\n%s", sc.Faults.Name, out.Report.String())
+		}
+	}
 }
 
 // TestShrinkerMinimizesPlantedBug is the mutation test of the sentinel

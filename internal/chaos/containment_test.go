@@ -81,29 +81,6 @@ func TestRunContainsLivelock(t *testing.T) {
 	}
 }
 
-// TestRunBindErrorWinsOverContainedFault: the crashing and livelocking
-// scenarios above, given a misbehavior plan aimed at an absent
-// application, are run errors: a scenario that cannot bind its plans is
-// malformed, so the panic or stall its half-bound run raises is no finding.
-func TestRunBindErrorWinsOverContainedFault(t *testing.T) {
-	for _, tc := range []struct {
-		seed       int64
-		kind       string
-		stallBound int
-	}{
-		{3, faults.KindTestProcPanic, 0},
-		{4, faults.KindTestPanic, 0},
-		{5, faults.KindTestLivelock, 50_000},
-	} {
-		sc := plantedScenario(tc.seed, tc.kind)
-		sc.StallBound = tc.stallBound
-		sc.Misbehave = planSpecAimedAt("no-such-app")
-		if out, err := Run(sc); err == nil {
-			t.Errorf("%s: scenario with an unresolvable target ran without error:\n%s", tc.kind, out.Report.String())
-		}
-	}
-}
-
 // TestRunContainsSentinelPanic: a crash inside the audit itself is triaged
 // as a panic violation in the report the audit was producing.
 func TestRunContainsSentinelPanic(t *testing.T) {

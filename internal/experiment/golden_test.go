@@ -284,12 +284,29 @@ func TestFigureGoldens(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if line, got, exp, ok := firstDiff(g.body, string(want)); !ok {
+			got, exp := g.body, string(want)
+			if debugBuild && g.name == "ledgers" {
+				// Only a default build reproduces the component
+				// entries bit for bit (see debugBuild).
+				got, exp = dropComponents(got), dropComponents(exp)
+			}
+			if line, gl, wl, ok := firstDiff(got, exp); !ok {
 				t.Errorf("width %d: %s differs from %s at line %d:\n got  %q\n want %q",
-					w, g.name, path, line, got, exp)
+					w, g.name, path, line, gl, wl)
 			}
 		}
 	}
+}
+
+// dropComponents removes the component lines of a ledgers rendering.
+func dropComponents(s string) string {
+	var b strings.Builder
+	for _, line := range strings.SplitAfter(s, "\n") {
+		if !strings.HasPrefix(line, "  component ") {
+			b.WriteString(line)
+		}
+	}
+	return b.String()
 }
 
 // firstDiff compares two renderings line by line and reports the first line
