@@ -206,7 +206,7 @@ fi
 echo "==> bench goldens (bench/run.sh --seconds 1: chaos-soak, fleet, long-session, figures)"
 for w in chaos-soak fleet long-session figures; do
     bash bench/run.sh --workload "$w" --seconds 1 > /dev/null || {
-        echo "FAIL: bench workload $w did not reproduce bench/golden.json" >&2; exit 1; }
+        echo "FAIL: bench workload $w failed its golden digest or an op (see the bench: lines above)" >&2; exit 1; }
 done
 
 echo "ALL CHECKS PASSED"
