@@ -8,10 +8,15 @@
 //	odyssey-sim -figure all
 //	odyssey-sim -figure all -cpuprofile cpu.out -memprofile mem.out
 //
-// -parallel fans every figure's trials — grid cells, the fixed-fidelity
-// runs of Figure 15, dvs and quality, and goal sweeps — across one worker
-// pool (default: all CPUs) without changing a byte of output. -progress
-// reports per-cell timing on stderr. -trials must be at least 1.
+// The requested figures compute at once, each on its own goroutine, and
+// print in the order requested. Every simulation run of every figure — grid
+// cells, the fixed-fidelity runs of Figures 2 and 15, dvs and quality, and
+// goal sweeps — draws from one task budget, so -parallel (default: all CPUs)
+// bounds the runs in flight across the whole invocation, without changing a
+// byte of output. The figures and the "check" scorecard share one result
+// set, so the scorecard scores the runs the figures print. -progress
+// reports per-cell timing, and each figure's compute time as it finishes,
+// on stderr. -trials must be at least 1.
 //
 // Figure ids (as -list prints them): fig2 fig4 fig6 fig8 fig10 fig11 fig13
 // fig14 fig15 fig16 fig18 fig19 fig20 fig21 fig22 ablations measurement dvs
@@ -26,6 +31,7 @@ import (
 	"runtime"
 	"sort"
 	"strings"
+	"time"
 
 	"odyssey/internal/chaos"
 	"odyssey/internal/experiment"
@@ -66,7 +72,7 @@ func main() {
 	breakdown := flag.Bool("breakdown", false, "also print per-software-component breakdowns")
 	csvOut := flag.Bool("csv", false, "emit tables as CSV instead of aligned text")
 	list := flag.Bool("list", false, "list known figure ids with descriptions and exit")
-	parallel := flag.Int("parallel", runtime.NumCPU(), "worker goroutines for trial execution (1 = serial; output is identical either way)")
+	parallel := flag.Int("parallel", runtime.NumCPU(), "simulation runs in flight at once across all figures (1 = serial; output is identical either way)")
 	progress := flag.Bool("progress", false, "print per-cell progress/timing lines to stderr")
 	misbehaveArg := flag.String("misbehave", "", "with -figure supervision: run a single misbehavior rung (none, mild, mid, severe) instead of the full ladder")
 	offloadArg := flag.String("offload-rung", "", "with -figure offload: run a single policy:environment rung (e.g. auto:crash) instead of the full ladder")
@@ -116,8 +122,24 @@ func main() {
 		fmt.Fprintf(os.Stderr, "-trials must be at least 1, got %d\n", *trials)
 		prof.Exit(2)
 	}
-	for _, id := range want {
-		run(id, *trials, *breakdown)
+	// Every figure computes at once on its own goroutine; main prints them
+	// in the requested order, each as soon as it and those before it are
+	// done. A panic on any goroutine ends the process.
+	var pass experiment.Pass
+	printers := make([]chan func(), len(want))
+	for i, id := range want {
+		printers[i] = make(chan func(), 1)
+		go func() {
+			start := time.Now()
+			show := compute(&pass, id, *trials, *breakdown)
+			if *progress {
+				fmt.Fprintf(os.Stderr, "figure %s: computed in %v\n", id, time.Since(start).Round(time.Millisecond))
+			}
+			printers[i] <- show
+		}()
+	}
+	for _, printer := range printers {
+		(<-printer)()
 		fmt.Println()
 	}
 	prof.Exit(0)
@@ -173,103 +195,142 @@ func render(t *experiment.Table) {
 	fmt.Println(t.String())
 }
 
-func run(id string, trials int, breakdown bool) {
+// compute makes figure id from the pass and returns the function that
+// prints it. It runs on its own goroutine, so it only computes: everything
+// it prints or exits with, a usage error included, happens in the returned
+// function, on the main goroutine, in request order.
+func compute(p *experiment.Pass, id string, trials int, breakdown bool) func() {
 	switch id {
 	case "fig2":
-		fmt.Println("Figure 2: PowerScope energy profile of 30 s of video playback")
-		fmt.Println(experiment.Figure2(1).String())
+		profile := experiment.Figure2(1).String()
+		return func() {
+			fmt.Println("Figure 2: PowerScope energy profile of 30 s of video playback")
+			fmt.Println(profile)
+		}
 	case "fig4":
-		render(experiment.Figure4())
+		return table(experiment.Figure4())
 	case "fig6":
-		printGrid(experiment.Figure6(trials), breakdown)
+		return grid(p.Figure6(trials), breakdown)
 	case "fig8":
-		printGrid(experiment.Figure8(trials), breakdown)
+		return grid(p.Figure8(trials), breakdown)
 	case "fig10":
-		printGrid(experiment.Figure10(trials), breakdown)
+		return grid(p.Figure10(trials), breakdown)
 	case "fig11":
-		fmt.Println("Figure 11: effect of user think time for map viewing (San Jose)")
-		render(experiment.Figure11(trials).Table())
+		t := p.Figure11(trials).Table()
+		return func() {
+			fmt.Println("Figure 11: effect of user think time for map viewing (San Jose)")
+			render(t)
+		}
 	case "fig13":
-		printGrid(experiment.Figure13(trials), breakdown)
+		return grid(p.Figure13(trials), breakdown)
 	case "fig14":
-		fmt.Println("Figure 14: effect of user think time for Web browsing (Image 1)")
-		render(experiment.Figure14(trials).Table())
+		t := experiment.Figure14(trials).Table()
+		return func() {
+			fmt.Println("Figure 14: effect of user think time for Web browsing (Image 1)")
+			render(t)
+		}
 	case "fig15":
-		render(experiment.ConcurrencyTable(experiment.Figure15(trials)))
+		return table(experiment.ConcurrencyTable(p.Figure15(trials)))
 	case "fig16":
-		render(experiment.Figure16(min(trials, 3)).Table())
+		return table(p.Figure16(min(trials, 3)).Table())
 	case "fig18":
-		render(experiment.ZonedTable(experiment.Figure18(min(trials, 3))))
+		return table(experiment.ZonedTable(experiment.Figure18(min(trials, 3))))
 	case "fig19":
-		printTraces(experiment.Figure19())
+		rs := experiment.Figure19()
+		return func() { printTraces(rs) }
 	case "fig20":
-		render(experiment.Figure20(trials).Table())
+		return table(p.Figure20(trials).Table())
 	case "fig21":
-		render(experiment.Figure21(trials).Table())
+		return table(experiment.Figure21(trials).Table())
 	case "fig22":
-		render(experiment.BurstyTable(experiment.Figure22(trials)))
+		return table(experiment.BurstyTable(p.Figure22(trials)))
 	case "ablations":
-		render(experiment.Ablations(trials).Table())
+		return table(experiment.Ablations(trials).Table())
 	case "measurement":
-		render(experiment.MeasurementPaths(trials).Table())
+		return table(experiment.MeasurementPaths(trials).Table())
 	case "dvs":
-		render(experiment.DVSTable(experiment.DVSPaths(trials)))
+		return table(experiment.DVSTable(experiment.DVSPaths(trials)))
 	case "quality":
-		render(experiment.QualityTable(experiment.QualityEnergy(min(trials, 3))))
+		return table(experiment.QualityTable(experiment.QualityEnergy(min(trials, 3))))
 	case "policy":
-		render(experiment.DecentralizedComparison(min(trials, 3)).Table())
+		return table(experiment.DecentralizedComparison(min(trials, 3)).Table())
 	case "resilience":
-		render(experiment.FigureResilience(min(trials, 3)).Table())
+		return table(p.FigureResilience(min(trials, 3)).Table())
 	case "supervision":
 		if misbehave != "" {
 			if !contains(experiment.MisbehaveSeverities, misbehave) {
-				fmt.Fprintf(os.Stderr, "unknown misbehavior severity %q; known: %s\n",
+				return usageError("unknown misbehavior severity %q; known: %s",
 					misbehave, strings.Join(experiment.MisbehaveSeverities, " "))
-				prof.Exit(2)
 			}
-			r := experiment.RunSupervisionTrial(misbehave, 2662)
-			fmt.Printf("Supervision trial (%s): met=%v residual %.0f J (%.1f%% of supply), supervise energy %.1f J\n",
-				misbehave, r.Met, r.Residual, r.Residual/experiment.Figure20InitialEnergy*100, r.SuperviseEnergy)
-			fmt.Printf("  missed acks %d, restarts %d, quarantined %v, strikes %v\n",
-				r.MissedAcks, r.Restarts, r.Quarantined, r.Strikes)
-			return
+			r := runOne(func() experiment.GoalResult { return experiment.RunSupervisionTrial(misbehave, 2662) })
+			return func() {
+				fmt.Printf("Supervision trial (%s): met=%v residual %.0f J (%.1f%% of supply), supervise energy %.1f J\n",
+					misbehave, r.Met, r.Residual, r.Residual/experiment.Figure20InitialEnergy*100, r.SuperviseEnergy)
+				fmt.Printf("  missed acks %d, restarts %d, quarantined %v, strikes %v\n",
+					r.MissedAcks, r.Restarts, r.Quarantined, r.Strikes)
+			}
 		}
-		render(experiment.FigureSupervision(min(trials, 3)).Table())
+		return table(p.FigureSupervision(min(trials, 3)).Table())
 	case "offload":
 		if offloadRung != "" {
 			policy, env, ok := strings.Cut(offloadRung, ":")
 			if !ok {
-				fmt.Fprintf(os.Stderr, "offload rung %q is not policy:environment (e.g. auto:crash)\n", offloadRung)
-				prof.Exit(2)
+				return usageError("offload rung %q is not policy:environment (e.g. auto:crash)", offloadRung)
 			}
 			if !contains(experiment.OffloadPolicies, policy) || !contains(experiment.OffloadSeverities, env) {
-				fmt.Fprintf(os.Stderr, "unknown offload rung %q; policies: %s; environments: %s\n",
+				return usageError("unknown offload rung %q; policies: %s; environments: %s",
 					offloadRung, strings.Join(experiment.OffloadPolicies, " "), strings.Join(experiment.OffloadSeverities, " "))
-				prof.Exit(2)
 			}
-			r := experiment.RunOffloadTrial(policy, env, 2800)
-			fmt.Printf("Offload trial (%s policy, %s environment): met=%v residual %.0f J (%.1f%% of supply), offload energy %.1f J\n",
-				policy, env, r.Met, r.Residual, r.Residual/experiment.Figure20InitialEnergy*100, r.OffloadEnergy)
-			fmt.Printf("  verdicts local %d / remote %d / hybrid %d; hedges %d, failovers %d, fallbacks %d, breaker trips %d\n",
-				r.OffloadLocal, r.OffloadRemote, r.OffloadHybrid,
-				r.OffloadHedges, r.OffloadFailovers, r.OffloadFallbacks, r.BreakerTrips)
-			return
+			r := runOne(func() experiment.GoalResult { return experiment.RunOffloadTrial(policy, env, 2800) })
+			return func() {
+				fmt.Printf("Offload trial (%s policy, %s environment): met=%v residual %.0f J (%.1f%% of supply), offload energy %.1f J\n",
+					policy, env, r.Met, r.Residual, r.Residual/experiment.Figure20InitialEnergy*100, r.OffloadEnergy)
+				fmt.Printf("  verdicts local %d / remote %d / hybrid %d; hedges %d, failovers %d, fallbacks %d, breaker trips %d\n",
+					r.OffloadLocal, r.OffloadRemote, r.OffloadHybrid,
+					r.OffloadHedges, r.OffloadFailovers, r.OffloadFallbacks, r.BreakerTrips)
+			}
 		}
-		render(experiment.FigureOffload(min(trials, 3)).Table())
+		return table(experiment.FigureOffload(min(trials, 3)).Table())
 	case "check":
-		rs := experiment.Validate(min(trials, 3))
-		render(experiment.ValidationTable(rs))
-		failed := 0
-		for _, r := range rs {
-			if !r.Pass {
-				failed++
+		rs := experiment.Validate(p, min(trials, 3))
+		return func() {
+			render(experiment.ValidationTable(rs))
+			failed := 0
+			for _, r := range rs {
+				if !r.Pass {
+					failed++
+				}
 			}
-		}
-		fmt.Printf("%d/%d checks passed\n", len(rs)-failed, len(rs))
-		if failed > 0 {
-			prof.Exit(1)
+			fmt.Printf("%d/%d checks passed\n", len(rs)-failed, len(rs))
+			if failed > 0 {
+				prof.Exit(1)
+			}
 		}
 	}
+	return func() {}
+}
+
+// table returns the printer of one rendered table.
+func table(t *experiment.Table) func() { return func() { render(t) } }
+
+// grid returns the printer of a fixed-fidelity grid.
+func grid(g *experiment.Grid, breakdown bool) func() { return func() { printGrid(g, breakdown) } }
+
+// usageError returns a printer that reports a bad flag value on stderr and
+// exits with status 2 when its figure's turn to print comes.
+func usageError(format string, args ...any) func() {
+	return func() {
+		fmt.Fprintf(os.Stderr, format+"\n", args...)
+		prof.Exit(2)
+	}
+}
+
+// runOne makes a single goal run as a task, so it counts against the task
+// budget like every figure's runs.
+func runOne(run func() experiment.GoalResult) experiment.GoalResult {
+	var r experiment.GoalResult
+	experiment.RunTasks(1, func(int) { r = run() })
+	return r
 }
 
 // contains reports whether list has the exact entry.

@@ -70,3 +70,51 @@ func TestScenarioRejectsUnrunnable(t *testing.T) {
 		expectUsageError(t, path, "-scenario", path)
 	}
 }
+
+// runSim runs odyssey-sim with args and returns its stdout and stderr,
+// failing the test on a non-zero exit.
+func runSim(t *testing.T, args ...string) (stdout, stderr string) {
+	t.Helper()
+	cmd := exec.Command(os.Args[0], append([]string{"odyssey-sim"}, args...)...)
+	var out, errOut bytes.Buffer
+	cmd.Stdout, cmd.Stderr = &out, &errOut
+	if err := cmd.Run(); err != nil {
+		t.Fatalf("%v: %v; stderr:\n%s", args, err, errOut.String())
+	}
+	return out.String(), errOut.String()
+}
+
+// TestPassComputesEachFigureOnce: one invocation prints its figures in the
+// requested order, byte for byte as separate invocations print them, while
+// the scorecard reads the figures' runs instead of making them again: Figure
+// 6's 24 grid cells each report once, not once for the figure and once for
+// the scorecard. Each figure also reports its compute time.
+func TestPassComputesEachFigureOnce(t *testing.T) {
+	ids := []string{"fig6", "fig22", "check"}
+	stdout, stderr := runSim(t, "-figure", strings.Join(ids, ","), "-trials", "1", "-parallel", "2", "-progress")
+	var want strings.Builder
+	for _, id := range ids {
+		out, _ := runSim(t, "-figure", id, "-trials", "1", "-parallel", "2")
+		want.WriteString(out)
+	}
+	if stdout != want.String() {
+		t.Errorf("one pass printed\n%s\nseparate runs printed\n%s", stdout, want.String())
+	}
+	lines := func(prefix string) int {
+		n := 0
+		for _, line := range strings.Split(stderr, "\n") {
+			if strings.HasPrefix(line, prefix) {
+				n++
+			}
+		}
+		return n
+	}
+	if n := lines("cell fig6 "); n != 24 {
+		t.Errorf("%d cell fig6 progress lines, want 24 (one per cell)", n)
+	}
+	for _, id := range ids {
+		if n := lines("figure " + id + ": computed in "); n != 1 {
+			t.Errorf("%d compute-time lines for %s, want 1", n, id)
+		}
+	}
+}

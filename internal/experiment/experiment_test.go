@@ -649,7 +649,7 @@ func TestValidationScorecard(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full scorecard is expensive")
 	}
-	rs := Validate(1)
+	rs := Validate(new(Pass), 1)
 	if len(rs) != 33 {
 		t.Fatalf("%d checks, want 33", len(rs))
 	}

@@ -683,16 +683,19 @@ func Figure21(trials int) *Arms {
 // extended by 30 minutes at the end of the first hour, on the scaled
 // full-battery supply, with the stochastic workload.
 func Figure22(trials int) []GoalResult {
-	return sweep(1, trials, func(_, t int) GoalResult {
-		return RunGoal(GoalOptions{
-			Seed:          int64(2200 + t),
-			InitialEnergy: Figure22InitialEnergy,
-			Goal:          2*time.Hour + 45*time.Minute,
-			Bursty:        true,
-			ExtendAt:      time.Hour,
-			ExtendBy:      30 * time.Minute,
-		})
-	})[0]
+	return sweep(1, trials, func(_, t int) GoalResult { return runBursty(int64(2200 + t)) })[0]
+}
+
+// runBursty is one of Figure 22's runs, seeded seed.
+func runBursty(seed int64) GoalResult {
+	return RunGoal(GoalOptions{
+		Seed:          seed,
+		InitialEnergy: Figure22InitialEnergy,
+		Goal:          2*time.Hour + 45*time.Minute,
+		Bursty:        true,
+		ExtendAt:      time.Hour,
+		ExtendBy:      30 * time.Minute,
+	})
 }
 
 // BurstyTable renders Figure 22, one row per trial.

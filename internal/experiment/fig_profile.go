@@ -14,17 +14,22 @@ import (
 
 // Figure2 reproduces the paper's example energy profile: PowerScope
 // attached to the client while the video player runs, with the offline
-// correlation stage producing per-process and per-procedure energy.
+// correlation stage producing per-process and per-procedure energy. Its
+// one run is a task, so it counts against the task budget.
 func Figure2(seed int64) *powerscope.EnergyProfile {
-	var pf *powerscope.Profiler
-	var paths map[int]string
-	clip := video.Clip{Name: "profiled", Length: 30 * time.Second}
-	runTrial(seed, 1, func(rig *env.Rig) { pf, paths = attachProfiler(rig) }, func(rig *env.Rig, p *sim.Proc) {
-		video.PlayTrack(rig, p, clip, func() video.Track { return video.TrackBase })
-		pf.Stop()
-		rig.K.Stop() // the procedure rotator reschedules forever
+	var profile *powerscope.EnergyProfile
+	RunTasks(1, func(int) {
+		var pf *powerscope.Profiler
+		var paths map[int]string
+		clip := video.Clip{Name: "profiled", Length: 30 * time.Second}
+		runTrial(seed, 1, func(rig *env.Rig) { pf, paths = attachProfiler(rig) }, func(rig *env.Rig, p *sim.Proc) {
+			video.PlayTrack(rig, p, clip, func() video.Track { return video.TrackBase })
+			pf.Stop()
+			rig.K.Stop() // the procedure rotator reschedules forever
+		})
+		profile = powerscope.Correlate(pf.Samples(), pf.Symbols, paths)
 	})
-	return powerscope.Correlate(pf.Samples(), pf.Symbols, paths)
+	return profile
 }
 
 // attachProfiler sets up Figure 2's rig: a started PowerScope profiler

@@ -72,12 +72,16 @@ func RunResilienceTrial(severity string, seed int64) GoalResult {
 	}, plan, nil)
 }
 
+// resilience is the fault ladder as a figure: trial t of rung a runs on
+// seed 2500+a*31+t.
+var resilience = ladder{"resilience", ResilienceSeverities, func(a, t int) GoalResult {
+	return RunResilienceTrial(ResilienceSeverities[a], int64(2500+a*31+t))
+}}
+
 // FigureResilience runs the fault-severity ladder on the Fig-19 scenario,
-// trials runs per severity.
-func FigureResilience(trials int) *Arms {
-	rs := sweep(len(ResilienceSeverities), trials, func(a, t int) GoalResult {
-		return RunResilienceTrial(ResilienceSeverities[a], int64(2500+a*31+t))
-	})
+// trials runs per severity, and summarises the pass's runs.
+func (p *Pass) FigureResilience(trials int) *Arms {
+	rs := p.rungRuns(resilience, trials, ResilienceSeverities...)
 	return summarize(fmt.Sprintf("Resilience: %d-minute goal under escalating fault plans (supply %.0f J)",
 		int(resilienceGoal.Minutes()), Figure20InitialEnergy),
 		[]string{"Plan"}, []column{

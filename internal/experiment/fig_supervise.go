@@ -76,12 +76,17 @@ func RunSupervisionTrial(severity string, seed int64) GoalResult {
 	}, nil, plan)
 }
 
+// supervision is the misbehavior ladder as a figure: trial t of rung a runs
+// on seed 2600+a*31+t.
+var supervision = ladder{"supervision", MisbehaveSeverities, func(a, t int) GoalResult {
+	return RunSupervisionTrial(MisbehaveSeverities[a], int64(2600+a*31+t))
+}}
+
 // FigureSupervision runs the misbehavior ladder on the goal scenario with
-// the supervisor armed, trials runs per severity.
-func FigureSupervision(trials int) *Arms {
-	rs := sweep(len(MisbehaveSeverities), trials, func(a, t int) GoalResult {
-		return RunSupervisionTrial(MisbehaveSeverities[a], int64(2600+a*31+t))
-	})
+// the supervisor armed, trials runs per severity, and summarises the pass's
+// runs.
+func (p *Pass) FigureSupervision(trials int) *Arms {
+	rs := p.rungRuns(supervision, trials, MisbehaveSeverities...)
 	return summarize(fmt.Sprintf("Supervision: %d-minute goal under escalating application misbehavior (supply %.0f J, supervisor armed)",
 		int(supervisionGoal.Minutes()), Figure20InitialEnergy),
 		[]string{"Plan"}, []column{

@@ -67,8 +67,8 @@ func figureGoldens(t *testing.T) []goldenFigure {
 		{"dvs", titledCSV(DVSTable(DVSPaths(goldenTrials)))},
 		{"quality", titledCSV(QualityTable(QualityEnergy(goldenTrials)))},
 		{"policy", titledCSV(DecentralizedComparison(goldenTrials).Table())},
-		{"resilience", titledCSV(FigureResilience(goldenTrials).Table())},
-		{"supervision", titledCSV(FigureSupervision(goldenTrials).Table())},
+		{"resilience", titledCSV(new(Pass).FigureResilience(goldenTrials).Table())},
+		{"supervision", titledCSV(new(Pass).FigureSupervision(goldenTrials).Table())},
 		{"offload", titledCSV(FigureOffload(goldenTrials).Table())},
 		{"policy-runs", resultHex(policyRuns())},
 		{"ablation-equal-priority", resultHex(equalPriorityRuns())},
@@ -96,7 +96,7 @@ func planeRuns() []planeRun {
 		{"supervision severe", func() GoalResult { return RunSupervisionTrial("severe", 2693) }},
 		{"offload auto:crash", func() GoalResult { return RunOffloadTrial("auto", "crash", 2981) }},
 		{"offload remote:flap", func() GoalResult { return RunOffloadTrial("remote", "flap", 2917) }},
-		{"fig22 bursty", func() GoalResult { return Figure22(1)[0] }},
+		{"fig22 bursty", func() GoalResult { return runBursty(2200) }},
 	}
 }
 
@@ -259,9 +259,9 @@ func traceHex(results []GoalResult) string {
 }
 
 // TestFigureGoldens pins every figure to its checked-in rendering, with the
-// worker pool at one worker and at eight: grid cells and goal sweeps must
-// not depend on pool width or completion order. Under the race detector
-// only the width-8 pass runs, where the pool's goroutines overlap.
+// task budget at one and at eight: grid cells and goal sweeps must not
+// depend on budget width or completion order. Under the race detector only
+// the width-8 pass runs, where the tasks overlap.
 func TestFigureGoldens(t *testing.T) {
 	if testing.Short() {
 		t.Skip("renders every figure twice")
@@ -284,29 +284,12 @@ func TestFigureGoldens(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, exp := g.body, string(want)
-			if debugBuild && g.name == "ledgers" {
-				// Only a default build reproduces the component
-				// entries bit for bit (see debugBuild).
-				got, exp = dropComponents(got), dropComponents(exp)
-			}
-			if line, gl, wl, ok := firstDiff(got, exp); !ok {
+			if line, gl, wl, ok := firstDiff(g.body, string(want)); !ok {
 				t.Errorf("width %d: %s differs from %s at line %d:\n got  %q\n want %q",
 					w, g.name, path, line, gl, wl)
 			}
 		}
 	}
-}
-
-// dropComponents removes the component lines of a ledgers rendering.
-func dropComponents(s string) string {
-	var b strings.Builder
-	for _, line := range strings.SplitAfter(s, "\n") {
-		if !strings.HasPrefix(line, "  component ") {
-			b.WriteString(line)
-		}
-	}
-	return b.String()
 }
 
 // firstDiff compares two renderings line by line and reports the first line

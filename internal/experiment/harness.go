@@ -107,7 +107,7 @@ type cellRun struct {
 
 // runCells measures every configuration with the given number of trials —
 // the one path behind grid cells and think-time sweeps. All (cell, trial)
-// runs are fanned out across the worker pool (SetParallelism) and merged in
+// runs are tasks on the task budget (SetParallelism), merged in
 // fixed (cell, trial) index order, so the cells, and every table rendered
 // from them, are byte-identical however many workers ran them. Trial t of a
 // configuration seeded s runs on rig seed s*7919+t+1. fig labels the

@@ -5,7 +5,6 @@ import (
 	"io"
 	"math"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"odyssey/internal/app/env"
@@ -16,44 +15,46 @@ import (
 
 // The trial scheduler: every run a figure needs — each (object, bar, trial)
 // of a RunGrid cell, each fixed-fidelity run of Figure 15, dvs and
-// quality, and each (arm, trial) of a goal sweep — is fanned out across one
-// worker pool and merged back in fixed index order, so the rendered tables
-// are byte-identical to a serial run. Runs are embarrassingly parallel —
-// each one builds a private rig (its own kernel, machine model, network,
-// and viceroy) from a seed derived only from its indices — so the pool
-// never shares simulation state between goroutines (enforced by odylint's
-// kernelctx kernel-sharing rule).
+// quality, and each (arm, trial) of a goal sweep — is a task drawn from one
+// process-wide budget and merged back in fixed index order, so the rendered
+// tables are byte-identical to a serial run. Runs are embarrassingly
+// parallel — each one builds a private rig (its own kernel, machine model,
+// network, and viceroy) from a seed derived only from its indices — so
+// tasks never share simulation state between goroutines (enforced by
+// odylint's kernelctx kernel-sharing rule).
 
 // sched holds the package-wide scheduler configuration. The experiment
 // front-ends (cmd/odyssey-sim, cmd/battery-goal) set it from flags before
-// running figures; the zero value is the legacy serial behaviour.
-var sched struct {
-	mu       sync.RWMutex
-	workers  int
+// running figures; until then tasks run one at a time.
+var sched = struct {
+	mu sync.RWMutex
+	// slots is the task budget: a task holds one token while it runs, so
+	// its capacity bounds the tasks running at once across every caller.
+	slots    chan struct{}
 	progress io.Writer
-}
+}{slots: make(chan struct{}, 1)}
 
-// SetParallelism sets how many worker goroutines grid cells and goal sweeps
-// may use; values below 2 select the serial path. The setting never changes
-// results: runs are merged in (object, bar, trial) or (arm, trial) index
-// order either way.
+// SetParallelism sets how many tasks may run at once, across every
+// RunTasks caller in the process; values below 1 mean 1, the serial path.
+// The setting never changes results: runs are merged in (object, bar,
+// trial) or (arm, trial) index order either way. A call made while tasks
+// run leaves them on the old budget and applies to later RunTasks calls.
 func SetParallelism(n int) {
 	sched.mu.Lock()
 	defer sched.mu.Unlock()
-	if n < 1 {
-		n = 1
-	}
-	sched.workers = n
+	sched.slots = make(chan struct{}, max(n, 1))
 }
 
-// Parallelism returns the configured worker count (at least 1).
+// Parallelism returns the configured task budget (at least 1).
 func Parallelism() int {
+	return cap(taskSlots())
+}
+
+// taskSlots returns the current task budget.
+func taskSlots() chan struct{} {
 	sched.mu.RLock()
 	defer sched.mu.RUnlock()
-	if sched.workers < 1 {
-		return 1
-	}
-	return sched.workers
+	return sched.slots
 }
 
 // SetProgress directs per-cell progress/timing lines to w; nil (the
@@ -77,10 +78,10 @@ func progressf(format string, args ...any) {
 }
 
 // TaskPanic wraps a panic recovered from a task function run by RunTasks,
-// identifying which task index died and where. The pool re-raises it on the
+// identifying which task index died and where. RunTasks re-raises it on the
 // caller's goroutine after every task has run, so one crashing task neither
-// kills a worker goroutine (which would strand the pool's WaitGroup) nor
-// silently drops the remaining tasks' results.
+// kills the process from a task goroutine nor silently drops the remaining
+// tasks' results.
 type TaskPanic struct {
 	Index int
 	Value any
@@ -91,73 +92,62 @@ func (e *TaskPanic) Error() string {
 	return fmt.Sprintf("experiment: task %d panicked: %v", e.Index, e.Value)
 }
 
-// RunTasks executes fn(0..n-1) on the configured worker pool (see
-// SetParallelism). Callers index their result slots by i, so completion
-// order never affects output. The chaos soak drives its scenario batches
-// through this pool.
+// RunTasks executes fn(0..n-1), each call a task on its own goroutine, and
+// returns when all have finished. Tasks start in index order, each once it
+// holds a token of the process-wide budget (see SetParallelism), so
+// concurrent callers together never run more than Parallelism() tasks at
+// once; at a budget of 1 the tasks run one after another. Callers index
+// their result slots by i, so completion order never affects output. The
+// chaos soak and the fleet runner drive their batches through this budget.
+//
+// A task must not call RunTasks: its inner tasks would wait for tokens that
+// their caller, and every task like it, holds. Call RunTasks from outside
+// any task, as sweep, FeasibleBand, chaos.Soak and fleet.Run do.
 //
 // A panic in fn is fenced: the remaining tasks still run, and the fault for
 // the lowest panicking index is re-raised as a *TaskPanic from RunTasks
-// itself — deterministic regardless of worker interleaving. Callers that
-// want finer containment (the chaos soak quarantines per scenario) fence
-// inside fn; this pool-level fence is the backstop that keeps one crash
-// from stranding the pool.
+// itself — deterministic regardless of scheduling. Callers that want finer
+// containment (the chaos soak quarantines per scenario) fence inside fn;
+// this fence is the backstop that keeps one crash from ending the process.
 func RunTasks(n int, fn func(i int)) {
 	var (
+		wg      sync.WaitGroup
 		faultMu sync.Mutex
 		fault   *TaskPanic
 	)
-	run := func(i int) {
-		defer func() {
-			r := recover()
-			if r == nil {
-				return
-			}
-			st := sim.CallerStack(1)
-			faultMu.Lock()
-			if fault == nil || i < fault.Index {
-				fault = &TaskPanic{Index: i, Value: r, Stack: st}
-			}
-			faultMu.Unlock()
-		}()
-		fn(i)
-	}
-	workers := Parallelism()
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			run(i)
-		}
-	} else {
-		var next int64
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					i := int(atomic.AddInt64(&next, 1)) - 1
-					if i >= n {
-						return
-					}
-					run(i)
+	slots := taskSlots()
+	for i := 0; i < n; i++ {
+		slots <- struct{}{}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer func() {
+				<-slots
+				r := recover()
+				if r == nil {
+					return
 				}
+				st := sim.CallerStack(1)
+				faultMu.Lock()
+				if fault == nil || i < fault.Index {
+					fault = &TaskPanic{Index: i, Value: r, Stack: st}
+				}
+				faultMu.Unlock()
 			}()
-		}
-		wg.Wait()
+			fn(i)
+		}()
 	}
+	wg.Wait()
 	if fault != nil {
 		//odylint:allow panicfree fault transport: re-raising the lowest task's wrapped panic on the caller's goroutine
 		panic(fault)
 	}
 }
 
-// sweep runs an arms x trials grid of runs on the worker pool and returns
+// sweep runs an arms x trials grid of runs as tasks (RunTasks) and returns
 // the results indexed [arm][trial]. run(a, t) must derive everything from
 // its indices, since runs execute concurrently; callers reduce the results
-// serially in trial order, so output never depends on the pool width.
+// serially in trial order, so output never depends on the budget width.
 func sweep[R any](arms, trials int, run func(a, t int) R) [][]R {
 	out := make([][]R, arms)
 	for a := range out {
@@ -234,7 +224,7 @@ func aggregateCell(trials int, rs []trialResult) Cell {
 }
 
 // cellWall sums the trials' host wall-clock costs — the cell's compute
-// cost, independent of how the pool interleaved it with other cells.
+// cost, independent of how the budget interleaved it with other cells.
 func cellWall(rs []trialResult) time.Duration {
 	var sum time.Duration
 	for _, r := range rs {
@@ -248,7 +238,7 @@ func cellWall(rs []trialResult) time.Duration {
 // highest and at lowest fidelity — the endpoints the paper quotes (19:27
 // and 27:06 for 12,000 J). Both runs get BandGoal's goal, which neither
 // reaches, so each runs to depletion. The two pinned runs are independent
-// simulations, so they execute on the worker pool.
+// simulations, so they run as two tasks.
 func FeasibleBand(seed int64, initialEnergy float64) (hi, lo time.Duration) {
 	goal, _ := BandGoal(initialEnergy)
 	var out [2]time.Duration

@@ -3,6 +3,8 @@ package experiment
 import (
 	"math"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -11,7 +13,7 @@ import (
 	"odyssey/internal/sim"
 )
 
-// useParallelism configures the worker pool for one test and restores the
+// useParallelism configures the task budget for one test and restores the
 // serial default afterwards.
 func useParallelism(t *testing.T, n int) {
 	t.Helper()
@@ -138,7 +140,7 @@ func TestFeasibleBandRunsToDepletion(t *testing.T) {
 }
 
 // TestSweepIndexesArmTrial: the sweep files run(a, t) under [a][t] at any
-// pool width, with arm and trial counts that differ.
+// budget width, with arm and trial counts that differ.
 func TestSweepIndexesArmTrial(t *testing.T) {
 	useParallelism(t, 8)
 	rs := sweep(3, 5, func(a, tr int) GoalResult { return GoalResult{Residual: float64(10*a + tr)} })
@@ -157,8 +159,48 @@ func TestSweepIndexesArmTrial(t *testing.T) {
 	}
 }
 
+// TestRunTasksSharesOneBudget: concurrent RunTasks callers draw from one
+// process-wide budget, so together they never run more tasks at once than
+// the configured width (three callers of two workers each used to reach
+// six), and each call still runs every one of its indices exactly once. At
+// width 1 concurrent callers run one task at a time.
+func TestRunTasksSharesOneBudget(t *testing.T) {
+	const callers, tasks = 3, 8
+	for _, width := range []int{2, 1} {
+		useParallelism(t, width)
+		var running, peak atomic.Int32
+		var runs [callers][tasks]atomic.Int32
+		var wg sync.WaitGroup
+		for c := range runs {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				RunTasks(tasks, func(i int) {
+					n := running.Add(1)
+					for p := peak.Load(); n > p && !peak.CompareAndSwap(p, n); p = peak.Load() {
+					}
+					time.Sleep(time.Millisecond) // long enough for other tasks to overlap it
+					runs[c][i].Add(1)
+					running.Add(-1)
+				})
+			}()
+		}
+		wg.Wait()
+		if got := peak.Load(); got != int32(width) {
+			t.Errorf("width %d: %d tasks ran at once across %d callers, want %d", width, got, callers, width)
+		}
+		for c := range runs {
+			for i := range runs[c] {
+				if n := runs[c][i].Load(); n != 1 {
+					t.Errorf("width %d: caller %d ran task %d %d times, want once", width, c, i, n)
+				}
+			}
+		}
+	}
+}
+
 // TestProgressLines: the progress stream reports every computed cell with
-// its trial count — one line per cell of a grid, whatever the pool width —
+// its trial count — one line per cell of a grid, whatever the budget width —
 // under the id of the figure that ran it.
 func TestProgressLines(t *testing.T) {
 	var b strings.Builder

@@ -28,14 +28,16 @@ func check(id, claim string, paperLo, paperHi, mLo, mHi, slack float64, note str
 	}
 }
 
-// Validate reruns the headline experiments and scores every quantitative
-// claim of the paper against the measurements — the machine-checkable form
-// of EXPERIMENTS.md.
-func Validate(trials int) []ValidationResult {
+// Validate scores every quantitative claim of the paper against the
+// measurements — the machine-checkable form of EXPERIMENTS.md. It reads
+// Figures 6-22 and the resilience and supervision ladders' mid rungs from
+// p, so a pass that has already made them scores those very runs; the
+// feasible band and the offload ladder are its own work.
+func Validate(p *Pass, trials int) []ValidationResult {
 	var out []ValidationResult
 	add := func(r ValidationResult) { out = append(out, r) }
 
-	g6 := Figure6(trials)
+	g6 := p.Figure6(trials)
 	lo, hi := g6.SavingsRange(g6.BarIndex(BarHWOnly), 0)
 	add(check("fig6-hwonly", "video hardware-only savings vs baseline", 0.09, 0.10, lo, hi, 2, ""))
 	lo, hi = g6.SavingsRange(g6.BarIndex(BarPremiereC), 1)
@@ -45,7 +47,7 @@ func Validate(trials int) []ValidationResult {
 	lo, hi = g6.SavingsRange(g6.BarIndex(BarCombined), 1)
 	add(check("fig6-combined", "combined savings vs hw-only", 0.28, 0.30, lo, hi, 4, ""))
 
-	g8 := Figure8(trials)
+	g8 := p.Figure8(trials)
 	lo, hi = g8.SavingsRange(g8.BarIndex(BarHWOnly), 0)
 	add(check("fig8-hwonly", "speech hardware-only savings vs baseline", 0.33, 0.34, lo, hi, 3, ""))
 	lo, hi = g8.SavingsRange(g8.BarIndex(BarReducedModel), 1)
@@ -57,7 +59,7 @@ func Validate(trials int) []ValidationResult {
 	lo, hi = g8.SavingsRange(g8.BarIndex(BarHybridReduced), 0)
 	add(check("fig8-hybridlow", "hybrid+reduced savings vs baseline", 0.69, 0.80, lo, hi, 4, ""))
 
-	g10 := Figure10(trials)
+	g10 := p.Figure10(trials)
 	lo, hi = g10.SavingsRange(g10.BarIndex(BarHWOnly), 0)
 	add(check("fig10-hwonly", "map hardware-only savings vs baseline", 0.09, 0.19, lo, hi, 2, ""))
 	lo, hi = g10.SavingsRange(g10.BarIndex(BarMinorFilter), 1)
@@ -69,24 +71,24 @@ func Validate(trials int) []ValidationResult {
 	lo, hi = g10.SavingsRange(g10.BarIndex(BarCroppedSecondary), 0)
 	add(check("fig10-combined", "cropped+filtered savings vs baseline", 0.46, 0.70, lo, hi, 4, ""))
 
-	s11 := Figure11(trials)
+	s11 := p.Figure11(trials)
 	add(check("fig11-linear", "map energy linear in think time (min R^2)", 0.99, 1.00,
 		minf(s11.R2), maxf(s11.R2), 0.5, "paper reports a good linear fit"))
 
-	g13 := Figure13(trials)
+	g13 := p.Figure13(trials)
 	lo, hi = g13.SavingsRange(g13.BarIndex(BarHWOnly), 0)
 	add(check("fig13-hwonly", "web hardware-only savings vs baseline", 0.22, 0.26, lo, hi, 8,
 		"known deviation: our managed delta caps near 18%"))
 	lo, hi = g13.SavingsRange(g13.BarIndex("JPEG-5"), 1)
 	add(check("fig13-jpeg5", "JPEG-5 savings vs hw-only (modest)", 0.04, 0.14, lo, hi, 7, ""))
 
-	rs := Figure15(trials)
+	rs := p.Figure15(trials)
 	add(check("fig15-order", "lowest-fidelity concurrency overhead well below baseline's",
 		0, 0.5, rs[2].ExtraEnergyFraction()/rs[0].ExtraEnergyFraction(),
 		rs[2].ExtraEnergyFraction()/rs[0].ExtraEnergyFraction(), 0,
 		"ratio of extras; paper 18/53=0.34"))
 
-	s16 := Figure16(1)
+	s16 := p.Figure16(1)
 	add(check("fig16-fidelity", "mean normalized energy, fidelity only", 0.64, 0.64,
 		s16.MeanFidelity, s16.MeanFidelity, 6, "paper mean across apps"))
 	add(check("fig16-combined", "mean normalized energy, combined", 0.50, 0.50,
@@ -97,7 +99,7 @@ func Validate(trials int) []ValidationResult {
 	add(check("fig20-band", "battery-life extension band (lowest/highest runtime)", 1.39, 1.39,
 		ratio, ratio, 10, "paper 27:06/19:27"))
 
-	rows := Figure20(trials).Rows
+	rows := p.Figure20(trials).Rows
 	met := 0.0
 	worstResidual := 0.0
 	for _, r := range rows {
@@ -110,7 +112,7 @@ func Validate(trials int) []ValidationResult {
 	add(check("fig20-residual", "worst mean residual fraction at goal", 0.0, 0.02,
 		worstResidual, worstResidual, 2, "paper's largest residue 1.2%"))
 
-	b := Figure22(min(trials, 3))
+	b := p.Figure22(min(trials, 3))
 	bmet := 0.0
 	for _, r := range b {
 		if r.Met {
@@ -125,7 +127,7 @@ func Validate(trials int) []ValidationResult {
 	// with low residue, and the waste must be visible as retry energy.
 	rn := min(trials, 3)
 	rmet, rworst, rretry := 0.0, 0.0, 0.0
-	rmid := sweep(1, rn, func(_, t int) GoalResult { return RunResilienceTrial("mid", int64(2562+t)) })[0]
+	rmid := p.rungRuns(resilience, rn, "mid")[0] // the figure's mid rung: seeds 2562+t
 	for _, r := range rmid {
 		if r.Met {
 			rmet += 1 / float64(rn)
@@ -149,7 +151,7 @@ func Validate(trials int) []ValidationResult {
 	// and delivery work visible under the supervise principal.
 	sn := min(trials, 3)
 	smet, sworst, senergy := 0.0, 0.0, 0.0
-	smid := sweep(1, sn, func(_, t int) GoalResult { return RunSupervisionTrial("mid", int64(2662+t)) })[0]
+	smid := p.rungRuns(supervision, sn, "mid")[0] // the figure's mid rung: seeds 2662+t
 	for _, r := range smid {
 		if r.Met && len(r.Quarantined) >= 1 {
 			smet += 1 / float64(sn)

@@ -14,9 +14,6 @@ import (
 // refAccountant is the map-keyed accountant that the slot ledgers replaced,
 // kept as the oracle: string-keyed component and principal maps, a sorted
 // name list, an uncached Power and the same batched component flush.
-// Under odysseydebug it flushes on every segment, as
-// Accountant.checkInvariants does, so the two stay comparable in both
-// builds.
 type refAccountant struct {
 	k *sim.Kernel
 
@@ -106,9 +103,6 @@ func (a *refAccountant) integrate() {
 		for _, s := range a.shares {
 			a.byPrincipal[s.Principal] += total * dt * s.Fraction
 		}
-	}
-	if debugAssertions {
-		a.flushComponents()
 	}
 }
 

@@ -46,15 +46,12 @@
 #  11. supervision smoke (-race)           the application-supervision plane
 #                                          end to end under the mid
 #                                          misbehavior ladder
-#  12. parallel equivalence smoke          fig6, fig15, fig20, dvs, quality,
-#                                          resilience, policy and ablations
-#                                          (grid cells, the pooled
-#                                          fixed-fidelity trials of Figure 15,
-#                                          dvs and quality, and pooled goal
-#                                          sweeps, the threshold and
-#                                          equal-priority arms included) at
-#                                          -parallel 4 under -race must be
-#                                          byte-identical to serial
+#  12. parallel equivalence smoke          the whole -figure all pass (every
+#                                          figure computing at once on one
+#                                          task budget, the scorecard reading
+#                                          the figures' runs) at -parallel 4
+#                                          under -race must be byte-identical
+#                                          to serial
 #  13. chaos smoke + corpus replay         a bounded soak (fixed seed, 20
 #                                          scenarios) under -race must pass
 #                                          every invariant sentinel, and
@@ -156,11 +153,11 @@ if [ "${1:-}" != "fast" ]; then
     echo "==> supervision smoke (-race, mid misbehavior ladder)"
     go run -race ./cmd/odyssey-sim -figure supervision -misbehave mid
 
-    echo "==> parallel equivalence smoke (fig6,fig15,fig20,dvs,quality,resilience,policy,ablations, -race)"
+    echo "==> parallel equivalence smoke (-figure all, -race)"
     smokedir=$(mktemp -d)
     trap 'rm -rf "$smokedir"' EXIT
-    go run ./cmd/odyssey-sim -figure fig6,fig15,fig20,dvs,quality,resilience,policy,ablations -trials 2 -parallel 1 -csv > "$smokedir/serial.csv"
-    go run -race ./cmd/odyssey-sim -figure fig6,fig15,fig20,dvs,quality,resilience,policy,ablations -trials 2 -parallel 4 -csv > "$smokedir/parallel.csv"
+    go run ./cmd/odyssey-sim -figure all -trials 2 -parallel 1 -csv > "$smokedir/serial.csv"
+    go run -race ./cmd/odyssey-sim -figure all -trials 2 -parallel 4 -csv > "$smokedir/parallel.csv"
     cmp "$smokedir/serial.csv" "$smokedir/parallel.csv" || {
         echo "FAIL: -parallel 4 output differs from serial" >&2; exit 1; }
 
