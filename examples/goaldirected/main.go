@@ -37,18 +37,20 @@ func main() {
 	}
 	monitor.Start()
 
-	// Narrate fidelity changes once a minute.
-	var narrate func()
-	narrate = func() {
+	// Narrate fidelity changes at 1 s, then every three minutes.
+	narrate := func() {
 		fmt.Printf("[%6.0fs] residual %6.0f J, demand %6.0f J, levels:", rig.K.Now().Seconds(),
 			supply.Residual(), monitor.PredictedDemand())
 		for _, r := range regs {
 			fmt.Printf(" %s=%s", r.App.Name(), r.App.Levels()[r.App.Level()])
 		}
 		fmt.Println()
-		rig.K.After(3*time.Minute, narrate)
 	}
-	rig.K.After(time.Second, narrate)
+	narrator := rig.K.Every(3*time.Minute, narrate)
+	rig.K.After(time.Second, func() {
+		narrate()
+		narrator.Start()
+	})
 
 	done := false
 	rig.K.At(goal, func() {

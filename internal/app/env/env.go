@@ -136,9 +136,9 @@ const BandwidthResource = "bandwidth"
 // as a viceroy resource every period — the original Odyssey's network
 // adaptation input. Availability is the fair share a flow can expect:
 // capacity divided by the number of active flows (an application is not
-// penalized for its own consumption). It returns the monitor so callers can
-// stop it.
-func (r *Rig) StartBandwidthMonitor(period time.Duration) *core.ResourceMonitor {
+// penalized for its own consumption). It returns the monitor's ticker so
+// callers can stop it.
+func (r *Rig) StartBandwidthMonitor(period time.Duration) *sim.Ticker {
 	link := r.Net.Link()
 	m := r.V.MonitorResource(BandwidthResource, period, func() float64 {
 		n := link.Active()

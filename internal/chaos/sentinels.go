@@ -39,13 +39,6 @@ const (
 	SentinelStall = "stall"
 )
 
-// Sentinels lists every sentinel name in audit order.
-var Sentinels = []string{
-	SentinelEnergy, SentinelBudget, SentinelClock,
-	SentinelTrace, SentinelResidual, SentinelDeterminism,
-	SentinelPanic, SentinelStall,
-}
-
 // Violation is one sentinel trip.
 type Violation struct {
 	Sentinel string `json:"sentinel"`

@@ -55,7 +55,7 @@ func TestEvaluateTickAllocatesNothing(t *testing.T) {
 			// timer pool, runnable ring) is behind us.
 			k.Run(2 * time.Minute)
 			directed := em.Degrades() + em.Upgrades()
-			allocs := testing.AllocsPerRun(100, func() { k.Run(k.Now() + cfg.EvalPeriod) })
+			allocs := testing.AllocsPerRun(100, func() { k.Run(k.Now() + evalPeriod) })
 			if allocs != 0 {
 				t.Fatalf("%.0f allocations per monitor period, want 0", allocs)
 			}

@@ -96,7 +96,7 @@ func (em *EnergyMonitor) ReallocateBudget(departed string) {
 		}
 	}
 	em.lastUpgrade = -1 << 60
-	if em.running {
+	if em.evaluator.Running() {
 		em.evaluate()
 	}
 }

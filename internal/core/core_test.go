@@ -325,6 +325,49 @@ func TestMonitorStartStopIdempotent(t *testing.T) {
 	k.Run(0)
 }
 
+// TestMonitorStoppedFromCallbackKeepsPeriod: a monitor stopped from its own
+// callback and restarted within one period runs one chain of ticks at its
+// period. A reschedule left live by the stop would run beside the restart's
+// chain, at twice the rate.
+func TestMonitorStoppedFromCallbackKeepsPeriod(t *testing.T) {
+	k, _, em := rig(1, 10_000, 6.0)
+	em.SetGoal(time.Hour)
+	evals := 0
+	em.Trace = func(TracePoint) {
+		evals++
+		if evals == 1 {
+			em.Stop() // the first evaluation, at 0.5 s
+		}
+	}
+	em.Start()
+	k.At(750*time.Millisecond, em.Start)
+	k.Run(10750 * time.Millisecond)
+	if evals != 21 { // 0.5 s, then every 0.5 s from 1.25 s to 10.75 s
+		t.Fatalf("monitor evaluated %d times by 10.75 s, want 21", evals)
+	}
+
+	k = sim.NewKernel(1)
+	v := NewViceroy(k)
+	var m *sim.Ticker
+	samples := 0
+	m = v.MonitorResource("bw", time.Second, func() float64 {
+		if m == nil {
+			return 0 // the declaration's reading
+		}
+		samples++
+		if samples == 1 {
+			m.Stop() // the first sample, at 1 s
+		}
+		return 0
+	})
+	m.Start()
+	k.At(1500*time.Millisecond, m.Start)
+	k.Run(10500 * time.Millisecond)
+	if samples != 10 { // 1 s, then every second from 2.5 s to 10.5 s
+		t.Fatalf("resource monitor sampled %d times by 10.5 s, want 10", samples)
+	}
+}
+
 func TestClampLevel(t *testing.T) {
 	r := NewViceroy(sim.NewKernel(1)).RegisterApp(newFakeApp("a", 3), 1)
 	if r.NumLevels() != 3 {

@@ -9,14 +9,25 @@ import (
 	"odyssey/internal/trace"
 )
 
-// EnergyConfig holds the goal-directed adaptation parameters. The defaults
-// are the paper's prototype settings.
+// The prototype's fixed timing, which no run varies.
+const (
+	// samplePeriod is the power-measurement interval.
+	samplePeriod = 100 * time.Millisecond
+	// evalPeriod is how often adaptation decisions are made ("Odyssey
+	// performs these actions twice a second").
+	evalPeriod = 500 * time.Millisecond
+	// infeasibleStreak is the minimum number of consecutive evaluations
+	// that must find demand exceeding supply with every application
+	// already at lowest fidelity before the user is notified that the
+	// goal is infeasible. The notification additionally waits two
+	// smoothing half-lives so the power estimate has had time to reflect
+	// the degraded workload.
+	infeasibleStreak = 10
+)
+
+// EnergyConfig holds the goal-directed adaptation parameters that Figure 21
+// and the ablations vary. The defaults are the paper's prototype settings.
 type EnergyConfig struct {
-	// SamplePeriod is the power-measurement interval (100 ms).
-	SamplePeriod time.Duration
-	// EvalPeriod is how often adaptation decisions are made (500 ms —
-	// "Odyssey performs these actions twice a second").
-	EvalPeriod time.Duration
 	// HalfLifeFraction sets the exponential-smoothing half-life to this
 	// fraction of the time remaining until the goal (0.10; Figure 21 is
 	// the paper's sensitivity analysis).
@@ -33,25 +44,15 @@ type EnergyConfig struct {
 	// UpgradeInterval caps fidelity improvements to one per interval
 	// (15 s in the prototype). Zero disables the cap (ablation arm).
 	UpgradeInterval time.Duration
-	// InfeasibleStreak is the minimum number of consecutive evaluations
-	// that must find demand exceeding supply with every application
-	// already at lowest fidelity before the user is notified that the
-	// goal is infeasible. The notification additionally waits two
-	// smoothing half-lives so the power estimate has had time to reflect
-	// the degraded workload.
-	InfeasibleStreak int
 }
 
 // DefaultEnergyConfig returns the paper's prototype parameters.
 func DefaultEnergyConfig() EnergyConfig {
 	return EnergyConfig{
-		SamplePeriod:         100 * time.Millisecond,
-		EvalPeriod:           500 * time.Millisecond,
 		HalfLifeFraction:     0.10,
 		HystResidualFraction: 0.05,
 		HystInitialFraction:  0.01,
 		UpgradeInterval:      15 * time.Second,
-		InfeasibleStreak:     10,
 	}
 }
 
@@ -132,14 +133,8 @@ type EnergyMonitor struct {
 	infeasibleSince  time.Duration // -1 when the condition does not hold
 	notifiedInfeasOn bool
 
-	sampleEv sim.Event
-	evalEv   sim.Event
-	running  bool
-	// onSample and onEval are the timer callbacks, built once per monitor
-	// so rescheduling enqueues an existing func value instead of a new
-	// closure every tick.
-	onSample func()
-	onEval   func()
+	sampler   *sim.Ticker // takeSample every samplePeriod
+	evaluator *sim.Ticker // evaluate every evalPeriod
 
 	// OnInfeasible, if set, is called once when the monitor concludes the
 	// goal cannot be met even at lowest fidelity.
@@ -171,10 +166,6 @@ func NewEnergyMonitor(v *Viceroy, acct *power.Accountant, supply *power.Supply, 
 // NewEnergyMonitorSource attaches goal-directed energy adaptation to v with
 // an arbitrary measurement source (e.g. a SmartBattery).
 func NewEnergyMonitorSource(v *Viceroy, src EnergySource, cfg EnergyConfig) *EnergyMonitor {
-	if cfg.SamplePeriod <= 0 || cfg.EvalPeriod <= 0 {
-		//odylint:allow panicfree constructor precondition; invariant guard
-		panic("core: energy monitor periods must be positive")
-	}
 	em := &EnergyMonitor{
 		v:               v,
 		src:             src,
@@ -182,20 +173,8 @@ func NewEnergyMonitorSource(v *Viceroy, src EnergySource, cfg EnergyConfig) *Ene
 		lastUpgrade:     -1 << 60,
 		infeasibleSince: -1,
 	}
-	em.onSample = func() {
-		if !em.running {
-			return
-		}
-		em.takeSample()
-		em.scheduleSample()
-	}
-	em.onEval = func() {
-		if !em.running {
-			return
-		}
-		em.evaluate()
-		em.scheduleEval()
-	}
+	em.sampler = v.k.Every(samplePeriod, em.takeSample)
+	em.evaluator = v.k.Every(evalPeriod, em.evaluate)
 	return em
 }
 
@@ -208,22 +187,18 @@ func (em *EnergyMonitor) Goal() time.Duration { return em.goal }
 
 // Start begins sampling and evaluation.
 func (em *EnergyMonitor) Start() {
-	if em.running {
+	if em.evaluator.Running() {
 		return
 	}
-	em.running = true
 	em.src.SamplePower() // reset the source's averaging window
-	em.scheduleSample()
-	em.scheduleEval()
+	em.sampler.Start()
+	em.evaluator.Start()
 }
 
-// Stop halts the monitor.
+// Stop halts the monitor. It may be called from the monitor's own hooks.
 func (em *EnergyMonitor) Stop() {
-	em.running = false
-	em.sampleEv.Cancel()
-	em.sampleEv = sim.Event{}
-	em.evalEv.Cancel()
-	em.evalEv = sim.Event{}
+	em.sampler.Stop()
+	em.evaluator.Stop()
 }
 
 // Degrades and Upgrades report the number of adaptation upcalls issued in
@@ -249,14 +224,6 @@ func (em *EnergyMonitor) PredictedDemand() float64 {
 	return em.smoothed * remaining.Seconds()
 }
 
-func (em *EnergyMonitor) scheduleSample() {
-	em.sampleEv = em.v.k.After(em.cfg.SamplePeriod, em.onSample)
-}
-
-func (em *EnergyMonitor) scheduleEval() {
-	em.evalEv = em.v.k.After(em.cfg.EvalPeriod, em.onEval)
-}
-
 // alpha computes the smoothing weight of the old estimate for the current
 // instant: the half-life of the decay is HalfLifeFraction of the time
 // remaining until the goal, so the system is stable when the goal is
@@ -273,7 +240,7 @@ func (em *EnergyMonitor) alpha() float64 {
 	if halfLife <= 0 {
 		return 0
 	}
-	return math.Pow(0.5, em.cfg.SamplePeriod.Seconds()/halfLife)
+	return math.Pow(0.5, samplePeriod.Seconds()/halfLife)
 }
 
 // takeSample observes average power over the last sample period (the
@@ -328,7 +295,7 @@ func (em *EnergyMonitor) evaluate() {
 			em.infeasibleSince = now
 		}
 		halfLife := time.Duration(em.cfg.HalfLifeFraction * float64(em.goal-now))
-		if em.infeasibleCount >= em.cfg.InfeasibleStreak &&
+		if em.infeasibleCount >= infeasibleStreak &&
 			now-em.infeasibleSince >= 2*halfLife &&
 			!em.notifiedInfeasOn {
 			em.notifiedInfeasOn = true

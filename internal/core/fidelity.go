@@ -49,6 +49,12 @@ type Registration struct {
 	sortedPriority int
 }
 
+// SetPriority changes the registration's priority — the dynamic-priority
+// interface the paper describes as in progress ("we are implementing an
+// interface to allow users to change priority dynamically"). The new value
+// takes effect at the next adaptation decision.
+func (r *Registration) SetPriority(p int) { r.Priority = p }
+
 // SetExcluded marks the registration in or out of adaptation decisions.
 func (r *Registration) SetExcluded(v bool) { r.excluded = v }
 

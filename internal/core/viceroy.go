@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"sort"
+	"time"
 
 	"odyssey/internal/sim"
 )
@@ -86,9 +87,6 @@ func NewViceroy(k *sim.Kernel) *Viceroy {
 		resources: make(map[string]*resource),
 	}
 }
-
-// Kernel returns the kernel the viceroy runs on.
-func (v *Viceroy) Kernel() *sim.Kernel { return v.k }
 
 // RegisterWarden installs a type-specific warden. Installing a second
 // warden for the same type is an error, as in the real system where there
@@ -235,4 +233,15 @@ func (v *Viceroy) UpdateResource(name string, avail float64) {
 			e.Upcall(avail)
 		})
 	}
+}
+
+// MonitorResource declares the resource at the sampler's current value and
+// returns a stopped ticker that, once started, republishes the sampled value
+// every period, driving expectation upcalls. This is how the viceroy
+// monitors resources it does not receive explicit updates for (network
+// bandwidth in the original Odyssey).
+func (v *Viceroy) MonitorResource(name string, period time.Duration, sample func() float64) *sim.Ticker {
+	t := v.k.Every(period, func() { v.UpdateResource(name, sample()) })
+	v.DeclareResource(name, sample())
+	return t
 }

@@ -178,7 +178,7 @@ func TestFigure15ConcurrencyOrdering(t *testing.T) {
 }
 
 func TestFigure16SummaryHeadline(t *testing.T) {
-	s := Figure16(1)
+	s := new(Pass).Figure16(1)
 	if len(s.Rows) != 10 {
 		t.Fatalf("%d rows", len(s.Rows))
 	}

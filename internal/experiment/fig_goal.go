@@ -11,6 +11,7 @@ import (
 	"odyssey/internal/netsim"
 	"odyssey/internal/offload"
 	"odyssey/internal/power"
+	"odyssey/internal/sim"
 	"odyssey/internal/smartbattery"
 	"odyssey/internal/stats"
 	"odyssey/internal/supervise"
@@ -310,7 +311,7 @@ func RunGoal(opt GoalOptions) GoalResult {
 	}
 
 	cfg := opt.Config
-	if cfg.SamplePeriod == 0 {
+	if cfg == (core.EnergyConfig{}) {
 		cfg = core.DefaultEnergyConfig()
 	}
 	var (
@@ -398,6 +399,7 @@ func RunGoal(opt GoalOptions) GoalResult {
 	}
 
 	done := false
+	var watch *sim.Ticker
 	finish := func(met bool) {
 		if done {
 			return
@@ -416,24 +418,21 @@ func RunGoal(opt GoalOptions) GoalResult {
 			sup.Stop()
 		}
 		stopControl()
+		watch.Stop()
 		rig.K.Stop()
 	}
-	var watch func()
-	watch = func() {
-		if depleted() {
+	watch = rig.K.Every(250*time.Millisecond, func() {
+		switch {
+		case depleted():
 			// The supply drained; the goal is met only if we
 			// reached it (the pinned runs measure runtime this
 			// way).
 			finish(rig.K.Now() >= goal)
-			return
-		}
-		if rig.K.Now() >= goal {
+		case rig.K.Now() >= goal:
 			finish(true)
-			return
 		}
-		rig.K.After(250*time.Millisecond, watch)
-	}
-	rig.K.After(250*time.Millisecond, watch)
+	})
+	watch.Start()
 
 	until := func() bool { return done }
 	if opt.Bursty {

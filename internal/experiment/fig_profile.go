@@ -80,16 +80,13 @@ func attachProfiler(rig *env.Rig) (*powerscope.Profiler, map[int]string) {
 		p.Exec(procedures[name][0])
 	}
 	rot := 0
-	var rotate func()
-	rotate = func() {
+	rig.K.Every(40*time.Millisecond, func() {
 		rot++
 		for _, name := range names {
 			list := procedures[name]
 			procs[name].Exec(list[rot%len(list)])
 		}
-		rig.K.After(40*time.Millisecond, rotate)
-	}
-	rig.K.After(40*time.Millisecond, rotate)
+	}).Start()
 
 	rig.EnablePowerMgmt()
 	pf.Start()

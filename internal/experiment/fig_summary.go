@@ -31,12 +31,18 @@ type Summary16 struct {
 	MeanFidelity float64
 }
 
-// Figure16 derives the normalized summary from the per-application figures.
-// For tractability it runs the video and speech grids once, and the map and
-// web grids at each think time, with the given trials per cell. "Fidelity
-// reduction" alone is measured with hardware power management disabled at
-// the lowest fidelity, per the paper's definition.
-func Figure16(trials int) *Summary16 {
+// Figure16 derives the normalized summary from the per-application figures,
+// computed once per pass. Its video and speech rows read Figures 6 and 8
+// from the pass; it runs the map and web grids at each think time itself,
+// with the given trials per cell. "Fidelity reduction" alone is measured
+// with hardware power management disabled at the lowest fidelity, per the
+// paper's definition.
+func (p *Pass) Figure16(trials int) *Summary16 {
+	return figure(p, "fig16", trials, func(trials int) *Summary16 { return summary16(p, trials) })
+}
+
+// summary16 computes Figure 16 on pass p.
+func summary16(p *Pass, trials int) *Summary16 {
 	s := &Summary16{}
 	var combinedAtDefault []float64
 	var fidelityAtDefault []float64
@@ -58,19 +64,20 @@ func Figure16(trials int) *Summary16 {
 		}
 	}
 
-	// The full grids run the arms of Figures 6, 8, 10 and 13 but report
-	// progress under this figure's id. Video: no think-time dimension.
-	g6 := videoGrid("fig16", "video", videoArms, trials, 600)
+	// Video: no think-time dimension.
+	g6 := p.Figure6(trials)
 	g6f := videoGrid("fidelity-video", "video fidelity-only",
 		fidelityOnlyArms(video.TrackBase, video.TrackCombined), trials, 1610)
 	record("Video", -1, g6, g6.BarIndex(BarCombined), g6f)
 
 	// Speech: no think-time dimension; lowest is hybrid+reduced.
-	g8 := speechGrid("fig16", "speech", speechArms, trials, 800)
+	g8 := p.Figure8(trials)
 	g8f := speechGrid("fidelity-speech", "speech fidelity-only",
 		fidelityOnlyArms(speechFull, speechLowest), trials, 1620)
 	record("Speech", -1, g8, g8.BarIndex(BarHybridReduced), g8f)
 
+	// The map and web grids run the arms of Figures 10 and 13 at their own
+	// seeds and report progress under this figure's id.
 	for _, think := range thinkTimes {
 		gm := mapGrid("fig16", "map", mapArms, trials, think, 1600+int64(think/time.Second))
 		gmf := mapGrid("fidelity-map", "map fidelity-only",

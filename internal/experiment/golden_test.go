@@ -56,7 +56,7 @@ func figureGoldens(t *testing.T) []goldenFigure {
 		{"fig13", gridCSV(Figure13(goldenTrials))},
 		{"fig14", titledCSV(Figure14(goldenTrials).Table())},
 		{"fig15", titledCSV(ConcurrencyTable(Figure15(goldenTrials)))},
-		{"fig16", titledCSV(Figure16(goldenTrials).Table())},
+		{"fig16", titledCSV(new(Pass).Figure16(goldenTrials).Table())},
 		{"fig18", titledCSV(ZonedTable(Figure18(goldenTrials)))},
 		{"fig19", traceHex(Figure19())},
 		{"fig20", titledCSV(Figure20(goldenTrials).Table())},

@@ -72,9 +72,6 @@ func (p *Pass) Figure15(trials int) []ConcurrencyResult {
 	return figure(p, "fig15", trials, Figure15)
 }
 
-// Figure16 is Figure16(trials), computed once per pass.
-func (p *Pass) Figure16(trials int) *Summary16 { return figure(p, "fig16", trials, Figure16) }
-
 // Figure20 is Figure20(trials), computed once per pass.
 func (p *Pass) Figure20(trials int) *Arms { return figure(p, "fig20", trials, Figure20) }
 

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"reflect"
+	"runtime"
 	"sync"
 	"time"
 
@@ -100,9 +102,14 @@ func (e *TaskPanic) Error() string {
 // their result slots by i, so completion order never affects output. The
 // chaos soak and the fleet runner drive their batches through this budget.
 //
-// A task must not call RunTasks: its inner tasks would wait for tokens that
-// their caller, and every task like it, holds. Call RunTasks from outside
-// any task, as sweep, FeasibleBand, chaos.Soak and fleet.Run do.
+// A task must not call RunTasks, directly or through sweep, a figure
+// function or FeasibleBand: its inner tasks would wait forever for tokens
+// that their caller, and every task like it, holds. Such a nested call
+// panics instead, and the outer call re-raises that as a *TaskPanic. (A
+// call from a simulated process's body is not caught: the process runs on
+// its own coroutine stack, where the task's frame does not show.) Call
+// RunTasks from outside any task, as sweep, FeasibleBand, chaos.Soak and
+// fleet.Run do.
 //
 // A panic in fn is fenced: the remaining tasks still run, and the fault for
 // the lowest panicking index is re-raised as a *TaskPanic from RunTasks
@@ -110,6 +117,10 @@ func (e *TaskPanic) Error() string {
 // containment (the chaos soak quarantines per scenario) fence inside fn;
 // this fence is the backstop that keeps one crash from ending the process.
 func RunTasks(n int, fn func(i int)) {
+	if inTask() {
+		//odylint:allow panicfree a nested call would deadlock on the task budget; fail fast instead
+		panic("experiment: nested RunTasks call inside a task would wait forever for its caller's budget tokens")
+	}
 	var (
 		wg      sync.WaitGroup
 		faultMu sync.Mutex
@@ -134,13 +145,41 @@ func RunTasks(n int, fn func(i int)) {
 				}
 				faultMu.Unlock()
 			}()
-			fn(i)
+			runTask(fn, i)
 		}()
 	}
 	wg.Wait()
 	if fault != nil {
 		//odylint:allow panicfree fault transport: re-raising the lowest task's wrapped panic on the caller's goroutine
 		panic(fault)
+	}
+}
+
+// runTask runs task i. It is a named function, not a closure, so that
+// inTask can recognise its frame on a stack.
+func runTask(fn func(i int), i int) { fn(i) }
+
+// taskFrame is runTask's name as stack frames report it.
+var taskFrame = runtime.FuncForPC(reflect.ValueOf(runTask).Pointer()).Name()
+
+// inTask reports whether the calling goroutine is running a task, by
+// looking for runTask's frame anywhere on its stack.
+func inTask() bool {
+	pcs := make([]uintptr, 64)
+	n := runtime.Callers(2, pcs)
+	for n == len(pcs) { // the stack may be deeper than the buffer
+		pcs = make([]uintptr, 2*len(pcs))
+		n = runtime.Callers(2, pcs)
+	}
+	frames := runtime.CallersFrames(pcs[:n])
+	for {
+		f, more := frames.Next()
+		if f.Function == taskFrame {
+			return true
+		}
+		if !more {
+			return false
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"sync"
@@ -9,6 +10,7 @@ import (
 	"time"
 
 	"odyssey/internal/app/env"
+	"odyssey/internal/app/speech"
 	"odyssey/internal/app/video"
 	"odyssey/internal/sim"
 )
@@ -199,6 +201,29 @@ func TestRunTasksSharesOneBudget(t *testing.T) {
 	}
 }
 
+// TestNestedRunTasksPanics: a task that calls RunTasks would wait forever
+// for tokens its caller holds, at width 1 always. The nested call panics
+// instead, naming itself, and the outer call re-raises it as a *TaskPanic.
+func TestNestedRunTasksPanics(t *testing.T) {
+	for _, width := range []int{1, 2} {
+		useParallelism(t, width)
+		got := make(chan any, 1)
+		go func() {
+			defer func() { got <- recover() }()
+			RunTasks(2, func(int) { RunTasks(1, func(int) {}) })
+		}()
+		select {
+		case r := <-got:
+			tp, ok := r.(*TaskPanic)
+			if !ok || !strings.Contains(fmt.Sprint(tp.Value), "nested RunTasks") {
+				t.Fatalf("width %d: nested RunTasks raised %v, want a *TaskPanic naming the nested call", width, r)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("width %d: nested RunTasks hung", width)
+		}
+	}
+}
+
 // TestProgressLines: the progress stream reports every computed cell with
 // its trial count — one line per cell of a grid, whatever the budget width —
 // under the id of the figure that ran it.
@@ -230,17 +255,30 @@ func TestProgressLines(t *testing.T) {
 		}
 	}
 
-	// Figure 16 reruns the arms of Figures 6, 8, 10 and 13; its cells report
-	// under its own id, so -figure all -progress tells the two apart.
+	// Figure 16's video and speech grids are Figures 6 and 8: on a pass that
+	// already holds those, Figure 16 runs no video or speech cell. The cells
+	// it does run report under its own id.
+	p := new(Pass)
+	p.Figure6(1)
+	p.Figure8(1)
 	b.Reset()
-	Figure16(1)
+	p.Figure16(1)
 	out = b.String()
 	if !strings.Contains(out, "cell fig16 ") {
 		t.Fatalf("no cell fig16 line from Figure16:\n%s", out)
 	}
-	for _, id := range []string{"fig6", "fig8", "fig10", "fig13"} {
-		if strings.Contains(out, "cell "+id+" ") {
-			t.Fatalf("Figure16 reports a cell as %s:\n%s", id, out)
+	var reused []string
+	for _, c := range video.StandardClips() {
+		reused = append(reused, c.Name)
+	}
+	for _, u := range speech.StandardUtterances() {
+		reused = append(reused, u.Name)
+	}
+	for _, id := range []string{"fig6", "fig8", "fig16"} {
+		for _, object := range reused {
+			if line := "cell " + id + " " + object + " / "; strings.Contains(out, line) {
+				t.Fatalf("Figure16 on a pass holding Figures 6 and 8 ran a %q cell:\n%s", line, out)
+			}
 		}
 	}
 }

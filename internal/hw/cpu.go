@@ -59,7 +59,3 @@ func (c *CPU) Busy() bool { return c.res.Active() > 0 }
 
 // BusyTime reports the accumulated non-halted time.
 func (c *CPU) BusyTime() float64 { return c.res.BusyTime().Seconds() }
-
-// Resource exposes the underlying processor-sharing resource (for latency
-// estimation by adaptive applications).
-func (c *CPU) Resource() *sim.PSResource { return c.res }

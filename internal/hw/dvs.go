@@ -42,43 +42,38 @@ func (c *CPU) busyPower() float64 {
 	return c.prof.CPUBusy * s * s * s
 }
 
+// The governor's Weiser-style settings, which no run varies.
+const (
+	// dvsInterval is the adjustment period.
+	dvsInterval = 50 * time.Millisecond
+	// dvsTargetUtilization is the busy fraction the governor aims for at
+	// the chosen speed.
+	dvsTargetUtilization = 0.85
+)
+
+// dvsSpeeds is the discrete speed ladder, ascending: hardware exposes a
+// handful of P-states, not a continuum. Its lowest rung bounds how far the
+// clock drops.
+var dvsSpeeds = [...]float64{0.4, 0.6, 0.8, 1.0}
+
 // DVSGovernor is an interval-based frequency governor in the style of
 // Weiser et al.: it measures CPU utilization over each interval and picks
-// the lowest speed that would have kept utilization below the target,
-// bounded by MinSpeed. It never runs below the utilization the workload
-// demands for long — underprediction is corrected one interval later.
+// the lowest speed on the ladder that would have kept utilization below the
+// target. It never runs below the utilization the workload demands for
+// long — underprediction is corrected one interval later.
 type DVSGovernor struct {
-	k   *sim.Kernel
-	cpu *CPU
-
-	// Interval is the adjustment period.
-	Interval time.Duration
-	// TargetUtilization is the busy fraction the governor aims for at
-	// the chosen speed (e.g. 0.85).
-	TargetUtilization float64
-	// MinSpeed bounds how far the clock drops.
-	MinSpeed float64
-	// Speeds is the discrete speed ladder, ascending (hardware exposes
-	// a handful of P-states, not a continuum).
-	Speeds []float64
-
+	cpu      *CPU
+	ticker   *sim.Ticker // adjust every dvsInterval
 	lastBusy float64
-	ev       sim.Event
-	running  bool
 	changes  int
 }
 
-// NewDVSGovernor returns a governor with Weiser-style defaults: 50 ms
-// intervals, 85% target utilization, and a four-step speed ladder.
+// NewDVSGovernor returns a stopped governor: 50 ms intervals, 85% target
+// utilization, and a four-step speed ladder.
 func NewDVSGovernor(k *sim.Kernel, cpu *CPU) *DVSGovernor {
-	return &DVSGovernor{
-		k:                 k,
-		cpu:               cpu,
-		Interval:          50 * time.Millisecond,
-		TargetUtilization: 0.85,
-		MinSpeed:          0.4,
-		Speeds:            []float64{0.4, 0.6, 0.8, 1.0},
-	}
+	g := &DVSGovernor{cpu: cpu}
+	g.ticker = k.Every(dvsInterval, g.adjust)
+	return g
 }
 
 // Changes reports the number of speed transitions.
@@ -86,19 +81,16 @@ func (g *DVSGovernor) Changes() int { return g.changes }
 
 // Start begins interval-based speed adjustment.
 func (g *DVSGovernor) Start() {
-	if g.running {
+	if g.ticker.Running() {
 		return
 	}
-	g.running = true
 	g.lastBusy = g.cpu.BusyTime()
-	g.schedule()
+	g.ticker.Start()
 }
 
 // Stop halts the governor and restores full speed.
 func (g *DVSGovernor) Stop() {
-	g.running = false
-	g.ev.Cancel()
-	g.ev = sim.Event{}
+	g.ticker.Stop()
 	//odylint:allow floateq speeds come from the discrete ladder, assigned never computed
 	if g.cpu.Speed() != 1.0 {
 		g.cpu.SetSpeed(1.0)
@@ -106,32 +98,19 @@ func (g *DVSGovernor) Stop() {
 	}
 }
 
-func (g *DVSGovernor) schedule() {
-	g.ev = g.k.After(g.Interval, func() {
-		if !g.running {
-			return
-		}
-		g.adjust()
-		g.schedule()
-	})
-}
-
 // adjust picks the next interval's speed from the last interval's
 // utilization: the cycles consumed would fit in target utilization at speed
 // util*currentSpeed/target, rounded up the ladder.
 func (g *DVSGovernor) adjust() {
 	busy := g.cpu.BusyTime()
-	util := (busy - g.lastBusy) / g.Interval.Seconds()
+	util := (busy - g.lastBusy) / dvsInterval.Seconds()
 	g.lastBusy = busy
 
 	demandedCycles := util * g.cpu.Speed() // fraction of nominal capacity used
-	want := demandedCycles / g.TargetUtilization
-	if want < g.MinSpeed {
-		want = g.MinSpeed
-	}
+	want := demandedCycles / dvsTargetUtilization
 	// Round up the discrete ladder.
-	chosen := g.Speeds[len(g.Speeds)-1]
-	for _, s := range g.Speeds {
+	chosen := dvsSpeeds[len(dvsSpeeds)-1]
+	for _, s := range dvsSpeeds {
 		if s >= want-1e-9 {
 			chosen = s
 			break

@@ -175,9 +175,6 @@ func (fs *FS) Open(path string, fidelity int) (*Handle, error) {
 // Object returns the handle's object.
 func (h *Handle) Object() *Object { return h.obj }
 
-// Fidelity returns the handle's current fidelity annotation.
-func (h *Handle) Fidelity() int { return h.fidelity }
-
 // SetFidelity re-annotates the handle (applications do this in response to
 // adaptation upcalls).
 func (h *Handle) SetFidelity(level int) { h.fidelity = level }

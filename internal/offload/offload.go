@@ -75,7 +75,6 @@ type Arm struct {
 	ReplyBytes float64
 	ServerSec  float64 // remote compute seconds (origin dwell for local arms)
 	Bulk       bool    // local arm: plain bulk transfer, no server
-	Penalty    float64 // joule-equivalent fidelity penalty for the cost model
 	Opts       netsim.CallOptions
 }
 
@@ -129,11 +128,6 @@ type Stats struct {
 	BreakerTrips int // breaker closed/half-open -> open transitions
 }
 
-// Attempted reports how many requests were dispatched remotely (completed
-// plus degraded); every one of them must end as a RemoteRun, HybridRun, or
-// Fallback — the no-stranding invariant the scorecard checks.
-func (st Stats) Attempted() int { return st.RemoteRuns + st.HybridRuns + st.Fallbacks }
-
 // Service is one rig's offload plane.
 type Service struct {
 	k    *sim.Kernel
@@ -168,9 +162,6 @@ func New(k *sim.Kernel, m *hw.Machine, net *netsim.Network, pool *netsim.Pool, s
 // the energy monitor's drain fraction.
 func (s *Service) SetPressure(fn func() float64) { s.pressure = fn }
 
-// Pool returns the server pool the service dispatches to.
-func (s *Service) Pool() *netsim.Pool { return s.pool }
-
 func (s *Service) pressureNow() float64 {
 	if s.pressure == nil {
 		return 0.5
@@ -186,12 +177,12 @@ func (s *Service) pressureNow() float64 {
 }
 
 // estimate scores one arm: the arm's *marginal* energy (marshal + compute +
-// link), a latency term scaled away by battery pressure, and the arm's
-// fidelity penalty. Background draw is deliberately excluded — the session
-// runs to its goal length whatever each request does, so background joules
-// are placement-invariant and would only double-count waiting, which the
-// latency term already prices. serveSec is the caller-computed expected
-// server wait (pool estimate or origin dwell).
+// link) and a latency term scaled away by battery pressure. Background draw
+// is deliberately excluded — the session runs to its goal length whatever
+// each request does, so background joules are placement-invariant and would
+// only double-count waiting, which the latency term already prices.
+// serveSec is the caller-computed expected server wait (pool estimate or
+// origin dwell).
 func (s *Service) estimate(arm Arm, serveSec float64, pressure float64) float64 {
 	prof := s.m.Prof
 	bytes := arm.bytes()
@@ -206,7 +197,7 @@ func (s *Service) estimate(arm Arm, serveSec float64, pressure float64) float64 
 	energy := cpuSec*prof.CPUBusy +
 		linkSec*prof.NICTransfer +
 		bytes*(irqKernCPUPerByte)*prof.CPUBusy
-	return energy + arm.Penalty + latencyWeight*(1-pressure)*sec
+	return energy + latencyWeight*(1-pressure)*sec
 }
 
 // irqKernCPUPerByte mirrors netsim's per-byte interrupt+kernel CPU cost for

@@ -89,10 +89,6 @@ func TestBreakerLifecycle(t *testing.T) {
 		}
 	})
 	r.k.Run(0)
-	st := r.svc.Stats
-	if st.Attempted() != st.RemoteRuns+st.HybridRuns+st.Fallbacks {
-		t.Fatalf("stats violate the no-stranding identity: %+v", st)
-	}
 }
 
 // TestDegradeToLocalWhenPoolDark: with every pool member crashed, the cost

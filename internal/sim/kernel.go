@@ -437,7 +437,6 @@ type Proc struct {
 	// happens-before contract below).
 	next   func() (struct{}, bool)
 	yield  func(struct{}) bool
-	parent *Proc
 	dead   bool
 	killed bool
 	wakeFn func() // hoisted k.transfer(p) closure, allocated once at Spawn
@@ -448,9 +447,6 @@ func (p *Proc) PID() int { return p.pid }
 
 // Name returns the process name given at Spawn.
 func (p *Proc) Name() string { return p.name }
-
-// Kernel returns the kernel this process belongs to.
-func (p *Proc) Kernel() *Kernel { return p.k }
 
 // Spawn creates a process that starts running at the current virtual time.
 // fn runs as a coroutine on its own goroutine; when it returns the process
@@ -612,7 +608,7 @@ func (p *Proc) SleepUntil(t time.Duration) {
 	p.Sleep(t - p.k.now)
 }
 
-// Now returns the current virtual time (convenience for p.Kernel().Now()).
+// Now returns the current virtual time.
 func (p *Proc) Now() time.Duration { return p.k.now }
 
 // WaitList is a set of parked processes that can be woken individually or
@@ -716,9 +712,11 @@ func (k *Kernel) LiveProcs() []string {
 	return out
 }
 
-// Ticker invokes a callback periodically until stopped — the pattern every
-// monitor in the system shares (power sampling, adaptation evaluation,
-// resource monitors, DVS governors).
+// Ticker invokes a callback periodically until stopped. Every fixed-period
+// loop in the system runs on one (the energy monitor's sampling and
+// evaluation, resource monitors, the supervisor's audit, the DVS governor,
+// the goal watch); loops that draw a fresh interval each time, such as the
+// jittered multimeter, schedule their own events.
 type Ticker struct {
 	k       *Kernel
 	period  time.Duration

@@ -158,8 +158,7 @@ type Supervisor struct {
 	cells []*Cell
 	byReg map[*core.Registration]*Cell
 
-	auditEv sim.Event
-	running bool
+	auditor *sim.Ticker // audit every auditPeriod
 
 	missedAcks  int
 	restarts    int
@@ -176,7 +175,7 @@ func supSeed(seed int64) int64 { return seed*2654435761 + 131 }
 // and cpu meter and charge supervision work. seed feeds the backoff-jitter
 // stream.
 func New(k *sim.Kernel, v *core.Viceroy, em *core.EnergyMonitor, acct *power.Accountant, cpu *hw.CPU, seed int64) *Supervisor {
-	return &Supervisor{
+	s := &Supervisor{
 		k:       k,
 		v:       v,
 		em:      em,
@@ -186,6 +185,8 @@ func New(k *sim.Kernel, v *core.Viceroy, em *core.EnergyMonitor, acct *power.Acc
 		byReg:   make(map[*core.Registration]*Cell),
 		strikes: make(map[string]int),
 	}
+	s.auditor = k.Every(auditPeriod, s.audit)
+	return s
 }
 
 // Watch places a registration under supervision with its misbehavior
@@ -199,19 +200,11 @@ func (s *Supervisor) Watch(reg *core.Registration, health *AppHealth, prof Profi
 }
 
 // Start arms the periodic health audit.
-func (s *Supervisor) Start() {
-	if s.running {
-		return
-	}
-	s.running = true
-	s.scheduleAudit()
-}
+func (s *Supervisor) Start() { s.auditor.Start() }
 
 // Stop halts the audit and any pending restarts.
 func (s *Supervisor) Stop() {
-	s.running = false
-	s.auditEv.Cancel()
-	s.auditEv = sim.Event{}
+	s.auditor.Stop()
 	for _, c := range s.cells {
 		c.restartEv.Cancel()
 		c.restartEv = sim.Event{}
@@ -350,16 +343,6 @@ func (s *Supervisor) quarantine(c *Cell, cause string) {
 	if s.em != nil {
 		s.em.ReallocateBudget(c.name())
 	}
-}
-
-func (s *Supervisor) scheduleAudit() {
-	s.auditEv = s.k.After(auditPeriod, func() {
-		if !s.running {
-			return
-		}
-		s.audit()
-		s.scheduleAudit()
-	})
 }
 
 // audit checks every healthy cell for a dead process, a fidelity level

@@ -82,6 +82,9 @@
 #                                          exits 1 with "golden digest
 #                                          mismatch" when its output moved
 #
+# After the gates pass, in a git checkout, it prints ROADMAP item 4's size
+# metric: the line count of the non-test Go outside bench/ and testdata/.
+#
 # A change meant to move simulated output re-blesses bench/golden.json
 # (bash bench/run.sh --bless) in a benchmark PR, and says why in
 # CHANGES.md.
@@ -207,3 +210,8 @@ for w in chaos-soak fleet long-session figures; do
 done
 
 echo "ALL CHECKS PASSED"
+
+if git rev-parse --is-inside-work-tree > /dev/null 2>&1; then
+    lines=$(git ls-files '*.go' | grep -v -e '^bench/' -e '/testdata/' -e '_test.go$' | xargs cat | wc -l)
+    echo "non-test Go lines outside bench/ and testdata/: $lines"
+fi
