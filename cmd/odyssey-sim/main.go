@@ -29,11 +29,11 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"time"
 
-	"odyssey/internal/chaos"
 	"odyssey/internal/experiment"
 	"odyssey/internal/profiling"
 )
@@ -76,7 +76,6 @@ func main() {
 	progress := flag.Bool("progress", false, "print per-cell progress/timing lines to stderr")
 	misbehaveArg := flag.String("misbehave", "", "with -figure supervision: run a single misbehavior rung (none, mild, mid, severe) instead of the full ladder")
 	offloadArg := flag.String("offload-rung", "", "with -figure offload: run a single policy:environment rung (e.g. auto:crash) instead of the full ladder")
-	scenario := flag.String("scenario", "", "replay a chaos scenario file through the sentinel suite and exit (see cmd/odyssey-chaos)")
 	prof = profiling.Register(flag.CommandLine)
 	flag.Parse()
 	if err := prof.Start(); err != nil {
@@ -90,10 +89,6 @@ func main() {
 	if *progress {
 		experiment.SetProgress(os.Stderr)
 	}
-	if *scenario != "" {
-		prof.Exit(replayScenario(*scenario))
-	}
-
 	ids := make([]string, 0, len(figures))
 	for _, f := range figures {
 		ids = append(ids, f.id)
@@ -143,31 +138,6 @@ func main() {
 		fmt.Println()
 	}
 	prof.Exit(0)
-}
-
-// replayScenario runs one saved chaos scenario through the sentinel suite,
-// printing the goal outcome and the audit report — the same replay path as
-// cmd/odyssey-chaos -scenario, surfaced here so a failing scenario found by
-// a soak can be inspected with the figure tool's own binary.
-func replayScenario(path string) int {
-	sc, err := chaos.LoadScenario(path)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 2
-	}
-	fmt.Printf("replaying %s\n", sc.Summary())
-	out, err := chaos.Run(sc)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 2
-	}
-	fmt.Printf("met=%v end=%v residual=%.1f J adaptations=%v\n",
-		out.Result.Met, out.Result.EndTime, out.Result.Residual, out.Result.Adaptations)
-	fmt.Println(out.Report.String())
-	if !out.Report.OK() {
-		return 1
-	}
-	return 0
 }
 
 // emitCSV switches table rendering to CSV.
@@ -258,7 +228,7 @@ func compute(p *experiment.Pass, id string, trials int, breakdown bool) func() {
 		return table(p.FigureResilience(min(trials, 3)).Table())
 	case "supervision":
 		if misbehave != "" {
-			if !contains(experiment.MisbehaveSeverities, misbehave) {
+			if !slices.Contains(experiment.MisbehaveSeverities, misbehave) {
 				return usageError("unknown misbehavior severity %q; known: %s",
 					misbehave, strings.Join(experiment.MisbehaveSeverities, " "))
 			}
@@ -277,7 +247,7 @@ func compute(p *experiment.Pass, id string, trials int, breakdown bool) func() {
 			if !ok {
 				return usageError("offload rung %q is not policy:environment (e.g. auto:crash)", offloadRung)
 			}
-			if !contains(experiment.OffloadPolicies, policy) || !contains(experiment.OffloadSeverities, env) {
+			if !slices.Contains(experiment.OffloadPolicies, policy) || !slices.Contains(experiment.OffloadSeverities, env) {
 				return usageError("unknown offload rung %q; policies: %s; environments: %s",
 					offloadRung, strings.Join(experiment.OffloadPolicies, " "), strings.Join(experiment.OffloadSeverities, " "))
 			}
@@ -331,16 +301,6 @@ func runOne(run func() experiment.GoalResult) experiment.GoalResult {
 	var r experiment.GoalResult
 	experiment.RunTasks(1, func(int) { r = run() })
 	return r
-}
-
-// contains reports whether list has the exact entry.
-func contains(list []string, s string) bool {
-	for _, v := range list {
-		if v == s {
-			return true
-		}
-	}
-	return false
 }
 
 func printGrid(g *experiment.Grid, breakdown bool) {

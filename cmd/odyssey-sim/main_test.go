@@ -5,7 +5,6 @@ import (
 	"errors"
 	"os"
 	"os/exec"
-	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -49,25 +48,6 @@ func expectUsageError(t *testing.T, want string, args ...string) {
 func TestTrialsBelowOneRejected(t *testing.T) {
 	for _, n := range []string{"0", "-1"} {
 		expectUsageError(t, "-trials", "-figure", "fig20", "-trials", n)
-	}
-}
-
-// TestScenarioRejectsUnrunnable: -scenario replays only a runnable scenario.
-// A misspelled key, a non-positive goal, an unknown application or data
-// after the scenario is a usage error naming the file, not a replay that
-// reports a false violation, a pass, or a panic stack.
-func TestScenarioRejectsUnrunnable(t *testing.T) {
-	for name, body := range map[string]string{
-		"misspelled-key": `{"seed": 3, "goal": "2m0s", "initail_energy": 900}`,
-		"negative-goal":  `{"seed": 3, "goal": "-2m0s", "initial_energy": 900}`,
-		"unknown-app":    `{"seed": 3, "goal": "2m0s", "initial_energy": 900, "apps": ["vidoe"]}`,
-		"trailing-data":  `{"seed": 3, "goal": "2m0s", "initial_energy": 900}` + "\ntrailing garbage {\n",
-	} {
-		path := filepath.Join(t.TempDir(), name+".json")
-		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		expectUsageError(t, path, "-scenario", path)
 	}
 }
 

@@ -19,30 +19,17 @@ import (
 )
 
 // renderer is a toy adaptive application: it "renders" frames continuously,
-// spending more CPU at higher fidelity.
+// spending more CPU at higher fidelity. Its embedded fidelity ladder holds
+// the CPU one frame costs at each level, lowest first, and supplies the
+// Levels, Level and SetLevel half of core.Adaptive.
 type renderer struct {
-	level int
+	env.Fidelity[float64]
 }
 
 func (r *renderer) Name() string { return "renderer" }
-func (r *renderer) Levels() []string {
-	return []string{"wireframe", "shaded", "ray-traced"}
-}
-func (r *renderer) Level() int { return r.level }
-func (r *renderer) SetLevel(l int) {
-	if l < 0 {
-		l = 0
-	}
-	if l > 2 {
-		l = 2
-	}
-	r.level = l
-}
 
-// cpuPerFrame returns the work each frame costs at the current fidelity.
-func (r *renderer) cpuPerFrame() float64 {
-	return []float64{0.05, 0.25, 0.60}[r.level]
-}
+// styles names each level by the CPU one of its frames costs.
+var styles = map[float64]string{0.05: "wireframe", 0.25: "shaded", 0.60: "ray-traced"}
 
 func main() {
 	// 1. Build the testbed: a ThinkPad-560X-class machine with hardware
@@ -55,7 +42,8 @@ func main() {
 	monitor := core.NewEnergyMonitor(rig.V, rig.M.Acct, supply, core.DefaultEnergyConfig())
 
 	// 3. Register the application with a priority and set the goal.
-	app := &renderer{level: 2}
+	app := &renderer{env.NewFidelity([]float64{0.05, 0.25, 0.60},
+		func(cpu float64) string { return styles[cpu] })}
 	rig.V.RegisterApp(app, 1)
 	goal := 10 * time.Minute
 	monitor.SetGoal(goal)
@@ -66,7 +54,7 @@ func main() {
 	rig.K.Spawn("renderer", func(p *sim.Proc) {
 		for p.Now() < goal && !supply.Depleted() {
 			start := p.Now()
-			rig.M.CPU.Run(p, "renderer", app.cpuPerFrame())
+			rig.M.CPU.Run(p, "renderer", app.Operating())
 			p.SleepUntil(start + time.Second)
 		}
 	})

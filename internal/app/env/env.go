@@ -3,7 +3,7 @@
 // servers, and an Odyssey viceroy. It also centralizes the two cross-app
 // policies of the paper's methodology — hardware power management and the
 // (projected) zoned-backlight display policy — plus jittered user think
-// time.
+// time, and Fidelity, the fidelity ladder every application embeds.
 package env
 
 import (
@@ -62,26 +62,16 @@ func NewRig(seed int64, displayZones int) *Rig {
 func NewRigProfile(seed int64, displayZones int, profile hw.Profile) *Rig {
 	k := sim.NewKernel(seed)
 	m := hw.NewMachine(k, profile, displayZones)
-	r := &Rig{
-		K:   k,
-		M:   m,
-		Net: netsim.New(m),
-		V:   core.NewViceroy(k),
+	return &Rig{
+		K:           k,
+		M:           m,
+		Net:         netsim.New(m),
+		V:           core.NewViceroy(k),
+		VideoServer: netsim.NewServer(k, "video-server"),
+		JanusServer: netsim.NewServer(k, "janus-server"),
+		MapServer:   netsim.NewServer(k, "map-server"),
+		WebServer:   netsim.NewServer(k, "distill-server"),
 	}
-	for _, s := range []struct {
-		dst  **netsim.Server
-		name string
-	}{
-		{&r.VideoServer, "video-server"},
-		{&r.JanusServer, "janus-server"},
-		{&r.MapServer, "map-server"},
-		{&r.WebServer, "distill-server"},
-	} {
-		srv := netsim.NewServer(k, s.name)
-		srv.SpeedJitter = 0.05
-		*s.dst = srv
-	}
-	return r
 }
 
 // EnableOffload arms the offload plane: a pool of servers named

@@ -19,7 +19,6 @@ import (
 	"odyssey/internal/netsim"
 	"odyssey/internal/odfs"
 	"odyssey/internal/sim"
-	"odyssey/internal/supervise"
 )
 
 // Software principals appearing in profiles.
@@ -81,6 +80,22 @@ func (f Filter) String() string {
 type Config struct {
 	Filter  Filter
 	Cropped bool
+}
+
+// String names c as a level of the viewer's ladder, from
+// "cropped+secondary-filter" up to "full-detail".
+func (c Config) String() string {
+	name := "full-detail"
+	switch c.Filter {
+	case MinorRoadFilter:
+		name = "minor-filter"
+	case SecondaryRoadFilter:
+		name = "secondary-filter"
+	}
+	if c.Cropped {
+		return "cropped+" + name
+	}
+	return name
 }
 
 // Map is one map data object. The per-city factors give the spread across
@@ -145,21 +160,21 @@ func View(rig *env.Rig, p *sim.Proc, m Map, cfg Config, think time.Duration) {
 	rig.Think(p, think)
 }
 
+// thinkTime is the viewer's per-map user think time, the paper's five
+// seconds.
+const thinkTime = 5 * time.Second
+
 // Viewer is the adaptive map application: four fidelity levels from
 // cropped-and-filtered up to full detail. It implements core.Adaptive.
 type Viewer struct {
-	rig   *env.Rig
-	level int
-	// ThinkTime is the per-map user think time.
-	ThinkTime time.Duration
+	// Fidelity is the viewer's fetch ladder, viewerLevels.
+	env.Fidelity[Config]
+	rig *env.Rig
 	// Warden mediates filter/crop annotation for the map data type.
 	Warden Warden
-	// Health is the misbehavior surface the fault plane flips and the
-	// supervision plane observes. The zero value is a healthy process.
-	Health supervise.AppHealth
 }
 
-// levels are ordered lowest fidelity first.
+// viewerLevels are ordered lowest fidelity first.
 var viewerLevels = []Config{
 	{Filter: SecondaryRoadFilter, Cropped: true},
 	{Filter: SecondaryRoadFilter},
@@ -167,10 +182,9 @@ var viewerLevels = []Config{
 	{Filter: FullDetail},
 }
 
-// NewViewer returns a full-fidelity viewer with the paper's default five
-// second think time.
+// NewViewer returns a full-fidelity viewer.
 func NewViewer(rig *env.Rig) *Viewer {
-	v := &Viewer{rig: rig, level: len(viewerLevels) - 1, ThinkTime: 5 * time.Second}
+	v := &Viewer{Fidelity: env.NewFidelity(viewerLevels, Config.String), rig: rig}
 	v.Warden = Warden{Rig: rig}
 	_ = rig.V.RegisterWarden(v.Warden)
 	return v
@@ -179,30 +193,9 @@ func NewViewer(rig *env.Rig) *Viewer {
 // Name implements core.Adaptive.
 func (v *Viewer) Name() string { return "map" }
 
-// Levels implements core.Adaptive.
-func (v *Viewer) Levels() []string {
-	return []string{"cropped+secondary-filter", "secondary-filter", "minor-filter", "full-detail"}
-}
-
-// Level implements core.Adaptive.
-func (v *Viewer) Level() int { return v.level }
-
-// SetLevel implements core.Adaptive.
-func (v *Viewer) SetLevel(l int) {
-	if l < 0 {
-		l = 0
-	}
-	if l >= len(viewerLevels) {
-		l = len(viewerLevels) - 1
-	}
-	v.level = l
-}
-
-// Config returns the fetch fidelity fetches actually request. A lying
-// process reports v.level but operates at Health.EffectiveLevel.
-func (v *Viewer) Config() Config {
-	return viewerLevels[v.Health.EffectiveLevel(v.level, len(viewerLevels)-1)]
-}
+// Config returns the fetch fidelity fetches actually request (see
+// Operating).
+func (v *Viewer) Config() Config { return v.Operating() }
 
 // View fetches and displays m at the current fidelity. A dead process
 // views nothing.
@@ -210,7 +203,7 @@ func (v *Viewer) View(p *sim.Proc, m Map) {
 	if !v.Health.Alive() {
 		return
 	}
-	View(v.rig, p, m, v.Config(), v.ThinkTime)
+	View(v.rig, p, m, v.Config(), thinkTime)
 }
 
 // Warden is the map warden: it encapsulates the filter/crop annotations for
@@ -226,8 +219,8 @@ func (Warden) TypeName() string { return "map" }
 
 // FetchArgs parameterizes the "fetch" type-specific operation.
 type FetchArgs struct {
-	// Think is the user think time after display (the paper's default
-	// five seconds when zero).
+	// Think is the user think time after display; a negative Think, or
+	// no FetchArgs, means the viewer's five seconds.
 	Think time.Duration
 }
 
@@ -241,7 +234,7 @@ func (w Warden) TSOp(p *sim.Proc, obj *odfs.Object, op string, fidelity int, arg
 	if !ok {
 		return nil, fmt.Errorf("map warden: object %q does not hold a Map", obj.Path)
 	}
-	think := 5 * time.Second
+	think := thinkTime
 	if fa, ok := args.(FetchArgs); ok && fa.Think >= 0 {
 		think = fa.Think
 	}
@@ -251,12 +244,4 @@ func (w Warden) TSOp(p *sim.Proc, obj *odfs.Object, op string, fidelity int, arg
 }
 
 // ConfigFor maps a fidelity level index to the fetch annotation.
-func (Warden) ConfigFor(level int) Config {
-	if level < 0 {
-		level = 0
-	}
-	if level >= len(viewerLevels) {
-		level = len(viewerLevels) - 1
-	}
-	return viewerLevels[level]
-}
+func (Warden) ConfigFor(level int) Config { return env.LevelOf(viewerLevels, level) }

@@ -141,8 +141,8 @@ func TestViewerAdaptive(t *testing.T) {
 	if v.Level() != 3 {
 		t.Fatal("clamp high failed")
 	}
-	if v.ThinkTime != 5*time.Second {
-		t.Fatalf("default think time %v", v.ThinkTime)
+	if thinkTime != 5*time.Second {
+		t.Fatalf("viewer think time %v, want the paper's 5 s", thinkTime)
 	}
 }
 

@@ -19,7 +19,6 @@ import (
 	"odyssey/internal/odfs"
 	"odyssey/internal/offload"
 	"odyssey/internal/sim"
-	"odyssey/internal/supervise"
 )
 
 // Software principals appearing in profiles.
@@ -248,32 +247,35 @@ func recognizeOffload(rig *env.Rig, p *sim.Proc, u Utterance, effort float64) Ou
 	}
 }
 
-// Recognizer is the adaptive speech application: two fidelity levels
-// (reduced and full vocabulary), with the execution mode switchable by
-// higher-level strategy. It implements core.Adaptive.
+// Recognizer is the adaptive speech application: two fidelity levels, hybrid
+// recognition with the reduced vocabulary and local recognition with the
+// full one. It implements core.Adaptive.
 type Recognizer struct {
-	rig   *env.Rig
-	level int
-	// Mode is the execution strategy used for recognitions.
-	Mode Mode
-	// AdaptMode, when set, lets fidelity level 0 also switch the
-	// execution strategy to hybrid — the most energy-efficient option
-	// the paper measures ("the optimal strategy will depend on resource
-	// availability"). The goal-directed workload enables this.
-	AdaptMode bool
+	// Fidelity is the recognizer's strategy ladder, recognizerLevels.
+	env.Fidelity[Config]
+	rig *env.Rig
 	// Warden mediates model selection for the speech data type.
 	Warden Warden
 	// Fallbacks counts recognitions that lost their server and completed
 	// locally.
 	Fallbacks int
-	// Health is the misbehavior surface the fault plane flips and the
-	// supervision plane observes. The zero value is a healthy process.
-	Health supervise.AppHealth
+}
+
+// recognizerLevels are ordered lowest fidelity first. The lowest level also
+// switches execution to the hybrid strategy, the most energy-efficient
+// option the paper measures, per Section 5's energy-optimal policy ("the
+// optimal strategy will depend on resource availability").
+var recognizerLevels = []Config{
+	{Mode: Hybrid, Vocab: ReducedVocab},
+	{Mode: Local, Vocab: FullVocab},
 }
 
 // NewRecognizer returns a full-fidelity local recognizer.
 func NewRecognizer(rig *env.Rig) *Recognizer {
-	r := &Recognizer{rig: rig, level: 1, Mode: Local}
+	r := &Recognizer{
+		Fidelity: env.NewFidelity(recognizerLevels, func(c Config) string { return c.Vocab.String() }),
+		rig:      rig,
+	}
 	r.Warden = Warden{Rig: rig}
 	_ = rig.V.RegisterWarden(r.Warden)
 	return r
@@ -282,48 +284,24 @@ func NewRecognizer(rig *env.Rig) *Recognizer {
 // Name implements core.Adaptive.
 func (r *Recognizer) Name() string { return "speech" }
 
-// Levels implements core.Adaptive.
-func (r *Recognizer) Levels() []string { return []string{"reduced-vocabulary", "full-vocabulary"} }
-
-// Level implements core.Adaptive.
-func (r *Recognizer) Level() int { return r.level }
-
 // SetLevel implements core.Adaptive. The paper's recognizer alerts the user
 // to fidelity transitions with a synthesized voice; that playback is a
 // small burst of CPU.
 func (r *Recognizer) SetLevel(l int) {
-	if l < 0 {
-		l = 0
-	}
-	if l > 1 {
-		l = 1
-	}
-	if l != r.level {
+	old := r.Level()
+	r.Fidelity.SetLevel(l)
+	if r.Level() != old {
 		r.rig.M.CPU.RunAsync(PrincipalFrontEnd, 0.05, nil)
 	}
-	r.level = l
 }
 
-// Vocab returns the vocabulary recognitions actually run with. A lying
-// process reports r.level but operates at Health.EffectiveLevel.
-func (r *Recognizer) Vocab() Vocab {
-	if r.Health.EffectiveLevel(r.level, 1) == 0 {
-		return ReducedVocab
-	}
-	return FullVocab
-}
-
-// Recognize runs one utterance at the current fidelity and mode, reporting
-// where it actually executed. A dead process recognizes nothing.
+// Recognize runs one utterance at the current fidelity, reporting where it
+// actually executed. A dead process recognizes nothing.
 func (r *Recognizer) Recognize(p *sim.Proc, u Utterance) Outcome {
 	if !r.Health.Alive() {
 		return Outcome{}
 	}
-	mode := r.Mode
-	if r.AdaptMode && r.Health.EffectiveLevel(r.level, 1) == 0 {
-		mode = Hybrid
-	}
-	out := Recognize(r.rig, p, u, Config{Mode: mode, Vocab: r.Vocab()})
+	out := Recognize(r.rig, p, u, r.Operating())
 	if out.FellBack {
 		r.Fallbacks++
 	}
@@ -366,9 +344,4 @@ func (w Warden) TSOp(p *sim.Proc, obj *odfs.Object, op string, fidelity int, arg
 }
 
 // ModelFor maps a fidelity level to the vocabulary it selects.
-func (Warden) ModelFor(level int) Vocab {
-	if level <= 0 {
-		return ReducedVocab
-	}
-	return FullVocab
-}
+func (Warden) ModelFor(level int) Vocab { return env.LevelOf(recognizerLevels, level).Vocab }

@@ -125,11 +125,11 @@ func TestRecognizerAdaptive(t *testing.T) {
 	if r.Name() != "speech" || len(r.Levels()) != 2 {
 		t.Fatalf("recognizer identity wrong: %q %v", r.Name(), r.Levels())
 	}
-	if r.Vocab() != FullVocab {
+	if r.Operating().Vocab != FullVocab {
 		t.Fatal("recognizer does not start at full vocabulary")
 	}
 	r.SetLevel(0)
-	if r.Vocab() != ReducedVocab {
+	if r.Operating().Vocab != ReducedVocab {
 		t.Fatal("level 0 is not the reduced vocabulary")
 	}
 	r.SetLevel(-2)
@@ -147,14 +147,13 @@ func TestAdaptModeSwitchesToHybrid(t *testing.T) {
 	rig := env.NewRig(8, 1)
 	rig.EnablePowerMgmt()
 	r := NewRecognizer(rig)
-	r.AdaptMode = true
 	r.SetLevel(0)
 	rig.K.Spawn("w", func(p *sim.Proc) {
 		r.Recognize(p, StandardUtterances()[1])
 	})
 	rig.K.Run(0)
 	if rig.Net.BytesMoved() == 0 {
-		t.Fatal("AdaptMode level 0 did not use the network (expected hybrid)")
+		t.Fatal("level 0 did not use the network (expected hybrid)")
 	}
 }
 

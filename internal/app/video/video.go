@@ -23,7 +23,6 @@ import (
 	"odyssey/internal/odfs"
 	"odyssey/internal/offload"
 	"odyssey/internal/sim"
-	"odyssey/internal/supervise"
 )
 
 // Software principals appearing in profiles.
@@ -126,15 +125,7 @@ var xanimWatts = []float64{1.80, 1.80, 2.83, 4.08}
 // ExpectedPower returns the fidelity model's estimate of the xanim
 // principal's attributed draw (W) while a clip plays at the given
 // adaptation level.
-func ExpectedPower(level int) float64 {
-	if level < 0 {
-		level = 0
-	}
-	if level >= len(xanimWatts) {
-		level = len(xanimWatts) - 1
-	}
-	return xanimWatts[level]
-}
+func ExpectedPower(level int) float64 { return env.LevelOf(xanimWatts, level) }
 
 // Clip describes one video data object.
 type Clip struct {
@@ -156,24 +147,23 @@ func StandardClips() []Clip {
 // Player is the adaptive video application. It implements core.Adaptive;
 // fidelity changes take effect at the next chunk boundary.
 type Player struct {
-	rig    *env.Rig
-	tracks []Track
-	level  int
+	// Fidelity is the player's track ladder, AdaptationTracks.
+	env.Fidelity[Track]
+	rig *env.Rig
 
 	// Warden is the video warden mediating track selection.
 	Warden Warden
 	// Totals accumulates playback quality across every clip played.
 	Totals PlaybackStats
-	// Health is the misbehavior surface the fault plane flips and the
-	// supervision plane observes. The zero value is a healthy process.
-	Health supervise.AppHealth
 }
 
 // NewPlayer returns a player at full fidelity, registered with the rig's
 // viceroy warden registry.
 func NewPlayer(rig *env.Rig) *Player {
-	p := &Player{rig: rig, tracks: AdaptationTracks()}
-	p.level = len(p.tracks) - 1
+	p := &Player{
+		Fidelity: env.NewFidelity(AdaptationTracks(), func(t Track) string { return t.Name }),
+		rig:      rig,
+	}
 	p.Warden = Warden{Rig: rig}
 	_ = rig.V.RegisterWarden(p.Warden) // duplicate registration is harmless here
 	return p
@@ -182,35 +172,8 @@ func NewPlayer(rig *env.Rig) *Player {
 // Name implements core.Adaptive.
 func (pl *Player) Name() string { return "video" }
 
-// Levels implements core.Adaptive.
-func (pl *Player) Levels() []string {
-	names := make([]string, len(pl.tracks))
-	for i, t := range pl.tracks {
-		names[i] = t.Name
-	}
-	return names
-}
-
-// Level implements core.Adaptive.
-func (pl *Player) Level() int { return pl.level }
-
-// SetLevel implements core.Adaptive (the Odyssey upcall).
-func (pl *Player) SetLevel(l int) {
-	if l < 0 {
-		l = 0
-	}
-	if l >= len(pl.tracks) {
-		l = len(pl.tracks) - 1
-	}
-	pl.level = l
-}
-
-// Track returns the track playback actually streams. A lying process
-// reports pl.level but operates at Health.EffectiveLevel, consuming
-// bandwidth and decode CPU its report does not admit to.
-func (pl *Player) Track() Track {
-	return pl.tracks[pl.Health.EffectiveLevel(pl.level, len(pl.tracks)-1)]
-}
+// Track returns the track playback actually streams (see Operating).
+func (pl *Player) Track() Track { return pl.Operating() }
 
 // EnableBandwidthAdaptation registers the player with the viceroy's
 // bandwidth resource (see env.Rig.StartBandwidthMonitor) using the original
@@ -224,7 +187,7 @@ func (pl *Player) EnableBandwidthAdaptation(resource string) error {
 
 func (pl *Player) watchBandwidth(resource string) error {
 	need := pl.Track().RateFactor * BaseBytesPerSec
-	if pl.level == 0 {
+	if pl.Level() == 0 {
 		// Nothing below the lowest track: accept any floor and watch
 		// only for recovery.
 		need = 0
@@ -232,8 +195,8 @@ func (pl *Player) watchBandwidth(resource string) error {
 	// Upper bound: if bandwidth recovers enough for the next track up,
 	// take the upcall and upgrade.
 	high := 1e18
-	if pl.level < len(pl.tracks)-1 {
-		high = pl.tracks[pl.level+1].RateFactor * BaseBytesPerSec * headroomFactor
+	if tracks := AdaptationTracks(); pl.Level() < len(tracks)-1 {
+		high = tracks[pl.Level()+1].RateFactor * BaseBytesPerSec * headroomFactor
 	}
 	_, err := pl.rig.V.Request(resource, need, high, func(avail float64) {
 		pl.adaptToBandwidth(avail)
@@ -251,15 +214,16 @@ const headroomFactor = 1.25
 
 // adaptToBandwidth picks the best track whose bitrate fits avail.
 func (pl *Player) adaptToBandwidth(avail float64) {
+	tracks := AdaptationTracks()
 	best := 0
-	for i, trk := range pl.tracks {
+	for i, trk := range tracks {
 		if trk.RateFactor*BaseBytesPerSec <= avail/1.02 {
 			best = i
 		}
 	}
 	// Only upgrade with headroom; always honor downgrades.
-	if best > pl.level {
-		if pl.tracks[best].RateFactor*BaseBytesPerSec*headroomFactor > avail {
+	if best > pl.Level() {
+		if tracks[best].RateFactor*BaseBytesPerSec*headroomFactor > avail {
 			return
 		}
 	}
@@ -468,13 +432,4 @@ func (w Warden) TSOp(p *sim.Proc, obj *odfs.Object, op string, fidelity int, arg
 
 // SelectTrack returns the track matching a fidelity level index within
 // AdaptationTracks, clamped to the valid range.
-func (Warden) SelectTrack(level int) Track {
-	ts := AdaptationTracks()
-	if level < 0 {
-		level = 0
-	}
-	if level >= len(ts) {
-		level = len(ts) - 1
-	}
-	return ts[level]
-}
+func (Warden) SelectTrack(level int) Track { return env.LevelOf(AdaptationTracks(), level) }

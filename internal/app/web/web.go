@@ -19,7 +19,6 @@ import (
 	"odyssey/internal/odfs"
 	"odyssey/internal/offload"
 	"odyssey/internal/sim"
-	"odyssey/internal/supervise"
 )
 
 // Software principals appearing in profiles.
@@ -247,30 +246,29 @@ func fetchOffload(rig *env.Rig, p *sim.Proc, img Image, q Quality, think time.Du
 	return out
 }
 
+// thinkTime is the browser's per-page user think time, the paper's five
+// seconds.
+const thinkTime = 5 * time.Second
+
 // Browser is the adaptive Web application: five fidelity levels from JPEG-5
 // up to the original image. It implements core.Adaptive.
 type Browser struct {
-	rig   *env.Rig
-	level int
-	// ThinkTime is the per-page user think time.
-	ThinkTime time.Duration
+	// Fidelity is the browser's distillation ladder, browserLevels.
+	env.Fidelity[Quality]
+	rig *env.Rig
 	// Warden mediates distillation requests for the Web image type.
 	Warden Warden
 	// Bypasses and CacheHits count fetches that could not use the
 	// distillation proxy.
 	Bypasses  int
 	CacheHits int
-	// Health is the misbehavior surface the fault plane flips and the
-	// supervision plane observes. The zero value is a healthy process.
-	Health supervise.AppHealth
 }
 
 var browserLevels = []Quality{JPEG5, JPEG25, JPEG50, JPEG75, FullFidelity}
 
-// NewBrowser returns a full-fidelity browser with the paper's default five
-// second think time.
+// NewBrowser returns a full-fidelity browser.
 func NewBrowser(rig *env.Rig) *Browser {
-	b := &Browser{rig: rig, level: len(browserLevels) - 1, ThinkTime: 5 * time.Second}
+	b := &Browser{Fidelity: env.NewFidelity(browserLevels, Quality.String), rig: rig}
 	b.Warden = Warden{Rig: rig}
 	_ = rig.V.RegisterWarden(b.Warden)
 	return b
@@ -279,34 +277,9 @@ func NewBrowser(rig *env.Rig) *Browser {
 // Name implements core.Adaptive.
 func (b *Browser) Name() string { return "web" }
 
-// Levels implements core.Adaptive.
-func (b *Browser) Levels() []string {
-	names := make([]string, len(browserLevels))
-	for i, q := range browserLevels {
-		names[i] = q.String()
-	}
-	return names
-}
-
-// Level implements core.Adaptive.
-func (b *Browser) Level() int { return b.level }
-
-// SetLevel implements core.Adaptive.
-func (b *Browser) SetLevel(l int) {
-	if l < 0 {
-		l = 0
-	}
-	if l >= len(browserLevels) {
-		l = len(browserLevels) - 1
-	}
-	b.level = l
-}
-
-// Quality returns the distillation quality fetches actually request. A
-// lying process reports b.level but operates at Health.EffectiveLevel.
-func (b *Browser) Quality() Quality {
-	return browserLevels[b.Health.EffectiveLevel(b.level, len(browserLevels)-1)]
-}
+// Quality returns the distillation quality fetches actually request (see
+// Operating).
+func (b *Browser) Quality() Quality { return b.Operating() }
 
 // Fetch retrieves and displays img at the current fidelity, reporting how
 // the page was actually retrieved. A dead process fetches nothing.
@@ -314,7 +287,7 @@ func (b *Browser) Fetch(p *sim.Proc, img Image) FetchOutcome {
 	if !b.Health.Alive() {
 		return FetchOutcome{}
 	}
-	out := Fetch(b.rig, p, img, b.Quality(), b.ThinkTime)
+	out := Fetch(b.rig, p, img, b.Quality(), thinkTime)
 	if out.Bypassed {
 		b.Bypasses++
 	}
@@ -337,7 +310,8 @@ func (Warden) TypeName() string { return "web" }
 
 // FetchArgs parameterizes the "fetch" type-specific operation.
 type FetchArgs struct {
-	// Think is the user think time after display (five seconds if zero).
+	// Think is the user think time after display; a negative Think, or
+	// no FetchArgs, means the browser's five seconds.
 	Think time.Duration
 }
 
@@ -351,7 +325,7 @@ func (wd Warden) TSOp(p *sim.Proc, obj *odfs.Object, op string, fidelity int, ar
 	if !ok {
 		return nil, fmt.Errorf("web warden: object %q does not hold an Image", obj.Path)
 	}
-	think := 5 * time.Second
+	think := thinkTime
 	if fa, ok := args.(FetchArgs); ok && fa.Think >= 0 {
 		think = fa.Think
 	}
@@ -361,12 +335,4 @@ func (wd Warden) TSOp(p *sim.Proc, obj *odfs.Object, op string, fidelity int, ar
 }
 
 // QualityFor maps a fidelity level index to the requested quality.
-func (Warden) QualityFor(level int) Quality {
-	if level < 0 {
-		level = 0
-	}
-	if level >= len(browserLevels) {
-		level = len(browserLevels) - 1
-	}
-	return browserLevels[level]
-}
+func (Warden) QualityFor(level int) Quality { return env.LevelOf(browserLevels, level) }

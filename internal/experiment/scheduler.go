@@ -6,6 +6,7 @@ import (
 	"math"
 	"reflect"
 	"runtime"
+	"slices"
 	"sync"
 	"time"
 
@@ -104,12 +105,12 @@ func (e *TaskPanic) Error() string {
 //
 // A task must not call RunTasks, directly or through sweep, a figure
 // function or FeasibleBand: its inner tasks would wait forever for tokens
-// that their caller, and every task like it, holds. Such a nested call
-// panics instead, and the outer call re-raises that as a *TaskPanic. (A
-// call from a simulated process's body is not caught: the process runs on
-// its own coroutine stack, where the task's frame does not show.) Call
-// RunTasks from outside any task, as sweep, FeasibleBand, chaos.Soak and
-// fleet.Run do.
+// that their caller, and every task like it, holds. Nor may a simulated
+// process's body, which holds its kernel's baton and runs on its own
+// coroutine stack, where a task's frame does not show. Either call panics
+// instead, and an outer RunTasks re-raises that as a *TaskPanic. Call
+// RunTasks from outside any task and any process, as sweep, FeasibleBand,
+// chaos.Soak and fleet.Run do.
 //
 // A panic in fn is fenced: the remaining tasks still run, and the fault for
 // the lowest panicking index is re-raised as a *TaskPanic from RunTasks
@@ -117,9 +118,9 @@ func (e *TaskPanic) Error() string {
 // containment (the chaos soak quarantines per scenario) fence inside fn;
 // this fence is the backstop that keeps one crash from ending the process.
 func RunTasks(n int, fn func(i int)) {
-	if inTask() {
+	if onStack(taskFrame, procFrame) {
 		//odylint:allow panicfree a nested call would deadlock on the task budget; fail fast instead
-		panic("experiment: nested RunTasks call inside a task would wait forever for its caller's budget tokens")
+		panic("experiment: nested RunTasks call inside a task or a process body would wait forever for its caller's budget tokens")
 	}
 	var (
 		wg      sync.WaitGroup
@@ -156,15 +157,19 @@ func RunTasks(n int, fn func(i int)) {
 }
 
 // runTask runs task i. It is a named function, not a closure, so that
-// inTask can recognise its frame on a stack.
+// RunTasks can recognise its frame on a stack.
 func runTask(fn func(i int), i int) { fn(i) }
 
-// taskFrame is runTask's name as stack frames report it.
-var taskFrame = runtime.FuncForPC(reflect.ValueOf(runTask).Pointer()).Name()
+// taskFrame is runTask's name as stack frames report it, and procFrame the
+// name of the sim function every process body runs under.
+var (
+	taskFrame = runtime.FuncForPC(reflect.ValueOf(runTask).Pointer()).Name()
+	procFrame = reflect.TypeFor[sim.Proc]().PkgPath() + ".runProc"
+)
 
-// inTask reports whether the calling goroutine is running a task, by
-// looking for runTask's frame anywhere on its stack.
-func inTask() bool {
+// onStack reports whether any of the named functions has a frame on the
+// calling goroutine's stack.
+func onStack(names ...string) bool {
 	pcs := make([]uintptr, 64)
 	n := runtime.Callers(2, pcs)
 	for n == len(pcs) { // the stack may be deeper than the buffer
@@ -174,7 +179,7 @@ func inTask() bool {
 	frames := runtime.CallersFrames(pcs[:n])
 	for {
 		f, more := frames.Next()
-		if f.Function == taskFrame {
+		if slices.Contains(names, f.Function) {
 			return true
 		}
 		if !more {

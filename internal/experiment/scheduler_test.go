@@ -202,24 +202,38 @@ func TestRunTasksSharesOneBudget(t *testing.T) {
 }
 
 // TestNestedRunTasksPanics: a task that calls RunTasks would wait forever
-// for tokens its caller holds, at width 1 always. The nested call panics
-// instead, naming itself, and the outer call re-raises it as a *TaskPanic.
+// for tokens its caller holds, at width 1 always, and so would a simulated
+// process's body, whose coroutine stack does not show the task's frame. The
+// nested call panics instead, naming itself, and the outer call re-raises it
+// as a *TaskPanic.
 func TestNestedRunTasksPanics(t *testing.T) {
-	for _, width := range []int{1, 2} {
-		useParallelism(t, width)
-		got := make(chan any, 1)
-		go func() {
-			defer func() { got <- recover() }()
-			RunTasks(2, func(int) { RunTasks(1, func(int) {}) })
-		}()
-		select {
-		case r := <-got:
-			tp, ok := r.(*TaskPanic)
-			if !ok || !strings.Contains(fmt.Sprint(tp.Value), "nested RunTasks") {
-				t.Fatalf("width %d: nested RunTasks raised %v, want a *TaskPanic naming the nested call", width, r)
+	for _, nested := range []struct {
+		name string
+		task func(int)
+	}{
+		{"task", func(int) { RunTasks(1, func(int) {}) }},
+		{"process body", func(int) {
+			k := sim.NewKernel(1)
+			k.Spawn("nested", func(*sim.Proc) { RunTasks(1, func(int) {}) })
+			k.Run(0)
+		}},
+	} {
+		for _, width := range []int{1, 2} {
+			useParallelism(t, width)
+			got := make(chan any, 1)
+			go func() {
+				defer func() { got <- recover() }()
+				RunTasks(2, nested.task)
+			}()
+			select {
+			case r := <-got:
+				tp, ok := r.(*TaskPanic)
+				if !ok || !strings.Contains(fmt.Sprint(tp.Value), "nested RunTasks") {
+					t.Fatalf("%s, width %d: nested RunTasks raised %v, want a *TaskPanic naming the nested call", nested.name, width, r)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatalf("%s, width %d: nested RunTasks hung", nested.name, width)
 			}
-		case <-time.After(10 * time.Second):
-			t.Fatalf("width %d: nested RunTasks hung", width)
 		}
 	}
 }

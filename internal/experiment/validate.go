@@ -1,6 +1,9 @@
 package experiment
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // ValidationResult is one paper-claim check: the range the paper reports,
 // the range we measure, and whether they overlap within the slack the
@@ -73,7 +76,7 @@ func Validate(p *Pass, trials int) []ValidationResult {
 
 	s11 := p.Figure11(trials)
 	add(check("fig11-linear", "map energy linear in think time (min R^2)", 0.99, 1.00,
-		minf(s11.R2), maxf(s11.R2), 0.5, "paper reports a good linear fit"))
+		slices.Min(s11.R2), slices.Max(s11.R2), 0.5, "paper reports a good linear fit"))
 
 	g13 := p.Figure13(trials)
 	lo, hi = g13.SavingsRange(g13.BarIndex(BarHWOnly), 0)
@@ -226,26 +229,6 @@ func Validate(p *Pass, trials int) []ValidationResult {
 		crashEnergy, crashEnergy, 0, "hedge/retry/abandoned work in PowerScope"))
 
 	return out
-}
-
-func minf(xs []float64) float64 {
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m
-}
-
-func maxf(xs []float64) float64 {
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x > m {
-			m = x
-		}
-	}
-	return m
 }
 
 // ValidationTable renders the scorecard.

@@ -9,12 +9,11 @@ import (
 )
 
 // Hotalloc maps per-event allocation pressure on the kernel's hot path.
-// ROADMAP item 2 (10-100x scenarios/sec) starts with knowing where the
-// allocations are: every &Event{...}, closure, append-growth, and
-// interface-boxing conversion executed per simulated event is garbage the
-// collector must chase at soak scale. This analyzer computes the set of
-// functions reachable from the event loop and flags allocation sites
-// inside them.
+// Scenario throughput starts with knowing where the allocations are: every
+// &Event{...}, closure, append-growth, and interface-boxing conversion
+// executed per simulated event is garbage the collector must chase at soak
+// scale. This analyzer computes the set of functions reachable from the
+// event loop and flags allocation sites inside them.
 //
 // Reachability roots:
 //

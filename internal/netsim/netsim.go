@@ -237,10 +237,7 @@ func (n *Network) flow(p *sim.Proc, principal string, bytes float64, deadline ti
 type Server struct {
 	Name string
 	res  *sim.PSResource
-	// SpeedJitter adds +/- the given fraction of uniform noise to each
-	// request's service time, giving trials non-degenerate variance.
-	SpeedJitter float64
-	k           *sim.Kernel
+	k    *sim.Kernel
 
 	// Failure-plane state: while down, calls with a deadline time out
 	// unanswered (calls without one are unaffected — a crashed server has
@@ -254,6 +251,10 @@ type Server struct {
 	// 1+bg, as if bg concurrent strangers shared the processor.
 	bg float64
 }
+
+// serverJitter is the +/- fraction of uniform noise on each request's
+// service time, giving trials non-degenerate variance.
+const serverJitter = 0.05
 
 // NewServer returns a server with one second of service capacity per second.
 func NewServer(k *sim.Kernel, name string) *Server {
@@ -300,17 +301,14 @@ func (s *Server) SetBackgroundLoad(l float64) {
 func (s *Server) BackgroundLoad() float64 { return s.bg }
 
 // Do blocks p while the server spends d of compute time on its request,
-// shared with any concurrent requests and jittered by SpeedJitter. It
+// shared with any concurrent requests and jittered by serverJitter. It
 // reports whether the request completed (false: the absolute virtual-time
 // deadline cut it off); a zero deadline waits indefinitely.
 func (s *Server) Do(p *sim.Proc, d time.Duration, deadline time.Duration) bool {
 	if d <= 0 {
 		return true
 	}
-	sec := d.Seconds()
-	if s.SpeedJitter > 0 {
-		sec *= 1 + s.SpeedJitter*(2*s.k.Rand().Float64()-1)
-	}
+	sec := d.Seconds() * (1 + serverJitter*(2*s.k.Rand().Float64()-1))
 	if s.latency > 1 {
 		sec *= s.latency
 	}

@@ -148,7 +148,6 @@ func TestServerJitterVariesAcrossSeeds(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
 		m, _ := newNet(seed)
 		srv := NewServer(m.K, "s")
-		srv.SpeedJitter = 0.2
 		var fin time.Duration
 		m.K.Spawn("req", func(p *sim.Proc) {
 			srv.Do(p, time.Second, 0)
@@ -156,8 +155,8 @@ func TestServerJitterVariesAcrossSeeds(t *testing.T) {
 		})
 		m.K.Run(0)
 		times[fin] = true
-		if fin < 700*time.Millisecond || fin > 1300*time.Millisecond {
-			t.Fatalf("jittered service time %v outside ±20%%", fin)
+		if fin < 950*time.Millisecond || fin > 1050*time.Millisecond {
+			t.Fatalf("jittered service time %v outside ±5%%", fin)
 		}
 	}
 	if len(times) < 3 {

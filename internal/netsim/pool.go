@@ -32,15 +32,13 @@ const (
 	contentionDwellMax = 20 * time.Second
 )
 
-// NewPool builds n servers named base-0 … base-(n-1) with the rig servers'
-// standard speed jitter, and a private RNG stream for contention so the
-// pool's weather never perturbs kernel-RNG draws elsewhere.
+// NewPool builds n servers named base-0 … base-(n-1), and a private RNG
+// stream for contention so the pool's weather never perturbs kernel-RNG
+// draws elsewhere.
 func NewPool(k *sim.Kernel, base string, n int, seed int64) *Pool {
 	pl := &Pool{k: k, rng: rand.New(rand.NewSource(seed))}
 	for i := 0; i < n; i++ {
-		s := NewServer(k, fmt.Sprintf("%s-%d", base, i))
-		s.SpeedJitter = 0.05
-		pl.servers = append(pl.servers, s)
+		pl.servers = append(pl.servers, NewServer(k, fmt.Sprintf("%s-%d", base, i)))
 	}
 	return pl
 }

@@ -34,7 +34,6 @@ func TestUnboundedMatchesGenerousTimeout(t *testing.T) {
 		m, n := newNet(seed)
 		n.StandbyPolicy = seed%2 == 0
 		srv := NewServer(m.K, "s")
-		srv.SpeedJitter = 0.2
 		done := make([][]time.Duration, len(ops))
 		for i, seq := range ops {
 			done[i] = make([]time.Duration, len(seq))

@@ -1,10 +1,10 @@
 // Package offload is the decision-and-execution layer that turns the speech
 // application's hand-rolled local/remote/hybrid switching into a system
-// service any application can use (ROADMAP item 3). Per request it runs a
-// cost model — marshalling energy, link energy-per-byte at the current
-// quality-governed link rate, expected server latency from the pool's load
-// bulletins, local fidelity cost — weighted by the current battery-goal
-// pressure, and places the work locally, remotely, or hybrid.
+// service any application can use. Per request it runs a cost model —
+// marshalling energy, link energy-per-byte at the current quality-governed
+// link rate, expected server latency from the pool's load bulletins, local
+// fidelity cost — weighted by the current battery-goal pressure, and places
+// the work locally, remotely, or hybrid.
 //
 // Every remote attempt is wrapped in a robustness envelope: per-server
 // circuit breakers (closed/open/half-open on the virtual clock), a seeded

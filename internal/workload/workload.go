@@ -48,33 +48,61 @@ type Apps struct {
 	utterances []speech.Utterance
 	maps       []mapview.Map
 	images     []web.Image
-	clips      []video.Clip
 }
 
 // Names lists the four application names in registration (priority) order.
 var Names = []string{"speech", "video", "map", "web"}
-
-// newGoalRecognizer returns a recognizer whose lowest fidelity also
-// switches to the hybrid strategy, per Section 5's energy-optimal policy.
-func newGoalRecognizer(rig *env.Rig) *speech.Recognizer {
-	r := speech.NewRecognizer(rig)
-	r.AdaptMode = true
-	return r
-}
 
 // NewApps instantiates the four applications on rig.
 func NewApps(rig *env.Rig) *Apps {
 	return &Apps{
 		Rig:        rig,
 		Video:      video.NewPlayer(rig),
-		Speech:     newGoalRecognizer(rig),
+		Speech:     speech.NewRecognizer(rig),
 		Map:        mapview.NewViewer(rig),
 		Web:        web.NewBrowser(rig),
 		utterances: speech.StandardUtterances(),
 		maps:       mapview.StandardMaps(),
 		images:     web.StandardImages(),
-		clips:      video.StandardClips(),
 	}
+}
+
+// member is one application of the bundle with what the workload wires for
+// it: its misbehavior surface, its priority, and its supervision profile.
+type member struct {
+	app      core.Adaptive
+	health   *supervise.AppHealth
+	priority int
+	profile  supervise.Profile
+}
+
+// members lists the four applications in registration (priority) order.
+// Only the video player's profile arms the supervisor's lie audit: its xanim
+// principal is exclusively its own and its workload is continuous. The
+// other applications share principals (X, odyssey) or run intermittently,
+// so model-based power auditing would be noise; they are watched for
+// crashes, hangs, and thrash only.
+func (a *Apps) members() []member {
+	return []member{
+		{a.Speech, &a.Speech.Health, PrioritySpeech, supervise.Profile{}},
+		{a.Video, &a.Video.Health, PriorityVideo, supervise.Profile{
+			Principal:     video.PrincipalXanim,
+			ExpectedPower: video.ExpectedPower,
+		}},
+		{a.Map, &a.Map.Health, PriorityMap, supervise.Profile{}},
+		{a.Web, &a.Web.Health, PriorityWeb, supervise.Profile{}},
+	}
+}
+
+// member returns the named application's entry, and false for an unknown
+// name.
+func (a *Apps) member(name string) (member, bool) {
+	for _, m := range a.members() {
+		if m.app.Name() == name {
+			return m, true
+		}
+	}
+	return member{}, false
 }
 
 // Enable restricts the workload to the named applications: Register,
@@ -107,35 +135,17 @@ func (a *Apps) Enabled(name string) bool {
 // ByName returns the named adaptive application, or nil for an unknown
 // name. Fault-plan binders use it to aim misbehavior injectors.
 func (a *Apps) ByName(name string) core.Adaptive {
-	switch name {
-	case a.Speech.Name():
-		return a.Speech
-	case a.Video.Name():
-		return a.Video
-	case a.Map.Name():
-		return a.Map
-	case a.Web.Name():
-		return a.Web
-	}
-	return nil
+	m, _ := a.member(name)
+	return m.app
 }
 
 // Register places the enabled applications under viceroy control with the
 // paper's priorities and returns the registrations.
 func (a *Apps) Register() []*core.Registration {
-	v := a.Rig.V
 	var regs []*core.Registration
-	for _, e := range []struct {
-		app  core.Adaptive
-		prio int
-	}{
-		{a.Speech, PrioritySpeech},
-		{a.Video, PriorityVideo},
-		{a.Map, PriorityMap},
-		{a.Web, PriorityWeb},
-	} {
-		if a.Enabled(e.app.Name()) {
-			regs = append(regs, v.RegisterApp(e.app, e.prio))
+	for _, m := range a.members() {
+		if a.Enabled(m.app.Name()) {
+			regs = append(regs, a.Rig.V.RegisterApp(m.app, m.priority))
 		}
 	}
 	return regs
@@ -144,58 +154,34 @@ func (a *Apps) Register() []*core.Registration {
 // Health returns the named application's misbehavior surface, or nil for
 // an unknown name. Fault-plan builders use it to aim injectors.
 func (a *Apps) Health(name string) *supervise.AppHealth {
-	switch name {
-	case a.Speech.Name():
-		return &a.Speech.Health
-	case a.Video.Name():
-		return &a.Video.Health
-	case a.Map.Name():
-		return &a.Map.Health
-	case a.Web.Name():
-		return &a.Web.Health
-	}
-	return nil
+	m, _ := a.member(name)
+	return m.health
 }
 
 // Supervise places every registration under the supervisor's watch, wiring
-// each application's health surface and — for the video player, whose
-// xanim principal is exclusively its own and whose workload is continuous —
-// the PowerScope fidelity-model profile that arms the lie audit. The other
-// applications share principals (X, odyssey) or run intermittently, so
-// model-based power auditing would be noise; they are watched for crashes,
-// hangs, and thrash only.
+// each application's health surface and supervision profile (see members).
 func (a *Apps) Supervise(sup *supervise.Supervisor, regs []*core.Registration) {
 	for _, r := range regs {
-		switch app := r.App.(type) {
-		case *speech.Recognizer:
-			sup.Watch(r, &app.Health, supervise.Profile{})
-		case *video.Player:
-			sup.Watch(r, &app.Health, supervise.Profile{
-				Principal:     video.PrincipalXanim,
-				ExpectedPower: video.ExpectedPower,
-			})
-		case *mapview.Viewer:
-			sup.Watch(r, &app.Health, supervise.Profile{})
-		case *web.Browser:
-			sup.Watch(r, &app.Health, supervise.Profile{})
+		if m, ok := a.member(r.App.Name()); ok {
+			sup.Watch(r, m.health, m.profile)
 		}
 	}
 }
 
 // SetAllLowest drops every enabled application to its lowest fidelity.
 func (a *Apps) SetAllLowest() {
-	for _, app := range []core.Adaptive{a.Video, a.Speech, a.Map, a.Web} {
-		if a.Enabled(app.Name()) {
-			app.SetLevel(0)
+	for _, m := range a.members() {
+		if a.Enabled(m.app.Name()) {
+			m.app.SetLevel(0)
 		}
 	}
 }
 
 // SetAllHighest raises every enabled application to full fidelity.
 func (a *Apps) SetAllHighest() {
-	for _, app := range []core.Adaptive{a.Video, a.Speech, a.Map, a.Web} {
-		if a.Enabled(app.Name()) {
-			app.SetLevel(len(app.Levels()) - 1)
+	for _, m := range a.members() {
+		if a.Enabled(m.app.Name()) {
+			m.app.SetLevel(len(m.app.Levels()) - 1)
 		}
 	}
 }
@@ -203,8 +189,8 @@ func (a *Apps) SetAllHighest() {
 // CompositeIteration performs one loop of the composite application: local
 // recognition of two speech utterances, access of a Web page, and access of
 // a map, with five seconds of think time after each visual access (the
-// viewers' configured think times). The iteration index rotates through the
-// standard data objects.
+// viewers' think time). The iteration index rotates through the standard
+// data objects.
 func (a *Apps) CompositeIteration(p *sim.Proc, i int) {
 	if a.Enabled(a.Speech.Name()) {
 		n := len(a.utterances)

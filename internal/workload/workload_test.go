@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -55,26 +56,34 @@ func TestCompositeLowestFidelityCheaper(t *testing.T) {
 	}
 }
 
+// TestRegisterPriorities pins the registrations: the four applications in
+// Names order with the paper's priorities 1-4, each with its level names,
+// lowest fidelity first.
 func TestRegisterPriorities(t *testing.T) {
 	rig := env.NewRig(3, 1)
 	apps := NewApps(rig)
 	regs := apps.Register()
-	if len(regs) != 4 {
-		t.Fatalf("%d registrations", len(regs))
+	want := []struct {
+		name   string
+		levels []string
+	}{
+		{"speech", []string{"reduced-vocabulary", "full-vocabulary"}},
+		{"video", []string{"Combined", "Premiere-C", "Premiere-B", "Baseline"}},
+		{"map", []string{"cropped+secondary-filter", "secondary-filter", "minor-filter", "full-detail"}},
+		{"web", []string{"JPEG-5", "JPEG-25", "JPEG-50", "JPEG-75", "full-fidelity"}},
 	}
-	want := map[string]int{
-		"speech": PrioritySpeech,
-		"video":  PriorityVideo,
-		"map":    PriorityMap,
-		"web":    PriorityWeb,
+	if len(regs) != len(want) {
+		t.Fatalf("%d registrations, want %d", len(regs), len(want))
 	}
-	for _, r := range regs {
-		if r.Priority != want[r.App.Name()] {
-			t.Fatalf("%s priority %d, want %d", r.App.Name(), r.Priority, want[r.App.Name()])
+	for i, w := range want {
+		r := regs[i]
+		if r.App.Name() != w.name || Names[i] != w.name || r.Priority != i+1 {
+			t.Errorf("registration %d: %s (Names %s) at priority %d, want %s at %d",
+				i, r.App.Name(), Names[i], r.Priority, w.name, i+1)
 		}
-	}
-	if PrioritySpeech >= PriorityVideo || PriorityVideo >= PriorityMap || PriorityMap >= PriorityWeb {
-		t.Fatal("priority ordering violates the paper's speech < video < map < web")
+		if !slices.Equal(r.App.Levels(), w.levels) || r.NumLevels() != len(w.levels) {
+			t.Errorf("%s levels %v (%d registered), want %v", w.name, r.App.Levels(), r.NumLevels(), w.levels)
+		}
 	}
 }
 
