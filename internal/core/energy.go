@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math"
 	"time"
 
 	"odyssey/internal/power"
@@ -240,7 +239,7 @@ func (em *EnergyMonitor) alpha() float64 {
 	if halfLife <= 0 {
 		return 0
 	}
-	return math.Pow(0.5, samplePeriod.Seconds()/halfLife)
+	return power.HalfPow(samplePeriod.Seconds() / halfLife)
 }
 
 // takeSample observes average power over the last sample period (the

@@ -8,6 +8,10 @@ import (
 	"time"
 
 	"odyssey/internal/app/env"
+	"odyssey/internal/app/mapview"
+	"odyssey/internal/app/speech"
+	"odyssey/internal/app/video"
+	"odyssey/internal/app/web"
 	"odyssey/internal/trace"
 )
 
@@ -662,4 +666,33 @@ func TestValidationScorecard(t *testing.T) {
 	if !strings.Contains(out, "fig20-band") {
 		t.Fatal("scorecard table missing a check row")
 	}
+}
+
+// checkLadderEnds fails t unless an application's ladder operates full at
+// its top level and lowest at its bottom one.
+func checkLadderEnds[C comparable](t *testing.T, app string, f *env.Fidelity[C], full, lowest C) {
+	t.Helper()
+	f.SetLevel(len(f.Levels()) - 1)
+	if got := f.Operating(); got != full {
+		t.Errorf("%s: ladder top operates %+v, figures' full fidelity is %+v", app, got, full)
+	}
+	f.SetLevel(0)
+	if got := f.Operating(); got != lowest {
+		t.Errorf("%s: ladder bottom operates %+v, figures' lowest fidelity is %+v", app, got, lowest)
+	}
+}
+
+// TestFigureEndRungsMatchLadders ties the configurations the figures name
+// as each application's full and lowest fidelity (the arms of Figures 6,
+// 8, 10 and 13, the think-time sweeps, Figure 16's fidelity-only column and
+// Figure 18's zoned arms) to the application's own ladder: each must be
+// what the application operates at its top and bottom level. A ladder
+// change that leaves a figure arm behind fails here instead of measuring a
+// configuration no adaptive run reaches.
+func TestFigureEndRungsMatchLadders(t *testing.T) {
+	rig := env.NewRig(1, 1)
+	checkLadderEnds(t, "video", &video.NewPlayer(rig).Fidelity, videoFull, videoLowest)
+	checkLadderEnds(t, "speech", &speech.NewRecognizer(rig).Fidelity, speechFull, speechLowest)
+	checkLadderEnds(t, "map", &mapview.NewViewer(rig).Fidelity, mapFull, mapLowest)
+	checkLadderEnds(t, "web", &web.NewBrowser(rig).Fidelity, webFull, webLowest)
 }

@@ -32,10 +32,10 @@ func DVSPaths(trials int) []DVSRow {
 		dvs   bool
 		track video.Track
 	}{
-		{"hardware-only power mgmt", false, video.TrackBase},
-		{"+ DVS", true, video.TrackBase},
-		{"+ lowest fidelity", false, video.TrackCombined},
-		{"+ DVS + lowest fidelity", true, video.TrackCombined},
+		{"hardware-only power mgmt", false, videoFull},
+		{"+ DVS", true, videoFull},
+		{"+ lowest fidelity", false, videoLowest},
+		{"+ DVS + lowest fidelity", true, videoLowest},
 	}
 	type run struct{ energy, speed float64 }
 	rs := sweep(len(arms), trials, func(a, t int) run {

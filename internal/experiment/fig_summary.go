@@ -3,9 +3,6 @@ package experiment
 import (
 	"fmt"
 	"time"
-
-	"odyssey/internal/app/video"
-	"odyssey/internal/app/web"
 )
 
 // SummaryRow is one row of Figure 16: an application at one think time,
@@ -67,7 +64,7 @@ func summary16(p *Pass, trials int) *Summary16 {
 	// Video: no think-time dimension.
 	g6 := p.Figure6(trials)
 	g6f := videoGrid("fidelity-video", "video fidelity-only",
-		fidelityOnlyArms(video.TrackBase, video.TrackCombined), trials, 1610)
+		fidelityOnlyArms(videoFull, videoLowest), trials, 1610)
 	record("Video", -1, g6, g6.BarIndex(BarCombined), g6f)
 
 	// Speech: no think-time dimension; lowest is hybrid+reduced.
@@ -87,7 +84,7 @@ func summary16(p *Pass, trials int) *Summary16 {
 	for _, think := range thinkTimes {
 		gw := webGrid("fig16", "web", webArms, trials, think, 1700+int64(think/time.Second))
 		gwf := webGrid("fidelity-web", "web fidelity-only",
-			fidelityOnlyArms(web.FullFidelity, web.JPEG5), trials, think, 1640+int64(think/time.Second))
+			fidelityOnlyArms(webFull, webLowest), trials, think, 1640+int64(think/time.Second))
 		record("Web", think, gw, gw.BarIndex("JPEG-5"), gwf)
 	}
 

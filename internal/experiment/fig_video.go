@@ -16,14 +16,21 @@ const (
 	BarCombined      = "Combined"
 )
 
+// videoFull and videoLowest are the player's highest and lowest
+// fidelities.
+var (
+	videoFull   = video.TrackBase
+	videoLowest = video.TrackCombined
+)
+
 // videoArms are the six configurations of Figure 6.
 var videoArms = []Arm[video.Track]{
-	{Bar{Label: BarBaseline}, video.TrackBase},
-	{Bar{Label: BarHWOnly, Setup: managed}, video.TrackBase},
+	{Bar{Label: BarBaseline}, videoFull},
+	{Bar{Label: BarHWOnly, Setup: managed}, videoFull},
 	{Bar{Label: BarPremiereB, Setup: managed}, video.TrackPremiereB},
 	{Bar{Label: BarPremiereC, Setup: managed}, video.TrackPremiereC},
 	{Bar{Label: BarReducedWindow, Setup: managed}, video.TrackReducedWindow},
-	{Bar{Label: BarCombined, Setup: managed}, video.TrackCombined},
+	{Bar{Label: BarCombined, Setup: managed}, videoLowest},
 }
 
 // Figure6 measures the energy to display the four videos at each fidelity

@@ -8,15 +8,21 @@ import (
 	"odyssey/internal/sim"
 )
 
+// webFull and webLowest are the browser's highest and lowest fidelities.
+var (
+	webFull   = web.FullFidelity
+	webLowest = web.JPEG5
+)
+
 // webArms are the six configurations of Figure 13: baseline and
 // hardware-only at full fidelity, then decreasing JPEG quality.
 var webArms = []Arm[web.Quality]{
-	{Bar{Label: BarBaseline}, web.FullFidelity},
-	{Bar{Label: BarHWOnly, Setup: managed}, web.FullFidelity},
+	{Bar{Label: BarBaseline}, webFull},
+	{Bar{Label: BarHWOnly, Setup: managed}, webFull},
 	{Bar{Label: web.JPEG75.String(), Setup: managed}, web.JPEG75},
 	{Bar{Label: web.JPEG50.String(), Setup: managed}, web.JPEG50},
 	{Bar{Label: web.JPEG25.String(), Setup: managed}, web.JPEG25},
-	{Bar{Label: web.JPEG5.String(), Setup: managed}, web.JPEG5},
+	{Bar{Label: webLowest.String(), Setup: managed}, webLowest},
 }
 
 // Figure13 measures the energy to fetch and display the four GIF images at
@@ -41,7 +47,7 @@ func webGrid(fig, title string, arms []Arm[web.Quality], trials int, think time.
 // fidelity spread we follow its spirit with the same three cases.
 func Figure14(trials int) *ThinkTimeSeries {
 	img := web.StandardImages()[0]
-	return thinkTimeSweep("fig14", img.Name, 1400, trials, hwAndLowestArms(web.FullFidelity, web.JPEG5),
+	return thinkTimeSweep("fig14", img.Name, 1400, trials, hwAndLowestArms(webFull, webLowest),
 		func(rig *env.Rig, p *sim.Proc, q web.Quality, think time.Duration) {
 			web.Fetch(rig, p, img, q, think)
 		})

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"odyssey/internal/app/env"
-	"odyssey/internal/app/video"
 )
 
 // ZonedRow is one row of Figure 18: an application (and think time, for the
@@ -30,7 +29,7 @@ var zoneCounts = []int{1, 4, 8}
 // display is off for speech and Netscape is nearly full-screen).
 func Figure18(trials int) []ZonedRow {
 	g := videoGrid("fig18-video", "Figure 18 (video)",
-		zonedArms(video.TrackBase, video.TrackCombined), trials, 1800)
+		zonedArms(videoFull, videoLowest), trials, 1800)
 	rows := []ZonedRow{rowFromGrid("Video", -1, g)}
 	for _, think := range thinkTimes {
 		g := mapGrid("fig18-map", "Figure 18 (map)",

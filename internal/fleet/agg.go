@@ -80,8 +80,9 @@ func (g *GroupAgg) merge(o *GroupAgg) {
 }
 
 // Aggregate is the full mergeable reduction of a set of fleet sessions.
-// Memory is fixed: a handful of sketches and small maps keyed by principal
-// and group name, independent of how many sessions it has absorbed.
+// Memory is bounded independent of how many sessions it has absorbed: a
+// handful of sketches, each holding only the bucket range its values
+// occupy, and small maps keyed by principal and group name.
 type Aggregate struct {
 	Sessions    int64
 	GoalMet     int64

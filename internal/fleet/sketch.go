@@ -46,16 +46,60 @@ const (
 )
 
 // Sketch is a mergeable quantile sketch over float64 observations. The
-// zero value is not usable; create one with NewSketch.
+// zero value is not usable; create one with NewSketch. A struct copy shares
+// its bucket windows with the original; merge into a NewSketch to copy one.
 type Sketch struct {
-	pos  [sketchBuckets]int64 // positive values, ascending magnitude
-	neg  [sketchBuckets]int64 // negative values, ascending magnitude
-	zero int64                // exact zeros (and values too small to bucket)
+	pos  window // positive values, ascending magnitude
+	neg  window // negative values, ascending magnitude
+	zero int64  // exact zeros (and values too small to bucket)
 	n    int64
+}
+
+// window holds one sign's bucket counts from its lowest to its highest
+// occupied bucket: counts[i] is the count of bucket base+i. It grows on
+// demand, so a sketch that has seen a few values holds a few buckets, not
+// all sketchBuckets of them.
+type window struct {
+	base   int
+	counts []int64
 }
 
 // NewSketch returns an empty sketch.
 func NewSketch() *Sketch { return &Sketch{} }
+
+// cover grows w to hold buckets lo through hi.
+func (w *window) cover(lo, hi int) {
+	if len(w.counts) == 0 {
+		w.base, w.counts = lo, make([]int64, hi-lo+1)
+		return
+	}
+	if top := w.base + len(w.counts) - 1; hi > top {
+		w.counts = append(w.counts, make([]int64, hi-top)...)
+	}
+	if lo < w.base {
+		grown := make([]int64, w.base-lo+len(w.counts))
+		copy(grown[w.base-lo:], w.counts)
+		w.base, w.counts = lo, grown
+	}
+}
+
+// add adds c to bucket idx.
+func (w *window) add(idx int, c int64) {
+	w.cover(idx, idx)
+	w.counts[idx-w.base] += c
+}
+
+// merge adds o's counts into w.
+func (w *window) merge(o *window) {
+	if len(o.counts) == 0 {
+		return
+	}
+	w.cover(o.base, o.base+len(o.counts)-1)
+	dst := w.counts[o.base-w.base:]
+	for i, c := range o.counts {
+		dst[i] += c
+	}
+}
 
 // bucketOf maps a positive magnitude to its bucket index.
 func bucketOf(v float64) int {
@@ -93,21 +137,19 @@ func (s *Sketch) Observe(v float64) {
 	s.n++
 	switch {
 	case v > 0:
-		s.pos[bucketOf(v)]++
+		s.pos.add(bucketOf(v), 1)
 	case v < 0:
-		s.neg[bucketOf(-v)]++
+		s.neg.add(bucketOf(-v), 1)
 	default:
 		s.zero++
 	}
 }
 
 // Merge folds o into s. Bucket counts add, so merge is exactly commutative
-// and associative: merge(a,b) and merge(b,a) are byte-identical.
+// and associative: merge(a,b) and merge(b,a) hold the same counts.
 func (s *Sketch) Merge(o *Sketch) {
-	for i := range s.pos {
-		s.pos[i] += o.pos[i]
-		s.neg[i] += o.neg[i]
-	}
+	s.pos.merge(&o.pos)
+	s.neg.merge(&o.neg)
 	s.zero += o.zero
 	s.n += o.n
 }
@@ -124,14 +166,14 @@ func (s *Sketch) RelErrBound() float64 { return 1.0 / (2 * sketchSub) }
 // within RelErrBound of the true sum when all observations are positive.
 func (s *Sketch) ApproxSum() float64 {
 	var total float64
-	for i := sketchBuckets - 1; i >= 0; i-- {
-		if s.neg[i] > 0 {
-			total -= float64(s.neg[i]) * bucketMid(i)
+	for i := len(s.neg.counts) - 1; i >= 0; i-- {
+		if c := s.neg.counts[i]; c > 0 {
+			total -= float64(c) * bucketMid(s.neg.base+i)
 		}
 	}
-	for i := 0; i < sketchBuckets; i++ {
-		if s.pos[i] > 0 {
-			total += float64(s.pos[i]) * bucketMid(i)
+	for i, c := range s.pos.counts {
+		if c > 0 {
+			total += float64(c) * bucketMid(s.pos.base+i)
 		}
 	}
 	return total
@@ -148,24 +190,24 @@ type sketchJSON struct {
 	N    int64            `json:"n"`
 }
 
-func sparse(buckets *[sketchBuckets]int64) map[string]int64 {
+func sparse(w *window) map[string]int64 {
 	var m map[string]int64
-	for i, c := range buckets {
+	for i, c := range w.counts {
 		if c != 0 {
 			if m == nil {
 				m = make(map[string]int64)
 			}
-			m[strconv.Itoa(i)] = c
+			m[strconv.Itoa(w.base+i)] = c
 		}
 	}
 	return m
 }
 
-// unsparse fills buckets from their sparse form and adds the counts to
-// *total. A key must be the canonical decimal form of an index in range, so
-// no two keys name one bucket. Keys are read in sorted order, so a malformed
+// unsparse fills w from its sparse form and adds the counts to *total. A
+// key must be the canonical decimal form of an index in range, so no two
+// keys name one bucket. Keys are read in sorted order, so a malformed
 // journal line reports the same error on every run.
-func unsparse(m map[string]int64, buckets *[sketchBuckets]int64, total *int64) error {
+func unsparse(m map[string]int64, w *window, total *int64) error {
 	for _, k := range sortedKeys(m) {
 		i, err := strconv.Atoi(k)
 		if err != nil || i < 0 || i >= sketchBuckets || strconv.Itoa(i) != k {
@@ -174,7 +216,9 @@ func unsparse(m map[string]int64, buckets *[sketchBuckets]int64, total *int64) e
 		if err := addCount(total, m[k]); err != nil {
 			return err
 		}
-		buckets[i] = m[k]
+		if m[k] != 0 {
+			w.add(i, m[k])
+		}
 	}
 	return nil
 }
@@ -246,20 +290,20 @@ func (s *Sketch) Quantile(q float64) float64 {
 	// Ascending value order: negatives from largest magnitude down, then
 	// zero, then positives from smallest magnitude up.
 	var cum int64
-	for i := sketchBuckets - 1; i >= 0; i-- {
-		cum += s.neg[i]
+	for i := len(s.neg.counts) - 1; i >= 0; i-- {
+		cum += s.neg.counts[i]
 		if cum > rank {
-			return -bucketMid(i)
+			return -bucketMid(s.neg.base + i)
 		}
 	}
 	cum += s.zero
 	if cum > rank {
 		return 0
 	}
-	for i := 0; i < sketchBuckets; i++ {
-		cum += s.pos[i]
+	for i, c := range s.pos.counts {
+		cum += c
 		if cum > rank {
-			return bucketMid(i)
+			return bucketMid(s.pos.base + i)
 		}
 	}
 	// Unreachable: the cumulative count reaches n, and rank < n.

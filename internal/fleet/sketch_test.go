@@ -57,9 +57,55 @@ func TestSketchErrorBounds(t *testing.T) {
 	}
 }
 
-// TestSketchMergeCommutative checks merge(a,b) == merge(b,a) byte for byte.
-// Sketch state is fixed arrays of integer counts, so plain struct equality
-// is the byte-identity check.
+// count returns the count of bucket idx, 0 outside the window.
+func (w *window) count(idx int) int64 {
+	if i := idx - w.base; i >= 0 && i < len(w.counts) {
+		return w.counts[i]
+	}
+	return 0
+}
+
+// sketchDiff compares the contents of two sketches: every bucket index of
+// both signs, the zero count and n. It returns the first difference, or ""
+// when they hold the same counts.
+func sketchDiff(a, b *Sketch) string {
+	for i := 0; i < sketchBuckets; i++ {
+		if x, y := a.pos.count(i), b.pos.count(i); x != y {
+			return fmt.Sprintf("positive bucket %d holds %d and %d", i, x, y)
+		}
+		if x, y := a.neg.count(i), b.neg.count(i); x != y {
+			return fmt.Sprintf("negative bucket %d holds %d and %d", i, x, y)
+		}
+	}
+	if a.zero != b.zero {
+		return fmt.Sprintf("zero count %d and %d", a.zero, b.zero)
+	}
+	if a.n != b.n {
+		return fmt.Sprintf("n %d and %d", a.n, b.n)
+	}
+	return ""
+}
+
+// clone copies a sketch by merging it into an empty one; a struct copy
+// would share its bucket windows.
+func clone(s *Sketch) *Sketch {
+	c := NewSketch()
+	c.Merge(s)
+	return c
+}
+
+// observed returns a sketch that has observed vals.
+func observed(vals ...float64) *Sketch {
+	s := NewSketch()
+	for _, v := range vals {
+		s.Observe(v)
+	}
+	return s
+}
+
+// TestSketchMergeCommutative checks that merge(a,b) and merge(b,a) hold the
+// same counts in every bucket, so every quantile and sum derived from them
+// is byte-identical.
 func TestSketchMergeCommutative(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	a, b := NewSketch(), NewSketch()
@@ -70,11 +116,11 @@ func TestSketchMergeCommutative(t *testing.T) {
 			b.Observe(0)
 		}
 	}
-	ab, ba := *a, *b
+	ab, ba := clone(a), clone(b)
 	ab.Merge(b)
 	ba.Merge(a)
-	if ab != ba {
-		t.Fatal("merge(a,b) and merge(b,a) differ")
+	if d := sketchDiff(ab, ba); d != "" {
+		t.Fatalf("merge(a,b) and merge(b,a) differ: %s", d)
 	}
 	if ab.Count() != a.Count()+b.Count() {
 		t.Fatalf("merged count %d, want %d", ab.Count(), a.Count()+b.Count())
@@ -86,6 +132,26 @@ func TestSketchMergeCommutative(t *testing.T) {
 		u.Merge(b)
 		if u.Quantile(q) != ab.Quantile(q) {
 			t.Errorf("p%.0f differs between merge orders", 100*q)
+		}
+	}
+}
+
+// TestSketchMergeDisjointWindows merges a sketch whose values all lie
+// below another's into it, and the other way round, so the merged window
+// grows at its low end in one order and at its high end in the other. Each
+// result must hold exactly the counts of one sketch observing the union.
+func TestSketchMergeDisjointWindows(t *testing.T) {
+	low := []float64{1e-6, 3e-6, 0.002, -1e-5, -0.004, 0}
+	high := []float64{5e4, 7.5e8, 7.5e8, 1e11, -2e6, -9e9}
+	union := observed(append(append([]float64{}, low...), high...)...)
+	for _, c := range []struct {
+		name      string
+		into, add []float64
+	}{{"low into high", high, low}, {"high into low", low, high}} {
+		m := observed(c.into...)
+		m.Merge(observed(c.add...))
+		if d := sketchDiff(m, union); d != "" {
+			t.Errorf("%s: merged sketch differs from observing the union: %s", c.name, d)
 		}
 	}
 }
@@ -167,13 +233,12 @@ var malformedSketches = []string{
 // or quantiles are wrong.
 func TestSketchRejectsMalformed(t *testing.T) {
 	for _, line := range malformedSketches {
-		s := NewSketch()
-		s.Observe(42)
-		want := *s
+		s := observed(42, -7)
+		want := clone(s)
 		if err := s.UnmarshalJSON([]byte(line)); err == nil {
 			t.Errorf("%s decoded without error: count %d, median %v", line, s.Count(), s.Quantile(0.5))
-		} else if *s != want {
-			t.Errorf("%s: rejected decode changed the sketch", line)
+		} else if d := sketchDiff(s, want); d != "" {
+			t.Errorf("%s: rejected decode changed the sketch: %s", line, d)
 		}
 	}
 	// Counts that add past the int64 range are rejected, not wrapped.

@@ -258,11 +258,14 @@ func (a *Accountant) Power() float64 {
 // once.
 func (a *Accountant) integrate() {
 	now := a.k.Now()
-	dt := (now - a.last).Seconds()
+	elapsed := now - a.last
 	a.last = now
-	if dt <= 0 {
+	// A zero-length segment books nothing, so it returns before the
+	// duration's conversion to seconds.
+	if elapsed <= 0 {
 		return
 	}
+	dt := elapsed.Seconds()
 	total := a.Power()
 	a.totalEnergy += total * dt
 	a.pendingDt += dt

@@ -151,15 +151,15 @@ type Share struct {
 // advance applies service between lastUpdate and now to every active job.
 func (r *PSResource) advance() {
 	now := r.k.Now()
-	elapsed := (now - r.lastUpdate).Seconds()
+	elapsed := now - r.lastUpdate
 	if elapsed > 0 && len(r.jobs) > 0 {
 		rate := r.capacity / float64(len(r.jobs))
-		done := elapsed * rate
+		done := elapsed.Seconds() * rate
 		for _, j := range r.jobs {
 			j.remaining -= done
 			r.served += done
 		}
-		r.busyTime += now - r.lastUpdate
+		r.busyTime += elapsed
 	}
 	r.lastUpdate = now
 }

@@ -106,14 +106,15 @@ func (b *Battery) SetPolling(on bool) {
 // sync advances the drain integral to the present.
 func (b *Battery) sync() {
 	now := b.k.Now()
-	dt := (now - b.lastSync).Seconds()
+	elapsed := now - b.lastSync
 	total := b.acct.TotalEnergy()
 	drawn := total - b.lastAcct
 	b.lastAcct = total
 	b.lastSync = now
-	if dt <= 0 {
+	if elapsed <= 0 {
 		return
 	}
+	dt := elapsed.Seconds()
 	avgPower := drawn / dt
 	b.lastPower = avgPower
 	b.drained += b.effectiveDrain(avgPower) * dt
@@ -127,10 +128,16 @@ func (b *Battery) effectiveDrain(watts float64) float64 {
 		return watts
 	}
 	i := watts / voltage
-	scale := math.Pow(i/ratedCurrent, k-1)
+	x := i / ratedCurrent
+	if 0 <= x && x <= 1 {
+		// At or below the rated current the pack is at least nominal, so
+		// no extra capacity is credited. The scale x^(k-1) is at most 1
+		// there and clamps to 1, and watts*1 is watts, so the power is not
+		// taken at all (TestEffectiveDrainMatchesPow).
+		return watts
+	}
+	scale := power.Pow(x, k-1)
 	if scale < 1 {
-		// Below the rated current the pack is at least nominal;
-		// do not credit extra capacity.
 		scale = 1
 	}
 	return watts * scale

@@ -2,6 +2,7 @@ package smartbattery
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -157,4 +158,93 @@ func TestQuantizedReadingsCloseToTruth(t *testing.T) {
 	if math.Abs(b.Power()-11.37) > currentQuantum*voltage+1e-9 {
 		t.Fatalf("power reading %v vs truth 11.37 beyond one quantum", b.Power())
 	}
+}
+
+// drainViaPow is effectiveDrain as it read before its specialisation: the
+// Peukert scale through math.Pow on every call. TestEffectiveDrainMatchesPow
+// holds the live function to it bit for bit.
+func drainViaPow(peukert, watts float64) float64 {
+	k := peukert
+	if k <= 1.0 {
+		return watts
+	}
+	i := watts / voltage
+	scale := math.Pow(i/ratedCurrent, k-1)
+	if scale < 1 {
+		scale = 1
+	}
+	return watts * scale
+}
+
+// TestEffectiveDrainMatchesPow sweeps 2M (load, exponent) pairs through
+// effectiveDrain and compares each result's bits with drainViaPow, for
+// Peukert exponents k in (1, 2]: loads with x = i/ratedCurrent uniform in
+// [0, 20] and in [0, 1], loads within a few ulps of x = 1, and loads of
+// either sign at every binary exponent, against uniform k and the edges of
+// the specialised range k-1 < 0.5. At or below the rated current
+// effectiveDrain skips the power, which is exact only because math.Pow(x,
+// k-1) never exceeds 1 there; the sweep checks that on every such sample,
+// x = 0 and x = 1 included.
+func TestEffectiveDrainMatchesPow(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	rated := voltage * ratedCurrent // the load at which x is exactly 1
+	edges := []float64{math.Nextafter(1, 2), 1.01, 1.08, 1.3,
+		math.Nextafter(1.5, 1), 1.5, math.Nextafter(1.5, 2), 2}
+	var atOrBelowRated, specialised, fallback int
+	var sawZero, sawOne bool
+	check := func(k, watts float64) {
+		b := &Battery{peukert: k}
+		got, want := b.effectiveDrain(watts), drainViaPow(k, watts)
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("effectiveDrain(%v) at k=%v = %v (%#x), via math.Pow %v (%#x)",
+				watts, k, got, math.Float64bits(got), want, math.Float64bits(want))
+		}
+		x := watts / voltage / ratedCurrent
+		switch {
+		case 0 <= x && x <= 1:
+			atOrBelowRated++
+			sawZero = sawZero || x == 0
+			sawOne = sawOne || x == 1
+			if p := math.Pow(x, k-1); !(p <= 1) {
+				t.Fatalf("math.Pow(%v, %v) = %v, above 1: skipping the power at or below the rated current is not exact", x, k-1, p)
+			}
+		case x > 1 && k-1 < 0.5:
+			specialised++
+		default:
+			fallback++
+		}
+	}
+	for i := 0; i < 2_000_000; i++ {
+		k := 2 - rng.Float64()
+		if i%4 == 0 {
+			k = edges[rng.Intn(len(edges))]
+		}
+		switch i % 6 {
+		case 0, 1:
+			check(k, 20*rated*rng.Float64())
+		case 2:
+			check(k, rated*rng.Float64())
+		case 3:
+			check(k, rated*(1+(rng.Float64()-0.5)*1e-14))
+		case 4:
+			check(k, math.Ldexp(1+rng.Float64(), rng.Intn(2046)-1022))
+		case 5:
+			check(k, -math.Ldexp(1+rng.Float64(), rng.Intn(2046)-1022))
+		}
+	}
+	for _, k := range edges {
+		for _, w := range []float64{0, math.Copysign(0, -1), rated, math.Nextafter(rated, 0),
+			math.Nextafter(rated, 100), math.SmallestNonzeroFloat64, math.MaxFloat64, math.Inf(1)} {
+			check(k, w)
+		}
+	}
+	if !sawZero || !sawOne {
+		t.Fatalf("sweep sampled x = 0: %v, x = 1: %v; want both", sawZero, sawOne)
+	}
+	if atOrBelowRated < 300_000 || specialised < 300_000 || fallback < 300_000 {
+		t.Fatalf("sweep took %d samples at or below the rated current, %d on the specialised power and %d on the fallback; want 300k of each",
+			atOrBelowRated, specialised, fallback)
+	}
+	t.Logf("%d samples at or below the rated current, %d on the specialised power, %d on the fallback",
+		atOrBelowRated, specialised, fallback)
 }

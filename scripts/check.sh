@@ -38,9 +38,12 @@
 #                                          sample correlation (FuzzCorrelate),
 #                                          the chaos scenario loader
 #                                          (FuzzLoadScenario), fault-plan
-#                                          decode and binding (FuzzPlanSpec)
-#                                          and the fleet sketch decoder
-#                                          (FuzzSketchJSON)
+#                                          decode and binding (FuzzPlanSpec),
+#                                          the fleet sketch decoder
+#                                          (FuzzSketchJSON) and the
+#                                          specialised powers of the energy
+#                                          monitor and SmartBattery against
+#                                          math.Pow (FuzzSpecialisedPow)
 #  10. odyssey-sim -figure resilience      smoke: the fault-injection plane
 #                                          end to end on one trial
 #  11. supervision smoke (-race)           the application-supervision plane
@@ -149,6 +152,9 @@ if [ "${1:-}" != "fast" ]; then
 
     echo "==> go test -fuzz FuzzSketchJSON -fuzztime 5s ./internal/fleet"
     go test -run '^$' -fuzz FuzzSketchJSON -fuzztime 5s ./internal/fleet
+
+    echo "==> go test -fuzz FuzzSpecialisedPow -fuzztime 5s ./internal/power"
+    go test -run '^$' -fuzz FuzzSpecialisedPow -fuzztime 5s ./internal/power
 
     echo "==> resilience smoke (odyssey-sim -figure resilience -trials 1)"
     go run ./cmd/odyssey-sim -figure resilience -trials 1
