@@ -57,7 +57,7 @@ type ErrStall struct {
 	Now        time.Duration // the instant the clock is stuck at
 	Dispatches int           // same-instant dispatches when the bound tripped
 	RingLen    int           // zero-delay runnables queued
-	HeapLen    int           // timers in the event heap
+	HeapLen    int           // timed events queued: heap timers and armed ticks
 	Runnable   []string      // names of the next few ring occupants
 }
 
@@ -86,7 +86,7 @@ func (k *Kernel) tripStall() {
 		Now:        k.now,
 		Dispatches: k.sinceAdvance,
 		RingLen:    k.ringLen,
-		HeapLen:    len(k.events),
+		HeapLen:    len(k.events) + len(k.lane),
 	}
 	for i := 0; i < k.ringLen && len(st.Runnable) < 8; i++ {
 		re := &k.ring[(k.ringHead+i)&(len(k.ring)-1)]

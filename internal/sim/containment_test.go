@@ -89,39 +89,50 @@ func TestShutdownAfterProcessFault(t *testing.T) {
 }
 
 // A zero-delay self-reschedule loop must trip the stall detector with a
-// structured snapshot instead of hanging the run loop forever.
+// structured snapshot instead of hanging the run loop forever. The
+// snapshot's heap count covers every queued timed event, a running
+// ticker's armed tick included.
 func TestStallDetectorTripsOnZeroDelayLoop(t *testing.T) {
-	k := NewKernel(1)
-	k.SetStallBound(5000)
-	// Ping-pong: two processes waking each other through the runnable ring
-	// at one instant, with a spinning callback for company.
-	wl := NewWaitList(k)
-	for _, name := range []string{"ping", "pong"} {
-		k.Spawn(name, func(p *Proc) {
-			p.Sleep(time.Millisecond)
-			for {
-				wl.WakeOne()
-				p.Sleep(0)
-			}
-		})
-	}
-	var spin func()
-	spin = func() { k.After(0, spin) }
-	k.After(time.Millisecond, spin)
+	stall := func(withTicker bool) *ErrStall {
+		k := NewKernel(1)
+		k.SetStallBound(5000)
+		if withTicker {
+			// Armed at 1 s, the tick stays queued through the livelock.
+			k.Every(time.Second, func() {}).Start()
+		}
+		// Ping-pong: two processes waking each other through the runnable
+		// ring at one instant, with a spinning callback for company.
+		wl := NewWaitList(k)
+		for _, name := range []string{"ping", "pong"} {
+			k.Spawn(name, func(p *Proc) {
+				p.Sleep(time.Millisecond)
+				for {
+					wl.WakeOne()
+					p.Sleep(0)
+				}
+			})
+		}
+		var spin func()
+		spin = func() { k.After(0, spin) }
+		k.After(time.Millisecond, spin)
+		defer k.Shutdown()
 
-	var st *ErrStall
-	func() {
-		defer func() {
-			r := recover()
-			s, ok := r.(*ErrStall)
-			if !ok {
-				t.Fatalf("recovered %T (%v), want *ErrStall", r, r)
-			}
-			st = s
+		var st *ErrStall
+		func() {
+			defer func() {
+				r := recover()
+				s, ok := r.(*ErrStall)
+				if !ok {
+					t.Fatalf("recovered %T (%v), want *ErrStall", r, r)
+				}
+				st = s
+			}()
+			k.Run(time.Second)
+			t.Fatal("Run returned; stall not detected")
 		}()
-		k.Run(time.Second)
-		t.Fatal("Run returned; stall not detected")
-	}()
+		return st
+	}
+	st := stall(false)
 	if st.Now != time.Millisecond {
 		t.Errorf("stalled at %v, want 1ms", st.Now)
 	}
@@ -134,7 +145,13 @@ func TestStallDetectorTripsOnZeroDelayLoop(t *testing.T) {
 	if !strings.Contains(st.Error(), "stalled at 1ms") {
 		t.Errorf("Error() = %q", st.Error())
 	}
-	k.Shutdown()
+	ticked := stall(true)
+	if ticked.Now != st.Now || ticked.Dispatches != st.Dispatches || ticked.RingLen != st.RingLen {
+		t.Errorf("a ticker queued at 1 s moved the stall: %v, want %v", ticked, st)
+	}
+	if ticked.HeapLen != st.HeapLen+1 {
+		t.Errorf("heap count with a running ticker = %d, want %d (the armed tick counts)", ticked.HeapLen, st.HeapLen+1)
+	}
 }
 
 // The detector counts per-instant work, not total work: a heavy but

@@ -4,47 +4,86 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 )
 
-// TestTickerStopFromCallbackThenRestart is the regression test for the
-// stop-from-callback bug: Stop called inside the ticker's own callback used
-// to leave the just-scheduled next tick alive, so a later Start double-booked
-// the ticker and it fired at twice the configured rate.
+// TestTickerStopFromCallbackThenRestart is the regression test for two
+// ways a ticker ended up with two queued ticks and fired at twice its rate:
+// Stop called inside the ticker's own callback used to leave the
+// just-scheduled next tick alive, so a later Start double-booked it; and
+// Stop then Start inside the callback armed one tick at Start and a second
+// at the re-arm after the callback returned. Both the three-tier kernel and
+// the pure-heap reference must fire once per period after the restart.
 func TestTickerStopFromCallbackThenRestart(t *testing.T) {
-	k := NewKernel(1)
-	var times []time.Duration
-	ticks := 0
-	var tk *Ticker
-	tk = k.Every(10*time.Millisecond, func() {
-		ticks++
-		times = append(times, k.Now())
-		if ticks == 3 {
-			tk.Stop()
+	cases := []struct {
+		name string
+		// onTick runs inside the callback on the given tick.
+		onTick    func(tk *Ticker, tick int)
+		restartAt time.Duration // Start from another event; 0 for none
+		want      []time.Duration
+	}{
+		{
+			// Restart while the leaked reschedule (if any) from the stop
+			// at t=30ms is still pending: with the bug, that orphan tick
+			// at 40ms plus Start's own chain at 45ms give two interleaved
+			// chains. Ticks: 10, 20, 30 (then Stop), restart at 35 → 45,
+			// 55, ..., 95.
+			name: "stop in callback, restart from another event",
+			onTick: func(tk *Ticker, tick int) {
+				if tick == 3 {
+					tk.Stop()
+				}
+			},
+			restartAt: 35 * time.Millisecond,
+			want:      msTimes(10, 20, 30, 45, 55, 65, 75, 85, 95),
+		},
+		{
+			// Start arms the tick at 30ms; the re-arm after the callback
+			// must not arm a second one.
+			name: "stop and restart in callback",
+			onTick: func(tk *Ticker, tick int) {
+				if tick == 2 {
+					tk.Stop()
+					tk.Start()
+				}
+			},
+			want: msTimes(10, 20, 30, 40, 50, 60, 70, 80, 90, 100),
+		},
+	}
+	for _, tc := range cases {
+		for _, pure := range []bool{false, true} {
+			k := NewKernel(1)
+			k.pureHeap = pure
+			var times []time.Duration
+			var tk *Ticker
+			tk = k.Every(10*time.Millisecond, func() {
+				times = append(times, k.Now())
+				tc.onTick(tk, len(times))
+			})
+			tk.Start()
+			if tc.restartAt > 0 {
+				k.At(tc.restartAt, func() { tk.Start() })
+			}
+			k.Run(100 * time.Millisecond)
+			if !tk.Running() {
+				t.Errorf("%s (pure-heap %v): ticker not running after restart", tc.name, pure)
+			}
+			if !slices.Equal(times, tc.want) {
+				t.Errorf("%s (pure-heap %v): ticks at %v, want %v", tc.name, pure, times, tc.want)
+			}
 		}
-	})
-	tk.Start()
-	// Restart while the leaked reschedule (if any) from the stop-from-
-	// callback at t=30ms is still pending: with the bug, that orphan event
-	// at t=40ms plus Start's own chain at t=45ms give two interleaved tick
-	// chains and the ticker fires at twice the configured rate.
-	k.At(35*time.Millisecond, func() { tk.Start() })
-	k.Run(100 * time.Millisecond)
+	}
+}
 
-	if !tk.Running() {
-		t.Fatalf("ticker not running after restart")
+// msTimes converts millisecond counts to durations.
+func msTimes(ms ...int) []time.Duration {
+	out := make([]time.Duration, len(ms))
+	for i, m := range ms {
+		out[i] = time.Duration(m) * time.Millisecond
 	}
-	// Ticks: 10,20,30 (then Stop), restart at 35 → 45,55,...,95. Every gap
-	// after the restart must be exactly one period.
-	if ticks != 9 {
-		t.Fatalf("ticker fired %d times, want 9 (double-rate chain leaked?) at %v", ticks, times)
-	}
-	for i := 4; i < len(times); i++ {
-		if d := times[i] - times[i-1]; d != 10*time.Millisecond {
-			t.Fatalf("post-restart interval %v between ticks %d and %d, want 10ms (times %v)", d, i-1, i, times)
-		}
-	}
+	return out
 }
 
 // TestCancelRemovesImmediately is the regression test for cancelled-timer
@@ -132,8 +171,8 @@ func allocsPerOp(n int, setup func(k *Kernel, n int)) uint64 {
 
 // TestHotPathZeroAllocs pins the kernel's steady-state allocation budget:
 // a process sleep/wake handoff, a processor-sharing job completion, a
-// WaitList wait/wake cycle and a Queue put/get cycle must each cost zero
-// heap allocations per operation.
+// WaitList wait/wake cycle, a Queue put/get cycle and a ticker's tick must
+// each cost zero heap allocations per operation.
 func TestHotPathZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector instruments allocations")
@@ -197,20 +236,59 @@ func TestHotPathZeroAllocs(t *testing.T) {
 	}); got != 0 {
 		t.Errorf("Queue: %d allocs/op, want 0", got)
 	}
+	if got := allocsPerOp(n, func(k *Kernel, n int) {
+		ticks := 0
+		var tk *Ticker
+		tk = k.Every(time.Microsecond, func() {
+			if ticks++; ticks == n {
+				tk.Stop()
+			}
+		})
+		tk.Start()
+	}); got != 0 {
+		t.Errorf("Ticker: %d allocs/op, want 0", got)
+	}
 }
 
-// scheduleMixTrace runs a randomized mix of At/After/Cancel/Sleep/WakeOne
-// against a kernel in either hybrid (ring+heap) or pure-heap reference mode
-// and returns the execution trace. The op mix is a pure function of
-// seed, so two runs diverge only if the timing structures order callbacks
-// differently.
-func scheduleMixTrace(seed int64, pure bool) []string {
-	k := NewKernel(seed)
+// chooser supplies the choices of the scheduling op mix: a seeded
+// *rand.Rand for the property test, the fuzz input for FuzzScheduleMix.
+type chooser interface{ Intn(n int) int }
+
+// byteChooser draws choices from fuzz input: one byte per choice below 256,
+// two above, and zeros once the input runs out.
+type byteChooser struct{ b []byte }
+
+func (c *byteChooser) Intn(n int) int {
+	v := 0
+	for w := 1; w < n && len(c.b) > 0; w <<= 8 {
+		v = v<<8 | int(c.b[0])
+		c.b = c.b[1:]
+	}
+	return v % n
+}
+
+// scheduleMixTrace runs a mix of At/After/Cancel/Sleep/WakeOne and ticker
+// Start/Stop, its choices drawn from c, against a kernel in either the
+// three-tier (ring, lane, heap) or the pure-heap reference mode and returns
+// the execution trace. The op mix is a pure function of c's choices, so two
+// runs diverge only if the timing structures order callbacks differently.
+func scheduleMixTrace(c chooser, pure bool) []string {
+	k := NewKernel(1)
 	k.pureHeap = pure
-	rng := rand.New(rand.NewSource(seed ^ 0x0dd5ee))
 	var trace []string
 	rec := func(tag string, id int) {
 		trace = append(trace, fmt.Sprintf("%s%d@%d", tag, id, k.Now()))
+	}
+
+	wl := NewWaitList(k)
+	var tickers []*Ticker
+	toggle := func() {
+		tk := tickers[c.Intn(len(tickers))]
+		if tk.Running() {
+			tk.Stop()
+		} else {
+			tk.Start()
+		}
 	}
 
 	var pending []Event
@@ -219,38 +297,70 @@ func scheduleMixTrace(seed int64, pure bool) []string {
 	schedule = func(depth int) {
 		id := nextID
 		nextID++
-		// Delays straddle both tiers: zero-delay (the ring, or the heap in
-		// reference mode) and millisecond-to-second timers (the heap),
-		// plus exact ties against ring entries at the same instant.
+		// Delays straddle the tiers: zero-delay (the ring, or the heap in
+		// reference mode), millisecond-to-second timers (the heap), and
+		// the 25 ms grid the tickers run on, for exact ties against ticks
+		// and against ring entries at the same instant.
 		var d time.Duration
-		switch rng.Intn(4) {
+		switch c.Intn(4) {
 		case 0:
 			d = 0
 		case 1:
-			d = time.Duration(rng.Intn(50)) * time.Millisecond
+			d = time.Duration(c.Intn(50)) * time.Millisecond
 		case 2:
-			d = time.Duration(rng.Intn(2000)) * time.Millisecond
+			d = time.Duration(c.Intn(2000)) * time.Millisecond
 		default:
-			d = time.Duration(rng.Intn(40)) * 25 * time.Millisecond
+			d = time.Duration(c.Intn(40)) * 25 * time.Millisecond
 		}
 		ev := k.After(d, func() {
 			rec("t", id)
-			if depth < 3 && rng.Intn(3) == 0 {
+			if depth < 3 && c.Intn(3) == 0 {
 				schedule(depth + 1)
 			}
-			if len(pending) > 0 && rng.Intn(4) == 0 {
-				pending[rng.Intn(len(pending))].Cancel()
+			if len(pending) > 0 && c.Intn(4) == 0 {
+				pending[c.Intn(len(pending))].Cancel()
+			}
+			// Start a ticker at this timer's (often odd) phase, or stop
+			// one from outside its own callback.
+			if c.Intn(5) == 0 {
+				toggle()
 			}
 		})
 		pending = append(pending, ev)
 	}
+
+	// Tickers on the 25 ms grid, two with one period, so ticks coincide
+	// with each other as well as with timers. A tick may stop its own
+	// ticker, stop and restart it, toggle another, schedule a timer or
+	// wake a waiter through the ring at its own instant.
+	for i, period := range []time.Duration{25 * time.Millisecond, 50 * time.Millisecond, 50 * time.Millisecond, 100 * time.Millisecond} {
+		var tk *Ticker
+		tk = k.Every(period, func() {
+			rec("k", i)
+			switch c.Intn(16) {
+			case 0:
+				tk.Stop()
+			case 1:
+				tk.Stop()
+				tk.Start()
+			case 2:
+				toggle()
+			case 3:
+				schedule(2)
+			case 4:
+				wl.WakeOne()
+			}
+		})
+		tickers = append(tickers, tk)
+	}
+	tickers[0].Start()
+	tickers[1].Start()
+	tickers[2].Start()
+
 	for i := 0; i < 40; i++ {
 		schedule(0)
 	}
-
-	wl := NewWaitList(k)
 	for w := 0; w < 3; w++ {
-		w := w
 		k.Spawn(fmt.Sprintf("waiter%d", w), func(p *Proc) {
 			for i := 0; i < 5; i++ {
 				wl.Wait(p)
@@ -260,35 +370,94 @@ func scheduleMixTrace(seed int64, pure bool) []string {
 	}
 	k.Spawn("sleeper", func(p *Proc) {
 		for i := 0; i < 30; i++ {
-			d := time.Duration(rng.Intn(80)) * time.Millisecond
+			d := time.Duration(c.Intn(80)) * time.Millisecond
 			p.Sleep(d)
 			rec("s", i)
-			if rng.Intn(2) == 0 {
+			if c.Intn(2) == 0 {
 				wl.WakeOne()
+			}
+			// Start or stop a ticker from a process.
+			if c.Intn(4) == 0 {
+				toggle()
 			}
 		}
 		wl.WakeAll()
 	})
-	k.Run(0)
+	// The horizons land on the 25 ms grid, so ticks due exactly at one
+	// still fire and the next ones stop the clock there. Between the two
+	// runs the tickers stop from outside Run; the timers left over, and
+	// any ticker they restart, run on to the second horizon.
+	rec("horizon", int(k.Run(3*time.Second)))
+	for _, tk := range tickers {
+		tk.Stop()
+	}
+	rec("end", int(k.Run(20*time.Second)))
+	k.Shutdown()
 	return trace
 }
 
-// TestHybridMatchesPureHeapReference is the property test for the timing
-// structure: for 50 seeds, the hybrid kernel, which merges the runnable ring
-// against the heap, must produce a byte-identical execution trace to the
-// pure-heap reference build over a randomized At/After/Cancel/Sleep/WakeOne
-// mix.
-func TestHybridMatchesPureHeapReference(t *testing.T) {
-	for seed := int64(1); seed <= 50; seed++ {
-		hybrid := scheduleMixTrace(seed, false)
-		ref := scheduleMixTrace(seed, true)
-		if len(hybrid) != len(ref) {
-			t.Fatalf("seed %d: hybrid trace has %d entries, reference %d", seed, len(hybrid), len(ref))
-		}
-		for i := range hybrid {
-			if hybrid[i] != ref[i] {
-				t.Fatalf("seed %d: traces diverge at entry %d: hybrid %q, reference %q", seed, i, hybrid[i], ref[i])
-			}
+// diffTraces describes the first difference between a three-tier trace and
+// its pure-heap reference, or returns "" when they are equal.
+func diffTraces(hybrid, ref []string) string {
+	for i := 0; i < len(hybrid) && i < len(ref); i++ {
+		if hybrid[i] != ref[i] {
+			return fmt.Sprintf("traces diverge at entry %d: hybrid %q, reference %q", i, hybrid[i], ref[i])
 		}
 	}
+	if len(hybrid) != len(ref) {
+		return fmt.Sprintf("hybrid trace has %d entries, reference %d", len(hybrid), len(ref))
+	}
+	return ""
+}
+
+// TestHybridMatchesPureHeapReference is the property test for the timing
+// structure: for 50 seeds, the kernel that merges the runnable ring and the
+// tick lane against the heap must produce a byte-identical execution trace
+// to the pure-heap reference over a randomized op mix.
+func TestHybridMatchesPureHeapReference(t *testing.T) {
+	for seed := int64(1); seed <= 50; seed++ {
+		hybrid := scheduleMixTrace(rand.New(rand.NewSource(seed^0x0dd5ee)), false)
+		ref := scheduleMixTrace(rand.New(rand.NewSource(seed^0x0dd5ee)), true)
+		if d := diffTraces(hybrid, ref); d != "" {
+			t.Fatalf("seed %d: %s", seed, d)
+		}
+	}
+}
+
+// FuzzScheduleMix drives the op mix of scheduleMixTrace from the fuzz input
+// and fails on any difference between the three-tier kernel and the
+// pure-heap reference.
+func FuzzScheduleMix(f *testing.F) {
+	for _, seed := range []int64{1, 7, 42, 1999} {
+		b := make([]byte, 128)
+		rand.New(rand.NewSource(seed)).Read(b)
+		f.Add(b)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		hybrid := scheduleMixTrace(&byteChooser{b: data}, false)
+		ref := scheduleMixTrace(&byteChooser{b: data}, true)
+		if d := diffTraces(hybrid, ref); d != "" {
+			t.Fatal(d)
+		}
+	})
+}
+
+// BenchmarkTickerDispatch times one tick of a ticker set shaped like a
+// goal-directed session's (a 100 ms sampler, a 250 ms goal watch, a 500 ms
+// evaluator and a 1 s audit): the dispatch, a callback that only counts,
+// and the re-arm.
+func BenchmarkTickerDispatch(b *testing.B) {
+	k := NewKernel(1)
+	n := 0
+	count := func() {
+		if n++; n == b.N {
+			k.Stop()
+		}
+	}
+	for _, period := range []time.Duration{100 * time.Millisecond, 250 * time.Millisecond, 500 * time.Millisecond, time.Second} {
+		k.Every(period, count).Start()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	k.Run(0)
 }

@@ -6,9 +6,10 @@
 
 // Package sim provides a deterministic discrete-event simulation kernel.
 //
-// The kernel advances a virtual clock through a timing structure of two
-// tiers — a runnable ring for zero-delay work and a binary heap for every
-// timed event — serviced in one global (time, sequence) order. Model code
+// The kernel advances a virtual clock through a timing structure of three
+// tiers — a runnable ring for zero-delay work, a tick lane holding the next
+// tick of each running Ticker, and a binary heap for every other timed
+// event — serviced in one global (time, sequence) order. Model code
 // runs either as plain event callbacks (see Kernel.At) or as processes:
 // coroutines (iter.Pull) that interleave with the kernel under a strict
 // one-runnable-at-a-time handshake, so that a simulation is fully
@@ -159,7 +160,8 @@ func (h eventHeap) down(i0 int) bool {
 // ringEntry is one zero-delay runnable: either a process to hand the baton
 // to or a callback to invoke. Entries carry the (at, seq) pair they would
 // have had as heap events, so the run loop can merge the ring against the
-// heap in the exact global order a pure-heap kernel would produce.
+// lane and the heap in the exact global order a pure-heap kernel would
+// produce.
 type ringEntry struct {
 	at  time.Duration
 	seq uint64
@@ -167,19 +169,41 @@ type ringEntry struct {
 	fn  func()
 }
 
-// Kernel is the simulation executive: a virtual clock plus a two-tier
-// timing structure (runnable ring, event heap). A Kernel must be created
-// with NewKernel. Kernels are not safe for use from multiple goroutines
-// except through the process handshake managed here.
+// laneEntry is the armed next tick of one running Ticker, carrying the
+// (at, seq) pair it would have had as a heap event.
+type laneEntry struct {
+	at  time.Duration
+	seq uint64
+	t   *Ticker
+}
+
+// earlier reports whether the event keyed (at, seq) precedes the one keyed
+// (bt, bs) in the kernel's global order.
+func earlier(at time.Duration, seq uint64, bt time.Duration, bs uint64) bool {
+	return at < bt || (at == bt && seq < bs)
+}
+
+// Kernel is the simulation executive: a virtual clock plus a three-tier
+// timing structure (runnable ring, tick lane, event heap). A Kernel must be
+// created with NewKernel. Kernels are not safe for use from multiple
+// goroutines except through the process handshake managed here.
 type Kernel struct {
 	now time.Duration
 	seq uint64
 	rng *rand.Rand
 
-	// events holds every timed event. Its top, merged against the ring
-	// front, is the next event to dispatch.
+	// events holds every timed event that is not a tick. Its top, merged
+	// against the ring front and the lane's next tick, is a candidate for
+	// the next event to dispatch.
 	events eventHeap
 	free   []*timer // timer pool; recycled nodes with bumped generations
+
+	// lane holds the armed tick of each running ticker, sorted by
+	// (at, seq) latest first, so the next tick is the last entry and
+	// dispatching it is a reslice. A session runs a handful of tickers, so
+	// a sorted slice beats the heap; its backing array is retained across
+	// ticks.
+	lane []laneEntry
 
 	// ring is a circular FIFO of zero-delay runnables (always a power of
 	// two long). Entries are pushed with at == now, so the ring is sorted
@@ -188,9 +212,10 @@ type Kernel struct {
 	ringHead int
 	ringLen  int
 
-	// pureHeap disables the ring so every event, zero-delay hand-offs
-	// included, goes through the heap — the reference scheduling mode the
-	// property tests compare the ring+heap kernel against. Test-only.
+	// pureHeap disables the ring and the lane so every event, zero-delay
+	// hand-offs and ticks included, goes through the heap — the reference
+	// scheduling mode the property tests compare the three-tier kernel
+	// against. Test-only.
 	pureHeap bool
 
 	nextPID int
@@ -278,9 +303,9 @@ func (k *Kernel) After(d time.Duration, fn func()) Event {
 // runNext schedules a zero-delay runnable — a process hand-off (p != nil)
 // or a callback — on the runnable ring. Ring entries consume a sequence
 // number exactly as a heap event would, and the run loop merges the ring
-// against the heap by (at, seq), so runNext is observationally identical
-// to After(0, ...) minus the closure and heap traffic. In the pure-heap
-// reference mode it degrades to exactly that.
+// against the lane and the heap by (at, seq), so runNext is observationally
+// identical to After(0, ...) minus the closure and heap traffic. In the
+// pure-heap reference mode it degrades to exactly that.
 func (k *Kernel) runNext(p *Proc, fn func()) {
 	if k.pureHeap {
 		if p != nil {
@@ -363,10 +388,11 @@ func (k *Kernel) Shutdown() {
 // empty, Stop is called, or the clock would pass horizon (use horizon <= 0
 // for no limit). It returns the virtual time at exit.
 //
-// Each iteration services the runnable ring or the heap top, whichever
-// carries the smaller (at, seq) pair — the same total order a single heap
-// would produce, at ring-pop cost for the zero-delay traffic that dominates
-// process scheduling.
+// Each iteration services the runnable ring front, the tick lane's next
+// tick or the heap top, whichever carries the smallest (at, seq) pair —
+// the same total order a single heap would produce, at ring-pop cost for
+// the zero-delay traffic that dominates process scheduling and at
+// slice cost for the fixed-period ticks that dominate timed events.
 func (k *Kernel) Run(horizon time.Duration) time.Duration {
 	if k.running {
 		//odylint:allow panicfree re-entrant Run corrupts the handshake; invariant guard
@@ -378,11 +404,22 @@ func (k *Kernel) Run(horizon time.Duration) time.Duration {
 	//odylint:allow hotalloc once per Run call, not per event: the deferred reset runs when the loop exits
 	defer func() { k.running = false }()
 
-	for !k.stopped && (k.ringLen > 0 || len(k.events) > 0) {
+	for !k.stopped {
+		// The earliest timed event is the lane's next tick or the heap top.
+		next := len(k.lane) - 1
+		tick := next >= 0
+		if tick && len(k.events) > 0 {
+			tick = earlier(k.lane[next].at, k.lane[next].seq, k.events[0].at, k.events[0].seq)
+		}
 		if k.ringLen > 0 {
 			re := &k.ring[k.ringHead]
-			if len(k.events) == 0 || re.at < k.events[0].at ||
-				(re.at == k.events[0].at && re.seq < k.events[0].seq) {
+			ringFirst := true
+			if tick {
+				ringFirst = earlier(re.at, re.seq, k.lane[next].at, k.lane[next].seq)
+			} else if len(k.events) > 0 {
+				ringFirst = earlier(re.at, re.seq, k.events[0].at, k.events[0].seq)
+			}
+			if ringFirst {
 				// Ring entries were scheduled at (or before) the current
 				// clock reading, so servicing one never advances the
 				// clock and never crosses the horizon.
@@ -403,16 +440,32 @@ func (k *Kernel) Run(horizon time.Duration) time.Duration {
 				continue
 			}
 		}
-		tm := k.events[0]
-		if horizon > 0 && tm.at > horizon {
+		// Otherwise the next event is timed: the lane's next tick or the
+		// heap top.
+		var at time.Duration
+		if tick {
+			at = k.lane[next].at
+		} else if len(k.events) > 0 {
+			at = k.events[0].at
+		} else {
+			break
+		}
+		if horizon > 0 && at > horizon {
 			k.now = horizon
 			break
 		}
-		k.events.remove(0)
-		at, fn := tm.at, tm.fn
-		// Recycle before dispatch: a handle cancelled from within its own
-		// callback is already stale, matching fired-event semantics.
-		k.recycleTimer(tm)
+		var t *Ticker
+		var fn func()
+		if tick {
+			t = k.lane[next].t
+			k.removeLane(next)
+		} else {
+			tm := k.events.remove(0)
+			fn = tm.fn
+			// Recycle before dispatch: a handle cancelled from within its
+			// own callback is already stale, matching fired-event semantics.
+			k.recycleTimer(tm)
+		}
 		if at > k.now {
 			k.sinceAdvance = 0
 		} else if k.stallBound > 0 {
@@ -421,9 +474,42 @@ func (k *Kernel) Run(horizon time.Duration) time.Duration {
 			}
 		}
 		k.now = at
-		fn()
+		if t != nil {
+			t.fire()
+		} else {
+			fn()
+		}
 	}
 	return k.now
+}
+
+// pushLane queues t's armed tick, due at at. Its seq is the newest the
+// kernel has issued, so it goes before (later than) every entry due at or
+// before at, and only those entries shift.
+func (k *Kernel) pushLane(t *Ticker, at time.Duration) {
+	//odylint:allow hotalloc lane growth is amortized: the backing array is retained across ticks
+	k.lane = append(k.lane, laneEntry{})
+	i := len(k.lane) - 1
+	for i > 0 && k.lane[i-1].at <= at {
+		k.lane[i] = k.lane[i-1]
+		i--
+	}
+	//odylint:allow hotalloc value write into the retained lane backing array; no heap allocation
+	k.lane[i] = laneEntry{at: at, seq: t.seq, t: t}
+}
+
+// removeLane removes the lane entry in slot i and disarms its ticker,
+// clearing the vacated tail slot so the retained backing array pins no
+// stopped ticker. Removing the next tick, the last entry, shifts nothing.
+func (k *Kernel) removeLane(i int) {
+	k.lane[i].t.seq = 0
+	n := len(k.lane) - 1
+	if i < n {
+		copy(k.lane[i:], k.lane[i+1:])
+	}
+	//odylint:allow hotalloc zeroing a value slot of the retained lane backing array; no heap allocation
+	k.lane[n] = laneEntry{}
+	k.lane = k.lane[:n]
 }
 
 // Proc is a simulation process: a coroutine interleaved with the kernel.
@@ -717,13 +803,22 @@ func (k *Kernel) LiveProcs() []string {
 // evaluation, resource monitors, the supervisor's audit, the DVS governor,
 // the goal watch); loops that draw a fresh interval each time, such as the
 // jittered multimeter, schedule their own events.
+//
+// A ticker has at most one armed tick, queued in the kernel's tick lane; a
+// running ticker has one except while its callback runs. The tick takes
+// its sequence number when it is armed — at Start, or after the callback
+// returns — exactly where After would take it, so the lane dispatches
+// ticks in the order the heap would.
 type Ticker struct {
 	k       *Kernel
 	period  time.Duration
 	fn      func()
-	tick    func() // run-and-reschedule, allocated once at construction
-	ev      Event
 	running bool
+	// seq is the sequence number of the armed tick, 0 when none is queued.
+	seq uint64
+	// tick carries the armed tick through the heap in the pure-heap
+	// reference mode; the lane needs no closure.
+	tick func()
 }
 
 // Every returns a stopped ticker that, once started, invokes fn each period.
@@ -733,16 +828,10 @@ func (k *Kernel) Every(period time.Duration, fn func()) *Ticker {
 		panic(fmt.Sprintf("sim: ticker period must be positive, got %v", period))
 	}
 	t := &Ticker{k: k, period: period, fn: fn}
-	t.tick = func() {
-		if !t.running {
-			return
-		}
-		t.fn()
-		// Re-check running: fn may have called Stop, and rescheduling
-		// anyway would leave a live event that a later Start double-books
-		// into a ticker firing at twice the rate.
-		if t.running {
-			t.schedule()
+	if k.pureHeap {
+		t.tick = func() {
+			t.seq = 0
+			t.fire()
 		}
 	}
 	return t
@@ -754,22 +843,60 @@ func (t *Ticker) Start() {
 		return
 	}
 	t.running = true
-	t.schedule()
+	t.arm()
 }
 
-// Stop halts the ticker; Start may be called again.
+// Stop halts the ticker, removing its armed tick at once; Start may be
+// called again.
 func (t *Ticker) Stop() {
 	t.running = false
-	t.ev.Cancel()
-	//odylint:allow hotalloc zeroing a value field; no heap allocation
-	t.ev = Event{}
+	if t.seq == 0 {
+		return
+	}
+	k := t.k
+	if k.pureHeap {
+		// The armed tick is the heap timer carrying its seq; a scan finds
+		// it in this test-only mode.
+		for i, tm := range k.events {
+			if tm.seq == t.seq {
+				k.recycleTimer(k.events.remove(i))
+				break
+			}
+		}
+		t.seq = 0
+		return
+	}
+	for i := range k.lane {
+		if k.lane[i].t == t {
+			k.removeLane(i)
+			return
+		}
+	}
 }
 
 // Running reports whether the ticker is active.
 func (t *Ticker) Running() bool { return t.running }
 
-func (t *Ticker) schedule() {
-	// The tick closure is hoisted to construction time so each period
-	// enqueues a preexisting func value instead of allocating one.
-	t.ev = t.k.After(t.period, t.tick)
+// arm queues the ticker's next tick one period from now.
+func (t *Ticker) arm() {
+	k := t.k
+	if k.pureHeap {
+		k.After(t.period, t.tick)
+		t.seq = k.seq
+		return
+	}
+	k.seq++
+	t.seq = k.seq
+	k.pushLane(t, k.now+t.period)
+}
+
+// fire runs one tick, already taken off the lane (or the heap), and re-arms
+// the ticker. The callback may have stopped the ticker, or stopped and
+// restarted it — and a restart has armed a tick already, so arming another
+// would leave two queued and the ticker firing at twice its rate.
+func (t *Ticker) fire() {
+	t.fn()
+	if t.running && t.seq == 0 {
+		t.arm()
+	}
 }

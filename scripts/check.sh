@@ -40,10 +40,14 @@
 #                                          (FuzzLoadScenario), fault-plan
 #                                          decode and binding (FuzzPlanSpec),
 #                                          the fleet sketch decoder
-#                                          (FuzzSketchJSON) and the
+#                                          (FuzzSketchJSON), the
 #                                          specialised powers of the energy
 #                                          monitor and SmartBattery against
-#                                          math.Pow (FuzzSpecialisedPow)
+#                                          math.Pow (FuzzSpecialisedPow) and
+#                                          the kernel's timers, cancels,
+#                                          sleeps, wakes and ticker starts
+#                                          and stops against its pure-heap
+#                                          reference (FuzzScheduleMix)
 #  10. odyssey-sim -figure resilience      smoke: the fault-injection plane
 #                                          end to end on one trial
 #  11. supervision smoke (-race)           the application-supervision plane
@@ -155,6 +159,9 @@ if [ "${1:-}" != "fast" ]; then
 
     echo "==> go test -fuzz FuzzSpecialisedPow -fuzztime 5s ./internal/power"
     go test -run '^$' -fuzz FuzzSpecialisedPow -fuzztime 5s ./internal/power
+
+    echo "==> go test -fuzz FuzzScheduleMix -fuzztime 5s ./internal/sim"
+    go test -run '^$' -fuzz FuzzScheduleMix -fuzztime 5s ./internal/sim
 
     echo "==> resilience smoke (odyssey-sim -figure resilience -trials 1)"
     go run ./cmd/odyssey-sim -figure resilience -trials 1
